@@ -5,13 +5,18 @@ multiset, empty), the output kinds (scalar, center set, coefficient vector,
 null), and the aggregations themselves: max, average, exact k-center, exact
 k-median, and multiple linear regression via the normal equations.
 
-Everything is exact rational arithmetic. The clustering solvers enumerate all
-k-subsets of the input union, so instances are capped at a small size; that is
-deliberate, since the attack constructions only ever need a handful of points.
+Everything is exact rational arithmetic. The clustering solvers are exact:
+they build the pairwise distance table of the input union once, scale it to
+integers over a common denominator, and cost every k-subset from that table,
+skipping a subset as soon as its cost exceeds the best one found. The
+enumeration is still exhaustive, so instances are capped at a small size
+(`DEFAULT_MAX_UNION`); that is deliberate, since the attack constructions only
+ever need a handful of points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -298,6 +303,15 @@ class KCenterSolution:
     `cost` is expressed in the norm's comparison scale: the true distance
     value for p=1/p=inf and for the k-median objective, the squared distance
     for the k-center objective under p=2.
+
+    The solver computes the n x n table of these distances once per solve
+    (so k-median under p=2 checks each pair for an irrational distance once),
+    scales it by the least common denominator, and takes a candidate's cost
+    as the max (k-center) or sum (k-median) of per-point minima over plain
+    integers. A candidate costlier than the best so far is skipped before
+    its tie-break key is built. The result, the errors raised, the tie-break
+    (cost, then the sum of center `norm_key`s, then lexicographic order) and
+    the union cap are those of costing every k-subset from scratch.
     """
 
     centers: tuple[Point, ...]
@@ -316,21 +330,6 @@ def assign_to_centers(
     return tuple(pairs)
 
 
-def _candidate_cost(
-    points: Sequence[Point], centers: Sequence[Point], p: NormOrder, median: bool
-) -> Fraction:
-    total = Fraction(0)
-    worst = Fraction(0)
-    for point in points:
-        if median:
-            nearest = min(true_distance(point, c, p) for c in centers)
-            total += nearest
-        else:
-            nearest = min(dist_key(point, c, p) for c in centers)
-            worst = max(worst, nearest)
-    return total if median else worst
-
-
 def _solve_clustering(
     points: Sequence[Point], k: int, p: NormOrder, median: bool, max_union: int
 ) -> KCenterSolution:
@@ -346,17 +345,38 @@ def _solve_clustering(
         raise InstanceTooLargeError(
             f"{len(universe)} points exceed the exhaustive-search cap {max_union}"
         )
-    best_key: Optional[tuple] = None
-    best: Optional[tuple[Point, ...]] = None
-    best_cost = Fraction(0)
-    for candidate in combinations(universe, k):
-        cost = _candidate_cost(universe, candidate, p, median)
-        # Tie-break: total center magnitude, then lexicographic coordinates.
-        key = (cost, sum(norm_key(c, p) for c in candidate), candidate)
-        if best_key is None or key < best_key:
-            best_key, best, best_cost = key, candidate, cost
-    assert best is not None
-    return KCenterSolution(best, assign_to_centers(universe, best, p), best_cost)
+    n = len(universe)
+    distance = true_distance if median else dist_key
+    table: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
+    # Fill the table in the order in which costing every k-subset from
+    # scratch first meets each (point, center) pair: the first n-k+1
+    # candidates already hold every center. An invalid pair (mixed
+    # dimensions, an irrational distance) then raises the same error.
+    for last in range(k - 1, n):
+        for i in range(n):
+            for j in (*range(k - 1), last):
+                if table[i][j] is None:
+                    table[i][j] = table[j][i] = distance(universe[i], universe[j], p)
+    scale = math.lcm(*[d.denominator for row in table for d in row])
+    # rows[j][i]: the distance from center j to point i, times `scale`.
+    rows = [[d.numerator * (scale // d.denominator) for d in row] for row in table]
+    norms = [norm_key(u, p) for u in universe]
+    aggregate = sum if median else max
+    best_cost, best_tie, best = math.inf, None, ()
+    for candidate in combinations(range(n), k):
+        nearest = rows[candidate[0]] if k == 1 else map(min, *[rows[j] for j in candidate])
+        cost = aggregate(nearest)
+        if cost > best_cost:
+            continue
+        # Tie-break: total center magnitude, then lexicographic coordinates
+        # (index order is coordinate order, as the universe is sorted).
+        tie = (sum(norms[j] for j in candidate), candidate)
+        if cost < best_cost or tie < best_tie:
+            best_cost, best_tie, best = cost, tie, candidate
+    centers = tuple(universe[j] for j in best)
+    return KCenterSolution(
+        centers, assign_to_centers(universe, centers, p), Fraction(best_cost, scale)
+    )
 
 
 def kcenter_solution(
@@ -521,9 +541,6 @@ class KCenterAlgorithm(Algorithm):
     def compute(self, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
         return alg_kcenter(ledger, self.k, self.p, self.max_union)
 
-    def solve_detailed(self, ledger: Sequence[UpdatePayload]) -> KCenterSolution:
-        return kcenter_solution(union_points(ledger), self.k, self.p, self.max_union)
-
 
 class KMedianAlgorithm(Algorithm):
     name = "kmedian"
@@ -537,9 +554,6 @@ class KMedianAlgorithm(Algorithm):
 
     def compute(self, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
         return alg_kmedian(ledger, self.k, self.p, self.max_union)
-
-    def solve_detailed(self, ledger: Sequence[UpdatePayload]) -> KCenterSolution:
-        return kmedian_solution(union_points(ledger), self.k, self.p, self.max_union)
 
 
 class DlrAlgorithm(Algorithm):

@@ -187,6 +187,7 @@ def output_to_json(output: Optional[AlgorithmOutput]) -> dict:
 
 _PAYLOAD_PARAM_KEYS = ("u_cond", "u_attack", "u_resync", "rows")
 _OUTPUT_PARAM_KEYS = ("rho_cond",)
+_INTEGER_ALGORITHM_PARAMS = ("k", "max_union", "d")
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,9 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     algorithm_params = raw_algorithm.get("params") or {}
     if not isinstance(algorithm_params, dict):
         raise _fail("algorithm.params", "expected an object")
+    for key in _INTEGER_ALGORITHM_PARAMS:
+        if key in algorithm_params:
+            _require_int(algorithm_params[key], f"algorithm.params.{key}", minimum=1)
     try:
         algorithm = make_algorithm(raw_algorithm["name"], algorithm_params)
     except (ParamError, ValueError) as exc:

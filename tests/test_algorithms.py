@@ -6,15 +6,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exclusim.algorithms import (
+    DEFAULT_MAX_UNION,
+    NORM_INF,
     CentersOutput,
     CoefficientsOutput,
     DlrAlgorithm,
     Empty,
     InstanceTooLargeError,
+    KCenterSolution,
     KMedianAlgorithm,
     NoOutputError,
     NotEnoughPointsError,
@@ -26,17 +29,24 @@ from exclusim.algorithms import (
     RowMultiset,
     Scalar,
     ScalarOutput,
+    UnsupportedNormError,
     alg_average,
     alg_dlr,
     alg_kcenter,
     alg_max,
+    assign_to_centers,
+    check_norm_order,
     dist_key,
+    kcenter_solution,
+    kmedian_solution,
     lr_cost,
     make_algorithm,
     moments,
+    norm_key,
     payload_difference,
     payload_union,
     predict,
+    true_distance,
     union_points,
 )
 from exclusim.numerics import RMatrix
@@ -130,14 +140,43 @@ def _points(*values) -> PointSet:
     return PointSet(tuple((Fraction(v),) for v in values))
 
 
-def _brute_force_kcenter(points, k):
-    """Minimal max-distance cost over all k-subsets, for cross-checking."""
-    best = None
-    for centers in itertools.combinations(points, min(k, len(points))):
-        cost = max(min(dist_key(p, c, 2) for c in centers) for p in points)
-        if best is None or cost < best[0]:
-            best = (cost, centers)
-    return best
+def _reference_cost(points, centers, p, median):
+    total = Fraction(0)
+    worst = Fraction(0)
+    for point in points:
+        if median:
+            nearest = min(true_distance(point, c, p) for c in centers)
+            total += nearest
+        else:
+            nearest = min(dist_key(point, c, p) for c in centers)
+            worst = max(worst, nearest)
+    return total if median else worst
+
+
+def _reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION):
+    """The exhaustive solve the table-based solver replaced, kept as its oracle.
+
+    Every k-subset is costed from scratch in `Fraction` arithmetic; ties go
+    to the smaller sum of center norms, then to lexicographic order.
+    """
+    check_norm_order(p)
+    if k < 1:
+        raise ParamError(f"k must be positive, got {k}")
+    universe = tuple(sorted(set(points)))
+    if not universe:
+        raise NoOutputError("no points on the ledger")
+    if len(universe) < k:
+        raise NotEnoughPointsError(f"{len(universe)} distinct points, need {k}")
+    if len(universe) > max_union:
+        raise InstanceTooLargeError(f"{len(universe)} points exceed the cap {max_union}")
+    best_key = None
+    for candidate in itertools.combinations(universe, k):
+        cost = _reference_cost(universe, candidate, p, median)
+        key = (cost, sum(norm_key(c, p) for c in candidate), candidate)
+        if best_key is None or key < best_key:
+            best_key = key
+    cost, _, best = best_key
+    return KCenterSolution(best, assign_to_centers(universe, best, p), cost)
 
 
 def test_kcenter_three_points_are_their_own_centers():
@@ -158,7 +197,7 @@ def test_kcenter_matches_brute_force_cost():
     points = _points(-7, -2, 0, 3, 4, 9)
     out = alg_kcenter([points], 2, 2, 20)
     assert isinstance(out, CentersOutput)
-    best_cost, _ = _brute_force_kcenter(points.points, 2)
+    best_cost = _reference_clustering(points.points, 2, 2, median=False).cost
     got_cost = max(
         min(dist_key(p, c, 2) for c in out.centers) for p in points.points
     )
@@ -193,9 +232,68 @@ def test_kcenter_cost_optimal_against_enumeration(values, k):
     points = _points(*values)
     out = alg_kcenter([points], k, 2, 20)
     assert isinstance(out, CentersOutput)
-    best_cost, _ = _brute_force_kcenter(points.points, k)
+    best_cost = _reference_clustering(points.points, k, 2, median=False).cost
     got_cost = max(min(dist_key(p, c, 2) for c in out.centers) for p in points.points)
     assert got_cost == best_cost
+
+
+_SOLVERS = {False: kcenter_solution, True: kmedian_solution}
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except Exception as exc:  # the raised type is part of the compared outcome
+        return type(exc)
+
+
+_coordinates = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@st.composite
+def _clustering_instances(draw):
+    # Mostly 1-D or 2-D sets; a 2-D/3-D mix checks that invalid pairs raise
+    # the same error as before.
+    dims = draw(st.sampled_from(((1,), (2,), (2, 3))))
+    point = st.sampled_from(dims).flatmap(lambda dim: st.tuples(*[_coordinates] * dim))
+    return draw(st.lists(point, min_size=1, max_size=8, unique=True))
+
+
+@given(
+    points=_clustering_instances(),
+    k=st.integers(min_value=1, max_value=4),
+    p=st.sampled_from((1, 2, NORM_INF)),
+    median=st.booleans(),
+)
+@example(points=[(Fraction(v),) for v in (-2, -1, 0, 1, 2)], k=2, p=2, median=False)
+@example(points=[(Fraction(v),) for v in (-2, -1, 0, 1, 2)], k=2, p=1, median=True)
+@example(points=[(Fraction(v),) for v in (-2, -1, 0, 1, 2)], k=3, p=NORM_INF, median=False)
+@example(
+    points=[(Fraction(x), Fraction(y)) for x in (-1, 0, 1) for y in (-1, 0, 1)],
+    k=4, p=1, median=False,
+)
+@example(points=[(Fraction(0), Fraction(0)), (Fraction(3), Fraction(4))], k=1, p=2, median=True)
+@example(
+    points=[(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
+            (Fraction(1), Fraction(0), Fraction(0))],
+    k=2, p=2, median=True,
+)
+@settings(max_examples=300, deadline=None)
+def test_clustering_matches_reference_enumeration(points, k, p, median):
+    got = _outcome(_SOLVERS[median], points, k, p)
+    want = _outcome(_reference_clustering, points, k, p, median)
+    assert got == want
+
+
+def test_kmedian_irrational_euclidean_distance_is_refused():
+    points = [(Fraction(x), Fraction(y)) for x, y in ((0, 0), (1, 1), (2, 0))]
+    with pytest.raises(UnsupportedNormError):
+        kmedian_solution(points, 1, p=2)
+    solution = kmedian_solution(points, 1, p=1)
+    assert solution == _reference_clustering(points, 1, 1, median=True)
+    # Every center costs 4 under L1, so the smallest-norm point wins the tie.
+    assert solution.centers == ((Fraction(0), Fraction(0)),)
+    assert solution.cost == 4
 
 
 def test_kcenter_deterministic_tie_break():

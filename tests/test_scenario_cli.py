@@ -237,6 +237,39 @@ def test_cli_run_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _run_file(tmp_path, data: dict) -> int:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return main(["run", str(path)])
+
+
+@pytest.mark.parametrize(
+    "algorithm, field",
+    [
+        ({"name": "kcenter", "params": {"k": "5/2"}}, "algorithm.params.k"),
+        ({"name": "kcenter", "params": {"k": 2.5}}, "algorithm.params.k"),
+        ({"name": "kcenter", "params": {"k": True}}, "algorithm.params.k"),
+        ({"name": "kcenter", "params": {"k": 2, "max_union": 2.9}}, "algorithm.params.max_union"),
+        ({"name": "dlr", "params": {"d": True}}, "algorithm.params.d"),
+    ],
+    ids=["k_string", "k_float", "k_bool", "max_union_float", "d_bool"],
+)
+def test_cli_run_rejects_non_integer_algorithm_params(tmp_path, capsys, algorithm, field):
+    assert _run_file(tmp_path, _minimal_dict(algorithm=algorithm)) == 2
+    assert f"error: {field}: expected an integer" in capsys.readouterr().err
+
+
+def test_cli_run_kmedian_irrational_distance_exits_1(tmp_path, capsys):
+    data = _minimal_dict(
+        algorithm={"name": "kmedian", "params": {"k": 1}},
+        nature_input=[
+            {"agent": 1, "payload": {"kind": "points", "points": [[0, 0], [1, 1], [2, 0]]}}
+        ],
+    )
+    assert _run_file(tmp_path, data) == 1
+    assert "error: UnsupportedNormError" in capsys.readouterr().err
+
+
 def test_cli_demo_average(capsys):
     assert main(["attack-demo", "average"]) == 0
     assert capsys.readouterr().out.splitlines() == [
