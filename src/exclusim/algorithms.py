@@ -5,13 +5,23 @@ multiset, empty), the output kinds (scalar, center set, coefficient vector,
 null), and the aggregations themselves: max, average, exact k-center, exact
 k-median, and multiple linear regression via the normal equations.
 
-Everything is exact rational arithmetic. The clustering solvers are exact:
-they build the pairwise distance table of the input union once, scale it to
-integers over a common denominator, and cost every k-subset from that table,
-skipping a subset as soon as its cost exceeds the best one found. The
-enumeration is still exhaustive, so instances are capped at a small size
-(`DEFAULT_MAX_UNION`); that is deliberate, since the attack constructions only
-ever need a handful of points.
+Every aggregation is a fold over the ordered ledger: `start()` is the state of
+an empty ledger, `fold(state, payload)` the state after one more update, and
+`output(state)` the public output, or `NullOutput` while the aggregation is
+not defined. States are immutable values and a fold costs time in the size of
+its payload, not of the ledger: max keeps a running maximum, average a sum
+and a count, regression the moments X^T X and X^T y (a `MomentPair`), and
+k-center and k-median the point union, which `output` solves. The engines
+keep one running state per run; `compute(ledger)` folds a whole ledger.
+
+Everything is exact rational arithmetic. `moments` scales the rows to
+integers by their least common denominator, sums plain ints and divides once.
+The clustering solvers are exact: they build the pairwise distance table of
+the input union once, scale it to integers over a common denominator, and
+cost every k-subset from that table, skipping a subset as soon as its cost
+exceeds the best one found. The enumeration is still exhaustive, so instances
+are capped at a small size (`DEFAULT_MAX_UNION`); that is deliberate, since
+the attack constructions only ever need a handful of points.
 """
 
 from __future__ import annotations
@@ -19,7 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .numerics import RMatrix, RationalLike, rational, rational_sqrt
@@ -163,24 +175,24 @@ def payload_difference(a: UpdatePayload, b: UpdatePayload) -> UpdatePayload:
 # ===== ledger extraction =====
 
 
-def scalar_values(ledger: Sequence[UpdatePayload]) -> list[Fraction]:
-    values = []
-    for payload in ledger:
-        if isinstance(payload, Scalar):
-            values.append(payload.value)
-        elif not isinstance(payload, Empty):
-            raise PayloadError(f"expected scalar payloads, got {type(payload).__name__}")
-    return values
+def _contributes(payload: UpdatePayload, kind: type) -> bool:
+    """Whether `payload` adds data to a ledger of `kind` payloads.
+
+    Empty adds nothing; any other kind is a `PayloadError`.
+    """
+    if isinstance(payload, kind):
+        return True
+    if isinstance(payload, Empty):
+        return False
+    raise PayloadError(f"expected {kind.__name__} payloads, got {type(payload).__name__}")
 
 
 def multiset_points(ledger: Sequence[UpdatePayload]) -> list[Point]:
     """All points of all set payloads, duplicates across updates preserved."""
     points = []
     for payload in ledger:
-        if isinstance(payload, PointSet):
+        if _contributes(payload, PointSet):
             points.extend(payload.points)
-        elif not isinstance(payload, Empty):
-            raise PayloadError(f"expected point-set payloads, got {type(payload).__name__}")
     return points
 
 
@@ -195,10 +207,8 @@ def union_points(ledger: Sequence[UpdatePayload]) -> tuple[Point, ...]:
 def all_rows(ledger: Sequence[UpdatePayload]) -> tuple[Row, ...]:
     rows: list[Row] = []
     for payload in ledger:
-        if isinstance(payload, RowMultiset):
+        if _contributes(payload, RowMultiset):
             rows.extend(payload.rows)
-        elif not isinstance(payload, Empty):
-            raise PayloadError(f"expected row payloads, got {type(payload).__name__}")
     if rows and len({r.width for r in rows}) > 1:
         raise PayloadError("row payloads of mixed width on one ledger")
     return tuple(rows)
@@ -251,9 +261,23 @@ AlgorithmOutput = Union[ScalarOutput, CentersOutput, CoefficientsOutput, NullOut
 
 
 def check_norm_order(p: NormOrder) -> NormOrder:
-    if p not in (1, 2, NORM_INF):
-        raise ParamError(f"norm order must be 1, 2 or '{NORM_INF}', got {p!r}")
-    return p
+    """`p` itself when it is exactly the int 1 or 2 or the string "inf".
+
+    `True == 1` and `2.0 == 2`, so a plain membership test would let a bool
+    or a float select a norm.
+    """
+    if p == NORM_INF or (type(p) is int and p in (1, 2)):
+        return p
+    raise ParamError(f"norm order must be 1, 2 or '{NORM_INF}', got {p!r}")
+
+
+def check_count(name: str, value: object) -> int:
+    """`value` itself when it is a positive int (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParamError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ParamError(f"{name} must be positive, got {value}")
+    return value
 
 
 def norm_key(point: Point, p: NormOrder) -> Fraction:
@@ -391,43 +415,6 @@ def kmedian_solution(
     return _solve_clustering(points, k, p, median=True, max_union=max_union)
 
 
-def alg_kcenter(
-    ledger: Sequence[UpdatePayload], k: int, p: NormOrder = 2,
-    max_union: int = DEFAULT_MAX_UNION,
-) -> CentersOutput:
-    return CentersOutput(kcenter_solution(union_points(ledger), k, p, max_union).centers)
-
-
-def alg_kmedian(
-    ledger: Sequence[UpdatePayload], k: int, p: NormOrder = 2,
-    max_union: int = DEFAULT_MAX_UNION,
-) -> CentersOutput:
-    return CentersOutput(kmedian_solution(union_points(ledger), k, p, max_union).centers)
-
-
-# =============================================================================
-# Max and average
-# =============================================================================
-
-
-def alg_max(ledger: Sequence[UpdatePayload]) -> ScalarOutput:
-    values = scalar_values(ledger)
-    if not values:
-        raise NoOutputError("no scalar values on the ledger")
-    return ScalarOutput(max(values))
-
-
-def alg_average(ledger: Sequence[UpdatePayload]) -> ScalarOutput:
-    """The mean over all points of all updates; the count stays hidden."""
-    points = multiset_points(ledger)
-    if not points:
-        raise NoOutputError("no points on the ledger")
-    if any(len(p) != 1 for p in points):
-        raise PayloadError("the average aggregation expects 1-dimensional points")
-    total = sum((p[0] for p in points), Fraction(0))
-    return ScalarOutput(total / len(points))
-
-
 # =============================================================================
 # Multiple linear regression
 # =============================================================================
@@ -447,26 +434,34 @@ class MomentPair:
         return MomentPair(self.gram - other.gram, self.cross - other.cross)
 
 
-def zero_moments(width: int) -> MomentPair:
-    return MomentPair(RMatrix.zeros(width, width), RMatrix.zeros(width, 1))
-
-
 def moments(rows: Union[RowMultiset, Sequence[Row]], width: Optional[int] = None) -> MomentPair:
-    """Exact moments of a row multiset; additive under concatenation."""
+    """Exact moments of a row multiset; additive under concatenation.
+
+    Every value is scaled by the least common denominator of all the rows,
+    so the Gram and cross entries are sums of plain ints, divided by the
+    squared scale once at the end.
+    """
     seq = rows.rows if isinstance(rows, RowMultiset) else tuple(rows)
     if width is None:
         if not seq:
             raise PayloadError("cannot infer moment width from an empty multiset")
         width = seq[0].width
-    gram = RMatrix.zeros(width, width)
-    cross = RMatrix.zeros(width, 1)
     for row in seq:
         if row.width != width:
             raise PayloadError(f"row width {row.width} does not match {width}")
-        x = RMatrix([row.features])
-        gram = gram + (x.transpose() @ x)
-        cross = cross + x.transpose().scale(row.target)
-    return MomentPair(gram, cross)
+    # An all-zero row adds nothing; it gives an empty multiset its columns.
+    values = [(*row.features, row.target) for row in seq] or [(0,) * (width + 1)]
+    scale = math.lcm(*[v.denominator for row in values for v in row])
+    # columns[i]: the i-th feature (the target last) of every row, times `scale`.
+    columns = [[v.numerator * (scale // v.denominator) for v in column] for column in zip(*values)]
+    square = scale * scale
+
+    def entry(i: int, j: int) -> Fraction:
+        return Fraction(sum(map(mul, columns[i], columns[j])), square)
+
+    gram = [[entry(i, j) for j in range(width)] for i in range(width)]
+    cross = [[entry(i, width)] for i in range(width)]
+    return MomentPair(RMatrix(gram), RMatrix(cross))
 
 
 def fit_from_moments(m: MomentPair) -> Union[CoefficientsOutput, NullOutput]:
@@ -474,14 +469,6 @@ def fit_from_moments(m: MomentPair) -> Union[CoefficientsOutput, NullOutput]:
     if solution is None:
         return NullOutput()
     return CoefficientsOutput(solution.column_values())
-
-
-def alg_dlr(ledger: Sequence[UpdatePayload]) -> Union[CoefficientsOutput, NullOutput]:
-    """Least-squares fit of all rows, or Null when the Gram matrix is singular."""
-    rows = all_rows(ledger)
-    if not rows:
-        return NullOutput()
-    return fit_from_moments(moments(rows))
 
 
 def predict(coefficients: Point, features: Point) -> Fraction:
@@ -506,102 +493,167 @@ def lr_cost(rows: Union[RowMultiset, Sequence[Row]], coefficients: Point) -> Fra
 
 
 class Algorithm:
-    """An aggregation over the full ordered sequence of ledger payloads."""
+    """An aggregation folded over the ordered sequence of ledger payloads.
+
+    `start()` is the state of the empty ledger, `fold(state, payload)` the
+    state once `payload` is appended (a `PayloadError` if the algorithm
+    cannot take it), and `output(state)` the public output, `NullOutput`
+    while the aggregation is undefined. States are immutable, so one state
+    may be folded further along two different continuations.
+    """
 
     name: str = "abstract"
 
-    def compute(self, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
+    def start(self) -> object:
         raise NotImplementedError
+
+    def fold(self, state: object, payload: UpdatePayload) -> object:
+        raise NotImplementedError
+
+    def output(self, state: object) -> AlgorithmOutput:
+        raise NotImplementedError
+
+    def compute(self, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
+        """The output over a whole ledger, folded from the empty state."""
+        return self.output(reduce(self.fold, ledger, self.start()))
 
 
 class MaxAlgorithm(Algorithm):
+    """State: the largest scalar so far, or None."""
+
     name = "max"
 
-    def compute(self, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
-        return alg_max(ledger)
+    def start(self) -> Optional[Fraction]:
+        return None
+
+    def fold(self, state: Optional[Fraction], payload: UpdatePayload) -> Optional[Fraction]:
+        if not _contributes(payload, Scalar):
+            return state
+        return payload.value if state is None else max(state, payload.value)
+
+    def output(self, state: Optional[Fraction]) -> AlgorithmOutput:
+        return NullOutput() if state is None else ScalarOutput(state)
 
 
 class AverageAlgorithm(Algorithm):
+    """The mean over all points of all updates; the count stays hidden.
+
+    State: the sum and the number of the 1-dimensional points so far.
+    """
+
     name = "average"
 
-    def compute(self, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
-        return alg_average(ledger)
+    def start(self) -> tuple[Fraction, int]:
+        return Fraction(0), 0
+
+    def fold(self, state: tuple[Fraction, int], payload: UpdatePayload) -> tuple[Fraction, int]:
+        if not _contributes(payload, PointSet):
+            return state
+        if any(len(p) != 1 for p in payload.points):
+            raise PayloadError("the average aggregation expects 1-dimensional points")
+        total, count = state
+        return total + sum(p[0] for p in payload.points), count + len(payload.points)
+
+    def output(self, state: tuple[Fraction, int]) -> AlgorithmOutput:
+        total, count = state
+        return ScalarOutput(total / count) if count else NullOutput()
 
 
-class KCenterAlgorithm(Algorithm):
+class ClusteringAlgorithm(Algorithm):
+    """Exact k-center or k-median over the point union of the ledger.
+
+    State: the frozenset of distinct points so far. `output` is Null while
+    there are fewer than k of them, and otherwise the centers that
+    `kcenter_solution` (or `kmedian_solution`, when `median`) chooses.
+    """
+
+    median: bool = False
+
+    def __init__(self, k: int, p: NormOrder = 2, max_union: int = DEFAULT_MAX_UNION):
+        self.k = check_count("k", k)
+        self.p = check_norm_order(p)
+        self.max_union = check_count("max_union", max_union)
+
+    def start(self) -> frozenset[Point]:
+        return frozenset()
+
+    def fold(self, state: frozenset[Point], payload: UpdatePayload) -> frozenset[Point]:
+        if not _contributes(payload, PointSet) or not payload.points:
+            return state
+        if state and len(next(iter(state))) != len(payload.points[0]):
+            raise PayloadError("point payloads of mixed dimension on one ledger")
+        return state.union(payload.points)
+
+    def output(self, state: frozenset[Point]) -> AlgorithmOutput:
+        if len(state) < self.k:
+            return NullOutput()
+        solve = kmedian_solution if self.median else kcenter_solution
+        return CentersOutput(solve(tuple(state), self.k, self.p, self.max_union).centers)
+
+
+class KCenterAlgorithm(ClusteringAlgorithm):
     name = "kcenter"
 
-    def __init__(self, k: int, p: NormOrder = 2, max_union: int = DEFAULT_MAX_UNION):
-        if k < 1:
-            raise ParamError(f"k must be positive, got {k}")
-        self.k = k
-        self.p = check_norm_order(p)
-        self.max_union = max_union
 
-    def compute(self, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
-        return alg_kcenter(ledger, self.k, self.p, self.max_union)
-
-
-class KMedianAlgorithm(Algorithm):
+class KMedianAlgorithm(ClusteringAlgorithm):
     name = "kmedian"
-
-    def __init__(self, k: int, p: NormOrder = 2, max_union: int = DEFAULT_MAX_UNION):
-        if k < 1:
-            raise ParamError(f"k must be positive, got {k}")
-        self.k = k
-        self.p = check_norm_order(p)
-        self.max_union = max_union
-
-    def compute(self, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
-        return alg_kmedian(ledger, self.k, self.p, self.max_union)
+    median = True
 
 
 class DlrAlgorithm(Algorithm):
+    """Least-squares fit of all rows, Null while the Gram matrix is singular.
+
+    State: the `MomentPair` of the rows so far, or None before the first row.
+    """
+
     name = "dlr"
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ParamError(f"regression dimension must be positive, got {d}")
-        self.d = d
+        self.d = check_count("regression dimension d", d)
 
-    def compute(self, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
-        rows = all_rows(ledger)
-        if rows and rows[0].width != self.d + 1:
-            raise PayloadError(
-                f"rows of width {rows[0].width} on a {self.d}-dimensional regression ledger"
-            )
-        if not rows:
-            return NullOutput()
-        return fit_from_moments(moments(rows))
+    def start(self) -> Optional[MomentPair]:
+        return None
+
+    def fold(self, state: Optional[MomentPair], payload: UpdatePayload) -> Optional[MomentPair]:
+        if not _contributes(payload, RowMultiset) or not payload.rows:
+            return state
+        width = payload.rows[0].width
+        if width != self.d + 1:
+            raise PayloadError(f"rows of width {width} on a {self.d}-dimensional regression ledger")
+        added = moments(payload, width)
+        return added if state is None else state + added
+
+    def output(self, state: Optional[MomentPair]) -> AlgorithmOutput:
+        return NullOutput() if state is None else fit_from_moments(state)
 
     def cost(self, rows: Union[RowMultiset, Sequence[Row]], coefficients: Point) -> Fraction:
         return lr_cost(rows, coefficients)
 
 
+_ALGORITHMS: dict[str, tuple[type, tuple[str, ...], tuple[str, ...]]] = {
+    # name: (class, required params, optional params)
+    "max": (MaxAlgorithm, (), ()),
+    "average": (AverageAlgorithm, (), ()),
+    "kcenter": (KCenterAlgorithm, ("k",), ("p", "max_union")),
+    "kmedian": (KMedianAlgorithm, ("k",), ("p", "max_union")),
+    "dlr": (DlrAlgorithm, ("d",), ()),
+}
+
+
 def make_algorithm(name: str, params: Optional[dict] = None) -> Algorithm:
-    """Build an algorithm from its scenario-file name and parameter object."""
+    """Build an algorithm from its scenario-file name and parameter object.
+
+    The constructors check the values: `k`, `max_union` and `d` must be
+    positive ints, and `p` exactly 1, 2 or "inf".
+    """
+    if name not in _ALGORITHMS:
+        raise ParamError(f"unknown algorithm {name!r}")
+    cls, required, optional = _ALGORITHMS[name]
     params = dict(params or {})
-    if name == "max":
-        return MaxAlgorithm()
-    if name == "average":
-        return AverageAlgorithm()
-    if name in ("kcenter", "kmedian"):
-        if "k" not in params:
-            raise ParamError(f"{name} needs parameter k")
-        k = int(params.pop("k"))
-        p = params.pop("p", 2)
-        if isinstance(p, str) and p != NORM_INF:
-            p = int(p)
-        max_union = int(params.pop("max_union", DEFAULT_MAX_UNION))
-        if params:
-            raise ParamError(f"unknown {name} parameters: {sorted(params)}")
-        cls = KCenterAlgorithm if name == "kcenter" else KMedianAlgorithm
-        return cls(k, p, max_union)
-    if name == "dlr":
-        if "d" not in params:
-            raise ParamError("dlr needs parameter d")
-        d = int(params.pop("d"))
-        if params:
-            raise ParamError(f"unknown dlr parameters: {sorted(params)}")
-        return DlrAlgorithm(d)
-    raise ParamError(f"unknown algorithm {name!r}")
+    for key in required:
+        if key not in params:
+            raise ParamError(f"{name} needs parameter {key}")
+    unknown = set(params) - set(required) - set(optional)
+    if unknown:
+        raise ParamError(f"unknown {name} parameters: {sorted(unknown)}")
+    return cls(**params)

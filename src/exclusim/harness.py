@@ -80,13 +80,20 @@ class NotApplicableError(Exception):
 
 @dataclass(frozen=True)
 class PairedVerdict:
-    """Final outputs of the same input played under attack and truthfully."""
+    """Final outputs of the same input played under attack and truthfully.
+
+    `truth_lossless` says whether the truthful run's ledger holds exactly its
+    factual sequence. The update guard can drop a truthful echo (an agent
+    handed more than `ell` elements in a row), and the "truthful" baseline
+    then silently misses data.
+    """
 
     attack_final: Optional[AlgorithmOutput]
     truth_final: Optional[AlgorithmOutput]
     differs: bool
     run_attack: Run
     run_truth: Run
+    truth_lossless: bool
 
 
 def _agent_count(ninput: Sequence[NatureElement], j: int) -> int:
@@ -131,6 +138,7 @@ def check_condition_i(
         differs=attack_final != truth_final,
         run_attack=run_attack,
         run_truth=run_truth,
+        truth_lossless=extract(run_truth, KIND_LEDGER) == extract(run_truth, KIND_FACTUAL),
     )
 
 

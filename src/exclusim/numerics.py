@@ -216,8 +216,3 @@ class RMatrix:
 
     def inverse(self) -> Optional["RMatrix"]:
         return self.solve(RMatrix.identity(self.nrows))
-
-
-def mat_mul_t(a: RMatrix, b: RMatrix) -> RMatrix:
-    """Compute a.T @ b, the workhorse product for normal equations."""
-    return a.transpose() @ b

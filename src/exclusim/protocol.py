@@ -2,8 +2,11 @@
 
 Agents are numbered 1..n. Nature hands each agent private factual updates;
 agents may push ledger updates; after pushes the ledger broadcasts the
-aggregation algorithm's output over everything pushed so far. An agent's
-strategy is a pure function of its observed history: its own factual
+aggregation algorithm's output over everything pushed so far. The engines do
+not keep the ledger itself: they keep the algorithm's running state
+(`Algorithm.start`), fold each accepted update into it (`fold`) and broadcast
+its `output`, so the cost of one broadcast does not grow with the ledger. An
+agent's strategy is a pure function of its observed history: its own factual
 deliveries, its own ledger updates, and every broadcast, in run order.
 
 Simultaneity is resolved by polling agents in fixed ascending order. In the
@@ -22,14 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .algorithms import (
-    Algorithm,
-    AlgorithmOutput,
-    NoOutputError,
-    NotEnoughPointsError,
-    NullOutput,
-    UpdatePayload,
-)
+from .algorithms import Algorithm, AlgorithmOutput, UpdatePayload
 
 DEFAULT_SAFETY_CAP = 10_000
 SAFETY_CAP_ENV = "EXCLUSIM_SAFETY_CAP"
@@ -69,7 +65,6 @@ Message = Union[FactualDelivery, LedgerUpdate, OutputBroadcast]
 
 KIND_FACTUAL = "factual"
 KIND_LEDGER = "ledger"
-KIND_BROADCAST = "broadcast"
 
 
 @dataclass(frozen=True)
@@ -234,16 +229,6 @@ def _safety_cap(explicit: Optional[int]) -> int:
     return DEFAULT_SAFETY_CAP
 
 
-def _compute_or_null(algorithm: Algorithm, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
-    # A broadcast can come due before the aggregation is well defined (no
-    # updates yet, or fewer distinct points than centers); it then carries
-    # the Null output rather than aborting the run.
-    try:
-        return algorithm.compute(tuple(ledger))
-    except (NoOutputError, NotEnoughPointsError):
-        return NullOutput()
-
-
 class _Views:
     """Incrementally maintained per-agent observed histories."""
 
@@ -279,7 +264,7 @@ def run_continuous(
 
     messages: list[Message] = []
     views = _Views(agent_count)
-    ledger: list[UpdatePayload] = []
+    state = algorithm.start()
     ledger_authors: list[int] = []
 
     def post(message: Message) -> None:
@@ -308,10 +293,10 @@ def run_continuous(
                     # Guard: this agent wrote the last `ell` updates. The wish
                     # is dropped and does not keep the loop alive.
                     continue
-                ledger.append(wish)
+                state = algorithm.fold(state, wish)
                 ledger_authors.append(agent)
                 post(LedgerUpdate(agent, wish))
-                post(OutputBroadcast(_compute_or_null(algorithm, ledger)))
+                post(OutputBroadcast(algorithm.output(state)))
                 active = True
 
     return Run("continuous", agent_count, tuple(messages), ell=ell)
@@ -330,7 +315,7 @@ def run_periodic(
 
     messages: list[Message] = []
     views = _Views(agent_count)
-    ledger: list[UpdatePayload] = []
+    state = algorithm.start()
 
     def post(message: Message) -> None:
         messages.append(message)
@@ -345,9 +330,9 @@ def run_periodic(
             strategy = strategies.get(agent, truthful_strategy)
             wish = strategy(views.snapshot(agent))
             if wish is not None:
-                ledger.append(wish)
+                state = algorithm.fold(state, wish)
                 post(LedgerUpdate(agent, wish))
-        post(OutputBroadcast(_compute_or_null(algorithm, ledger)))
+        post(OutputBroadcast(algorithm.output(state)))
 
     return Run("periodic", agent_count, tuple(messages), ell=None)
 

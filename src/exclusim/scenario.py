@@ -31,6 +31,7 @@ from .algorithms import (
     Scalar,
     ScalarOutput,
     UpdatePayload,
+    check_norm_order,
     make_algorithm,
     moments,
 )
@@ -221,7 +222,20 @@ def _require_int(value: object, path: str, minimum: Optional[int] = None) -> int
     return value
 
 
+def _reject_inexact(value: object, path: str) -> None:
+    """Fail on a float or a boolean anywhere inside a strategy parameter."""
+    if isinstance(value, (bool, float)):
+        raise _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            _reject_inexact(item, f"{path}[{index}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _reject_inexact(item, f"{path}.{key}")
+
+
 def _decode_strategy_params(params: dict, path: str) -> dict:
+    _reject_inexact(params, path)
     decoded = dict(params)
     for key in _PAYLOAD_PARAM_KEYS:
         if key in decoded and isinstance(decoded[key], dict):
@@ -263,6 +277,11 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     for key in _INTEGER_ALGORITHM_PARAMS:
         if key in algorithm_params:
             _require_int(algorithm_params[key], f"algorithm.params.{key}", minimum=1)
+    if "p" in algorithm_params:
+        try:
+            check_norm_order(algorithm_params["p"])
+        except ParamError as exc:
+            raise _fail("algorithm.params.p", str(exc)) from exc
     try:
         algorithm = make_algorithm(raw_algorithm["name"], algorithm_params)
     except (ParamError, ValueError) as exc:
@@ -287,10 +306,9 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         params = spec.get("params") or {}
         if not isinstance(params, dict):
             raise _fail(f"{path}.params", "expected an object")
+        decoded = _decode_strategy_params(params, f"{path}.params")
         try:
-            strategies[agent] = make_strategy(
-                spec["name"], _decode_strategy_params(params, f"{path}.params")
-            )
+            strategies[agent] = make_strategy(spec["name"], decoded)
         except (ParamError, PayloadError, ValueError) as exc:
             raise _fail(path, str(exc)) from exc
         strategy_specs[agent] = {"name": spec["name"], "params": dict(params)}
@@ -309,6 +327,11 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         if agent > agent_count:
             raise _fail(f"{path}.agent", f"agent {agent} outside 1..{agent_count}")
         payload = payload_from_json(entry.get("payload"), f"{path}.payload")
+        try:
+            # A payload kind the algorithm cannot take fails here, not mid-run.
+            algorithm.fold(algorithm.start(), payload)
+        except PayloadError as exc:
+            raise _fail(f"{path}.payload", str(exc)) from exc
         round_no = entry.get("round")
         if protocol == "continuous":
             if round_no is not None:
@@ -388,11 +411,6 @@ def _check_regression_start(scenario: Scenario) -> None:
     if not isinstance(first, RowMultiset):
         raise PreconditionError(
             "nature_input[0].payload: regression scenarios start with a rows payload"
-        )
-    if first.rows and first.rows[0].width != width:
-        raise PreconditionError(
-            f"nature_input[0].payload: rows of width {first.rows[0].width} "
-            f"on a {scenario.algorithm.d}-dimensional regression ledger"
         )
     if moments(first.rows, width).gram.det() == 0:
         raise PreconditionError(

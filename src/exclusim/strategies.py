@@ -109,11 +109,6 @@ def _sneak_start(items: Sequence[Message], agent: int, params: SneakParams) -> O
     return None
 
 
-def sneak_attack_started(o: ObservedHistory, params: SneakParams) -> bool:
-    """Whether the swap signature (own factual, swapped update, broadcast) appeared."""
-    return _sneak_start(o.items, o.agent, params) is not None
-
-
 def sneak_attack_ended(o: ObservedHistory, params: SneakParams) -> bool:
     """Whether the agent has sent the repair update after the swap signature."""
     start = _sneak_start(o.items, o.agent, params)

@@ -1,0 +1,188 @@
+"""From-scratch aggregations and engines: the oracle for the incremental folds.
+
+Each aggregation here recomputes its output over the whole ledger, and the
+reference engine calls it on the whole ledger at every broadcast, which is
+how the library worked before its algorithms became folds over a running
+state. The differential tests in `test_algorithms.py` and `test_protocol.py`
+compare the two.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping, Optional, Sequence
+
+from exclusim.algorithms import (
+    AlgorithmOutput,
+    AverageAlgorithm,
+    CentersOutput,
+    DlrAlgorithm,
+    Empty,
+    KCenterAlgorithm,
+    KMedianAlgorithm,
+    MaxAlgorithm,
+    MomentPair,
+    NoOutputError,
+    NotEnoughPointsError,
+    NullOutput,
+    PayloadError,
+    Row,
+    Scalar,
+    ScalarOutput,
+    UpdatePayload,
+    all_rows,
+    fit_from_moments,
+    kcenter_solution,
+    kmedian_solution,
+    multiset_points,
+    union_points,
+)
+from exclusim.numerics import RMatrix
+from exclusim.protocol import (
+    FactualDelivery,
+    LedgerUpdate,
+    Message,
+    NatureElement,
+    ObservedHistory,
+    OutputBroadcast,
+    SafetyCapExceededError,
+    Strategy,
+    truthful_strategy,
+)
+
+
+def outcome(function, *args, **kwargs):
+    """What a call returns, or the type of the exception it raises."""
+    try:
+        return function(*args, **kwargs)
+    except Exception as exc:  # the raised type is part of the compared outcome
+        return type(exc)
+
+
+def reference_moments(rows: Sequence[Row], width: Optional[int] = None) -> MomentPair:
+    """X^T X and X^T y summed as 1 x w outer products over `Fraction`."""
+    rows = tuple(rows)
+    width = rows[0].width if width is None else width
+    gram = RMatrix.zeros(width, width)
+    cross = RMatrix.zeros(width, 1)
+    for row in rows:
+        if row.width != width:
+            raise PayloadError(f"row width {row.width} does not match {width}")
+        x = RMatrix([row.features])
+        gram = gram + (x.transpose() @ x)
+        cross = cross + x.transpose().scale(row.target)
+    return MomentPair(gram, cross)
+
+
+def reference_max(ledger: Sequence[UpdatePayload]) -> ScalarOutput:
+    values = []
+    for payload in ledger:
+        if isinstance(payload, Scalar):
+            values.append(payload.value)
+        elif not isinstance(payload, Empty):
+            raise PayloadError(f"expected scalar payloads, got {type(payload).__name__}")
+    if not values:
+        raise NoOutputError("no scalar values on the ledger")
+    return ScalarOutput(max(values))
+
+
+def reference_average(ledger: Sequence[UpdatePayload]) -> ScalarOutput:
+    points = multiset_points(ledger)
+    if not points:
+        raise NoOutputError("no points on the ledger")
+    if any(len(p) != 1 for p in points):
+        raise PayloadError("the average aggregation expects 1-dimensional points")
+    return ScalarOutput(sum((p[0] for p in points), Fraction(0)) / len(points))
+
+
+def reference_dlr(ledger: Sequence[UpdatePayload], d: int) -> AlgorithmOutput:
+    rows = all_rows(ledger)
+    if rows and rows[0].width != d + 1:
+        raise PayloadError(f"rows of width {rows[0].width} on a {d}-dimensional ledger")
+    if not rows:
+        return NullOutput()
+    return fit_from_moments(reference_moments(rows))
+
+
+def reference_compute(algorithm, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
+    """The whole-ledger aggregation; raises where the ledger has no output yet."""
+    if isinstance(algorithm, MaxAlgorithm):
+        return reference_max(ledger)
+    if isinstance(algorithm, AverageAlgorithm):
+        return reference_average(ledger)
+    if isinstance(algorithm, (KCenterAlgorithm, KMedianAlgorithm)):
+        solve = kmedian_solution if isinstance(algorithm, KMedianAlgorithm) else kcenter_solution
+        points = union_points(ledger)
+        return CentersOutput(solve(points, algorithm.k, algorithm.p, algorithm.max_union).centers)
+    if isinstance(algorithm, DlrAlgorithm):
+        return reference_dlr(ledger, algorithm.d)
+    raise TypeError(f"no reference for {type(algorithm).__name__}")
+
+
+def reference_output(algorithm, ledger: Sequence[UpdatePayload]) -> AlgorithmOutput:
+    """What a broadcast over `ledger` carries: Null while there is no output."""
+    try:
+        return reference_compute(algorithm, ledger)
+    except (NoOutputError, NotEnoughPointsError):
+        return NullOutput()
+
+
+def reference_run(
+    protocol: str,
+    ninput: Sequence[NatureElement],
+    strategies: Mapping[int, Strategy],
+    algorithm,
+    agent_count: int,
+    ell: Optional[int] = None,
+    safety_cap: int = 200,
+) -> tuple[Message, ...]:
+    """The messages of a run whose every broadcast recomputes the whole ledger.
+
+    Inputs are assumed valid. A continuous element whose activity loop runs
+    more than `safety_cap` polling passes raises, as in the engine.
+    """
+    messages: list[Message] = []
+    ledger: list[UpdatePayload] = []
+    authors: list[int] = []
+
+    def wish_of(agent: int) -> Optional[UpdatePayload]:
+        items = tuple(
+            m for m in messages
+            if isinstance(m, OutputBroadcast) or m.agent == agent
+        )
+        return strategies.get(agent, truthful_strategy)(ObservedHistory(agent, items))
+
+    def push(agent: int, payload: UpdatePayload) -> None:
+        ledger.append(payload)
+        authors.append(agent)
+        messages.append(LedgerUpdate(agent, payload))
+
+    if protocol == "continuous":
+        for element in ninput:
+            messages.append(FactualDelivery(element.agent, element.payload))
+            active, passes = True, 0
+            while active:
+                passes += 1
+                if passes > safety_cap:
+                    raise SafetyCapExceededError(f"more than {safety_cap} passes")
+                active = False
+                for agent in range(1, agent_count + 1):
+                    wish = wish_of(agent)
+                    if wish is None or authors[-ell:] == [agent] * ell:
+                        continue
+                    push(agent, wish)
+                    messages.append(OutputBroadcast(reference_output(algorithm, ledger)))
+                    active = True
+    else:
+        last_round = max((element.round for element in ninput), default=0)
+        for round_no in range(1, last_round + 1):
+            for element in ninput:
+                if element.round == round_no:
+                    messages.append(FactualDelivery(element.agent, element.payload))
+            for agent in range(1, agent_count + 1):
+                wish = wish_of(agent)
+                if wish is not None:
+                    push(agent, wish)
+            messages.append(OutputBroadcast(reference_output(algorithm, ledger)))
+    return tuple(messages)
+

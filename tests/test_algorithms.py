@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 from exclusim.algorithms import (
     DEFAULT_MAX_UNION,
     NORM_INF,
+    AverageAlgorithm,
     CentersOutput,
     CoefficientsOutput,
     DlrAlgorithm,
     Empty,
     InstanceTooLargeError,
+    KCenterAlgorithm,
     KCenterSolution,
     KMedianAlgorithm,
+    MaxAlgorithm,
     NoOutputError,
     NotEnoughPointsError,
     NullOutput,
@@ -30,10 +33,6 @@ from exclusim.algorithms import (
     Scalar,
     ScalarOutput,
     UnsupportedNormError,
-    alg_average,
-    alg_dlr,
-    alg_kcenter,
-    alg_max,
     assign_to_centers,
     check_norm_order,
     dist_key,
@@ -50,6 +49,7 @@ from exclusim.algorithms import (
     union_points,
 )
 from exclusim.numerics import RMatrix
+from reference_aggregations import outcome, reference_moments, reference_output
 
 
 # =============================================================================
@@ -109,18 +109,16 @@ def test_payload_union_mixed_kinds_rejected():
 
 
 def test_alg_max():
-    assert alg_max([Scalar(3), Scalar(-1), Scalar(7)]) == ScalarOutput(Fraction(7))
-    with pytest.raises(NoOutputError):
-        alg_max([])
+    assert MaxAlgorithm().compute([Scalar(3), Scalar(-1), Scalar(7)]) == ScalarOutput(Fraction(7))
+    assert MaxAlgorithm().compute([]) == NullOutput()
 
 
 def test_alg_average_counts_multiset():
     # The same point sent twice counts twice: the ledger is a multiset of updates.
     one = PointSet(((Fraction(1),),))
     three = PointSet(((Fraction(3),),))
-    assert alg_average([one, one, three]) == ScalarOutput(Fraction(5, 3))
-    with pytest.raises(NoOutputError):
-        alg_average([])
+    assert AverageAlgorithm().compute([one, one, three]) == ScalarOutput(Fraction(5, 3))
+    assert AverageAlgorithm().compute([Empty()]) == NullOutput()
 
 
 def test_alg_average_example_values():
@@ -128,7 +126,7 @@ def test_alg_average_example_values():
         PointSet(((Fraction(1),), (Fraction(4),), (Fraction(5),))),
         PointSet(((Fraction(1),), (Fraction(3),))),
     ]
-    assert alg_average(sets) == ScalarOutput(Fraction(14, 5))
+    assert AverageAlgorithm().compute(sets) == ScalarOutput(Fraction(14, 5))
 
 
 # =============================================================================
@@ -138,6 +136,10 @@ def test_alg_average_example_values():
 
 def _points(*values) -> PointSet:
     return PointSet(tuple((Fraction(v),) for v in values))
+
+
+def _kcenter(points: PointSet, k: int):
+    return KCenterAlgorithm(k, 2, 20).compute([points])
 
 
 def _reference_cost(points, centers, p, median):
@@ -180,7 +182,7 @@ def _reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION):
 
 
 def test_kcenter_three_points_are_their_own_centers():
-    out = alg_kcenter([_points(0, 10, 100)], 3, 2, 20)
+    out = _kcenter(_points(0, 10, 100), 3)
     assert isinstance(out, CentersOutput)
     assert out.centers == ((Fraction(0),), (Fraction(10),), (Fraction(100),))
 
@@ -188,14 +190,14 @@ def test_kcenter_three_points_are_their_own_centers():
 def test_kcenter_example_cluster_and_outlier():
     eps = Fraction(1, 1000)
     cluster = PointSet(((-eps,), (Fraction(0),), (eps,), (Fraction(1),)))
-    out = alg_kcenter([cluster], 3, 2, 20)
+    out = _kcenter(cluster, 3)
     assert isinstance(out, CentersOutput)
     assert out.centers == ((-eps,), (Fraction(0),), (Fraction(1),))
 
 
 def test_kcenter_matches_brute_force_cost():
     points = _points(-7, -2, 0, 3, 4, 9)
-    out = alg_kcenter([points], 2, 2, 20)
+    out = _kcenter(points, 2)
     assert isinstance(out, CentersOutput)
     best_cost = _reference_clustering(points.points, 2, 2, median=False).cost
     got_cost = max(
@@ -213,12 +215,14 @@ def test_kmedian_known_instance():
 
 def test_clustering_union_cap():
     with pytest.raises(InstanceTooLargeError):
-        alg_kcenter([_points(*range(25))], 3, 2, 20)
+        _kcenter(_points(*range(25)), 3)
 
 
 def test_clustering_not_enough_points():
+    # The solver refuses; the algorithm's output is Null until k points arrive.
     with pytest.raises(NotEnoughPointsError):
-        alg_kcenter([_points(1)], 3, 2, 20)
+        kcenter_solution(_points(1).points, 3)
+    assert _kcenter(_points(1), 3) == NullOutput()
 
 
 @given(
@@ -230,7 +234,7 @@ def test_clustering_not_enough_points():
 @settings(max_examples=60, deadline=None)
 def test_kcenter_cost_optimal_against_enumeration(values, k):
     points = _points(*values)
-    out = alg_kcenter([points], k, 2, 20)
+    out = _kcenter(points, k)
     assert isinstance(out, CentersOutput)
     best_cost = _reference_clustering(points.points, k, 2, median=False).cost
     got_cost = max(min(dist_key(p, c, 2) for c in out.centers) for p in points.points)
@@ -238,13 +242,6 @@ def test_kcenter_cost_optimal_against_enumeration(values, k):
 
 
 _SOLVERS = {False: kcenter_solution, True: kmedian_solution}
-
-
-def _outcome(solve, *args):
-    try:
-        return solve(*args)
-    except Exception as exc:  # the raised type is part of the compared outcome
-        return type(exc)
 
 
 _coordinates = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -280,8 +277,8 @@ def _clustering_instances(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_clustering_matches_reference_enumeration(points, k, p, median):
-    got = _outcome(_SOLVERS[median], points, k, p)
-    want = _outcome(_reference_clustering, points, k, p, median)
+    got = outcome(_SOLVERS[median], points, k, p)
+    want = outcome(_reference_clustering, points, k, p, median)
     assert got == want
 
 
@@ -298,9 +295,9 @@ def test_kmedian_irrational_euclidean_distance_is_refused():
 
 def test_kcenter_deterministic_tie_break():
     points = _points(0, 1)
-    first = alg_kcenter([points], 1, 2, 20)
+    first = _kcenter(points, 1)
     for _ in range(5):
-        assert alg_kcenter([points], 1, 2, 20) == first
+        assert _kcenter(points, 1) == first
 
 
 # =============================================================================
@@ -335,19 +332,43 @@ def test_moments_additive_over_concatenation():
     assert ab.cross == moments(a).cross + moments(b).cross
 
 
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _row_strategy(width: int):
+    return st.tuples(st.tuples(*[_small] * (width - 1)), _small).map(
+        lambda pair: Row((1,) + pair[0], pair[1])
+    )
+
+
+@given(
+    width=st.integers(min_value=1, max_value=4),
+    rows=st.integers(min_value=1, max_value=4).flatmap(
+        lambda width: st.lists(_row_strategy(width), max_size=6)
+    ),
+)
+@example(width=2, rows=[Row((1, Fraction(1, 3)), Fraction(-1, 6)), Row((1, 2), Fraction(1, 4))])
+@example(width=3, rows=[])
+@settings(max_examples=200, deadline=None)
+def test_moments_match_outer_product_reference(width, rows):
+    # Integer-scaled sums give the same reduced fractions as Fraction sums,
+    # and the same error on a row of the wrong width.
+    assert outcome(moments, rows, width) == outcome(reference_moments, rows, width)
+
+
 def test_alg_dlr_exact_fit():
-    out = alg_dlr([_rows((1, 1), (0, 1))])
+    out = DlrAlgorithm(1).compute([_rows((1, 1), (0, 1))])
     assert out == CoefficientsOutput((Fraction(1), Fraction(0)))
 
 
 def test_alg_dlr_overdetermined_least_squares():
-    out = alg_dlr([_rows((1, 1), (0, 1)), _rows((2, 2))])
+    out = DlrAlgorithm(1).compute([_rows((1, 1), (0, 1)), _rows((2, 2))])
     assert out == CoefficientsOutput((Fraction(5, 6), Fraction(1, 2)))
 
 
 def test_alg_dlr_underdetermined_is_null():
-    assert isinstance(alg_dlr([_rows((1, 1))]), NullOutput)
-    assert isinstance(alg_dlr([]), NullOutput)
+    assert isinstance(DlrAlgorithm(1).compute([_rows((1, 1))]), NullOutput)
+    assert isinstance(DlrAlgorithm(1).compute([]), NullOutput)
 
 
 def test_dlr_width_mismatch():
@@ -379,7 +400,7 @@ def test_dlr_recovers_exact_plane(xs, coefs):
     rows = RowMultiset(
         tuple(Row((1, x), b0 + b1 * Fraction(x)) for x in xs)
     )
-    out = alg_dlr([rows])
+    out = DlrAlgorithm(1).compute([rows])
     assert out == CoefficientsOutput((b0, b1))
 
 
@@ -395,7 +416,7 @@ def test_dlr_recovers_exact_plane(xs, coefs):
 @settings(max_examples=60, deadline=None)
 def test_dlr_fit_minimizes_cost(data):
     rows = RowMultiset(tuple(Row((1, x), y) for x, y in data))
-    out = alg_dlr([rows])
+    out = DlrAlgorithm(1).compute([rows])
     if isinstance(out, NullOutput):
         return
     assert isinstance(out, CoefficientsOutput)
@@ -407,6 +428,87 @@ def test_dlr_fit_minimizes_cost(data):
                 out.coefficients[1] + Fraction(db1, 7),
             )
             assert lr_cost(rows, other) > base
+
+
+# =============================================================================
+# folds against the from-scratch aggregations
+# =============================================================================
+
+
+def _point_sets(dim: int):
+    points = st.tuples(*[st.integers(min_value=-3, max_value=3).map(Fraction)] * dim)
+    return st.lists(points, max_size=4, unique=True).map(PointSet)
+
+
+def _row_sets(width: int):
+    # Few distinct small values, so singular Gram matrices are common.
+    value = st.integers(min_value=-1, max_value=1).map(Fraction)
+    row = st.tuples(st.tuples(*[value] * (width - 1)), _small).map(
+        lambda pair: Row((1,) + pair[0], pair[1])
+    )
+    return st.lists(row, max_size=3).map(RowMultiset)
+
+
+_any_payload = st.one_of(
+    st.just(Empty()),
+    _small.map(Scalar),
+    st.integers(min_value=1, max_value=3).flatmap(_point_sets),
+    st.integers(min_value=1, max_value=3).flatmap(_row_sets),
+)
+
+_NORMS = st.sampled_from((1, 2, NORM_INF))
+
+
+@st.composite
+def _algorithm_and_ledger(draw):
+    kind = draw(st.sampled_from(("max", "average", "kcenter", "kmedian", "dlr")))
+    if kind == "max":
+        algorithm, native = MaxAlgorithm(), _small.map(Scalar)
+    elif kind == "average":
+        algorithm, native = AverageAlgorithm(), _point_sets(1)
+    elif kind == "dlr":
+        algorithm = DlrAlgorithm(draw(st.integers(min_value=1, max_value=2)))
+        native = _row_sets(algorithm.d + 1)
+    else:
+        cls = KCenterAlgorithm if kind == "kcenter" else KMedianAlgorithm
+        # A small union cap, so that InstanceTooLargeError comes up too.
+        algorithm = cls(draw(st.integers(min_value=1, max_value=3)), draw(_NORMS), 6)
+        native = _point_sets(draw(st.integers(min_value=1, max_value=2)))
+    # One payload in ten is of any kind: wrong kinds, other dimensions and widths.
+    payload = st.integers(min_value=0, max_value=9).flatmap(
+        lambda roll: _any_payload if roll == 0 else st.one_of(native, st.just(Empty()))
+    )
+    return algorithm, draw(st.lists(payload, max_size=7))
+
+
+@given(case=_algorithm_and_ledger())
+@example(case=(MaxAlgorithm(), [Empty(), Empty()]))
+@example(case=(MaxAlgorithm(), [Scalar(1), _points(2)]))
+@example(case=(AverageAlgorithm(), [_points(1), PointSet(((1, 2),))]))
+@example(case=(KCenterAlgorithm(3), [_points(1), PointSet(((1, 2),))]))
+@example(case=(KCenterAlgorithm(3), [_points(1, 2), _points(2)]))
+@example(case=(KMedianAlgorithm(2, 2, 3), [_points(1, 2), _points(3, 4)]))
+@example(case=(KMedianAlgorithm(1), [PointSet(((0, 0), (1, 1)))]))
+@example(case=(DlrAlgorithm(1), [_rows((1, 1)), _rows((1, 2))]))
+@example(case=(DlrAlgorithm(1), [_rows((1, 1)), RowMultiset((Row((1, 2, 3), 0),))]))
+@example(case=(DlrAlgorithm(2), [RowMultiset((Row((1, 2, 3), 0),)), _rows((1, 1))]))
+@settings(max_examples=500, deadline=None)
+def test_fold_matches_from_scratch_reference(case):
+    algorithm, ledger = case
+    got = outcome(algorithm.compute, ledger)
+    want = outcome(reference_output, algorithm, ledger)
+    assert got == want
+
+
+def test_fold_states_are_reusable_values():
+    # Folding one state along two continuations leaves it intact.
+    algorithm = DlrAlgorithm(1)
+    state = algorithm.fold(algorithm.start(), _rows((1, 1), (0, 1)))
+    left = algorithm.fold(state, _rows((2, 2)))
+    right = algorithm.fold(state, _rows((2, 0)))
+    assert algorithm.output(state) == CoefficientsOutput((Fraction(1), Fraction(0)))
+    assert algorithm.output(left) == CoefficientsOutput((Fraction(5, 6), Fraction(1, 2)))
+    assert algorithm.output(right) != algorithm.output(left)
 
 
 # =============================================================================
@@ -422,6 +524,34 @@ def test_make_algorithm_names():
         make_algorithm("nope")
     with pytest.raises(ParamError):
         make_algorithm("kcenter", {"k": 0})
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("kcenter", {"k": True}),
+        ("kcenter", {"k": 2.0}),
+        ("kcenter", {"k": "2"}),
+        ("kmedian", {"k": 2, "max_union": 2.9}),
+        ("kcenter", {"k": 2, "max_union": False}),
+        ("dlr", {"d": 2.7}),
+        ("dlr", {"d": True}),
+        ("kcenter", {"k": 2, "p": True}),
+        ("kcenter", {"k": 2, "p": 2.0}),
+        ("kcenter", {"k": 2, "p": "2"}),
+        ("kcenter", {"k": 2, "p": 3}),
+        ("max", {"k": 2}),
+    ],
+)
+def test_make_algorithm_rejects_inexact_params(name, params):
+    # `True == 1` and `2.0 == 2`: neither may pass for an integer parameter.
+    with pytest.raises(ParamError):
+        make_algorithm(name, params)
+
+
+def test_make_algorithm_accepts_every_norm():
+    for p in (1, 2, NORM_INF):
+        assert make_algorithm("kmedian", {"k": 1, "p": p}).p == p  # type: ignore[attr-defined]
 
 
 def test_union_points_deduplicates():

@@ -75,6 +75,22 @@ def test_condition_i_truthful_is_identity():
     assert verdict.run_attack.messages == verdict.run_truth.messages
 
 
+def test_truth_lossless_flags_a_guard_dropped_truthful_echo():
+    # At ell=1 agent 2's second element in a row is never echoed: the
+    # truthful ledger misses 100, and the verdict says so.
+    lossy = check_condition_i(
+        MaxAlgorithm(), max_echo_attack(), 1, _scalar_input((2, 90), (2, 100), (1, 5)), ell=1
+    )
+    assert not lossy.truth_lossless
+    assert lossy.truth_final == ScalarOutput(Fraction(90))
+    # Rotating recipients keeps every truthful echo on the ledger.
+    rotation = check_condition_i(
+        MaxAlgorithm(), max_echo_attack(), 1, _scalar_input((2, 90), (1, 100), (2, 5)), ell=1
+    )
+    assert rotation.truth_lossless
+    assert rotation.truth_final == ScalarOutput(Fraction(100))
+
+
 def test_condition_i_star_average_all_move():
     report = check_condition_i_star(
         AverageAlgorithm(), average_double_probe(), 2, make_average_cases(), count=10

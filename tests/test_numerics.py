@@ -12,7 +12,6 @@ from exclusim.numerics import (
     DimensionError,
     RMatrix,
     format_rational,
-    mat_mul_t,
     rational,
     rational_sqrt,
 )
@@ -78,7 +77,7 @@ def test_matmul_and_transpose():
     b = RMatrix([[5], [6]])
     assert (a @ b).column_values() == (Fraction(17), Fraction(39))
     assert a.transpose().rows == ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(4)))
-    assert mat_mul_t(b, b)[0, 0] == Fraction(61)
+    assert (b.transpose() @ b)[0, 0] == Fraction(61)
 
 
 def test_matmul_shape_mismatch():

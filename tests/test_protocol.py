@@ -9,12 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exclusim.algorithms import (
+    NORM_INF,
+    AverageAlgorithm,
+    DlrAlgorithm,
+    KCenterAlgorithm,
+    KMedianAlgorithm,
     MaxAlgorithm,
     NullOutput,
     PayloadError,
     PointSet,
+    Row,
+    RowMultiset,
     Scalar,
     ScalarOutput,
+)
+from exclusim.harness import (
+    kcenter_periodic_scenario,
+    lr_periodic_scenario,
+    make_average_cases,
+    make_max_cases,
+    make_triangulation_cases,
 )
 from exclusim.protocol import (
     FactualDelivery,
@@ -35,6 +49,16 @@ from exclusim.protocol import (
     truthful_strategy,
     validate_periodic_input,
 )
+from exclusim.strategies import (
+    average_double_probe,
+    fabricate_point,
+    fabricate_rows,
+    max_echo_attack,
+    max_overbid,
+    omit_point,
+    triangulation_attack,
+)
+from reference_aggregations import outcome, reference_run
 
 
 def _scalar_input(*pairs) -> tuple[NatureElement, ...]:
@@ -326,3 +350,121 @@ def test_truthful_runs_satisfy_engine_invariants(pairs, ell):
     if final is not None:
         assert isinstance(final, ScalarOutput)
         assert final.value <= max(values)
+
+
+# =============================================================================
+# the folding engines against the from-scratch reference engine
+# =============================================================================
+
+
+def _assert_matches_reference(protocol, ninput, strategies, algorithm, agent_count, ell=None):
+    cap = 200
+    got = outcome(
+        run_protocol, protocol, ninput, strategies, algorithm, agent_count,
+        ell=ell, safety_cap=cap,
+    )
+    want = outcome(
+        reference_run, protocol, ninput, strategies, algorithm, agent_count,
+        ell=ell, safety_cap=cap,
+    )
+    assert (got if isinstance(got, type) else got.messages) == want
+
+
+_value = st.integers(min_value=-4, max_value=4).map(Fraction)
+
+
+_point_payloads = st.lists(st.tuples(_value), min_size=1, max_size=3, unique=True).map(PointSet)
+
+
+def _row_payloads(width: int):
+    row = st.tuples(st.tuples(*[_value] * (width - 1)), _value).map(
+        lambda pair: Row((1,) + pair[0], pair[1])
+    )
+    return st.lists(row, min_size=1, max_size=3).map(RowMultiset)
+
+
+@st.composite
+def _generated_runs(draw):
+    """An algorithm, a strategy table, and a nature input of its payload kind."""
+    kind = draw(st.sampled_from(("max", "average", "kcenter", "kmedian", "dlr")))
+    attacker = 2
+    if kind == "max":
+        algorithm, payload = MaxAlgorithm(), _value.map(Scalar)
+        attack = draw(st.sampled_from((None, "echo", "overbid")))
+        attacks = {"echo": max_echo_attack, "overbid": lambda: max_overbid(draw(_value))}
+    elif kind == "average":
+        algorithm, payload = AverageAlgorithm(), _point_payloads
+        attack = draw(st.sampled_from((None, "probe")))
+        attacks = {"probe": average_double_probe}
+    elif kind == "dlr":
+        d = draw(st.integers(min_value=1, max_value=2))
+        algorithm, payload = DlrAlgorithm(d), _row_payloads(d + 1)
+        attack = draw(st.sampled_from((None, "fabricate", "triangulation")))
+        attacks = {
+            "fabricate": lambda: fabricate_rows(draw(_row_payloads(d + 1))),
+            "triangulation": lambda: triangulation_attack(d),
+        }
+    else:
+        cls = KCenterAlgorithm if kind == "kcenter" else KMedianAlgorithm
+        algorithm = cls(
+            draw(st.integers(min_value=1, max_value=3)), draw(st.sampled_from((1, NORM_INF))), 8
+        )
+        payload = _point_payloads
+        attack = draw(st.sampled_from((None, "omit", "fabricate")))
+        attacks = {
+            "omit": lambda: omit_point(draw(_value)),
+            "fabricate": lambda: fabricate_point(draw(_value)),
+        }
+    strategies = {} if attack is None else {attacker: attacks[attack]()}
+    agent_count = draw(st.integers(min_value=2, max_value=3))
+    agents = draw(
+        st.lists(st.integers(min_value=1, max_value=agent_count), min_size=1, max_size=6)
+    )
+    protocol = draw(st.sampled_from(("continuous", "periodic")))
+    if protocol == "continuous":
+        ninput = tuple(NatureElement(agent, draw(payload)) for agent in agents)
+        return protocol, ninput, strategies, algorithm, agent_count, draw(
+            st.integers(min_value=1, max_value=3)
+        )
+    rounds, seen = [], set()
+    for agent in agents:
+        round_no = rounds[-1] + draw(st.integers(min_value=0, max_value=1)) if rounds else 1
+        while (agent, round_no) in seen:
+            round_no += 1
+        seen.add((agent, round_no))
+        rounds.append(round_no)
+    ninput = tuple(
+        NatureElement(agent, draw(payload), round_no) for agent, round_no in zip(agents, rounds)
+    )
+    return protocol, ninput, strategies, algorithm, agent_count, None
+
+
+@given(case=_generated_runs())
+@settings(max_examples=300, deadline=None)
+def test_engines_match_from_scratch_reference(case):
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generated_suites_match_from_scratch_reference(seed):
+    max_case = make_max_cases()(seed)
+    _assert_matches_reference(
+        max_case.protocol, max_case.ninput, {1: max_echo_attack()}, MaxAlgorithm(),
+        max_case.agent_count, max_case.ell,
+    )
+    average_case = make_average_cases()(seed)
+    _assert_matches_reference(
+        average_case.protocol, average_case.ninput, {2: average_double_probe()},
+        AverageAlgorithm(), average_case.agent_count, average_case.ell,
+    )
+    for d in (1, 2):
+        case = make_triangulation_cases(d)(seed)
+        _assert_matches_reference(
+            case.protocol, case.ninput, {2: triangulation_attack(d)}, DlrAlgorithm(d),
+            case.agent_count, case.ell,
+        )
+    for scenario in (lr_periodic_scenario, kcenter_periodic_scenario):
+        algorithm, strategy, case = scenario(seed)
+        _assert_matches_reference(
+            case.protocol, case.ninput, {2: strategy}, algorithm, case.agent_count
+        )

@@ -259,6 +259,45 @@ def test_cli_run_rejects_non_integer_algorithm_params(tmp_path, capsys, algorith
     assert f"error: {field}: expected an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [True, 2.0, "2", 3], ids=["bool", "float", "string", "three"])
+def test_cli_run_rejects_inexact_norm(tmp_path, capsys, p):
+    algorithm = {"name": "kcenter", "params": {"k": 1, "p": p}}
+    assert _run_file(tmp_path, _minimal_dict(algorithm=algorithm)) == 2
+    assert "error: algorithm.params.p: norm order must be" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_points_on_a_max_ledger(tmp_path, capsys):
+    data = _minimal_dict()
+    data["nature_input"].append({"agent": 2, "payload": {"kind": "points", "points": [[1]]}})
+    assert _run_file(tmp_path, data) == 2
+    assert "error: nature_input[1].payload: expected Scalar payloads" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_wrong_width_rows_on_a_dlr_ledger(tmp_path, capsys):
+    rows = {"kind": "rows", "rows": [{"features": [1, 0], "target": 1}, {"features": [1, 1], "target": 2}]}
+    wide = {"kind": "rows", "rows": [{"features": [1, 2, 3], "target": 0}]}
+    data = _minimal_dict(
+        algorithm={"name": "dlr", "params": {"d": 1}},
+        nature_input=[{"agent": 1, "payload": rows}, {"agent": 2, "payload": wide}],
+    )
+    assert _run_file(tmp_path, data) == 2
+    assert "error: nature_input[1].payload: rows of width 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "strategy, field",
+    [
+        ({"name": "max_overbid", "params": {"value": 1.5}}, "strategies.2.params.value"),
+        ({"name": "max_overbid", "params": {"value": True}}, "strategies.2.params.value"),
+        ({"name": "fabricate_point", "params": {"point": [1.5]}}, "strategies.2.params.point[0]"),
+    ],
+    ids=["float_value", "bool_value", "float_point"],
+)
+def test_cli_run_rejects_inexact_strategy_params(tmp_path, capsys, strategy, field):
+    assert _run_file(tmp_path, _minimal_dict(strategies={"2": strategy})) == 2
+    assert f"error: {field}: expected an integer or 'p/q' string" in capsys.readouterr().err
+
+
 def test_cli_run_kmedian_irrational_distance_exits_1(tmp_path, capsys):
     data = _minimal_dict(
         algorithm={"name": "kmedian", "params": {"k": 1}},
