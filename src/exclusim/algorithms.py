@@ -48,7 +48,14 @@ class PayloadError(ValueError):
 
 
 class ParamError(ValueError):
-    """Algorithm or strategy parameters are out of their allowed range."""
+    """Algorithm or strategy parameters are out of their allowed range.
+
+    `param` names the one parameter at fault, where there is one.
+    """
+
+    def __init__(self, message: str, param: Optional[str] = None):
+        super().__init__(message)
+        self.param = param
 
 
 class NoOutputError(Exception):
@@ -274,9 +281,9 @@ def check_norm_order(p: NormOrder) -> NormOrder:
 def check_count(name: str, value: object) -> int:
     """`value` itself when it is a positive int (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParamError(f"{name} must be an integer, got {value!r}")
+        raise ParamError(f"{name} must be an integer, got {value!r}", name)
     if value < 1:
-        raise ParamError(f"{name} must be positive, got {value}")
+        raise ParamError(f"{name} must be positive, got {value}", name)
     return value
 
 
@@ -459,9 +466,9 @@ def moments(rows: Union[RowMultiset, Sequence[Row]], width: Optional[int] = None
     def entry(i: int, j: int) -> Fraction:
         return Fraction(sum(map(mul, columns[i], columns[j])), square)
 
-    gram = [[entry(i, j) for j in range(width)] for i in range(width)]
-    cross = [[entry(i, width)] for i in range(width)]
-    return MomentPair(RMatrix(gram), RMatrix(cross))
+    gram = tuple(tuple(entry(i, j) for j in range(width)) for i in range(width))
+    cross = tuple((entry(i, width),) for i in range(width))
+    return MomentPair(RMatrix._exact(gram), RMatrix._exact(cross))
 
 
 def fit_from_moments(m: MomentPair) -> Union[CoefficientsOutput, NullOutput]:

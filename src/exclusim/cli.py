@@ -321,6 +321,7 @@ def _condition_i_json(verdict: PairedVerdict) -> dict:
         "differs": verdict.differs,
         "attack_final": output_to_json(verdict.attack_final),
         "truth_final": output_to_json(verdict.truth_final),
+        "truth_lossless": verdict.truth_lossless,
     }
 
 

@@ -4,14 +4,22 @@ Every quantity in the simulator is a ``fractions.Fraction``: the verdicts
 downstream (does one run's output differ from another's?) are exact-equality
 predicates, so floating point is never acceptable. ``Fraction`` already
 guarantees the canonical form (reduced, positive denominator), which is why
-there is no separate rational wrapper here, only parse/format helpers for the
-"p/q" wire format and a matrix type sized for normal-equation work.
+there is no separate rational wrapper here, only a parse helper for the "p/q"
+wire format and a matrix type sized for normal-equation work.
+
+The matrix kernel computes on plain ints. Each row (or column) is scaled by
+the least common multiple of its own denominators; elimination is
+fraction-free (Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination"), so every intermediate division is
+exact; and each result entry becomes one ``Fraction`` at the end. The results
+are the same reduced rationals that ``Fraction`` arithmetic would give.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -38,11 +46,6 @@ def rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a rational in the canonical "p/q" (or bare "p") form."""
-    return str(value)
-
-
 def rational_sqrt(value: Fraction) -> Optional[Fraction]:
     """Exact square root of a non-negative rational, or None if irrational."""
     if value < 0:
@@ -54,13 +57,28 @@ def rational_sqrt(value: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators of `values`, and `values` times it as ints."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 class RMatrix:
     """Immutable dense matrix of exact rationals.
 
     Intended for the small systems that arise here (normal equations in
-    dimension d+1, d <= a handful), so the implementation favors clarity:
-    plain Gaussian elimination with first-nonzero pivoting, which is the
-    right pivot rule for exact arithmetic.
+    dimension d+1, d <= a handful). `solve` and `det` scale each row to ints
+    by the lcm of its own denominators, which changes neither the solution
+    nor (up to the product of the scales) the determinant, and then run
+    Bareiss's fraction-free elimination: with `pivot` the current pivot,
+    `previous` the one before it and `f` a row's entry in the pivot column,
+    each entry `a` of that row becomes `(pivot * a - f * b) // previous`,
+    where `b` is the pivot row's entry; the division is always exact. The
+    pivot is the first nonzero entry of the column, the right rule for exact
+    arithmetic; an entry is zero here exactly when it is zero under
+    `Fraction` elimination, so the same systems are singular. `@` takes
+    integer dot products of the scaled rows and columns and builds one
+    `Fraction` per entry.
     """
 
     __slots__ = ("rows",)
@@ -75,6 +93,17 @@ class RMatrix:
                 raise DimensionError("ragged or empty matrix rows")
         else:
             raise DimensionError("matrix must have at least one row")
+
+    @classmethod
+    def _exact(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "RMatrix":
+        """Wrap rows that are already a valid matrix of `Fraction`s.
+
+        For results computed here, which are canonical by construction; the
+        public constructor is the input boundary and keeps its checks.
+        """
+        matrix = object.__new__(cls)
+        matrix.rows = rows
+        return matrix
 
     # ------------------------------------------------------------------
     # shape and access
@@ -104,13 +133,14 @@ class RMatrix:
 
     @staticmethod
     def identity(n: int) -> "RMatrix":
-        return RMatrix(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        one, zero = Fraction(1), Fraction(0)
+        return RMatrix._exact(
+            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         )
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "RMatrix":
-        return RMatrix([[Fraction(0)] * ncols for _ in range(nrows)])
+        return RMatrix._exact(((Fraction(0),) * ncols,) * nrows)
 
     @staticmethod
     def column(values: Sequence[RationalLike]) -> "RMatrix":
@@ -131,88 +161,97 @@ class RMatrix:
 
     def __add__(self, other: "RMatrix") -> "RMatrix":
         self._same_shape(other)
-        return RMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        return RMatrix._exact(
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other: "RMatrix") -> "RMatrix":
         self._same_shape(other)
-        return RMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        return RMatrix._exact(
+            tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def scale(self, factor: RationalLike) -> "RMatrix":
         f = rational(factor)
-        return RMatrix([[f * v for v in row] for row in self.rows])
+        return RMatrix._exact(tuple(tuple(f * v for v in row) for row in self.rows))
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         if self.ncols != other.nrows:
             raise DimensionError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        return RMatrix(
-            [
-                [
-                    sum((self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)), Fraction(0))
-                    for j in range(other.ncols)
-                ]
-                for i in range(self.nrows)
-            ]
+        left = [_scaled(row) for row in self.rows]
+        right = [_scaled(column) for column in zip(*other.rows)]
+        return RMatrix._exact(
+            tuple(
+                tuple(Fraction(sum(map(mul, a, b)), s * t) for t, b in right) for s, a in left
+            )
         )
 
     def transpose(self) -> "RMatrix":
-        return RMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        return RMatrix._exact(tuple(zip(*self.rows)))
 
     # ------------------------------------------------------------------
     # elimination
     # ------------------------------------------------------------------
 
     def det(self) -> Fraction:
+        """Bareiss forward elimination; the last pivot over the row scales."""
         if self.nrows != self.ncols:
             raise DimensionError("determinant of a non-square matrix")
-        work = [list(row) for row in self.rows]
         n = self.nrows
-        det = Fraction(1)
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        scales = 1
+        # work[r]: row r in ints; after step k, only its columns right of k.
+        work = []
+        for row in self.rows:
+            scale, ints = _scaled(row)
+            scales *= scale
+            work.append(ints)
+        sign = 1
+        previous = 1
+        for k in range(n):
+            pivot_row = next((r for r in range(k, n) if work[r][0]), None)
             if pivot_row is None:
                 return Fraction(0)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                det = -det
-            pivot = work[col][col]
-            det *= pivot
-            for r in range(col + 1, n):
-                if work[r][col] == 0:
-                    continue
-                factor = work[r][col] / pivot
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return det
+            if pivot_row != k:
+                work[k], work[pivot_row] = work[pivot_row], work[k]
+                sign = -sign
+            pivot, *tail = work[k]
+            for r in range(k + 1, n):
+                f, *rest = work[r]
+                work[r] = [(pivot * a - f * b) // previous for a, b in zip(rest, tail)]
+            previous = pivot
+        return Fraction(sign * previous, scales)
 
     def solve(self, rhs: "RMatrix") -> Optional["RMatrix"]:
-        """Solve self @ X = rhs exactly; None signals a singular system."""
+        """Solve self @ X = rhs exactly; None signals a singular system.
+
+        Fraction-free Gauss-Jordan: every other row, above the pivot as well
+        as below, is eliminated at each step, so the left block ends as the
+        last pivot times the identity and X is the right block over it.
+        """
         if self.nrows != self.ncols:
             raise DimensionError("solve requires a square matrix")
         if rhs.nrows != self.nrows:
             raise DimensionError("right-hand side has the wrong number of rows")
         n = self.nrows
-        work = [list(a) + list(b) for a, b in zip(self.rows, rhs.rows)]
-        width = n + rhs.ncols
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        # work[r]: row r of [self | rhs] in ints; after step k, only its
+        # columns right of k.
+        work = [_scaled(a + b)[1] for a, b in zip(self.rows, rhs.rows)]
+        previous = 1
+        for k in range(n):
+            pivot_row = next((r for r in range(k, n) if work[r][0]), None)
             if pivot_row is None:
                 return None
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            work[col] = [v / pivot for v in work[col]]
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            pivot, *tail = work[k]
             for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return RMatrix([row[n:width] for row in work])
+                if r != k:
+                    f, *rest = work[r]
+                    work[r] = [(pivot * a - f * b) // previous for a, b in zip(rest, tail)]
+            work[k] = tail
+            previous = pivot
+        return RMatrix._exact(tuple(tuple(Fraction(v, previous) for v in row) for row in work))
 
     def inverse(self) -> Optional["RMatrix"]:
         return self.solve(RMatrix.identity(self.nrows))

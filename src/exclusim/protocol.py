@@ -32,7 +32,17 @@ SAFETY_CAP_ENV = "EXCLUSIM_SAFETY_CAP"
 
 
 class InputError(ValueError):
-    """A nature input or engine argument violates the protocol's rules."""
+    """A nature input or engine argument violates the protocol's rules.
+
+    When a periodic round rule fails, `index` is the position of the element
+    at fault and `field` is "round", or None when it is the element as a
+    whole (an agent's second element in a round).
+    """
+
+    def __init__(self, message: str, index: Optional[int] = None, field: Optional[str] = None):
+        super().__init__(message)
+        self.index = index
+        self.field = field
 
 
 class SafetyCapExceededError(RuntimeError):
@@ -192,21 +202,22 @@ def validate_continuous_input(elements: Sequence[NatureElement], agent_count: in
 
 
 def validate_periodic_input(elements: Sequence[NatureElement], agent_count: int) -> None:
+    """Rounds start at 1, never decrease, and hold one element per agent."""
     _validate_agents(elements, agent_count)
     seen: set[tuple[int, int]] = set()
-    previous = None
-    for el in elements:
+    previous = 1
+    for index, el in enumerate(elements):
         if el.round is None or el.round < 1:
-            raise InputError("periodic nature elements need a positive round")
-        if previous is not None and el.round < previous:
-            raise InputError("periodic rounds must be non-decreasing")
+            raise InputError("periodic nature elements need a positive round", index, "round")
+        if index == 0 and el.round != 1:
+            raise InputError("periodic inputs start at round 1", index, "round")
+        if el.round < previous:
+            raise InputError("periodic rounds must be non-decreasing", index, "round")
         previous = el.round
         key = (el.agent, el.round)
         if key in seen:
-            raise InputError(f"agent {el.agent} has two elements in round {el.round}")
+            raise InputError(f"agent {el.agent} has two elements in round {el.round}", index)
         seen.add(key)
-    if elements and elements[0].round != 1:
-        raise InputError("periodic inputs start at round 1")
 
 
 # =============================================================================

@@ -38,12 +38,14 @@ from .algorithms import (
 from .numerics import rational
 from .protocol import (
     FactualDelivery,
+    InputError,
     LedgerUpdate,
     NatureElement,
     NatureInput,
     Run,
     Strategy,
     run_protocol,
+    validate_periodic_input,
 )
 from .strategies import make_strategy
 
@@ -309,7 +311,9 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         decoded = _decode_strategy_params(params, f"{path}.params")
         try:
             strategies[agent] = make_strategy(spec["name"], decoded)
-        except (ParamError, PayloadError, ValueError) as exc:
+        except ParamError as exc:
+            raise _fail(f"{path}.params.{exc.param}" if exc.param else path, str(exc)) from exc
+        except (PayloadError, ValueError) as exc:
             raise _fail(path, str(exc)) from exc
         strategy_specs[agent] = {"name": spec["name"], "params": dict(params)}
 
@@ -317,8 +321,6 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     if not isinstance(raw_input, list):
         raise _fail("nature_input", "expected a list of elements")
     elements: list[NatureElement] = []
-    previous_round: Optional[int] = None
-    seen_rounds: set[tuple[int, int]] = set()
     for index, entry in enumerate(raw_input):
         path = f"nature_input[{index}]"
         if not isinstance(entry, dict):
@@ -338,16 +340,14 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
                 raise _fail(f"{path}.round", "continuous elements do not take rounds")
             elements.append(NatureElement(agent, payload))
             continue
-        round_no = _require_int(round_no, f"{path}.round", minimum=1)
-        if index == 0 and round_no != 1:
-            raise _fail(f"{path}.round", "periodic inputs start at round 1")
-        if previous_round is not None and round_no < previous_round:
-            raise _fail(f"{path}.round", "rounds must be non-decreasing")
-        if (agent, round_no) in seen_rounds:
-            raise _fail(path, f"agent {agent} already has an element in round {round_no}")
-        seen_rounds.add((agent, round_no))
-        previous_round = round_no
+        round_no = _require_int(round_no, f"{path}.round")
         elements.append(NatureElement(agent, payload, round_no))
+    if protocol == "periodic":
+        try:
+            validate_periodic_input(elements, agent_count)
+        except InputError as exc:
+            path = f"nature_input[{exc.index}]" + (f".{exc.field}" if exc.field else "")
+            raise _fail(path, str(exc)) from exc
 
     seed = data.get("seed")
     if seed is not None:

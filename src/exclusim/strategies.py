@@ -26,6 +26,7 @@ from .algorithms import (
     ScalarOutput,
     UpdatePayload,
     as_point,
+    check_count,
     moments,
     multiset_points,
     payload_difference,
@@ -702,12 +703,14 @@ def make_strategy(name: str, params: Optional[Mapping[str, object]] = None) -> S
         built = average_double_probe()
     elif name == "kcenter_sneak":
         built = sneak_attack(
-            kcenter_sneak_params(int(take("k")), rational(take("eps")))  # type: ignore[arg-type]
+            kcenter_sneak_params(
+                check_count("k", take("k")), rational(take("eps"))  # type: ignore[arg-type]
+            )
         )
     elif name == "lr_sneak":
         built = sneak_attack(lr_sneak_params())
     elif name == "triangulation":
-        built = triangulation_attack(int(take("d")))  # type: ignore[arg-type]
+        built = triangulation_attack(check_count("d", take("d")))
     elif name == "sneak":
         built = sneak_attack(
             SneakParams(

@@ -1,0 +1,71 @@
+"""Gauss-Jordan elimination and products over `Fraction`: the oracle for `RMatrix`.
+
+This is how `RMatrix` computed before its kernel became fraction-free
+(Bareiss) elimination and integer-scaled products: every step is plain
+`Fraction` arithmetic with first-nonzero pivoting. The differential tests in
+`test_numerics.py` compare the two exactly, including which systems are
+singular.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from exclusim.numerics import RMatrix
+
+
+def reference_det(a: RMatrix) -> Fraction:
+    work = [list(row) for row in a.rows]
+    n = a.nrows
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        pivot = work[col][col]
+        det *= pivot
+        for r in range(col + 1, n):
+            if work[r][col] == 0:
+                continue
+            factor = work[r][col] / pivot
+            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return det
+
+
+def reference_solve(a: RMatrix, rhs: RMatrix) -> Optional[RMatrix]:
+    """Solve a @ X = rhs by Gauss-Jordan over `Fraction`; None if singular."""
+    n = a.nrows
+    work = [list(x) + list(y) for x, y in zip(a.rows, rhs.rows)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot_row is None:
+            return None
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col][col]
+        work[col] = [v / pivot for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return RMatrix([row[n:] for row in work])
+
+
+def reference_inverse(a: RMatrix) -> Optional[RMatrix]:
+    return reference_solve(a, RMatrix.identity(a.nrows))
+
+
+def reference_matmul(a: RMatrix, b: RMatrix) -> RMatrix:
+    return RMatrix(
+        [
+            [
+                sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)), Fraction(0))
+                for j in range(b.ncols)
+            ]
+            for i in range(a.nrows)
+        ]
+    )

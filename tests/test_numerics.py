@@ -5,20 +5,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exclusim.numerics import (
     DimensionError,
     RMatrix,
-    format_rational,
     rational,
     rational_sqrt,
+)
+from reference_linalg import (
+    reference_det,
+    reference_inverse,
+    reference_matmul,
+    reference_solve,
 )
 
 
 # =============================================================================
-# rational parsing and formatting
+# rational parsing
 # =============================================================================
 
 
@@ -37,12 +42,6 @@ def test_rational_rejects_floats():
 def test_rational_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         rational("1/0")
-
-
-def test_format_rational_roundtrip():
-    assert format_rational(Fraction(5, 6)) == "5/6"
-    assert format_rational(Fraction(4)) == "4"
-    assert rational(format_rational(Fraction(-9, 4))) == Fraction(-9, 4)
 
 
 def test_rational_sqrt():
@@ -148,3 +147,67 @@ def test_inverse_multiplies_to_identity(entries):
     inv = a.inverse()
     if inv is not None:
         assert a @ inv == RMatrix.identity(2)
+
+
+# =============================================================================
+# differential test: the fraction-free kernel against Gauss-Jordan over Fraction
+# =============================================================================
+
+_entry = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def _square_systems(draw):
+    """A square matrix (n from 1 to 5) and a right-hand side with 1 to n+1 columns.
+
+    Besides generic matrices, the shapes force what elimination must get
+    right: zero leading entries (row swaps, or a singular first column), a
+    row dependent on two others, and a zero column.
+    """
+    n = draw(st.integers(1, 5))
+    rows = [[draw(_entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["generic", "zero_lead", "dependent", "zero_column"]))
+    if shape == "zero_lead":
+        for i in range(draw(st.integers(1, n))):
+            rows[i][0] = Fraction(0)
+    elif shape == "dependent":
+        c, e = draw(_entry), draw(_entry)
+        other = rows[min(1, n - 2)] if n > 1 else [Fraction(0)]
+        rows[-1] = [c * x + e * y for x, y in zip(rows[0], other)]
+    elif shape == "zero_column":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    width = draw(st.integers(1, n + 1))
+    rhs = [[draw(_entry) for _ in range(width)] for _ in range(n)]
+    return rows, rhs
+
+
+def _all_fractions(m):
+    return m is None or all(type(v) is Fraction for row in m.rows for v in row)
+
+
+@given(system=_square_systems())
+@example(system=([[0, 1], [1, 0]], [[1], [2]]))
+@example(system=([[0, 0, 1], [0, 2, 0], [3, 0, 0]], [[1, 0], [0, 1], [1, 1]]))
+@example(system=([[1, 2], [2, 4]], [[1], [1]]))
+@example(system=([["1/2", "1/3"], ["1/5", "1/7"]], [["1/4"], ["1/6"]]))
+@example(system=([["-3/4"]], [["5/6", 0]]))
+@settings(max_examples=400, deadline=None)
+def test_kernel_matches_fraction_gauss_jordan(system):
+    a, b = RMatrix(system[0]), RMatrix(system[1])
+    solution = a.solve(b)
+    assert solution == reference_solve(a, b)
+    assert a.det() == reference_det(a)
+    assert type(a.det()) is Fraction
+    assert (solution is None) == (a.det() == 0)
+    inverse = a.inverse()
+    assert inverse == reference_inverse(a)
+    assert a @ b == reference_matmul(a, b)
+    assert b.transpose() @ a == reference_matmul(b.transpose(), a)
+    for m in (solution, inverse, a @ b, a + a, a - a, a.transpose()):
+        assert _all_fractions(m)

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from exclusim.cli import main
+from exclusim.cli import (
+    canonical_average,
+    canonical_kcenter_sneak,
+    canonical_lr_sneak,
+    canonical_max,
+    canonical_triangulation,
+    main,
+)
+from exclusim.harness import check_condition_i
 from exclusim.scenario import (
     PreconditionError,
     ValidationError,
@@ -158,6 +166,28 @@ def test_rejects_decreasing_rounds():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "rounds, agents, field",
+    [
+        ((2, 2), (1, 2), "nature_input[0].round"),
+        ((0, 1), (1, 2), "nature_input[0].round"),
+        ((1, 2, 1), (1, 2, 1), "nature_input[2].round"),
+        ((1, 1, 1), (1, 2, 1), "nature_input[2]"),
+    ],
+    ids=["start_at_two", "round_zero", "decreasing", "repeated_agent"],
+)
+def test_round_errors_cite_the_element(rounds, agents, field):
+    data = _minimal_dict(protocol="periodic")
+    del data["ell"]
+    data["nature_input"] = [
+        {"agent": agent, "round": round_no, "payload": {"kind": "scalar", "value": 5}}
+        for agent, round_no in zip(agents, rounds)
+    ]
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(data)
+    assert str(info.value).startswith(f"{field}: ")
+
+
 def test_rejects_unknown_payload_kind():
     data = _minimal_dict()
     data["nature_input"][0]["payload"] = {"kind": "blobs", "blobs": []}
@@ -298,6 +328,43 @@ def test_cli_run_rejects_inexact_strategy_params(tmp_path, capsys, strategy, fie
     assert f"error: {field}: expected an integer or 'p/q' string" in capsys.readouterr().err
 
 
+_ROWS = {
+    "kind": "rows",
+    "rows": [{"features": [1, 0], "target": 1}, {"features": [1, 1], "target": 2}],
+}
+_POINTS = {"kind": "points", "points": [[0], [1], [2]]}
+
+
+@pytest.mark.parametrize(
+    "algorithm, payload, strategy, field",
+    [
+        (
+            {"name": "dlr", "params": {"d": 1}},
+            _ROWS,
+            {"name": "triangulation", "params": {"d": "3"}},
+            "strategies.2.params.d",
+        ),
+        (
+            {"name": "kcenter", "params": {"k": 3}},
+            _POINTS,
+            {"name": "kcenter_sneak", "params": {"k": "3", "eps": "1/1000"}},
+            "strategies.2.params.k",
+        ),
+    ],
+    ids=["triangulation_d_string", "kcenter_sneak_k_string"],
+)
+def test_cli_run_rejects_non_integer_strategy_counts(
+    tmp_path, capsys, algorithm, payload, strategy, field
+):
+    data = _minimal_dict(
+        algorithm=algorithm,
+        strategies={"2": strategy},
+        nature_input=[{"agent": 1, "payload": payload}],
+    )
+    assert _run_file(tmp_path, data) == 2
+    assert f"error: {field}: {field[-1]} must be an integer, got '3'" in capsys.readouterr().err
+
+
 def test_cli_run_kmedian_irrational_distance_exits_1(tmp_path, capsys):
     data = _minimal_dict(
         algorithm={"name": "kmedian", "params": {"k": 1}},
@@ -392,6 +459,25 @@ def test_cli_verify_condition_i(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["condition_i"]["differs"] is True
     assert report["protocol"] == "continuous"
+
+
+_CANONICAL = {
+    "average": canonical_average,
+    "max_echo": canonical_max,
+    "kcenter_sneak": lambda: canonical_kcenter_sneak(3, Fraction(1, 1000)),
+    "lr_sneak": canonical_lr_sneak,
+    "triangulation": lambda: canonical_triangulation(1, 0),
+}
+
+
+@pytest.mark.parametrize("attack", sorted(_CANONICAL))
+def test_cli_verify_condition_i_reports_lossless_baseline(capsys, attack):
+    assert main(["verify", "condition_i", "--attack", attack]) == 0
+    report = json.loads(capsys.readouterr().out)
+    algorithm, strategy, j, ninput, ell = _CANONICAL[attack]()
+    agent_count = 3 if attack == "triangulation" else 2
+    verdict = check_condition_i(algorithm, strategy, j, ninput, ell=ell, agent_count=agent_count)
+    assert report["condition_i"]["truth_lossless"] is verdict.truth_lossless
 
 
 def test_cli_verify_periodic_safety(capsys):

@@ -367,3 +367,20 @@ def test_make_strategy_rejects_unknown_and_unused():
         make_strategy("max_echo", {"value": 1})
     with pytest.raises(ParamError):
         make_strategy("max_overbid", {})
+
+
+@pytest.mark.parametrize(
+    "name, params, key",
+    [
+        ("triangulation", {"d": 2.7}, "d"),
+        ("triangulation", {"d": "3"}, "d"),
+        ("triangulation", {"d": True}, "d"),
+        ("triangulation", {"d": 0}, "d"),
+        ("kcenter_sneak", {"k": "3", "eps": "1/1000"}, "k"),
+        ("kcenter_sneak", {"k": 3.0, "eps": "1/1000"}, "k"),
+    ],
+)
+def test_make_strategy_rejects_non_integer_counts(name, params, key):
+    with pytest.raises(ParamError) as info:
+        make_strategy(name, params)
+    assert info.value.param == key
