@@ -83,6 +83,13 @@ def as_point(values: Sequence[RationalLike]) -> Point:
     return tuple(rational(v) for v in values)
 
 
+def coerce_point(value: Union[RationalLike, Sequence[RationalLike]]) -> Point:
+    """A point from its coordinates, or the one-dimensional point of one rational."""
+    if isinstance(value, (tuple, list)):
+        return as_point(value)
+    return (rational(value),)
+
+
 @dataclass(frozen=True)
 class Scalar:
     """A single rational value (the max algorithm's update kind)."""

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -33,6 +34,7 @@ from .algorithms import (
     ScalarOutput,
 )
 from .harness import (
+    CaseGenerator,
     ConfoundingWitness,
     PairedVerdict,
     check_condition_i,
@@ -52,16 +54,18 @@ from .protocol import (
     LedgerUpdate,
     NatureElement,
     NatureInput,
+    ObservedHistory,
     OutputBroadcast,
     Run,
+    Strategy,
     observed_history,
 )
 from .scenario import (
     ValidationError,
     format_rational,
     load_scenario,
+    ninput_to_json,
     output_to_json,
-    payload_to_json,
     run_scenario,
     trace_lines,
 )
@@ -78,12 +82,9 @@ from .strategies import (
     triangulation_infer_from_history,
 )
 
-DEMO_NAMES = ("average", "max", "kcenter_sneak", "lr_sneak", "triangulation")
-VERIFY_SUITES = ("condition_i", "condition_i_star", "inference", "periodic_safety")
-
 
 class UsageError(Exception):
-    """A demo or suite name the command line does not recognize."""
+    """A demo, suite or attack the command line does not accept."""
 
 
 # =============================================================================
@@ -115,41 +116,76 @@ def verdict_line(verdict: PairedVerdict) -> str:
     )
 
 
-def _print(out, text: str) -> None:
-    print(text, file=out)
-
-
 # =============================================================================
-# Canonical demo scenarios
+# Attacks: one record each, read by attack-demo and the verify suites
 # =============================================================================
 
 
-def canonical_average() -> tuple[Algorithm, Callable, int, NatureInput, int]:
+@dataclass(frozen=True)
+class Attack:
+    """One attack as `attack-demo` and `verify` run it.
+
+    `ninput` is the canonical input that the demo and `verify condition_i`
+    play. `cases` generates the seeded inputs of `verify condition_i_star`
+    and `verify inference`; an attack without it is covered by neither.
+    `decode` recovers the truthful final from the attacker's view (a demo
+    without it prints the run classification instead), `star_passes` is the
+    expected condition (i*) outcome, and `csv_rows` builds the point table the
+    demo writes.
+    """
+
+    algorithm: Algorithm
+    strategy: Strategy
+    j: int
+    ell: int
+    agent_count: int
+    ninput: NatureInput
+    cases: Optional[CaseGenerator] = None
+    decode: Optional[Callable[[ObservedHistory], AlgorithmOutput]] = None
+    star_passes: Optional[bool] = None
+    csv_rows: Optional[Callable[[Run], list[list[str]]]] = None
+
+    def check_condition_i(self) -> PairedVerdict:
+        return check_condition_i(
+            self.algorithm, self.strategy, self.j, self.ninput,
+            ell=self.ell, agent_count=self.agent_count,
+        )
+
+
+def _average(args: argparse.Namespace) -> Attack:
     ninput = (
         NatureElement(1, PointSet(((Fraction(1),), (Fraction(4),), (Fraction(5),)))),
         NatureElement(2, PointSet(((Fraction(1),), (Fraction(3),)))),
     )
-    return AverageAlgorithm(), average_double_probe(), 2, ninput, 2
+    return Attack(
+        AverageAlgorithm(), average_double_probe(), j=2, ell=2, agent_count=2, ninput=ninput,
+        cases=make_average_cases(j=2),
+        decode=lambda o: ScalarOutput(average_infer_from_history(o).true_average),
+        star_passes=True,
+    )
 
 
-def canonical_max() -> tuple[Algorithm, Callable, int, NatureInput, int]:
+def _max_echo(args: argparse.Namespace) -> Attack:
     ninput = (
         NatureElement(2, Scalar(Fraction(100))),
         NatureElement(1, Scalar(Fraction(110))),
     )
-    return MaxAlgorithm(), max_echo_attack(), 1, ninput, 1
+    return Attack(
+        MaxAlgorithm(), max_echo_attack(), j=1, ell=1, agent_count=2, ninput=ninput,
+        cases=make_max_cases(j=1), decode=max_infer, star_passes=False,
+    )
 
 
-def canonical_kcenter_sneak(
-    k: int, eps: Fraction
-) -> tuple[Algorithm, Callable, int, NatureInput, int]:
-    params = kcenter_sneak_params(k, eps)
+def _kcenter_sneak(args: argparse.Namespace) -> Attack:
+    params = kcenter_sneak_params(args.k, rational(args.eps))
     cluster = PointSet(params.rho_cond.centers)  # type: ignore[union-attr]
     ninput = (NatureElement(1, cluster), NatureElement(2, params.u_cond))
-    return KCenterAlgorithm(k), sneak_attack(params), 2, ninput, 1
+    return Attack(
+        KCenterAlgorithm(args.k), sneak_attack(params), j=2, ell=1, agent_count=2, ninput=ninput
+    )
 
 
-def canonical_lr_sneak() -> tuple[Algorithm, Callable, int, NatureInput, int]:
+def _lr_sneak(args: argparse.Namespace) -> Attack:
     params = lr_sneak_params()
     warm = RowMultiset(
         (
@@ -158,14 +194,32 @@ def canonical_lr_sneak() -> tuple[Algorithm, Callable, int, NatureInput, int]:
         )
     )
     ninput = (NatureElement(1, warm), NatureElement(2, params.u_cond))
-    return DlrAlgorithm(1), sneak_attack(params), 2, ninput, 1
+    return Attack(DlrAlgorithm(1), sneak_attack(params), j=2, ell=1, agent_count=2, ninput=ninput)
 
 
-def canonical_triangulation(
-    d: int, seed: int
-) -> tuple[Algorithm, Callable, int, NatureInput, int]:
-    case = make_triangulation_cases(d)(seed)
-    return DlrAlgorithm(d), triangulation_attack(d), 2, case.ninput, case.ell or (d + 2)
+def _triangulation(args: argparse.Namespace) -> Attack:
+    d = args.d
+    cases = make_triangulation_cases(d, j=2)
+    case = cases(args.seed)
+    return Attack(
+        DlrAlgorithm(d), triangulation_attack(d), j=2, ell=d + 2,
+        agent_count=case.agent_count, ninput=case.ninput, cases=cases,
+        decode=lambda o: triangulation_infer_from_history(o, d).truth_output,
+        star_passes=True,
+        csv_rows=lambda run: triangulation_csv_rows(run, 2, d),
+    )
+
+
+ATTACKS: dict[str, Callable[[argparse.Namespace], Attack]] = {
+    "average": _average,
+    "max_echo": _max_echo,
+    "kcenter_sneak": _kcenter_sneak,
+    "lr_sneak": _lr_sneak,
+    "triangulation": _triangulation,
+}
+
+# attack-demo name -> attack; the demo keeps the short name "max" for max_echo.
+DEMO_NAMES = {"max" if name == "max_echo" else name: name for name in ATTACKS}
 
 
 # =============================================================================
@@ -228,67 +282,33 @@ def triangulation_csv_rows(run: Run, j: int, d: int) -> list[list[str]]:
     return table
 
 
-def cmd_attack_demo(args: argparse.Namespace, out) -> int:
-    name = args.name
-    if name not in DEMO_NAMES:
-        raise UsageError(f"unknown demo '{name}'; expected one of {', '.join(DEMO_NAMES)}")
-
-    if name == "average":
-        algorithm, strategy, j, ninput, ell = canonical_average()
-    elif name == "max":
-        algorithm, strategy, j, ninput, ell = canonical_max()
-    elif name == "kcenter_sneak":
-        algorithm, strategy, j, ninput, ell = canonical_kcenter_sneak(
-            args.k, rational(args.eps)
+def cmd_attack_demo(args: argparse.Namespace) -> int:
+    if args.name not in DEMO_NAMES:
+        raise UsageError(
+            f"unknown demo '{args.name}'; expected one of {', '.join(DEMO_NAMES)}"
         )
-    elif name == "lr_sneak":
-        algorithm, strategy, j, ninput, ell = canonical_lr_sneak()
-    else:
-        algorithm, strategy, j, ninput, ell = canonical_triangulation(args.d, args.seed)
+    attack = ATTACKS[DEMO_NAMES[args.name]](args)
+    verdict = attack.check_condition_i()
+    print(verdict_line(verdict))
 
-    agent_count = 3 if name == "triangulation" else 2
-    verdict = check_condition_i(
-        algorithm, strategy, j, ninput, ell=ell, agent_count=agent_count
+    if attack.decode is None:
+        label = classify_strategy_run(verdict.run_attack, attack.j, truth_run=verdict.run_truth)
+        print(f"classification: {label.value}")
+        return 0
+    inferred = attack.decode(observed_history(verdict.run_attack, attack.j))
+    exact = inferred == verdict.truth_final
+    print(
+        f"inference: truth-run final {format_output(inferred)} "
+        f"(exact match: {str(exact).lower()})"
     )
-    _print(out, verdict_line(verdict))
-
-    attack_view = observed_history(verdict.run_attack, j)
-    if name == "average":
-        inferred = average_infer_from_history(attack_view)
-        exact = ScalarOutput(inferred.true_average) == verdict.truth_final
-        _print(
-            out,
-            f"inference: truth-run final {inferred.true_average} "
-            f"(exact match: {str(exact).lower()})",
-        )
-    elif name == "max":
-        inferred = max_infer(attack_view)
-        exact = inferred == verdict.truth_final
-        _print(
-            out,
-            f"inference: truth-run final {format_output(inferred)} "
-            f"(exact match: {str(exact).lower()})",
-        )
-    elif name == "triangulation":
-        result = triangulation_infer_from_history(attack_view, args.d)
-        inferred = result.truth_output
-        exact = inferred == verdict.truth_final
-        _print(
-            out,
-            f"inference: truth-run final {format_output(inferred)} "
-            f"(exact match: {str(exact).lower()})",
-        )
-        table = triangulation_csv_rows(verdict.run_attack, j, args.d)
+    if attack.csv_rows is not None:
+        table = attack.csv_rows(verdict.run_attack)
         if args.csv:
             with open(args.csv, "w", newline="", encoding="utf-8") as handle:
                 csv.writer(handle).writerows(table)
-            _print(out, f"csv written to {args.csv}")
+            print(f"csv written to {args.csv}")
         else:
-            writer = csv.writer(sys.stdout)
-            writer.writerows(table)
-    else:
-        label = classify_strategy_run(verdict.run_attack, j, truth_run=verdict.run_truth)
-        _print(out, f"classification: {label.value}")
+            csv.writer(sys.stdout).writerows(table)
     return 0
 
 
@@ -298,18 +318,9 @@ def cmd_attack_demo(args: argparse.Namespace, out) -> int:
 
 
 def _witness_json(witness: ConfoundingWitness) -> dict:
-    def encode(ninput: NatureInput) -> list[dict]:
-        entries = []
-        for element in ninput:
-            entry: dict = {"agent": element.agent, "payload": payload_to_json(element.payload)}
-            if element.round is not None:
-                entry["round"] = element.round
-            entries.append(entry)
-        return entries
-
     return {
-        "input_a": encode(witness.input_a),
-        "input_b": encode(witness.input_b),
+        "input_a": ninput_to_json(witness.input_a),
+        "input_b": ninput_to_json(witness.input_b),
         "observed_equal_under_attack": witness.observed_equal_under_attack,
         "observed_equal_under_truth": witness.observed_equal_under_truth,
         "valid": witness.is_valid(),
@@ -339,145 +350,108 @@ def _base_report(attack: str, algorithm: str, protocol: str, ell: Optional[int])
     }
 
 
+def _attack_under_test(args: argparse.Namespace) -> tuple[Attack, dict]:
+    """The record of `--attack` and its report skeleton; refuse an attack
+    the suite does not cover."""
+
+    def covered(attack: Attack) -> bool:
+        # Condition (i) plays the canonical input; the other suites need cases.
+        return args.suite == "condition_i" or attack.cases is not None
+
+    if args.attack is None:
+        names = [name for name, build in ATTACKS.items() if covered(build(args))]
+        raise UsageError(
+            f"suite {args.suite} requires --attack, one of {', '.join(names)}"
+        )
+    build = ATTACKS.get(args.attack)
+    attack = None if build is None else build(args)
+    if attack is None or not covered(attack):
+        raise UsageError(f"suite {args.suite} does not cover attack '{args.attack}'")
+    return attack, _base_report(args.attack, attack.algorithm.name, "continuous", attack.ell)
+
+
 def _suite_condition_i(args: argparse.Namespace) -> tuple[dict, bool]:
-    attack = args.attack
-    if attack == "average":
-        algorithm, strategy, j, ninput, ell = canonical_average()
-    elif attack == "max_echo":
-        algorithm, strategy, j, ninput, ell = canonical_max()
-    elif attack == "kcenter_sneak":
-        algorithm, strategy, j, ninput, ell = canonical_kcenter_sneak(3, Fraction(1, 1000))
-    elif attack == "lr_sneak":
-        algorithm, strategy, j, ninput, ell = canonical_lr_sneak()
-    elif attack == "triangulation":
-        algorithm, strategy, j, ninput, ell = canonical_triangulation(args.d, args.seed)
-    else:
-        raise UsageError(f"suite condition_i does not cover attack '{attack}'")
-    agent_count = 3 if attack == "triangulation" else 2
-    verdict = check_condition_i(
-        algorithm, strategy, j, ninput, ell=ell, agent_count=agent_count
-    )
-    report = _base_report(attack, algorithm.name, "continuous", ell)
+    attack, report = _attack_under_test(args)
+    verdict = attack.check_condition_i()
     report["condition_i"] = _condition_i_json(verdict)
     return report, verdict.differs
 
 
 def _suite_condition_i_star(args: argparse.Namespace) -> tuple[dict, bool]:
-    attack = args.attack
-    if attack == "average":
-        algorithm: Algorithm = AverageAlgorithm()
-        strategy, j, ell = average_double_probe(), 2, 2
-        generator = make_average_cases(j=j)
-        expect_pass = True
-    elif attack == "max_echo":
-        algorithm = MaxAlgorithm()
-        strategy, j, ell = max_echo_attack(), 1, 1
-        generator = make_max_cases(j=j)
-        expect_pass = False
-    elif attack == "triangulation":
-        algorithm = DlrAlgorithm(args.d)
-        strategy, j, ell = triangulation_attack(args.d), 2, args.d + 2
-        generator = make_triangulation_cases(args.d, j=j)
-        expect_pass = True
-    else:
-        raise UsageError(f"suite condition_i_star does not cover attack '{attack}'")
-    star = check_condition_i_star(algorithm, strategy, j, generator, args.count, seed=args.seed)
-    report = _base_report(attack, algorithm.name, "continuous", ell)
+    attack, report = _attack_under_test(args)
+    star = check_condition_i_star(
+        attack.algorithm, attack.strategy, attack.j, attack.cases, args.count, seed=args.seed
+    )
     report["seeds"] = star["seeds"]
     report["condition_i_star"] = {
         "pass": star["pass"],
         "non_differing_seeds": star["non_differing_seeds"],
         "generator_bound": star["generator_bound"],
     }
-    return report, star["pass"] == expect_pass
+    return report, star["pass"] == attack.star_passes
 
 
 def _suite_inference(args: argparse.Namespace) -> tuple[dict, bool]:
-    attack = args.attack
-    if attack == "average":
-        algorithm: Algorithm = AverageAlgorithm()
-        strategy, j, ell = average_double_probe(), 2, 2
-        generator = make_average_cases(j=j)
-
-        def inference(o):
-            return ScalarOutput(average_infer_from_history(o).true_average)
-
-    elif attack == "max_echo":
-        algorithm = MaxAlgorithm()
-        strategy, j, ell = max_echo_attack(), 1, 1
-        generator = make_max_cases(j=j)
-        inference = max_infer
-    elif attack == "triangulation":
-        algorithm = DlrAlgorithm(args.d)
-        strategy, j, ell = triangulation_attack(args.d), 2, args.d + 2
-        generator = make_triangulation_cases(args.d, j=j)
-
-        def inference(o):
-            return triangulation_infer_from_history(o, args.d).truth_output
-
-    else:
-        raise UsageError(f"suite inference does not cover attack '{attack}'")
-    rep = verify_inference(algorithm, strategy, inference, generator, args.count, j=j, seed=args.seed)
-    report = _base_report(attack, algorithm.name, "continuous", ell)
+    attack, report = _attack_under_test(args)
+    rep = verify_inference(
+        attack.algorithm, attack.strategy, attack.decode, attack.cases, args.count,
+        j=attack.j, seed=args.seed,
+    )
     report["seeds"] = rep["seeds"]
     report["inference_pass_rate"] = format_rational(rep["pass_rate"])
     report["inference_failed_seeds"] = rep["failed_seeds"]
     return report, rep["pass_rate"] == 1
 
 
+# --algorithm -> (seeded swap scenario, round-based confounder)
+PERIODIC_SCENARIOS = {
+    "dlr": (lr_periodic_scenario, periodic_lambda_confounder),
+    "kcenter": (kcenter_periodic_scenario, periodic_kcenter_omission_confounder),
+}
+
+
 def _suite_periodic_safety(args: argparse.Namespace) -> tuple[dict, bool]:
     algorithm_name = args.algorithm
+    if algorithm_name not in PERIODIC_SCENARIOS:
+        raise UsageError(f"suite periodic_safety does not cover algorithm '{algorithm_name}'")
+    make_scenario, confounder = PERIODIC_SCENARIOS[algorithm_name]
     witnesses = []
-    all_valid = True
     for seed in range(args.seed, args.seed + args.count):
-        if algorithm_name == "dlr":
-            algorithm, strategy, case = lr_periodic_scenario(seed)
-            witness = periodic_lambda_confounder(
-                algorithm, case.ninput, strategy, 2, agent_count=case.agent_count
-            )
-        elif algorithm_name == "kcenter":
-            algorithm, strategy, case = kcenter_periodic_scenario(seed)
-            witness = periodic_kcenter_omission_confounder(
-                algorithm, case.ninput, strategy, 2, agent_count=case.agent_count
-            )
-        else:
-            raise UsageError(
-                f"suite periodic_safety does not cover algorithm '{algorithm_name}'"
-            )
+        algorithm, strategy, case = make_scenario(seed)
+        witness = confounder(algorithm, case.ninput, strategy, 2, agent_count=case.agent_count)
         if witness is None or not witness.is_valid():
-            all_valid = False
             witnesses.append({"seed": seed, "valid": False})
         else:
-            entry = _witness_json(witness)
-            entry["seed"] = seed
-            witnesses.append(entry)
+            witnesses.append({**_witness_json(witness), "seed": seed})
     report = _base_report(args.attack or f"{algorithm_name}_sneak", algorithm_name, "periodic", None)
     report["seeds"] = {"start": args.seed, "count": args.count}
     report["witnesses"] = witnesses
-    return report, all_valid and args.count > 0
+    return report, all(witness["valid"] for witness in witnesses)
 
 
-def cmd_verify(args: argparse.Namespace, out) -> int:
-    if args.suite == "condition_i":
-        report, met = _suite_condition_i(args)
-    elif args.suite == "condition_i_star":
-        report, met = _suite_condition_i_star(args)
-    elif args.suite == "inference":
-        report, met = _suite_inference(args)
-    elif args.suite == "periodic_safety":
-        report, met = _suite_periodic_safety(args)
-    else:
+VERIFY_SUITES = {
+    "condition_i": _suite_condition_i,
+    "condition_i_star": _suite_condition_i_star,
+    "inference": _suite_inference,
+    "periodic_safety": _suite_periodic_safety,
+}
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    suite = VERIFY_SUITES.get(args.suite)
+    if suite is None:
         raise UsageError(
             f"unknown suite '{args.suite}'; expected one of {', '.join(VERIFY_SUITES)}"
         )
+    report, met = suite(args)
     report["suite"] = args.suite
     report["expectation_met"] = met
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.json:
         Path(args.json).write_text(text + "\n", encoding="utf-8")
-        _print(out, f"report written to {args.json}")
+        print(f"report written to {args.json}")
     else:
-        _print(out, text)
+        print(text)
     return 0 if met else 1
 
 
@@ -486,7 +460,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 # =============================================================================
 
 
-def cmd_run(args: argparse.Namespace, out) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.file)
     run = run_scenario(scenario)
     lines = trace_lines(run)
@@ -494,13 +468,23 @@ def cmd_run(args: argparse.Namespace, out) -> int:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         for line in lines:
-            _print(out, line)
+            print(line)
     return 0
 
 
 # =============================================================================
 # Entry point
 # =============================================================================
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,9 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--attack", default=None, help="attack under test")
     p_verify.add_argument("--algorithm", default="dlr", help="algorithm for periodic_safety")
     p_verify.add_argument("--d", type=int, default=1, help="feature count for triangulation")
-    p_verify.add_argument("--count", type=int, default=50, help="number of seeded scenarios")
+    p_verify.add_argument(
+        "--count", type=_positive_int, default=50, help="number of seeded scenarios"
+    )
     p_verify.add_argument("--seed", type=int, default=0, help="first seed")
     p_verify.add_argument("--json", help="write the JSON report to this path")
+    # verify has no --k/--eps: kcenter_sneak runs at the demo defaults.
+    p_verify.set_defaults(k=3, eps="1/1000")
 
     return parser
 
@@ -542,14 +530,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args, sys.stdout)
+            return cmd_run(args)
         if args.command == "attack-demo":
-            return cmd_attack_demo(args, sys.stdout)
-        return cmd_verify(args, sys.stdout)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+            return cmd_attack_demo(args)
+        return cmd_verify(args)
+    except (UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # engine errors surface as diagnostics, not tracebacks

@@ -35,10 +35,9 @@ from .algorithms import (
     ScalarOutput,
     UpdatePayload,
     all_rows,
-    as_point,
+    coerce_point,
     moments,
     payload_union,
-    rational,
     union_points,
 )
 from .numerics import RationalLike
@@ -316,14 +315,6 @@ def _measure_pair(
     )
 
 
-def _other_agent(j: int, agent_count: int) -> tuple[int, int]:
-    """An agent index other than j, growing the agent table when needed."""
-    for agent in range(1, agent_count + 1):
-        if agent != j:
-            return agent, agent_count
-    return agent_count + 1, agent_count + 1
-
-
 def _extension_agent(j: int, base: NatureInput, agent_count: int) -> int:
     """An agent for an appended element: not j, and not the last element's
     recipient, whose immediate truthful echo would hit the update guard."""
@@ -510,7 +501,7 @@ def forceable_winner_set(
         raise ParamError("the base point set is empty")
     if any(len(point) != 1 for point in s.points):
         raise ParamError("forceable winners are built on the line only")
-    target = x if isinstance(x, tuple) else _as_single_point(x)
+    target = x if isinstance(x, tuple) else coerce_point(x)
     if len(target) != 1 or target not in s.points:
         raise ParamError(f"x must be a one-dimensional member of s, got {target}")
     center = target[0]
@@ -527,12 +518,6 @@ def forceable_winner_set(
         bar = mirrored - {center}
         bar.update(center + Fraction(10) ** t * spread for t in range(1, k))
     return PointSet(tuple((v,) for v in sorted(bar)))
-
-
-def _as_single_point(value: Union[RationalLike, Sequence[RationalLike]]) -> Point:
-    if isinstance(value, (tuple, list)):
-        return as_point(value)
-    return (rational(value),)
 
 
 # =============================================================================

@@ -22,8 +22,6 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 

@@ -136,11 +136,6 @@ class ObservedHistory:
     def __len__(self) -> int:
         return len(self.items)
 
-    def __getitem__(self, index) -> Union[Message, "ObservedHistory"]:
-        if isinstance(index, slice):
-            return ObservedHistory(self.agent, self.items[index])
-        return self.items[index]
-
     def last(self) -> Optional[Message]:
         return self.items[-1] if self.items else None
 

@@ -144,6 +144,17 @@ def payload_to_json(payload: UpdatePayload) -> dict:
     return {"kind": "empty"}
 
 
+def ninput_to_json(ninput: NatureInput) -> list[dict]:
+    """Nature elements in the file schema; `round` only on elements that have one."""
+    entries = []
+    for element in ninput:
+        entry: dict = {"agent": element.agent, "payload": payload_to_json(element.payload)}
+        if element.round is not None:
+            entry["round"] = element.round
+        entries.append(entry)
+    return entries
+
+
 def output_from_json(obj: object, path: str) -> AlgorithmOutput:
     """Decode one algorithm output: scalar, centers, coefficients, or null."""
     if not isinstance(obj, dict):
@@ -377,15 +388,6 @@ def _spec_to_json(spec: Mapping) -> dict:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialize back to the file schema; load(serialize(s)) equals s."""
-    elements = []
-    for element in scenario.ninput:
-        entry: dict = {
-            "agent": element.agent,
-            "payload": payload_to_json(element.payload),
-        }
-        if scenario.protocol == "periodic":
-            entry["round"] = element.round
-        elements.append(entry)
     data: dict = {"protocol": scenario.protocol}
     if scenario.protocol == "continuous":
         data["ell"] = scenario.ell
@@ -395,7 +397,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         str(agent): _spec_to_json(spec)
         for agent, spec in sorted(scenario.strategy_specs.items())
     }
-    data["nature_input"] = elements
+    data["nature_input"] = ninput_to_json(scenario.ninput)
     if scenario.seed is not None:
         data["seed"] = scenario.seed
     return data

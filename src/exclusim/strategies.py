@@ -25,8 +25,8 @@ from .algorithms import (
     Scalar,
     ScalarOutput,
     UpdatePayload,
-    as_point,
     check_count,
+    coerce_point,
     moments,
     multiset_points,
     payload_difference,
@@ -50,12 +50,6 @@ from .protocol import (
 
 class InferenceError(Exception):
     """An observed history cannot be decoded into a truthful-outcome estimate."""
-
-
-def _coerce_point(value: Union[RationalLike, Sequence[RationalLike]]) -> Point:
-    if isinstance(value, (tuple, list)):
-        return as_point(value)
-    return (rational(value),)
 
 
 # =============================================================================
@@ -83,14 +77,6 @@ class SneakParams:
                 "u_attack must differ from u_cond, or the swap cannot be told "
                 "apart from a truthful echo"
             )
-
-    def is_omission(self) -> bool:
-        """True when the swap only withholds points and the repair restores them."""
-        if not isinstance(self.u_cond, PointSet) or not isinstance(self.u_attack, PointSet):
-            return False
-        if not set(self.u_attack.points) <= set(self.u_cond.points):
-            return False
-        return self.u_resync == payload_difference(self.u_cond, self.u_attack)
 
 
 def _sneak_start(items: Sequence[Message], agent: int, params: SneakParams) -> Optional[int]:
@@ -315,7 +301,7 @@ def average_infer_from_history(o: ObservedHistory) -> AverageInference:
 
 def omit_point(point: Union[RationalLike, Sequence[RationalLike]]) -> Strategy:
     """Echo own factual point sets with one fixed point withheld."""
-    target = PointSet((_coerce_point(point),))
+    target = PointSet((coerce_point(point),))
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
         last = o.last()
@@ -331,7 +317,7 @@ def omit_point(point: Union[RationalLike, Sequence[RationalLike]]) -> Strategy:
 
 def fabricate_point(point: Union[RationalLike, Sequence[RationalLike]]) -> Strategy:
     """Replace every own factual point set with one fixed fabricated point."""
-    target = PointSet((_coerce_point(point),))
+    target = PointSet((coerce_point(point),))
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
         last = o.last()

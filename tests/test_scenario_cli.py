@@ -3,24 +3,19 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from exclusim.cli import (
-    canonical_average,
-    canonical_kcenter_sneak,
-    canonical_lr_sneak,
-    canonical_max,
-    canonical_triangulation,
-    main,
-)
-from exclusim.harness import check_condition_i
+from exclusim.cli import ATTACKS, PERIODIC_SCENARIOS, build_parser, main
+from exclusim.harness import check_condition_i, check_condition_i_star, verify_inference
 from exclusim.scenario import (
     PreconditionError,
     ValidationError,
+    format_rational,
     load_scenario,
+    ninput_to_json,
+    output_to_json,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -461,23 +456,114 @@ def test_cli_verify_condition_i(capsys):
     assert report["protocol"] == "continuous"
 
 
-_CANONICAL = {
-    "average": canonical_average,
-    "max_echo": canonical_max,
-    "kcenter_sneak": lambda: canonical_kcenter_sneak(3, Fraction(1, 1000)),
-    "lr_sneak": canonical_lr_sneak,
-    "triangulation": lambda: canonical_triangulation(1, 0),
-}
+def _record(argv: list[str]):
+    """The CLI's attack record, built from the arguments `verify` parses."""
+    args = build_parser().parse_args(argv)
+    return ATTACKS[args.attack](args)
 
 
-@pytest.mark.parametrize("attack", sorted(_CANONICAL))
+def _canonical_verdict(record):
+    return check_condition_i(
+        record.algorithm, record.strategy, record.j, record.ninput,
+        ell=record.ell, agent_count=record.agent_count,
+    )
+
+
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
 def test_cli_verify_condition_i_reports_lossless_baseline(capsys, attack):
-    assert main(["verify", "condition_i", "--attack", attack]) == 0
+    argv = ["verify", "condition_i", "--attack", attack]
+    assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    algorithm, strategy, j, ninput, ell = _CANONICAL[attack]()
-    agent_count = 3 if attack == "triangulation" else 2
-    verdict = check_condition_i(algorithm, strategy, j, ninput, ell=ell, agent_count=agent_count)
+    verdict = _canonical_verdict(_record(argv))
     assert report["condition_i"]["truth_lossless"] is verdict.truth_lossless
+
+
+# The attacks each suite covers, and the condition (i*) outcome each seeded
+# suite expects: max_echo leaves some generated streams unmoved.
+_COVERED = {
+    "condition_i": ("average", "kcenter_sneak", "lr_sneak", "max_echo", "triangulation"),
+    "condition_i_star": ("average", "max_echo", "triangulation"),
+    "inference": ("average", "max_echo", "triangulation"),
+}
+_STAR_PASSES = {"average": True, "max_echo": False, "triangulation": True}
+
+
+def _api_verdict(suite: str, attack: str, argv: list[str]) -> tuple[str, object, bool]:
+    """The report field the suite fills, computed through the harness API,
+    and whether the suite's expectation holds."""
+    record = _record(argv)
+    if suite == "condition_i":
+        verdict = _canonical_verdict(record)
+        fields = {
+            "differs": verdict.differs,
+            "attack_final": output_to_json(verdict.attack_final),
+            "truth_final": output_to_json(verdict.truth_final),
+            "truth_lossless": verdict.truth_lossless,
+        }
+        return "condition_i", fields, verdict.differs
+    if suite == "condition_i_star":
+        star = check_condition_i_star(
+            record.algorithm, record.strategy, record.j, record.cases, 4, seed=0
+        )
+        fields = {key: star[key] for key in ("pass", "non_differing_seeds", "generator_bound")}
+        return "condition_i_star", fields, star["pass"] == _STAR_PASSES[attack]
+    rep = verify_inference(
+        record.algorithm, record.strategy, record.decode, record.cases, 4, j=record.j, seed=0
+    )
+    return "inference_pass_rate", format_rational(rep["pass_rate"]), rep["pass_rate"] == 1
+
+
+@pytest.mark.parametrize(
+    "suite, attack",
+    [(suite, attack) for suite, attacks in _COVERED.items() for attack in attacks],
+)
+def test_cli_verify_suites_agree_with_the_api(capsys, suite, attack):
+    argv = ["verify", suite, "--attack", attack, "--count", "4"]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    key, fields, met = _api_verdict(suite, attack, argv)
+    assert report[key] == fields
+    assert report["expectation_met"] is met
+    assert code == (0 if met else 1)
+
+
+@pytest.mark.parametrize(
+    "suite, attack",
+    [
+        (suite, attack)
+        for suite, covered in _COVERED.items()
+        for attack in [*ATTACKS, "max", "bogus"]
+        if attack not in covered
+    ],
+)
+def test_cli_verify_refuses_uncovered_attacks(capsys, suite, attack):
+    assert main(["verify", suite, "--attack", attack, "--count", "2"]) == 2
+    assert f"error: suite {suite} does not cover attack '{attack}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", sorted(_COVERED))
+def test_cli_verify_requires_an_attack(capsys, suite):
+    assert main(["verify", suite]) == 2
+    covered = ", ".join(sorted(_COVERED[suite], key=list(ATTACKS).index))
+    assert capsys.readouterr().err == f"error: suite {suite} requires --attack, one of {covered}\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+@pytest.mark.parametrize(
+    "suite_args",
+    [
+        ["condition_i", "--attack", "average"],
+        ["condition_i_star", "--attack", "max_echo"],
+        ["inference", "--attack", "max_echo"],
+        ["periodic_safety"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_verify_rejects_a_count_below_one(capsys, suite_args, count):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", *suite_args, "--count", count])
+    assert info.value.code == 2
+    assert f"argument --count: must be a positive integer, got {count}" in capsys.readouterr().err
 
 
 def test_cli_verify_periodic_safety(capsys):
@@ -488,6 +574,25 @@ def test_cli_verify_periodic_safety(capsys):
     assert report["protocol"] == "periodic"
     assert len(report["witnesses"]) == 3
     assert all(w["valid"] for w in report["witnesses"])
+
+
+@pytest.mark.parametrize("algorithm", sorted(PERIODIC_SCENARIOS))
+def test_cli_verify_periodic_witnesses_match_the_api(capsys, algorithm):
+    assert main(["verify", "periodic_safety", "--algorithm", algorithm, "--count", "2"]) == 0
+    witnesses = json.loads(capsys.readouterr().out)["witnesses"]
+    make_scenario, confounder = PERIODIC_SCENARIOS[algorithm]
+    for seed, reported in zip((0, 1), witnesses):
+        api_algorithm, strategy, case = make_scenario(seed)
+        witness = confounder(api_algorithm, case.ninput, strategy, 2, agent_count=case.agent_count)
+        assert reported["seed"] == seed
+        assert reported["input_a"] == ninput_to_json(witness.input_a)
+        assert reported["input_b"] == ninput_to_json(witness.input_b)
+        assert reported["valid"] is witness.is_valid() is True
+
+
+def test_cli_verify_periodic_safety_refuses_unknown_algorithm(capsys):
+    assert main(["verify", "periodic_safety", "--algorithm", "max"]) == 2
+    assert "does not cover algorithm 'max'" in capsys.readouterr().err
 
 
 def test_cli_verify_unknown_attack(capsys):
