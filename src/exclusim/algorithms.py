@@ -282,7 +282,7 @@ def check_norm_order(p: NormOrder) -> NormOrder:
     """
     if p == NORM_INF or (type(p) is int and p in (1, 2)):
         return p
-    raise ParamError(f"norm order must be 1, 2 or '{NORM_INF}', got {p!r}")
+    raise ParamError(f"norm order must be 1, 2 or '{NORM_INF}', got {p!r}", "p")
 
 
 def check_count(name: str, value: object) -> int:
@@ -372,8 +372,7 @@ def _solve_clustering(
     points: Sequence[Point], k: int, p: NormOrder, median: bool, max_union: int
 ) -> KCenterSolution:
     check_norm_order(p)
-    if k < 1:
-        raise ParamError(f"k must be positive, got {k}")
+    check_count("k", k)
     universe = tuple(sorted(set(points)))
     if not universe:
         raise NoOutputError("no points on the ledger")
@@ -623,7 +622,7 @@ class DlrAlgorithm(Algorithm):
     name = "dlr"
 
     def __init__(self, d: int):
-        self.d = check_count("regression dimension d", d)
+        self.d = check_count("d", d)
 
     def start(self) -> Optional[MomentPair]:
         return None
@@ -640,9 +639,6 @@ class DlrAlgorithm(Algorithm):
     def output(self, state: Optional[MomentPair]) -> AlgorithmOutput:
         return NullOutput() if state is None else fit_from_moments(state)
 
-    def cost(self, rows: Union[RowMultiset, Sequence[Row]], coefficients: Point) -> Fraction:
-        return lr_cost(rows, coefficients)
-
 
 _ALGORITHMS: dict[str, tuple[type, tuple[str, ...], tuple[str, ...]]] = {
     # name: (class, required params, optional params)
@@ -658,7 +654,8 @@ def make_algorithm(name: str, params: Optional[dict] = None) -> Algorithm:
     """Build an algorithm from its scenario-file name and parameter object.
 
     The constructors check the values: `k`, `max_union` and `d` must be
-    positive ints, and `p` exactly 1, 2 or "inf".
+    positive ints, and `p` exactly 1, 2 or "inf". A `ParamError` names the
+    parameter at fault in `param`, where there is one.
     """
     if name not in _ALGORITHMS:
         raise ParamError(f"unknown algorithm {name!r}")
@@ -666,7 +663,7 @@ def make_algorithm(name: str, params: Optional[dict] = None) -> Algorithm:
     params = dict(params or {})
     for key in required:
         if key not in params:
-            raise ParamError(f"{name} needs parameter {key}")
+            raise ParamError(f"{name} needs parameter {key}", key)
     unknown = set(params) - set(required) - set(optional)
     if unknown:
         raise ParamError(f"unknown {name} parameters: {sorted(unknown)}")

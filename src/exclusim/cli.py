@@ -27,6 +27,7 @@ from .algorithms import (
     DlrAlgorithm,
     KCenterAlgorithm,
     MaxAlgorithm,
+    ParamError,
     PointSet,
     Row,
     RowMultiset,
@@ -84,7 +85,7 @@ from .strategies import (
 
 
 class UsageError(Exception):
-    """A demo, suite or attack the command line does not accept."""
+    """A demo, suite, attack or argument value the command line does not accept."""
 
 
 # =============================================================================
@@ -177,7 +178,7 @@ def _max_echo(args: argparse.Namespace) -> Attack:
 
 
 def _kcenter_sneak(args: argparse.Namespace) -> Attack:
-    params = kcenter_sneak_params(args.k, rational(args.eps))
+    params = kcenter_sneak_params(args.k, args.eps)
     cluster = PointSet(params.rho_cond.centers)  # type: ignore[union-attr]
     ninput = (NatureElement(1, cluster), NatureElement(2, params.u_cond))
     return Attack(
@@ -220,6 +221,14 @@ ATTACKS: dict[str, Callable[[argparse.Namespace], Attack]] = {
 
 # attack-demo name -> attack; the demo keeps the short name "max" for max_echo.
 DEMO_NAMES = {"max" if name == "max_echo" else name: name for name in ATTACKS}
+
+
+def _build_attack(name: str, args: argparse.Namespace) -> Attack:
+    """The record of attack `name`; a value its constructors refuse is a usage error."""
+    try:
+        return ATTACKS[name](args)
+    except ParamError as exc:
+        raise UsageError(f"argument --{exc.param}: {exc}" if exc.param else str(exc)) from exc
 
 
 # =============================================================================
@@ -287,7 +296,7 @@ def cmd_attack_demo(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown demo '{args.name}'; expected one of {', '.join(DEMO_NAMES)}"
         )
-    attack = ATTACKS[DEMO_NAMES[args.name]](args)
+    attack = _build_attack(DEMO_NAMES[args.name], args)
     verdict = attack.check_condition_i()
     print(verdict_line(verdict))
 
@@ -359,12 +368,11 @@ def _attack_under_test(args: argparse.Namespace) -> tuple[Attack, dict]:
         return args.suite == "condition_i" or attack.cases is not None
 
     if args.attack is None:
-        names = [name for name, build in ATTACKS.items() if covered(build(args))]
+        names = [name for name in ATTACKS if covered(_build_attack(name, args))]
         raise UsageError(
             f"suite {args.suite} requires --attack, one of {', '.join(names)}"
         )
-    build = ATTACKS.get(args.attack)
-    attack = None if build is None else build(args)
+    attack = _build_attack(args.attack, args) if args.attack in ATTACKS else None
     if attack is None or not covered(attack):
         raise UsageError(f"suite {args.suite} does not cover attack '{args.attack}'")
     return attack, _base_report(args.attack, attack.algorithm.name, "continuous", attack.ell)
@@ -403,18 +411,19 @@ def _suite_inference(args: argparse.Namespace) -> tuple[dict, bool]:
     return report, rep["pass_rate"] == 1
 
 
-# --algorithm -> (seeded swap scenario, round-based confounder)
+# --algorithm -> (the attack played, seeded swap scenario, round-based confounder)
 PERIODIC_SCENARIOS = {
-    "dlr": (lr_periodic_scenario, periodic_lambda_confounder),
-    "kcenter": (kcenter_periodic_scenario, periodic_kcenter_omission_confounder),
+    "dlr": ("lr_sneak", lr_periodic_scenario, periodic_lambda_confounder),
+    "kcenter": ("kcenter_sneak", kcenter_periodic_scenario, periodic_kcenter_omission_confounder),
 }
 
 
 def _suite_periodic_safety(args: argparse.Namespace) -> tuple[dict, bool]:
-    algorithm_name = args.algorithm
-    if algorithm_name not in PERIODIC_SCENARIOS:
-        raise UsageError(f"suite periodic_safety does not cover algorithm '{algorithm_name}'")
-    make_scenario, confounder = PERIODIC_SCENARIOS[algorithm_name]
+    if args.algorithm not in PERIODIC_SCENARIOS:
+        raise UsageError(f"suite periodic_safety does not cover algorithm '{args.algorithm}'")
+    attack_name, make_scenario, confounder = PERIODIC_SCENARIOS[args.algorithm]
+    if args.attack not in (None, attack_name):
+        raise UsageError(f"suite periodic_safety does not cover attack '{args.attack}'")
     witnesses = []
     for seed in range(args.seed, args.seed + args.count):
         algorithm, strategy, case = make_scenario(seed)
@@ -423,7 +432,7 @@ def _suite_periodic_safety(args: argparse.Namespace) -> tuple[dict, bool]:
             witnesses.append({"seed": seed, "valid": False})
         else:
             witnesses.append({**_witness_json(witness), "seed": seed})
-    report = _base_report(args.attack or f"{algorithm_name}_sneak", algorithm_name, "periodic", None)
+    report = _base_report(attack_name, args.algorithm, "periodic", None)
     report["seeds"] = {"start": args.seed, "count": args.count}
     report["witnesses"] = witnesses
     return report, all(witness["valid"] for witness in witnesses)
@@ -477,6 +486,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 # =============================================================================
 
 
+def _rational(text: str) -> Fraction:
+    """`rational(text)` as an argparse type: argparse reports a ValueError, not "1/0"."""
+    try:
+        return rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -505,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("name", help=f"one of: {', '.join(DEMO_NAMES)}")
     p_demo.add_argument("--d", type=int, default=2, help="feature count for triangulation")
     p_demo.add_argument("--k", type=int, default=3, help="center count for kcenter_sneak")
-    p_demo.add_argument("--eps", default="1/1000", help="cluster spread for kcenter_sneak")
+    p_demo.add_argument(
+        "--eps", type=_rational, default="1/1000", help="cluster spread for kcenter_sneak"
+    )
     p_demo.add_argument("--seed", type=int, default=7, help="scenario seed for triangulation")
     p_demo.add_argument("--csv", help="write the triangulation point data to this path")
 

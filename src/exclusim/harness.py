@@ -35,7 +35,9 @@ from .algorithms import (
     ScalarOutput,
     UpdatePayload,
     all_rows,
+    check_count,
     coerce_point,
+    lr_cost,
     moments,
     payload_union,
     union_points,
@@ -570,9 +572,8 @@ def periodic_lambda_confounder(
     rho_truth = verdict.truth_final
     if rho_attack == rho_truth:
         raise NotApplicableError("the strategy does not move the final output here")
-    cost = getattr(algorithm, "cost", None)
-    if cost is None:
-        raise ParamError("the cost-scaling confounder needs a cost-reporting algorithm")
+    if not isinstance(algorithm, DlrAlgorithm):
+        raise ParamError("the cost-scaling confounder needs a regression algorithm")
     if not isinstance(rho_attack, CoefficientsOutput) or not isinstance(
         rho_truth, CoefficientsOutput
     ):
@@ -581,10 +582,10 @@ def periodic_lambda_confounder(
     attack_rows = all_rows(extract(verdict.run_attack, KIND_LEDGER))
     if not attack_rows:
         raise NotApplicableError("the attack run left the ledger empty")
-    gap_truth = cost(truth_rows, rho_attack.coefficients) - cost(
+    gap_truth = lr_cost(truth_rows, rho_attack.coefficients) - lr_cost(
         truth_rows, rho_truth.coefficients
     )
-    gap_attack = cost(attack_rows, rho_truth.coefficients) - cost(
+    gap_attack = lr_cost(attack_rows, rho_truth.coefficients) - lr_cost(
         attack_rows, rho_attack.coefficients
     )
     if gap_attack <= 0:
@@ -769,8 +770,7 @@ def make_triangulation_cases(d: int, j: int = 2, agent_count: int = 3) -> CaseGe
     arrive as later elements whose echoes re-trigger fresh probe ladders.
     Some scenarios also hand j its own factual rows partway through.
     """
-    if d < 1:
-        raise ParamError(f"dimension must be at least 1, got {d}")
+    check_count("d", d)
 
     def generate(seed: int) -> GeneratedCase:
         rng = random.Random(f"triangulation:{d}:{seed}")

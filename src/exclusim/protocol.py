@@ -34,9 +34,9 @@ SAFETY_CAP_ENV = "EXCLUSIM_SAFETY_CAP"
 class InputError(ValueError):
     """A nature input or engine argument violates the protocol's rules.
 
-    When a periodic round rule fails, `index` is the position of the element
-    at fault and `field` is "round", or None when it is the element as a
-    whole (an agent's second element in a round).
+    When a nature element breaks a rule, `index` is its position and `field`
+    the field at fault ("agent" or "round"), or None when it is the element
+    as a whole (an agent's second element in a round).
     """
 
     def __init__(self, message: str, index: Optional[int] = None, field: Optional[str] = None):
@@ -184,16 +184,18 @@ def truthful_strategy(obs: ObservedHistory) -> Optional[UpdatePayload]:
 
 
 def _validate_agents(elements: Sequence[NatureElement], agent_count: int) -> None:
-    for el in elements:
+    if agent_count < 1:
+        raise InputError("need at least one agent")
+    for index, el in enumerate(elements):
         if not 1 <= el.agent <= agent_count:
-            raise InputError(f"agent {el.agent} outside 1..{agent_count}")
+            raise InputError(f"agent {el.agent} outside 1..{agent_count}", index, "agent")
 
 
 def validate_continuous_input(elements: Sequence[NatureElement], agent_count: int) -> None:
     _validate_agents(elements, agent_count)
-    for el in elements:
+    for index, el in enumerate(elements):
         if el.round is not None:
-            raise InputError("continuous nature elements must not carry rounds")
+            raise InputError("continuous nature elements must not carry rounds", index, "round")
 
 
 def validate_periodic_input(elements: Sequence[NatureElement], agent_count: int) -> None:
@@ -263,8 +265,6 @@ def run_continuous(
     """Execute the continuous protocol and return the full transcript."""
     if ell < 1:
         raise InputError("ell must be at least 1")
-    if agent_count < 1:
-        raise InputError("need at least one agent")
     validate_continuous_input(ninput, agent_count)
     cap = _safety_cap(safety_cap)
 
@@ -315,8 +315,6 @@ def run_periodic(
     agent_count: int,
 ) -> Run:
     """Execute the periodic protocol: per round, deliver, poll once each, broadcast once."""
-    if agent_count < 1:
-        raise InputError("need at least one agent")
     validate_periodic_input(ninput, agent_count)
 
     messages: list[Message] = []

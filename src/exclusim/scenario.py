@@ -4,7 +4,10 @@ line-delimited trace emission for finished runs.
 A scenario file pins the protocol mode, the update-window size, the
 algorithm, the per-agent strategies, and the nature input, so a run is fully
 reproducible from the file alone. All rationals travel as "p/q" strings or
-integers; floats are rejected everywhere.
+integers; floats are rejected everywhere. Algorithm and strategy parameters
+are checked by the constructors that use them; the loader decodes each
+strategy parameter by its kind in `strategies.STRATEGIES` and maps a
+`ParamError` to the parameter's field path.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .algorithms import (
     Scalar,
     ScalarOutput,
     UpdatePayload,
-    check_norm_order,
     make_algorithm,
     moments,
 )
@@ -39,15 +41,16 @@ from .numerics import rational
 from .protocol import (
     FactualDelivery,
     InputError,
-    LedgerUpdate,
     NatureElement,
     NatureInput,
+    OutputBroadcast,
     Run,
     Strategy,
     run_protocol,
+    validate_continuous_input,
     validate_periodic_input,
 )
-from .strategies import make_strategy
+from .strategies import STRATEGIES, make_strategy
 
 
 class ValidationError(ValueError):
@@ -199,9 +202,17 @@ def output_to_json(output: Optional[AlgorithmOutput]) -> dict:
 # =============================================================================
 
 
-_PAYLOAD_PARAM_KEYS = ("u_cond", "u_attack", "u_resync", "rows")
-_OUTPUT_PARAM_KEYS = ("rho_cond",)
-_INTEGER_ALGORITHM_PARAMS = ("k", "max_union", "d")
+# Strategy parameter kind -> JSON decoder. A count goes to its constructor as
+# given; a point is a coordinate list or one rational.
+_PARAM_DECODERS = {
+    "rational": parse_rational,
+    "count": lambda value, path: value,
+    "point": lambda value, path: (
+        _parse_point(value, path) if isinstance(value, list) else parse_rational(value, path)
+    ),
+    "payload": payload_from_json,
+    "output": output_from_json,
+}
 
 
 @dataclass(frozen=True)
@@ -235,28 +246,14 @@ def _require_int(value: object, path: str, minimum: Optional[int] = None) -> int
     return value
 
 
-def _reject_inexact(value: object, path: str) -> None:
-    """Fail on a float or a boolean anywhere inside a strategy parameter."""
-    if isinstance(value, (bool, float)):
-        raise _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
-    if isinstance(value, list):
-        for index, item in enumerate(value):
-            _reject_inexact(item, f"{path}[{index}]")
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            _reject_inexact(item, f"{path}.{key}")
-
-
-def _decode_strategy_params(params: dict, path: str) -> dict:
-    _reject_inexact(params, path)
-    decoded = dict(params)
-    for key in _PAYLOAD_PARAM_KEYS:
-        if key in decoded and isinstance(decoded[key], dict):
-            decoded[key] = payload_from_json(decoded[key], f"{path}.{key}")
-    for key in _OUTPUT_PARAM_KEYS:
-        if key in decoded and isinstance(decoded[key], dict):
-            decoded[key] = output_from_json(decoded[key], f"{path}.{key}")
-    return decoded
+def _name_and_params(spec: object, path: str) -> tuple[str, dict]:
+    """The `name` and `params` of an algorithm or strategy spec."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+        raise _fail(path, "expected an object with a 'name'")
+    params = spec.get("params") or {}
+    if not isinstance(params, dict):
+        raise _fail(f"{path}.params", "expected an object")
+    return spec["name"], params
 
 
 def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
@@ -281,25 +278,13 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
 
     agent_count = _require_int(data.get("agents"), "agents", minimum=1)
 
-    raw_algorithm = data.get("algorithm")
-    if not isinstance(raw_algorithm, dict) or "name" not in raw_algorithm:
-        raise _fail("algorithm", "expected an object with a 'name'")
-    algorithm_params = raw_algorithm.get("params") or {}
-    if not isinstance(algorithm_params, dict):
-        raise _fail("algorithm.params", "expected an object")
-    for key in _INTEGER_ALGORITHM_PARAMS:
-        if key in algorithm_params:
-            _require_int(algorithm_params[key], f"algorithm.params.{key}", minimum=1)
-    if "p" in algorithm_params:
-        try:
-            check_norm_order(algorithm_params["p"])
-        except ParamError as exc:
-            raise _fail("algorithm.params.p", str(exc)) from exc
+    algorithm_name, algorithm_params = _name_and_params(data.get("algorithm"), "algorithm")
     try:
-        algorithm = make_algorithm(raw_algorithm["name"], algorithm_params)
-    except (ParamError, ValueError) as exc:
-        raise _fail("algorithm", str(exc)) from exc
-    algorithm_spec = {"name": raw_algorithm["name"], "params": dict(algorithm_params)}
+        algorithm = make_algorithm(algorithm_name, algorithm_params)
+    except ParamError as exc:
+        field = f"algorithm.params.{exc.param}" if exc.param else "algorithm"
+        raise _fail(field, str(exc)) from exc
+    algorithm_spec = {"name": algorithm_name, "params": dict(algorithm_params)}
 
     strategies: dict[int, Strategy] = {}
     strategy_specs: dict[int, dict] = {}
@@ -314,19 +299,18 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
             raise _fail(path, "agent keys must be integers") from None
         if not 1 <= agent <= agent_count:
             raise _fail(path, f"agent {agent} outside 1..{agent_count}")
-        if not isinstance(spec, dict) or "name" not in spec:
-            raise _fail(path, "expected an object with a 'name'")
-        params = spec.get("params") or {}
-        if not isinstance(params, dict):
-            raise _fail(f"{path}.params", "expected an object")
-        decoded = _decode_strategy_params(params, f"{path}.params")
+        name, params = _name_and_params(spec, path)
+        kinds = STRATEGIES[name][1] if name in STRATEGIES else {}
+        decoded = dict(params)
+        for key in kinds:
+            if key in decoded:
+                decoded[key] = _PARAM_DECODERS[kinds[key]](decoded[key], f"{path}.params.{key}")
         try:
-            strategies[agent] = make_strategy(spec["name"], decoded)
+            strategies[agent] = make_strategy(name, decoded)
         except ParamError as exc:
-            raise _fail(f"{path}.params.{exc.param}" if exc.param else path, str(exc)) from exc
-        except (PayloadError, ValueError) as exc:
-            raise _fail(path, str(exc)) from exc
-        strategy_specs[agent] = {"name": spec["name"], "params": dict(params)}
+            field = f"{path}.params.{exc.param}" if exc.param else path
+            raise _fail(field, str(exc)) from exc
+        strategy_specs[agent] = {"name": name, "params": dict(params)}
 
     raw_input = data.get("nature_input")
     if not isinstance(raw_input, list):
@@ -336,9 +320,7 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         path = f"nature_input[{index}]"
         if not isinstance(entry, dict):
             raise _fail(path, "expected an element object")
-        agent = _require_int(entry.get("agent"), f"{path}.agent", minimum=1)
-        if agent > agent_count:
-            raise _fail(f"{path}.agent", f"agent {agent} outside 1..{agent_count}")
+        agent = _require_int(entry.get("agent"), f"{path}.agent")
         payload = payload_from_json(entry.get("payload"), f"{path}.payload")
         try:
             # A payload kind the algorithm cannot take fails here, not mid-run.
@@ -346,19 +328,15 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         except PayloadError as exc:
             raise _fail(f"{path}.payload", str(exc)) from exc
         round_no = entry.get("round")
-        if protocol == "continuous":
-            if round_no is not None:
-                raise _fail(f"{path}.round", "continuous elements do not take rounds")
-            elements.append(NatureElement(agent, payload))
-            continue
-        round_no = _require_int(round_no, f"{path}.round")
+        if round_no is not None:
+            round_no = _require_int(round_no, f"{path}.round")
         elements.append(NatureElement(agent, payload, round_no))
-    if protocol == "periodic":
-        try:
-            validate_periodic_input(elements, agent_count)
-        except InputError as exc:
-            path = f"nature_input[{exc.index}]" + (f".{exc.field}" if exc.field else "")
-            raise _fail(path, str(exc)) from exc
+    validate = validate_periodic_input if protocol == "periodic" else validate_continuous_input
+    try:
+        validate(elements, agent_count)
+    except InputError as exc:
+        path = f"nature_input[{exc.index}]" + (f".{exc.field}" if exc.field else "")
+        raise _fail(path, str(exc)) from exc
 
     seed = data.get("seed")
     if seed is not None:
@@ -453,33 +431,12 @@ def trace_records(run: Run) -> list[dict]:
     """One record per transcript message, in run order."""
     records = []
     for seq, message in enumerate(run.messages):
-        if isinstance(message, FactualDelivery):
-            records.append(
-                {
-                    "seq": seq,
-                    "kind": "factual",
-                    "agent": message.agent,
-                    "payload": payload_to_json(message.payload),
-                }
-            )
-        elif isinstance(message, LedgerUpdate):
-            records.append(
-                {
-                    "seq": seq,
-                    "kind": "ledger",
-                    "agent": message.agent,
-                    "payload": payload_to_json(message.payload),
-                }
-            )
+        if isinstance(message, OutputBroadcast):
+            kind, agent, payload = "broadcast", None, output_to_json(message.output)
         else:
-            records.append(
-                {
-                    "seq": seq,
-                    "kind": "broadcast",
-                    "agent": None,
-                    "payload": output_to_json(message.output),
-                }
-            )
+            kind = "factual" if isinstance(message, FactualDelivery) else "ledger"
+            agent, payload = message.agent, payload_to_json(message.payload)
+        records.append({"seq": seq, "kind": kind, "agent": agent, "payload": payload})
     return records
 
 

@@ -1,6 +1,8 @@
 """Attack strategies: the sneak swap-and-repair template, probing attacks for
 max and average, the triangulation probe ladder for linear regression, and the
 exact inference helpers that decode what the truthful outcome would have been.
+`STRATEGIES` gives each strategy a scenario file can name, with the kinds of
+its parameters; the builders check the values.
 """
 
 from __future__ import annotations
@@ -8,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algorithms import (
     AlgorithmOutput,
@@ -75,7 +77,8 @@ class SneakParams:
         if self.u_cond == self.u_attack:
             raise ParamError(
                 "u_attack must differ from u_cond, or the swap cannot be told "
-                "apart from a truthful echo"
+                "apart from a truthful echo",
+                "u_attack",
             )
 
 
@@ -328,14 +331,15 @@ def fabricate_point(point: Union[RationalLike, Sequence[RationalLike]]) -> Strat
     return strategy
 
 
-def fabricate_rows(rows: Union[RowMultiset, Sequence[Row]]) -> Strategy:
+def fabricate_rows(rows: RowMultiset) -> Strategy:
     """Replace every own factual row multiset with a fixed fabricated one."""
-    payload = rows if isinstance(rows, RowMultiset) else RowMultiset(tuple(rows))
+    if not isinstance(rows, RowMultiset):
+        raise ParamError(f"rows must be a rows payload, got {type(rows).__name__}", "rows")
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
         last = o.last()
         if isinstance(last, FactualDelivery) and isinstance(last.payload, RowMultiset):
-            return payload
+            return rows
         return truthful_strategy(o)
 
     return strategy
@@ -522,8 +526,7 @@ def triangulation_attack(d: int) -> Strategy:
     equal the current broadcast, one final off-fit point pushes the public
     coefficients away from it, and otherwise the ladder ends silently.
     """
-    if d < 1:
-        raise ParamError(f"dimension must be at least 1, got {d}")
+    check_count("d", d)
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
         state = triangulation_state(o, d)
@@ -612,11 +615,11 @@ def kcenter_sneak_params(k: int, eps: RationalLike) -> SneakParams:
     around 0, so the public centers keep hugging the cluster instead of
     tracking the spread set.
     """
-    if k < 3:
-        raise ParamError(f"the construction needs k >= 3, got {k}")
+    if check_count("k", k) < 3:
+        raise ParamError(f"the construction needs k >= 3, got {k}", "k")
     epsilon = rational(eps)
     if not 0 < epsilon < Fraction(1, 4):
-        raise ParamError(f"eps must lie strictly between 0 and 1/4, got {epsilon}")
+        raise ParamError(f"eps must lie strictly between 0 and 1/4, got {epsilon}", "eps")
     cond_values = [Fraction(1), Fraction(2)] + [
         Fraction(10) ** power for power in range(1, k)
     ]
@@ -654,68 +657,39 @@ def lr_sneak_params() -> SneakParams:
 # =============================================================================
 
 
-STRATEGY_NAMES = (
-    "truthful",
-    "max_echo",
-    "max_overbid",
-    "average_probe",
-    "kcenter_sneak",
-    "lr_sneak",
-    "triangulation",
-    "sneak",
-    "omit_point",
-    "fabricate_point",
-    "fabricate_rows",
-)
+# name -> (builder, {parameter: kind}); a scenario file gives each parameter in
+# the JSON form of its kind: rational, count, point, payload or output.
+STRATEGIES: dict[str, tuple[Callable[..., Strategy], dict[str, str]]] = {
+    "truthful": (lambda: truthful_strategy, {}),
+    "max_echo": (max_echo_attack, {}),
+    "max_overbid": (max_overbid, {"value": "rational"}),
+    "average_probe": (average_double_probe, {}),
+    "kcenter_sneak": (
+        lambda k, eps: sneak_attack(kcenter_sneak_params(k, eps)),
+        {"k": "count", "eps": "rational"},
+    ),
+    "lr_sneak": (lambda: sneak_attack(lr_sneak_params()), {}),
+    "triangulation": (triangulation_attack, {"d": "count"}),
+    "sneak": (
+        lambda **params: sneak_attack(SneakParams(**params)),
+        {"u_cond": "payload", "rho_cond": "output", "u_attack": "payload", "u_resync": "payload"},
+    ),
+    "omit_point": (omit_point, {"point": "point"}),
+    "fabricate_point": (fabricate_point, {"point": "point"}),
+    "fabricate_rows": (fabricate_rows, {"rows": "payload"}),
+}
 
 
 def make_strategy(name: str, params: Optional[Mapping[str, object]] = None) -> Strategy:
     """Build a named strategy from a parameter mapping, as scenario files do."""
+    if name not in STRATEGIES:
+        raise ParamError(f"unknown strategy '{name}'; expected one of {', '.join(STRATEGIES)}")
+    builder, kinds = STRATEGIES[name]
     args = dict(params or {})
-
-    def take(key: str) -> object:
+    for key in kinds:
         if key not in args:
-            raise ParamError(f"strategy '{name}' needs parameter '{key}'")
-        return args.pop(key)
-
-    built: Strategy
-    if name == "truthful":
-        built = truthful_strategy
-    elif name == "max_echo":
-        built = max_echo_attack()
-    elif name == "max_overbid":
-        built = max_overbid(rational(take("value")))  # type: ignore[arg-type]
-    elif name == "average_probe":
-        built = average_double_probe()
-    elif name == "kcenter_sneak":
-        built = sneak_attack(
-            kcenter_sneak_params(
-                check_count("k", take("k")), rational(take("eps"))  # type: ignore[arg-type]
-            )
-        )
-    elif name == "lr_sneak":
-        built = sneak_attack(lr_sneak_params())
-    elif name == "triangulation":
-        built = triangulation_attack(check_count("d", take("d")))
-    elif name == "sneak":
-        built = sneak_attack(
-            SneakParams(
-                u_cond=take("u_cond"),  # type: ignore[arg-type]
-                rho_cond=take("rho_cond"),  # type: ignore[arg-type]
-                u_attack=take("u_attack"),  # type: ignore[arg-type]
-                u_resync=take("u_resync"),  # type: ignore[arg-type]
-            )
-        )
-    elif name == "omit_point":
-        built = omit_point(take("point"))  # type: ignore[arg-type]
-    elif name == "fabricate_point":
-        built = fabricate_point(take("point"))  # type: ignore[arg-type]
-    elif name == "fabricate_rows":
-        built = fabricate_rows(take("rows"))  # type: ignore[arg-type]
-    else:
-        raise ParamError(
-            f"unknown strategy '{name}'; expected one of {', '.join(STRATEGY_NAMES)}"
-        )
-    if args:
-        raise ParamError(f"unused parameters for strategy '{name}': {sorted(args)}")
-    return built
+            raise ParamError(f"strategy '{name}' needs parameter '{key}'", key)
+    unused = set(args) - set(kinds)
+    if unused:
+        raise ParamError(f"unused parameters for strategy '{name}': {sorted(unused)}")
+    return builder(**args)

@@ -549,6 +549,23 @@ def test_make_algorithm_rejects_inexact_params(name, params):
         make_algorithm(name, params)
 
 
+@pytest.mark.parametrize(
+    "name, params, param",
+    [
+        ("kcenter", {}, "k"),
+        ("kcenter", {"k": 0}, "k"),
+        ("kmedian", {"k": 2, "max_union": 2.9}, "max_union"),
+        ("kcenter", {"k": 2, "p": 3}, "p"),
+        ("dlr", {}, "d"),
+        ("dlr", {"d": 0}, "d"),
+    ],
+)
+def test_make_algorithm_names_the_faulty_parameter(name, params, param):
+    with pytest.raises(ParamError) as info:
+        make_algorithm(name, params)
+    assert info.value.param == param
+
+
 def test_make_algorithm_accepts_every_norm():
     for p in (1, 2, NORM_INF):
         assert make_algorithm("kmedian", {"k": 1, "p": p}).p == p  # type: ignore[attr-defined]

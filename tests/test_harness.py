@@ -267,6 +267,14 @@ def test_lambda_confounder_needs_a_moved_output():
         )
 
 
+def test_lambda_confounder_refuses_a_moved_kcenter_run():
+    algorithm, strategy, case = kcenter_periodic_scenario(0)
+    with pytest.raises(ParamError, match="regression algorithm"):
+        periodic_lambda_confounder(
+            algorithm, case.ninput, strategy, 2, agent_count=case.agent_count
+        )
+
+
 def test_omission_confounder_on_swap_scenario():
     algorithm, strategy, case = kcenter_periodic_scenario(0)
     witness = periodic_kcenter_omission_confounder(

@@ -21,6 +21,7 @@ from exclusim.scenario import (
     scenario_to_dict,
     trace_lines,
 )
+from exclusim.strategies import STRATEGIES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "exclusim" / "fixtures"
 
@@ -281,7 +282,8 @@ def _run_file(tmp_path, data: dict) -> int:
 )
 def test_cli_run_rejects_non_integer_algorithm_params(tmp_path, capsys, algorithm, field):
     assert _run_file(tmp_path, _minimal_dict(algorithm=algorithm)) == 2
-    assert f"error: {field}: expected an integer" in capsys.readouterr().err
+    param = field.rsplit(".", 1)[1]
+    assert f"error: {field}: {param} must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [True, 2.0, "2", 3], ids=["bool", "float", "string", "three"])
@@ -360,6 +362,103 @@ def test_cli_run_rejects_non_integer_strategy_counts(
     assert f"error: {field}: {field[-1]} must be an integer, got '3'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "algorithm, payload, strategy, field",
+    [
+        (
+            {"name": "dlr", "params": {"d": 1}},
+            _ROWS,
+            {"name": "fabricate_rows", "params": {"rows": [{"features": [1, 0], "target": 1}]}},
+            "strategies.2.params.rows",
+        ),
+        (
+            {"name": "max"},
+            {"kind": "scalar", "value": 5},
+            {"name": "sneak", "params": {"u_cond": 5, "rho_cond": 5, "u_attack": 6, "u_resync": 7}},
+            "strategies.2.params.u_cond",
+        ),
+        (
+            {"name": "kcenter", "params": {"k": 1}},
+            _POINTS,
+            {"name": "omit_point", "params": {"point": {"x": 1}}},
+            "strategies.2.params.point",
+        ),
+        (
+            {"name": "max"},
+            {"kind": "scalar", "value": 5},
+            {"name": "max_overbid", "params": {"value": [3]}},
+            "strategies.2.params.value",
+        ),
+        (
+            {"name": "kcenter", "params": {"k": 3}},
+            _POINTS,
+            {"name": "kcenter_sneak", "params": {"k": 2, "eps": "1/1000"}},
+            "strategies.2.params.k",
+        ),
+    ],
+    ids=["fabricate_rows_list", "sneak_integers", "omit_point_dict", "max_overbid_list", "kcenter_sneak_k2"],
+)
+def test_cli_run_rejects_malformed_strategy_params(
+    tmp_path, capsys, algorithm, payload, strategy, field
+):
+    data = _minimal_dict(
+        algorithm=algorithm,
+        strategies={"2": strategy},
+        nature_input=[{"agent": 1, "payload": payload}],
+    )
+    assert _run_file(tmp_path, data) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
+# Valid JSON parameters for every strategy a scenario file can name.
+_STRATEGY_PARAMS = {
+    "truthful": {},
+    "max_echo": {},
+    "max_overbid": {"value": "3/2"},
+    "average_probe": {},
+    "kcenter_sneak": {"k": 3, "eps": "1/1000"},
+    "lr_sneak": {},
+    "triangulation": {"d": 2},
+    "sneak": {
+        "u_cond": _POINTS,
+        "rho_cond": {"kind": "centers", "centers": [[0], [1]]},
+        "u_attack": {"kind": "points", "points": [[1]]},
+        "u_resync": {"kind": "empty"},
+    },
+    "omit_point": {"point": [1, "1/2"]},
+    "fabricate_point": {"point": "-3"},
+    "fabricate_rows": {"rows": _ROWS},
+}
+
+
+def test_strategy_table_declares_every_parameter_kind():
+    assert set(_STRATEGY_PARAMS) == set(STRATEGIES)
+    kinds = {kind for _, declared in STRATEGIES.values() for kind in declared.values()}
+    assert kinds == {"rational", "count", "point", "payload", "output"}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_every_strategy_loads_and_round_trips(name):
+    params = _STRATEGY_PARAMS[name]
+    assert set(params) == set(STRATEGIES[name][1])
+    spec = {"name": name, "params": params} if params else {"name": name}
+    scenario = scenario_from_dict(_minimal_dict(strategies={"2": spec}))
+    assert callable(scenario.strategies[2])
+    data = scenario_to_dict(scenario)
+    assert data["strategies"] == {"2": spec}
+    assert scenario_to_dict(scenario_from_dict(json.loads(json.dumps(data)))) == data
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, key) for name, (_, kinds) in sorted(STRATEGIES.items()) for key in kinds],
+)
+def test_every_strategy_param_rejects_a_float(name, key):
+    params = {**_STRATEGY_PARAMS[name], key: 1.5}
+    with pytest.raises(ValidationError, match=rf"^strategies\.2\.params\.{key}: "):
+        scenario_from_dict(_minimal_dict(strategies={"2": {"name": name, "params": params}}))
+
+
 def test_cli_run_kmedian_irrational_distance_exits_1(tmp_path, capsys):
     data = _minimal_dict(
         algorithm={"name": "kmedian", "params": {"k": 1}},
@@ -422,6 +521,38 @@ def test_cli_demo_triangulation_csv(tmp_path, capsys):
 def test_cli_demo_unknown_name(capsys):
     assert main(["attack-demo", "nope"]) == 2
     assert "unknown demo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["attack-demo", "triangulation", "--d", "0"], "argument --d: d must be positive, got 0"),
+        (
+            ["attack-demo", "kcenter_sneak", "--k", "2"],
+            "argument --k: the construction needs k >= 3, got 2",
+        ),
+        (
+            ["attack-demo", "kcenter_sneak", "--eps", "1/2"],
+            "argument --eps: eps must lie strictly between 0 and 1/4, got 1/2",
+        ),
+        (
+            ["verify", "condition_i", "--attack", "triangulation", "--d", "0"],
+            "argument --d: d must be positive, got 0",
+        ),
+    ],
+    ids=["demo_d0", "demo_k2", "demo_eps_half", "verify_d0"],
+)
+def test_cli_refuses_values_the_constructors_refuse(capsys, argv, message):
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["abc", "1/0"])
+def test_cli_demo_rejects_a_malformed_eps(capsys, eps):
+    with pytest.raises(SystemExit) as info:
+        main(["attack-demo", "kcenter_sneak", "--eps", eps])
+    assert info.value.code == 2
+    assert f"argument --eps: invalid rational value: '{eps}'" in capsys.readouterr().err
 
 
 def test_cli_verify_inference(tmp_path):
@@ -579,8 +710,10 @@ def test_cli_verify_periodic_safety(capsys):
 @pytest.mark.parametrize("algorithm", sorted(PERIODIC_SCENARIOS))
 def test_cli_verify_periodic_witnesses_match_the_api(capsys, algorithm):
     assert main(["verify", "periodic_safety", "--algorithm", algorithm, "--count", "2"]) == 0
-    witnesses = json.loads(capsys.readouterr().out)["witnesses"]
-    make_scenario, confounder = PERIODIC_SCENARIOS[algorithm]
+    report = json.loads(capsys.readouterr().out)
+    witnesses = report["witnesses"]
+    attack, make_scenario, confounder = PERIODIC_SCENARIOS[algorithm]
+    assert report["attack"] == attack
     for seed, reported in zip((0, 1), witnesses):
         api_algorithm, strategy, case = make_scenario(seed)
         witness = confounder(api_algorithm, case.ninput, strategy, 2, agent_count=case.agent_count)
@@ -588,6 +721,19 @@ def test_cli_verify_periodic_witnesses_match_the_api(capsys, algorithm):
         assert reported["input_a"] == ninput_to_json(witness.input_a)
         assert reported["input_b"] == ninput_to_json(witness.input_b)
         assert reported["valid"] is witness.is_valid() is True
+
+
+@pytest.mark.parametrize(
+    "algorithm, attack", [("dlr", "lr_sneak"), ("kcenter", "kcenter_sneak")]
+)
+def test_cli_verify_periodic_safety_accepts_only_its_attack(capsys, algorithm, attack):
+    argv = ["verify", "periodic_safety", "--algorithm", algorithm, "--count", "1"]
+    for extra in ([], ["--attack", attack]):
+        assert main([*argv, *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["attack"] == attack
+    for other in ("foo", "triangulation"):
+        assert main([*argv, "--attack", other]) == 2
+        assert f"does not cover attack '{other}'" in capsys.readouterr().err
 
 
 def test_cli_verify_periodic_safety_refuses_unknown_algorithm(capsys):

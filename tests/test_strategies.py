@@ -11,8 +11,10 @@ from exclusim.algorithms import (
     CentersOutput,
     CoefficientsOutput,
     DlrAlgorithm,
+    Empty,
     KCenterAlgorithm,
     MaxAlgorithm,
+    NullOutput,
     ParamError,
     PointSet,
     Row,
@@ -367,6 +369,27 @@ def test_make_strategy_rejects_unknown_and_unused():
         make_strategy("max_echo", {"value": 1})
     with pytest.raises(ParamError):
         make_strategy("max_overbid", {})
+
+
+@pytest.mark.parametrize(
+    "name, params, key",
+    [
+        ("max_overbid", {}, "value"),
+        ("kcenter_sneak", {"k": 2, "eps": "1/1000"}, "k"),
+        ("kcenter_sneak", {"k": 3, "eps": "1/4"}, "eps"),
+        ("fabricate_rows", {"rows": PointSet(((1,),))}, "rows"),
+        ("fabricate_rows", {"rows": Scalar(1)}, "rows"),
+        (
+            "sneak",
+            {"u_cond": Scalar(1), "rho_cond": NullOutput(), "u_attack": Scalar(1), "u_resync": Empty()},
+            "u_attack",
+        ),
+    ],
+)
+def test_make_strategy_names_the_faulty_parameter(name, params, key):
+    with pytest.raises(ParamError) as info:
+        make_strategy(name, params)
+    assert info.value.param == key
 
 
 @pytest.mark.parametrize(
