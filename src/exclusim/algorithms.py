@@ -357,17 +357,6 @@ class KCenterSolution:
     cost: Fraction
 
 
-def assign_to_centers(
-    points: Sequence[Point], centers: Sequence[Point], p: NormOrder
-) -> tuple[tuple[Point, Point], ...]:
-    """Map each point to its nearest center; ties favor the smaller-norm center."""
-    pairs = []
-    for point in points:
-        chosen = min(centers, key=lambda c: (dist_key(point, c, p), norm_key(c, p), c))
-        pairs.append((point, chosen))
-    return tuple(pairs)
-
-
 def _solve_clustering(
     points: Sequence[Point], k: int, p: NormOrder, median: bool, max_union: int
 ) -> KCenterSolution:
@@ -410,9 +399,15 @@ def _solve_clustering(
         tie = (sum(norms[j] for j in candidate), candidate)
         if cost < best_cost or tie < best_tie:
             best_cost, best_tie, best = cost, tie, candidate
-    centers = tuple(universe[j] for j in best)
+    # Each point goes to its nearest center; ties favor the smaller-norm
+    # center, then the smaller index. The table's distances order like
+    # `dist_key` for either objective.
+    assignment = tuple(
+        (point, universe[min(best, key=lambda j: (rows[j][i], norms[j]))])
+        for i, point in enumerate(universe)
+    )
     return KCenterSolution(
-        centers, assign_to_centers(universe, centers, p), Fraction(best_cost, scale)
+        tuple(universe[j] for j in best), assignment, Fraction(best_cost, scale)
     )
 
 

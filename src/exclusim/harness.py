@@ -5,6 +5,10 @@ final output moves, searches for confounding input pairs that refute output
 exclusivity, builds forceable-winner point sets for the clustering
 algorithms, constructs round-based cost-scaling confounders, and audits
 inference functions for exactness against the truthful replay.
+
+`check_condition_i` is the one paired run. Searches and confounders compare
+the attacker's views in its verdicts, so each distinct input is simulated
+once under attack and once truthfully, however many pairs it is in.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algorithms import (
@@ -115,7 +119,6 @@ def check_condition_i(
     ell: Optional[int] = None,
     protocol: str = "continuous",
     agent_count: Optional[int] = None,
-    safety_cap: Optional[int] = None,
 ) -> PairedVerdict:
     """Play one input twice, with agent j attacking and truthful, and compare.
 
@@ -124,12 +127,10 @@ def check_condition_i(
     """
     count = agent_count if agent_count is not None else _agent_count(ninput, j)
     run_attack = run_protocol(
-        protocol, ninput, _strategy_table(strategy, j, count), algorithm, count,
-        ell=ell, safety_cap=safety_cap,
+        protocol, ninput, _strategy_table(strategy, j, count), algorithm, count, ell=ell
     )
     run_truth = run_protocol(
-        protocol, ninput, _strategy_table(truthful_strategy, j, count), algorithm, count,
-        ell=ell, safety_cap=safety_cap,
+        protocol, ninput, _strategy_table(truthful_strategy, j, count), algorithm, count, ell=ell
     )
     attack_final = run_attack.final_output()
     truth_final = run_truth.final_output()
@@ -161,6 +162,18 @@ class GeneratedCase:
 CaseGenerator = Callable[[int], GeneratedCase]
 
 
+def _case_verdicts(
+    algorithm: Algorithm, strategy: Strategy, j: int, generate: CaseGenerator, count: int, seed: int
+):
+    """Each generated scenario's seed with its paired verdict, in seed order."""
+    for case_seed in range(seed, seed + count):
+        case = generate(case_seed)
+        yield case_seed, check_condition_i(
+            algorithm, strategy, j, case.ninput,
+            ell=case.ell, protocol=case.protocol, agent_count=case.agent_count,
+        )
+
+
 def check_condition_i_star(
     algorithm: Algorithm,
     strategy: Strategy,
@@ -170,16 +183,8 @@ def check_condition_i_star(
     seed: int = 0,
 ) -> dict:
     """Check that every generated scenario ends on a moved final output."""
-    non_differing: list[int] = []
-    for offset in range(count):
-        case_seed = seed + offset
-        case = scenario_generator(case_seed)
-        verdict = check_condition_i(
-            algorithm, strategy, j, case.ninput,
-            ell=case.ell, protocol=case.protocol, agent_count=case.agent_count,
-        )
-        if not verdict.differs:
-            non_differing.append(case_seed)
+    verdicts = _case_verdicts(algorithm, strategy, j, scenario_generator, count, seed)
+    non_differing = [case_seed for case_seed, verdict in verdicts if not verdict.differs]
     return {
         "count": count,
         "seeds": {"start": seed, "count": count},
@@ -204,13 +209,8 @@ def verify_inference(
     attack run; it must return exactly the truthful run's final broadcast.
     """
     failed: list[int] = []
-    for offset in range(count):
-        case_seed = seed + offset
-        case = scenario_generator(case_seed)
-        verdict = check_condition_i(
-            algorithm, strategy, j, case.ninput,
-            ell=case.ell, protocol=case.protocol, agent_count=case.agent_count,
-        )
+    verdicts = _case_verdicts(algorithm, strategy, j, scenario_generator, count, seed)
+    for case_seed, verdict in verdicts:
         observed = observed_history(verdict.run_attack, j)
         try:
             estimate: Optional[AlgorithmOutput] = inference(observed)
@@ -284,36 +284,20 @@ class ConfoundingWitness:
         return self.observed_equal_under_attack and not self.observed_equal_under_truth
 
 
-def _measure_pair(
-    algorithm: Algorithm,
-    strategy: Strategy,
-    j: int,
-    input_a: Sequence[NatureElement],
-    input_b: Sequence[NatureElement],
-    ell: Optional[int],
-    protocol: str,
-    agent_count: Optional[int] = None,
+def _witness(
+    input_a: NatureInput, verdict_a: PairedVerdict,
+    input_b: NatureInput, verdict_b: PairedVerdict, j: int,
 ) -> ConfoundingWitness:
-    """Run both inputs under attack and truth and compare j's observed histories."""
-    count = max(
-        _agent_count(input_a, j),
-        _agent_count(input_b, j),
-        agent_count or 1,
-    )
-    attack_table = _strategy_table(strategy, j, count)
-    truth_table = _strategy_table(truthful_strategy, j, count)
+    """Compare j's observed histories across the paired runs of two inputs."""
 
-    def view(ninput: Sequence[NatureElement], table: Mapping[int, Strategy]):
-        run = run_protocol(protocol, ninput, table, algorithm, count, ell=ell)
+    def view(run: Run):
         return observed_history(run, j).items
 
-    equal_attack = view(input_a, attack_table) == view(input_b, attack_table)
-    equal_truth = view(input_a, truth_table) == view(input_b, truth_table)
     return ConfoundingWitness(
         input_a=tuple(input_a),
         input_b=tuple(input_b),
-        observed_equal_under_attack=equal_attack,
-        observed_equal_under_truth=equal_truth,
+        observed_equal_under_attack=view(verdict_a.run_attack) == view(verdict_b.run_attack),
+        observed_equal_under_truth=view(verdict_a.run_truth) == view(verdict_b.run_truth),
     )
 
 
@@ -430,6 +414,21 @@ def _enumeration_payloads(algorithm: Algorithm) -> list[UpdatePayload]:
     return []
 
 
+def _candidate_pairs(
+    algorithm: Algorithm, verdict: PairedVerdict, j: int, base: NatureInput, agent_count: int
+):
+    """Extension pairs in search order: overbid pulls for max, forceable-winner
+    splits for fabricated clustering points, then every pair of single-payload
+    extensions. Both inputs of a pair extend `base` for one `_extension_agent`."""
+    yield from _overbid_pairs(algorithm, verdict, j, base, agent_count)
+    yield from _fabrication_pairs(algorithm, verdict, j, base, agent_count)
+    agent = _extension_agent(j, base, agent_count)
+    for payload_a, payload_b in combinations(_enumeration_payloads(algorithm), 2):
+        element_a = NatureElement(agent, payload_a)
+        element_b = NatureElement(agent, payload_b)
+        yield base + (element_a,), base + (element_b,)
+
+
 def find_confounding_pair(
     algorithm: Algorithm,
     strategy: Strategy,
@@ -441,37 +440,29 @@ def find_confounding_pair(
 ) -> Optional[ConfoundingWitness]:
     """Search for a confounding pair of inputs extending `base_inputs`.
 
-    Tries the constructive extensions first (overbid pulls for max,
-    forceable-winner splits for fabricated clustering points), then a small
-    enumeration over single-payload extensions to another agent. Every
-    candidate is measured by four fresh simulations; only a pair the attacker
-    cannot distinguish while the truth does is returned. `budget` bounds the
-    number of candidate pairs measured.
+    Returns the first pair of `_candidate_pairs` that the attacker cannot
+    distinguish while the truth does. Each distinct input is simulated once
+    under attack and once truthfully, however many pairs it is in. `budget`
+    bounds the number of candidate pairs compared.
     """
     base = tuple(base_inputs)
     count = max(_agent_count(base, j), 2)
     verdict = check_condition_i(
         algorithm, strategy, j, base, ell=ell, protocol=protocol, agent_count=count
     )
+    verdicts: dict[NatureInput, PairedVerdict] = {}
 
-    def candidates():
-        yield from _overbid_pairs(algorithm, verdict, j, base, count)
-        yield from _fabrication_pairs(algorithm, verdict, j, base, count)
-        agent = _extension_agent(j, base, count)
-        pool = _enumeration_payloads(algorithm)
-        for payload_a, payload_b in combinations(pool, 2):
-            element_a = NatureElement(agent, payload_a)
-            element_b = NatureElement(agent, payload_b)
-            yield base + (element_a,), base + (element_b,)
+    def paired(ninput: NatureInput) -> PairedVerdict:
+        if ninput not in verdicts:
+            verdicts[ninput] = check_condition_i(
+                algorithm, strategy, j, ninput, ell=ell, protocol=protocol,
+                agent_count=max(count, _agent_count(ninput, j)),
+            )
+        return verdicts[ninput]
 
-    tried = 0
-    for input_a, input_b in candidates():
-        if tried >= budget:
-            break
-        tried += 1
-        witness = _measure_pair(
-            algorithm, strategy, j, input_a, input_b, ell, protocol, agent_count=count
-        )
+    pairs = _candidate_pairs(algorithm, verdict, j, base, count)
+    for input_a, input_b in islice(pairs, max(budget, 0)):
+        witness = _witness(input_a, paired(input_a), input_b, paired(input_b), j)
         if witness.is_valid():
             return witness
     return None
@@ -529,23 +520,25 @@ def forceable_winner_set(
 
 def _append_to_last_round(
     ninput: NatureInput, payload: UpdatePayload, j: int, agent_count: int
-) -> tuple[NatureInput, int]:
-    """Attach a payload to the final round via a new element or a merged one."""
+) -> NatureInput:
+    """Attach a payload to the final round via a new element or a merged one.
+
+    With `agent_count >= 2` some agent other than j is free in the final round
+    or has an element there to merge into, so no agent is added.
+    """
     last_round = max(element.round or 0 for element in ninput)
     occupied = {element.agent for element in ninput if element.round == last_round}
     for agent in range(1, agent_count + 1):
         if agent != j and agent not in occupied:
-            extension = NatureElement(agent, payload, last_round)
-            return ninput + (extension,), agent_count
-    for index, element in enumerate(reversed(ninput)):
-        position = len(ninput) - 1 - index
-        if element.round == last_round and element.agent != j:
-            merged = NatureElement(
-                element.agent, payload_union(element.payload, payload), last_round
-            )
-            return ninput[:position] + (merged,) + ninput[position + 1 :], agent_count
-    extension = NatureElement(agent_count + 1, payload, last_round)
-    return ninput + (extension,), agent_count + 1
+            return ninput + (NatureElement(agent, payload, last_round),)
+    position = max(
+        index
+        for index, element in enumerate(ninput)
+        if element.round == last_round and element.agent != j
+    )
+    element = ninput[position]
+    merged = NatureElement(element.agent, payload_union(element.payload, payload), last_round)
+    return ninput[:position] + (merged,) + ninput[position + 1 :]
 
 
 def periodic_lambda_confounder(
@@ -560,8 +553,8 @@ def periodic_lambda_confounder(
     When the attack moves the final fit, enough copies of the attack ledger
     appended to the last round drag the truthful fit onto the attack's output
     while leaving every broadcast of the attack run unchanged. The copy count
-    comes from the two cost gaps; the returned witness carries freshly
-    simulated equality flags.
+    comes from the two cost gaps; the returned witness compares the base
+    input's paired run with the flooded input's.
     """
     base = tuple(ninput)
     count = max(agent_count or 1, _agent_count(base, j), 2)
@@ -592,11 +585,11 @@ def periodic_lambda_confounder(
         raise NotApplicableError("the attack ledger does not strictly prefer its output")
     copies = math.ceil(Fraction(max(gap_truth, 0)) / gap_attack) + 1
     payload = RowMultiset(tuple(attack_rows) * copies)
-    flooded, count = _append_to_last_round(base, payload, j, count)
-    return _measure_pair(
-        algorithm, strategy, j, base, flooded, ell=None, protocol="periodic",
-        agent_count=count,
+    flooded = _append_to_last_round(base, payload, j, count)
+    flooded_verdict = check_condition_i(
+        algorithm, strategy, j, flooded, protocol="periodic", agent_count=count
     )
+    return _witness(base, verdict, flooded, flooded_verdict, j)
 
 
 def periodic_kcenter_omission_confounder(
@@ -612,8 +605,8 @@ def periodic_kcenter_omission_confounder(
     appended to the final round: one whose winner set is centered on x and one
     centered on x's nearest neighbor, matched so both attack ledgers (which
     miss x) produce identical outputs while the truthful ledgers (which keep
-    x) split. Candidates are tried in order and each one is validated by
-    fresh simulation; None means no candidate survived.
+    x) split. Candidates are tried in order and each one is validated by the
+    paired runs of its two inputs; None means no candidate survived.
     """
     base = tuple(ninput)
     count = max(agent_count or 1, _agent_count(base, j), 2)
@@ -652,12 +645,13 @@ def periodic_kcenter_omission_confounder(
         if e2_values == e1_values:
             continue
         element_b = PointSet(tuple((v,) for v in e2_values))
-        input_a, count_a = _append_to_last_round(base, element_a, j, count)
-        input_b, count_b = _append_to_last_round(base, element_b, j, count)
-        witness = _measure_pair(
-            algorithm, strategy, j, input_a, input_b, ell=None, protocol="periodic",
-            agent_count=max(count_a, count_b),
+        input_a = _append_to_last_round(base, element_a, j, count)
+        input_b = _append_to_last_round(base, element_b, j, count)
+        verdict_a, verdict_b = (
+            check_condition_i(algorithm, strategy, j, x, protocol="periodic", agent_count=count)
+            for x in (input_a, input_b)
         )
+        witness = _witness(input_a, verdict_a, input_b, verdict_b, j)
         if witness.is_valid():
             return witness
     return None

@@ -17,7 +17,6 @@ from .algorithms import (
     CentersOutput,
     CoefficientsOutput,
     Empty,
-    MomentPair,
     NullOutput,
     ParamError,
     Point,
@@ -99,17 +98,6 @@ def _sneak_start(items: Sequence[Message], agent: int, params: SneakParams) -> O
     return None
 
 
-def sneak_attack_ended(o: ObservedHistory, params: SneakParams) -> bool:
-    """Whether the agent has sent the repair update after the swap signature."""
-    start = _sneak_start(o.items, o.agent, params)
-    if start is None:
-        return False
-    return any(
-        isinstance(item, LedgerUpdate) and item.agent == o.agent
-        for item in o.items[start + 1 :]
-    )
-
-
 def sneak_attack(params: SneakParams) -> Strategy:
     """The three-branch swap-then-repair strategy.
 
@@ -131,7 +119,7 @@ def sneak_attack(params: SneakParams) -> Strategy:
             ):
                 return params.u_attack
             return truthful_strategy(o)
-        if not sneak_attack_ended(o, params) and len(o.items) == start + 2:
+        if len(o.items) == start + 2:
             last = o.last()
             if isinstance(last, FactualDelivery):
                 return payload_union(last.payload, params.u_resync)
@@ -166,7 +154,7 @@ def max_overbid(value: RationalLike) -> Strategy:
     bid = Scalar(rational(value))
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
-        if o.broadcasts():
+        if o.last_broadcast() is not None:
             return bid
         return None
 
@@ -356,19 +344,19 @@ class TriangulationState:
 
     `rho_seq` holds the broadcast coefficient vectors from the trigger output
     onward (step i means i probe responses have arrived, so `rho_seq` has
-    i + 1 entries), `probes` the row payloads sent so far, and the two moment
-    pairs what the agent had put on the ledger before the ladder started and
+    i + 1 entries), `probes` the row payloads sent so far, and the two row
+    tuples what the agent had put on the ledger before the ladder started and
     what it has received as factual data.
     """
 
     step: int
     rho_seq: tuple[Optional[Point], ...]
     probes: tuple[tuple[Row, ...], ...]
-    own_ledger_moments: MomentPair
-    own_factual_moments: MomentPair
+    own_ledger_rows: tuple[Row, ...]
+    own_factual_rows: tuple[Row, ...]
 
 
-def triangulation_state(o: ObservedHistory, d: int) -> Optional[TriangulationState]:
+def triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
     """Rebuild the current probe ladder from an observed history.
 
     A ladder starts at every fresh data event: an own factual delivery, or a
@@ -376,7 +364,6 @@ def triangulation_state(o: ObservedHistory, d: int) -> Optional[TriangulationSta
     A fresh event while a ladder is running abandons it and starts over, and
     no ladder can start before the first usable broadcast.
     """
-    width = d + 1
     items = o.items
     own_factual_rows: list[Row] = []
     own_ledger_rows: list[Row] = []
@@ -431,8 +418,8 @@ def triangulation_state(o: ObservedHistory, d: int) -> Optional[TriangulationSta
         step=len(ladder_probes),
         rho_seq=tuple(ladder_rho),
         probes=tuple(ladder_probes),
-        own_ledger_moments=moments(ladder_prior_ledger, width),
-        own_factual_moments=moments(own_factual_rows, width),
+        own_ledger_rows=ladder_prior_ledger,
+        own_factual_rows=tuple(own_factual_rows),
     )
 
 
@@ -495,8 +482,10 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
         )
     sigma_matrix = response_matrix @ delta_inverse
     sigma_vector = sigma_matrix @ RMatrix.column(rho[0])
-    truth_gram = sigma_matrix - state.own_ledger_moments.gram + state.own_factual_moments.gram
-    truth_cross = sigma_vector - state.own_ledger_moments.cross + state.own_factual_moments.cross
+    own_ledger = moments(state.own_ledger_rows, width)
+    own_factual = moments(state.own_factual_rows, width)
+    truth_gram = sigma_matrix - own_ledger.gram + own_factual.gram
+    truth_cross = sigma_vector - own_ledger.cross + own_factual.cross
     solution = truth_gram.solve(truth_cross)
     if solution is None:
         raise InferenceError("the truthful data does not determine a unique fit")
@@ -511,7 +500,7 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
 
 def triangulation_infer_from_history(o: ObservedHistory, d: int) -> InferenceResult:
     """Decode the most recent completed probe ladder from an observed history."""
-    state = triangulation_state(o, d)
+    state = triangulation_state(o)
     if state is None:
         raise InferenceError("no probe ladder is visible in this history")
     return triangulation_infer(state, d)
@@ -529,7 +518,7 @@ def triangulation_attack(d: int) -> Strategy:
     check_count("d", d)
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
-        state = triangulation_state(o, d)
+        state = triangulation_state(o)
         if state is None:
             return None
         if any(coeffs is None for coeffs in state.rho_seq):

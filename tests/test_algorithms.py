@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,17 +24,18 @@ from exclusim.algorithms import (
     KMedianAlgorithm,
     MaxAlgorithm,
     NoOutputError,
+    NormOrder,
     NotEnoughPointsError,
     NullOutput,
     ParamError,
     PayloadError,
+    Point,
     PointSet,
     Row,
     RowMultiset,
     Scalar,
     ScalarOutput,
     UnsupportedNormError,
-    assign_to_centers,
     check_norm_order,
     dist_key,
     kcenter_solution,
@@ -153,6 +155,17 @@ def _reference_cost(points, centers, p, median):
             nearest = min(dist_key(point, c, p) for c in centers)
             worst = max(worst, nearest)
     return total if median else worst
+
+
+def assign_to_centers(
+    points: Sequence[Point], centers: Sequence[Point], p: NormOrder
+) -> tuple[tuple[Point, Point], ...]:
+    """Map each point to its nearest center; ties favor the smaller-norm center."""
+    pairs = []
+    for point in points:
+        chosen = min(centers, key=lambda c: (dist_key(point, c, p), norm_key(c, p), c))
+        pairs.append((point, chosen))
+    return tuple(pairs)
 
 
 def _reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION):
@@ -280,6 +293,16 @@ def test_clustering_matches_reference_enumeration(points, k, p, median):
     got = outcome(_SOLVERS[median], points, k, p)
     want = outcome(_reference_clustering, points, k, p, median)
     assert got == want
+
+
+@pytest.mark.parametrize("values", ((0, 1, 2, 3), (-3, -2, 0, 2, 3)))
+@pytest.mark.parametrize("p", (1, 2, NORM_INF))
+@pytest.mark.parametrize("median", (False, True))
+def test_clustering_assignment_ties_match_reference(values, p, median):
+    # With k=2 one point lies halfway between the two centers: at 1 between
+    # 0 and 2 the smaller norm wins, at 0 between -2 and 2 the smaller point.
+    points = [(Fraction(v),) for v in values]
+    assert _SOLVERS[median](points, 2, p) == _reference_clustering(points, 2, p, median)
 
 
 def test_kmedian_irrational_euclidean_distance_is_refused():

@@ -3,22 +3,36 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
+from typing import Mapping, Optional, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exclusim import harness
 from exclusim.algorithms import (
+    Algorithm,
     AverageAlgorithm,
+    DlrAlgorithm,
     KCenterAlgorithm,
     KMedianAlgorithm,
     MaxAlgorithm,
     ParamError,
     PointSet,
+    Row,
+    RowMultiset,
     Scalar,
     ScalarOutput,
     union_points,
 )
 from exclusim.harness import (
+    ConfoundingWitness,
     NotApplicableError,
+    _agent_count,
+    _candidate_pairs,
+    _strategy_table,
+    _witness,
     certify_attack,
     check_condition_i,
     check_condition_i_star,
@@ -35,14 +49,17 @@ from exclusim.harness import (
     periodic_lambda_confounder,
     verify_inference,
 )
-from exclusim.protocol import NatureElement, run_protocol
+from exclusim.protocol import NatureElement, Strategy, observed_history, run_protocol
 from exclusim.strategies import (
     average_double_probe,
     average_infer_from_history,
     fabricate_point,
+    lr_sneak_params,
     max_echo_attack,
     max_infer,
     max_overbid,
+    omit_point,
+    sneak_attack,
     truthful_strategy,
 )
 
@@ -194,6 +211,192 @@ def test_fabrication_confounding_pair():
         KCenterAlgorithm(2), fabricate_point(99), 2, base, budget=200, ell=1
     )
     assert witness is not None and witness.is_valid()
+
+
+# =============================================================================
+# Witnesses from verdicts against the pairwise oracle
+# =============================================================================
+
+
+def _measure_pair(
+    algorithm: Algorithm,
+    strategy: Strategy,
+    j: int,
+    input_a: Sequence[NatureElement],
+    input_b: Sequence[NatureElement],
+    ell: Optional[int],
+    protocol: str,
+    agent_count: Optional[int] = None,
+) -> ConfoundingWitness:
+    """Run both inputs under attack and truth and compare j's observed histories."""
+    count = max(
+        _agent_count(input_a, j),
+        _agent_count(input_b, j),
+        agent_count or 1,
+    )
+    attack_table = _strategy_table(strategy, j, count)
+    truth_table = _strategy_table(truthful_strategy, j, count)
+
+    def view(ninput: Sequence[NatureElement], table: Mapping[int, Strategy]):
+        run = run_protocol(protocol, ninput, table, algorithm, count, ell=ell)
+        return observed_history(run, j).items
+
+    equal_attack = view(input_a, attack_table) == view(input_b, attack_table)
+    equal_truth = view(input_a, truth_table) == view(input_b, truth_table)
+    return ConfoundingWitness(
+        input_a=tuple(input_a),
+        input_b=tuple(input_b),
+        observed_equal_under_attack=equal_attack,
+        observed_equal_under_truth=equal_truth,
+    )
+
+
+def _pairwise_search(algorithm, strategy, j, base, budget, ell=1, protocol="continuous"):
+    """The search as a scan of `_candidate_pairs`, four fresh runs per pair."""
+    base = tuple(base)
+    count = max(_agent_count(base, j), 2)
+    verdict = check_condition_i(
+        algorithm, strategy, j, base, ell=ell, protocol=protocol, agent_count=count
+    )
+    for input_a, input_b in islice(_candidate_pairs(algorithm, verdict, j, base, count), budget):
+        witness = _measure_pair(
+            algorithm, strategy, j, input_a, input_b, ell, protocol, agent_count=count
+        )
+        if witness.is_valid():
+            return witness
+    return None
+
+
+_SCALARS = st.builds(Fraction, st.integers(-3, 9), st.sampled_from((1, 2))).map(Scalar)
+_POINT_SETS = st.lists(st.integers(-3, 9), min_size=1, max_size=3, unique=True).map(
+    lambda values: _points(*sorted(values))
+)
+_LR_SNEAK = lr_sneak_params()
+_ROWS = st.one_of(
+    st.just(_LR_SNEAK.u_cond),
+    st.lists(
+        st.builds(lambda x, y: Row((1, x), y), st.integers(-2, 3), st.integers(-2, 3)),
+        min_size=1, max_size=2,
+    ).map(lambda rows: RowMultiset(tuple(rows))),
+)
+# algorithm, its payloads, and the strategies played against it
+_FAMILIES = (
+    (
+        MaxAlgorithm(),
+        _SCALARS,
+        st.one_of(
+            st.sampled_from((max_echo_attack(), truthful_strategy)),
+            st.integers(-3, 12).map(max_overbid),
+        ),
+    ),
+    (
+        KCenterAlgorithm(2),
+        _POINT_SETS,
+        st.one_of(st.integers(-3, 12).map(fabricate_point), st.integers(-3, 9).map(omit_point)),
+    ),
+    (DlrAlgorithm(1), _ROWS, st.just(sneak_attack(_LR_SNEAK))),
+)
+_CONTINUOUS = (("continuous", 1), ("continuous", 2))
+_PROTOCOLS = _CONTINUOUS + (("periodic", None),)
+
+
+def _place(drawn, protocol: str):
+    """Nature elements from (agent, payload, new_round) draws. A periodic round
+    ends on a drawn break or when its agent already holds an element in it."""
+    if protocol == "continuous":
+        return tuple(NatureElement(agent, payload) for agent, payload, _ in drawn)
+    elements, round_no, taken = [], 1, set()
+    for agent, payload, new_round in drawn:
+        if (new_round and elements) or agent in taken:
+            round_no, taken = round_no + 1, set()
+        taken.add(agent)
+        elements.append(NatureElement(agent, payload, round_no))
+    return tuple(elements)
+
+
+@st.composite
+def _setting(draw, protocols):
+    """An attack on an algorithm under one protocol, plus a nature-element draw."""
+    algorithm, payloads, attacks = draw(st.sampled_from(_FAMILIES))
+    protocol, ell = draw(st.sampled_from(protocols))
+    agent_count = draw(st.integers(2, 3))
+    j = draw(st.integers(1, agent_count))
+    element = st.tuples(st.integers(1, agent_count), payloads, st.booleans())
+    return algorithm, draw(attacks), j, agent_count, protocol, ell, element
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_witness_from_verdicts_matches_the_pairwise_oracle(data):
+    algorithm, strategy, j, count, protocol, ell, element = data.draw(_setting(_PROTOCOLS))
+    base = data.draw(st.lists(element, max_size=3))
+    extension_a = data.draw(st.lists(element, min_size=1, max_size=2))
+    extension_b = data.draw(
+        st.one_of(st.just(extension_a), st.lists(element, min_size=1, max_size=2))
+    )
+    input_a = _place(base + extension_a, protocol)
+    input_b = _place(base + extension_b, protocol)
+    verdict_a, verdict_b = (
+        check_condition_i(algorithm, strategy, j, x, ell=ell, protocol=protocol, agent_count=count)
+        for x in (input_a, input_b)
+    )
+    assert _witness(input_a, verdict_a, input_b, verdict_b, j) == _measure_pair(
+        algorithm, strategy, j, input_a, input_b, ell, protocol, agent_count=count
+    )
+
+
+_SEARCH_CASES = (
+    (MaxAlgorithm(), max_overbid(Fraction(110)), 1, _scalar_input((2, 90)), 50),
+    (MaxAlgorithm(), max_echo_attack(), 1, _scalar_input((2, 100), (1, 110)), 400),
+    (MaxAlgorithm(), truthful_strategy, 1, _scalar_input((2, 90)), 50),
+    (
+        KCenterAlgorithm(2),
+        fabricate_point(99),
+        2,
+        (NatureElement(1, _points(0, 5)), NatureElement(2, _points(2, 7))),
+        200,
+    ),
+)
+
+
+@pytest.mark.parametrize("algorithm, strategy, j, base, budget", _SEARCH_CASES)
+def test_search_returns_the_pairwise_scan_witness(algorithm, strategy, j, base, budget):
+    for tried in (0, 1, 2, budget):
+        witness = find_confounding_pair(algorithm, strategy, j, base, budget=tried, ell=1)
+        assert witness == _pairwise_search(algorithm, strategy, j, base, tried)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_search_on_random_bases_returns_the_pairwise_scan_witness(data):
+    algorithm, strategy, j, _, protocol, ell, element = data.draw(_setting(_CONTINUOUS))
+    base = _place(data.draw(st.lists(element, min_size=1, max_size=3)), protocol)
+    budget = data.draw(st.integers(0, 20))
+    witness = find_confounding_pair(algorithm, strategy, j, base, budget=budget, ell=ell)
+    assert witness == _pairwise_search(algorithm, strategy, j, base, budget, ell=ell)
+
+
+def test_searches_simulate_each_input_once(monkeypatch):
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_protocol", counted)
+    # Criterion 2's echo search: the base and the six single-payload
+    # extensions, each played once under attack and once truthfully.
+    base = _scalar_input((2, 90))
+    assert find_confounding_pair(MaxAlgorithm(), max_echo_attack(), 1, base, budget=400) is None
+    assert len(runs) == 14
+    runs.clear()
+    # The lambda confounder reuses its base verdict: base and flooded input.
+    algorithm, strategy, case = lr_periodic_scenario(0)
+    witness = periodic_lambda_confounder(
+        algorithm, case.ninput, strategy, 2, agent_count=case.agent_count
+    )
+    assert witness.is_valid()
+    assert len(runs) == 4
 
 
 # =============================================================================
