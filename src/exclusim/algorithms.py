@@ -438,9 +438,6 @@ class MomentPair:
     def __add__(self, other: "MomentPair") -> "MomentPair":
         return MomentPair(self.gram + other.gram, self.cross + other.cross)
 
-    def __sub__(self, other: "MomentPair") -> "MomentPair":
-        return MomentPair(self.gram - other.gram, self.cross - other.cross)
-
 
 def moments(rows: Union[RowMultiset, Sequence[Row]], width: Optional[int] = None) -> MomentPair:
     """Exact moments of a row multiset; additive under concatenation.

@@ -52,7 +52,6 @@ from .harness import (
 from .numerics import rational
 from .protocol import (
     FactualDelivery,
-    LedgerUpdate,
     NatureElement,
     NatureInput,
     ObservedHistory,
@@ -81,6 +80,7 @@ from .strategies import (
     sneak_attack,
     triangulation_attack,
     triangulation_infer_from_history,
+    triangulation_state,
 )
 
 
@@ -246,7 +246,6 @@ def triangulation_csv_rows(run: Run, j: int, d: int) -> list[list[str]]:
     )
     table = [header]
     current: list[str] = [""] * (d + 1)
-    ladder: Optional[int] = None
 
     def estimator_after(index: int) -> list[str]:
         message = run.messages[index + 1] if index + 1 < len(run.messages) else None
@@ -269,24 +268,19 @@ def triangulation_csv_rows(run: Run, j: int, d: int) -> list[list[str]]:
         if isinstance(message, OutputBroadcast):
             if isinstance(message.output, CoefficientsOutput):
                 current = [str(c) for c in message.output.coefficients]
-            previous = run.messages[index - 1] if index else None
-            own_update = isinstance(previous, LedgerUpdate) and previous.agent == j
-            if not own_update:
-                ladder = 0
             continue
         if not isinstance(message.payload, RowMultiset):
             continue
         if isinstance(message, FactualDelivery):
             if message.agent == j:
-                ladder = 0
                 emit(index, message.payload.rows, "factual", current)
             continue
         if message.agent != j:
             emit(index, message.payload.rows, "ledger", estimator_after(index))
             continue
-        if ladder is not None:
-            ladder += 1
-        role = "probe" if ladder is not None and ladder <= d + 1 else "deflection"
+        # The ladder as j saw it when it sent this update: steps 0..d are probes.
+        ladder = triangulation_state(observed_history(run, j, upto=index))
+        role = "probe" if ladder is not None and ladder.step <= d else "deflection"
         emit(index, message.payload.rows, role, estimator_after(index))
     return table
 

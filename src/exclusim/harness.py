@@ -1,8 +1,9 @@
 """Paired-run vulnerability harness.
 
 Plays the same nature input with and without an attack to test whether the
-final output moves, searches for confounding input pairs that refute output
-exclusivity, builds forceable-winner point sets for the clustering
+final output moves, searches continuous inputs for confounding pairs that
+refute output exclusivity (pairs of payloads, each appended to one base input
+for one extension agent), builds forceable-winner point sets for the clustering
 algorithms, constructs round-based cost-scaling confounders, and audits
 inference functions for exactness against the truthful replay.
 
@@ -17,17 +18,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
-from typing import Callable, Mapping, Optional, Sequence, Union
+from itertools import chain, combinations, islice
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algorithms import (
     Algorithm,
     AverageAlgorithm,
-    CentersOutput,
+    ClusteringAlgorithm,
     CoefficientsOutput,
     DlrAlgorithm,
     KCenterAlgorithm,
-    KMedianAlgorithm,
     MaxAlgorithm,
     AlgorithmOutput,
     ParamError,
@@ -254,11 +254,11 @@ def monotonicity_smoke_check(
     j: int,
     ninput: Sequence[NatureElement],
     ell: int,
-    protocol: str = "continuous",
 ) -> bool:
-    """A run that moves the final under window ell still moves it under ell + 1."""
-    tight = check_condition_i(algorithm, strategy, j, ninput, ell=ell, protocol=protocol)
-    loose = check_condition_i(algorithm, strategy, j, ninput, ell=ell + 1, protocol=protocol)
+    """A continuous run that moves the final under window ell still moves it
+    under ell + 1."""
+    tight = check_condition_i(algorithm, strategy, j, ninput, ell=ell)
+    loose = check_condition_i(algorithm, strategy, j, ninput, ell=ell + 1)
     return (not tight.differs) or loose.differs
 
 
@@ -319,91 +319,58 @@ def _point_values(payloads: Sequence[UpdatePayload]) -> set[Fraction]:
     return values
 
 
-def _overbid_pairs(
-    algorithm: Algorithm,
-    verdict: PairedVerdict,
-    j: int,
-    base: NatureInput,
-    agent_count: int,
-):
-    """Extension pairs that pull the true maximum toward an overbid value x.
+def _line(values: Iterable[Fraction]) -> PointSet:
+    """The one-dimensional point set of some rational values."""
+    return PointSet(tuple((v,) for v in values))
+
+
+def _overbid_pairs(verdict: PairedVerdict, j: int):
+    """Payload pairs that pull the true maximum toward an overbid value x.
 
     When the attack run shows j pushing some scalar x above the truthful
-    maximum m, two extensions delivering (x + 2m) / 3 and (2x + m) / 3 to
-    another agent stay below x (invisible under attack) while raising the
-    truthful maximum to two different values.
+    maximum m, the payloads (x + 2m) / 3 and (2x + m) / 3 stay below x
+    (invisible under attack) while raising the truthful maximum to two
+    different values.
     """
     truth_final = verdict.truth_final
     if not isinstance(truth_final, ScalarOutput):
         return
     m = truth_final.value
-    sent = [
+    sent = {
         payload.value
         for payload in extract(verdict.run_attack, KIND_LEDGER, j)
         if isinstance(payload, Scalar)
-    ]
-    overbids = sorted({value for value in sent if value > m}, reverse=True)
-    agent = _extension_agent(j, base, agent_count)
-    for x in overbids:
-        low = (x + 2 * m) / 3
-        high = (2 * x + m) / 3
-        element_a = NatureElement(agent, Scalar(low))
-        element_b = NatureElement(agent, Scalar(high))
-        yield base + (element_a,), base + (element_b,)
+    }
+    for x in sorted((value for value in sent if value > m), reverse=True):
+        yield Scalar((x + 2 * m) / 3), Scalar((2 * x + m) / 3)
 
 
-def _fabrication_pairs(
-    algorithm: Algorithm,
-    verdict: PairedVerdict,
-    j: int,
-    base: NatureInput,
-    agent_count: int,
-):
-    """Extension pairs that expose a fabricated clustering point.
+def _fabrication_pairs(algorithm: Algorithm, verdict: PairedVerdict, j: int):
+    """Payload pairs that expose a fabricated clustering point.
 
     A point x sent by j but absent from every agent's factual data is forced
-    to be a winner by an extension E1; the sibling extension E2 = E1 minus x
-    leaves the attack ledger's point union unchanged (x is already there) but
-    splits the truthful outputs.
+    to be a winner by a payload E1; its sibling E2 = E1 minus x leaves the
+    attack ledger's point union unchanged (x is already there) but splits the
+    truthful outputs.
     """
-    if isinstance(algorithm, KCenterAlgorithm):
-        kind = "kcenter"
-    elif isinstance(algorithm, KMedianAlgorithm):
-        kind = "kmedian"
-    else:
-        return
-    if algorithm.k < 2:
+    if not isinstance(algorithm, ClusteringAlgorithm) or algorithm.k < 2:
         return
     factual = _point_values(extract(verdict.run_attack, KIND_FACTUAL))
     sent = _point_values(extract(verdict.run_attack, KIND_LEDGER, j))
-    fabricated = sorted(sent - factual)
-    if not fabricated:
+    support = factual | sent
+    if algorithm.median and len(support) < 2:
         return
-    ledger_union = factual | sent
-    agent = _extension_agent(j, base, agent_count)
-    for x in fabricated:
-        support = sorted(ledger_union | {x})
-        if kind == "kmedian" and len(support) < 2:
-            continue
-        try:
-            winners = forceable_winner_set(
-                kind, PointSet(tuple((v,) for v in support)), (x,), k=algorithm.k
-            )
-        except ParamError:
-            continue
-        bar = {point[0] for point in winners.points}
-        e1_values = sorted(set(support) | bar)
-        e2_values = sorted((set(support) | bar) - {x})
-        element_a = NatureElement(agent, PointSet(tuple((v,) for v in e1_values)))
-        element_b = NatureElement(agent, PointSet(tuple((v,) for v in e2_values)))
-        yield base + (element_a,), base + (element_b,)
+    for x in sorted(sent - factual):
+        winners = forceable_winner_set(algorithm.name, _line(support), (x,), k=algorithm.k)
+        e1_values = support | {point[0] for point in winners.points}
+        yield _line(e1_values), _line(e1_values - {x})
 
 
 def _enumeration_payloads(algorithm: Algorithm) -> list[UpdatePayload]:
     values = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
     if isinstance(algorithm, MaxAlgorithm):
         return [Scalar(v) for v in values]
-    if isinstance(algorithm, (AverageAlgorithm, KCenterAlgorithm, KMedianAlgorithm)):
+    if isinstance(algorithm, (AverageAlgorithm, ClusteringAlgorithm)):
         return [PointSet(((v,),)) for v in values]
     if isinstance(algorithm, DlrAlgorithm):
         width = algorithm.d + 1
@@ -417,16 +384,18 @@ def _enumeration_payloads(algorithm: Algorithm) -> list[UpdatePayload]:
 def _candidate_pairs(
     algorithm: Algorithm, verdict: PairedVerdict, j: int, base: NatureInput, agent_count: int
 ):
-    """Extension pairs in search order: overbid pulls for max, forceable-winner
-    splits for fabricated clustering points, then every pair of single-payload
-    extensions. Both inputs of a pair extend `base` for one `_extension_agent`."""
-    yield from _overbid_pairs(algorithm, verdict, j, base, agent_count)
-    yield from _fabrication_pairs(algorithm, verdict, j, base, agent_count)
+    """Input pairs in search order: overbid pulls for max, forceable-winner
+    splits for fabricated clustering points, then every pair of enumerated
+    payloads. Each payload pair extends `base` by one element for the one
+    `_extension_agent`."""
     agent = _extension_agent(j, base, agent_count)
-    for payload_a, payload_b in combinations(_enumeration_payloads(algorithm), 2):
-        element_a = NatureElement(agent, payload_a)
-        element_b = NatureElement(agent, payload_b)
-        yield base + (element_a,), base + (element_b,)
+    payload_pairs = chain(
+        _overbid_pairs(verdict, j),
+        _fabrication_pairs(algorithm, verdict, j),
+        combinations(_enumeration_payloads(algorithm), 2),
+    )
+    for payload_a, payload_b in payload_pairs:
+        yield base + (NatureElement(agent, payload_a),), base + (NatureElement(agent, payload_b),)
 
 
 def find_confounding_pair(
@@ -436,26 +405,24 @@ def find_confounding_pair(
     base_inputs: Sequence[NatureElement],
     budget: int,
     ell: int = 1,
-    protocol: str = "continuous",
 ) -> Optional[ConfoundingWitness]:
-    """Search for a confounding pair of inputs extending `base_inputs`.
+    """Search for a confounding pair of continuous inputs extending `base_inputs`.
 
     Returns the first pair of `_candidate_pairs` that the attacker cannot
     distinguish while the truth does. Each distinct input is simulated once
     under attack and once truthfully, however many pairs it is in. `budget`
-    bounds the number of candidate pairs compared.
+    bounds the number of candidate pairs compared. The candidates append
+    elements without a round, so the search runs on continuous inputs only.
     """
     base = tuple(base_inputs)
     count = max(_agent_count(base, j), 2)
-    verdict = check_condition_i(
-        algorithm, strategy, j, base, ell=ell, protocol=protocol, agent_count=count
-    )
+    verdict = check_condition_i(algorithm, strategy, j, base, ell=ell, agent_count=count)
     verdicts: dict[NatureInput, PairedVerdict] = {}
 
     def paired(ninput: NatureInput) -> PairedVerdict:
         if ninput not in verdicts:
             verdicts[ninput] = check_condition_i(
-                algorithm, strategy, j, ninput, ell=ell, protocol=protocol,
+                algorithm, strategy, j, ninput, ell=ell,
                 agent_count=max(count, _agent_count(ninput, j)),
             )
         return verdicts[ninput]
@@ -510,7 +477,7 @@ def forceable_winner_set(
         spread = max(sum(abs(v - center) for v in mirrored), Fraction(1))
         bar = mirrored - {center}
         bar.update(center + Fraction(10) ** t * spread for t in range(1, k))
-    return PointSet(tuple((v,) for v in sorted(bar)))
+    return _line(bar)
 
 
 # =============================================================================
@@ -610,48 +577,37 @@ def periodic_kcenter_omission_confounder(
     """
     base = tuple(ninput)
     count = max(agent_count or 1, _agent_count(base, j), 2)
-    verdict = check_condition_i(
-        algorithm, strategy, j, base, protocol="periodic", agent_count=count
-    )
+
+    def paired(extended: NatureInput) -> PairedVerdict:
+        return check_condition_i(
+            algorithm, strategy, j, extended, protocol="periodic", agent_count=count
+        )
+
+    verdict = paired(base)
     own_factual = _point_values(extract(verdict.run_attack, KIND_FACTUAL, j))
     own_sent = _point_values(extract(verdict.run_attack, KIND_LEDGER, j))
     all_factual = _point_values(extract(verdict.run_attack, KIND_FACTUAL))
-    others_factual = all_factual - own_factual
     sent_by_all = _point_values(extract(verdict.run_attack, KIND_LEDGER))
-    candidates = sorted(own_factual - own_sent - others_factual - sent_by_all)
     k = algorithm.k
-    for x in candidates:
-        support = set(all_factual) | own_sent | {x + 1}
-        if len(support - {x}) < 1:
-            continue
+    for x in sorted(own_factual - sent_by_all):
+        support = all_factual | own_sent | {x + 1}
         # The radius is inflated well past the support's spread around x so
         # that every center choice below is a unique minimizer and no result
         # hinges on tie-breaking.
         radius = 4 * (max(abs(x - v) for v in support) + 1)
-        fars = [x + Fraction(10) ** t * radius for t in range(1, k)]
-        far_set = set(fars)
-        e1_values = sorted((support | {x - 2 * radius, x + 2 * radius} | far_set) - {x})
-        element_a = PointSet(tuple((v,) for v in e1_values))
-        first_output = algorithm.compute((element_a,))
-        if not isinstance(first_output, CentersOutput):
-            continue
-        near = [c[0] for c in first_output.centers if c[0] not in far_set]
+        far_set = {x + Fraction(10) ** t * radius for t in range(1, k)}
+        # E1 holds at least k + 2 points, so its output has centers, and
+        # x + 2r is in E1 but never in E2, so the two payloads differ.
+        element_a = _line((support | {x - 2 * radius, x + 2 * radius} | far_set) - {x})
+        centers = algorithm.compute((element_a,)).centers  # type: ignore[union-attr]
+        near = [c[0] for c in centers if c[0] not in far_set]
         if len(near) != 1:
             continue
         nearest = near[0]
-        e2_values = sorted(
-            (support | {nearest - radius, nearest + radius} | far_set) - {x}
-        )
-        if e2_values == e1_values:
-            continue
-        element_b = PointSet(tuple((v,) for v in e2_values))
+        element_b = _line((support | {nearest - radius, nearest + radius} | far_set) - {x})
         input_a = _append_to_last_round(base, element_a, j, count)
         input_b = _append_to_last_round(base, element_b, j, count)
-        verdict_a, verdict_b = (
-            check_condition_i(algorithm, strategy, j, x, protocol="periodic", agent_count=count)
-            for x in (input_a, input_b)
-        )
-        witness = _witness(input_a, verdict_a, input_b, verdict_b, j)
+        witness = _witness(input_a, paired(input_a), input_b, paired(input_b), j)
         if witness.is_valid():
             return witness
     return None
@@ -668,8 +624,9 @@ def _small_fraction(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
     return Fraction(rng.randint(lo, hi))
 
 
-def make_max_cases(j: int = 1, agent_count: int = 3, ell: int = 1) -> CaseGenerator:
-    """Scalar streams where no agent receives two elements in a row.
+def make_max_cases(j: int = 1) -> CaseGenerator:
+    """Scalar streams over three agents where no agent receives two elements
+    in a row, played under window 1.
 
     Agent j never gets the first element, so the echoing attack sees a
     broadcast before its own factual data arrives. Some seeds give agent j no
@@ -682,14 +639,14 @@ def make_max_cases(j: int = 1, agent_count: int = 3, ell: int = 1) -> CaseGenera
         length = rng.randint(2, 5)
         agents: list[int] = []
         for position in range(length):
-            choices = [a for a in range(1, agent_count + 1) if not agents or a != agents[-1]]
+            choices = [a for a in (1, 2, 3) if not agents or a != agents[-1]]
             if position == 0:
                 choices = [a for a in choices if a != j]
             agents.append(rng.choice(choices))
         elements = tuple(
             NatureElement(agent, Scalar(_small_fraction(rng, -9, 99))) for agent in agents
         )
-        return GeneratedCase(elements, agent_count, ell=ell)
+        return GeneratedCase(elements, 3, ell=1)
 
     return generate
 
@@ -711,15 +668,12 @@ def make_average_cases(j: int = 2) -> CaseGenerator:
             hidden_values: list[Fraction] = []
             for agent in other_agents:
                 size = rng.randint(1, 3)
-                values = rng.sample(range(-9, 10), size)
-                points = tuple((Fraction(v),) for v in sorted(values))
-                hidden_values.extend(Fraction(v) for v in values)
-                others.append(NatureElement(agent, PointSet(points)))
+                values = [Fraction(v) for v in rng.sample(range(-9, 10), size)]
+                hidden_values.extend(values)
+                others.append(NatureElement(agent, _line(values)))
             own_size = rng.randint(1, 3)
             own_values = [Fraction(v) for v in rng.sample(range(-9, 10), own_size)]
-            own = NatureElement(
-                j, PointSet(tuple((v,) for v in sorted(own_values)))
-            )
+            own = NatureElement(j, _line(own_values))
             hidden_sum = sum(hidden_values, Fraction(0))
             hidden_count = len(hidden_values)
             if hidden_sum != 0:
@@ -755,8 +709,9 @@ def _filler_rows(rng: random.Random, d: int, count: int) -> tuple[Row, ...]:
     return tuple(_labeled_row(rng, d) for _ in range(count))
 
 
-def make_triangulation_cases(d: int, j: int = 2, agent_count: int = 3) -> CaseGenerator:
-    """Regression streams that trigger full probe ladders at window d + 2.
+def make_triangulation_cases(d: int, j: int = 2) -> CaseGenerator:
+    """Regression streams over three agents that trigger full probe ladders at
+    window d + 2.
 
     The agents other than j receive 3 to 10 labeled points in total, with
     every coordinate a rational in [-10, 10]. The first element warms another
@@ -768,7 +723,7 @@ def make_triangulation_cases(d: int, j: int = 2, agent_count: int = 3) -> CaseGe
 
     def generate(seed: int) -> GeneratedCase:
         rng = random.Random(f"triangulation:{d}:{seed}")
-        hidden_agents = [a for a in range(1, agent_count + 1) if a != j]
+        hidden_agents = [a for a in (1, 2, 3) if a != j]
         hidden_total = rng.randint(max(3, d + 1), 10)
         warm_count = rng.randint(d + 1, hidden_total)
         elements = [NatureElement(1, RowMultiset(_warm_rows(rng, d, warm_count)))]
@@ -790,7 +745,7 @@ def make_triangulation_cases(d: int, j: int = 2, agent_count: int = 3) -> CaseGe
             position = rng.randint(1, len(elements) - 1)
             own = NatureElement(j, RowMultiset(_filler_rows(rng, d, rng.randint(1, 2))))
             elements.insert(position, own)
-        return GeneratedCase(tuple(elements), agent_count, ell=d + 2)
+        return GeneratedCase(tuple(elements), 3, ell=d + 2)
 
     return generate
 
@@ -852,6 +807,6 @@ def forceable_instance(kind: str, seed: int) -> tuple[PointSet, Point, int]:
     rng = random.Random(f"forceable:{kind}:{seed}")
     size = rng.randint(2, 8)
     values = rng.sample(range(-9, 10), size)
-    points = PointSet(tuple((Fraction(v),) for v in sorted(values)))
+    points = _line(Fraction(v) for v in values)
     x = (Fraction(rng.choice(values)),)
     return points, x, rng.choice((3, 4))

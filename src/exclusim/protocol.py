@@ -21,14 +21,12 @@ plays no role there.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algorithms import Algorithm, AlgorithmOutput, UpdatePayload
 
 DEFAULT_SAFETY_CAP = 10_000
-SAFETY_CAP_ENV = "EXCLUSIM_SAFETY_CAP"
 
 
 class InputError(ValueError):
@@ -222,21 +220,6 @@ def validate_periodic_input(elements: Sequence[NatureElement], agent_count: int)
 # =============================================================================
 
 
-def _safety_cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(SAFETY_CAP_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise InputError(f"{SAFETY_CAP_ENV} must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise InputError(f"{SAFETY_CAP_ENV} must be positive")
-        return value
-    return DEFAULT_SAFETY_CAP
-
-
 class _Views:
     """Incrementally maintained per-agent observed histories."""
 
@@ -260,13 +243,12 @@ def run_continuous(
     algorithm: Algorithm,
     ell: int,
     agent_count: int,
-    safety_cap: Optional[int] = None,
+    safety_cap: int = DEFAULT_SAFETY_CAP,
 ) -> Run:
     """Execute the continuous protocol and return the full transcript."""
     if ell < 1:
         raise InputError("ell must be at least 1")
     validate_continuous_input(ninput, agent_count)
-    cap = _safety_cap(safety_cap)
 
     messages: list[Message] = []
     views = _Views(agent_count)
@@ -283,9 +265,9 @@ def run_continuous(
         passes = 0
         while active:
             passes += 1
-            if passes > cap:
+            if passes > safety_cap:
                 raise SafetyCapExceededError(
-                    f"activity loop exceeded {cap} polling passes for one nature element"
+                    f"activity loop exceeded {safety_cap} polling passes for one nature element"
                 )
             active = False
             for agent in range(1, agent_count + 1):
@@ -348,7 +330,7 @@ def run_protocol(
     algorithm: Algorithm,
     agent_count: int,
     ell: Optional[int] = None,
-    safety_cap: Optional[int] = None,
+    safety_cap: int = DEFAULT_SAFETY_CAP,
 ) -> Run:
     if protocol == "continuous":
         if ell is None:

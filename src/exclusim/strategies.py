@@ -306,31 +306,28 @@ def omit_point(point: Union[RationalLike, Sequence[RationalLike]]) -> Strategy:
     return strategy
 
 
-def fabricate_point(point: Union[RationalLike, Sequence[RationalLike]]) -> Strategy:
-    """Replace every own factual point set with one fixed fabricated point."""
-    target = PointSet((coerce_point(point),))
+def _fabricate(payload: UpdatePayload) -> Strategy:
+    """Replace every own factual payload of `payload`'s kind with `payload`."""
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
         last = o.last()
-        if isinstance(last, FactualDelivery) and isinstance(last.payload, PointSet):
-            return target
+        if isinstance(last, FactualDelivery) and isinstance(last.payload, type(payload)):
+            return payload
         return truthful_strategy(o)
 
     return strategy
+
+
+def fabricate_point(point: Union[RationalLike, Sequence[RationalLike]]) -> Strategy:
+    """Replace every own factual point set with one fixed fabricated point."""
+    return _fabricate(PointSet((coerce_point(point),)))
 
 
 def fabricate_rows(rows: RowMultiset) -> Strategy:
     """Replace every own factual row multiset with a fixed fabricated one."""
     if not isinstance(rows, RowMultiset):
         raise ParamError(f"rows must be a rows payload, got {type(rows).__name__}", "rows")
-
-    def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
-        last = o.last()
-        if isinstance(last, FactualDelivery) and isinstance(last.payload, RowMultiset):
-            return rows
-        return truthful_strategy(o)
-
-    return strategy
+    return _fabricate(rows)
 
 
 # =============================================================================

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from typing import Mapping, Optional, Sequence
@@ -484,6 +485,47 @@ def test_omission_confounder_on_swap_scenario():
         algorithm, case.ninput, strategy, 2, agent_count=case.agent_count
     )
     assert witness is not None and witness.is_valid()
+
+
+def _with_agent_1_in_round_2(ninput, payload):
+    """The input plus an agent-1 element in round 2, so two agents fill the
+    last round and a confounder's extension must merge into agent 1's."""
+    return tuple(ninput) + (NatureElement(1, payload, 2),)
+
+
+def _merged_into_agent_1(base, extended) -> bool:
+    """`extended` is `base` with agent 1's round-2 payload grown, no agent added."""
+    changed = [index for index, (a, b) in enumerate(zip(base, extended)) if a != b]
+    if len(extended) != len(base) or len(changed) != 1:
+        return False
+    before, after = base[changed[0]], extended[changed[0]]
+    if isinstance(before.payload, PointSet):
+        kept = set(before.payload.points) <= set(after.payload.points)
+    else:
+        kept = Counter(before.payload.rows) <= Counter(after.payload.rows)
+    return (after.agent, after.round) == (1, 2) and kept
+
+
+def test_lambda_confounder_merges_into_a_full_last_round():
+    extra = RowMultiset((Row((Fraction(1), Fraction(20)), Fraction(1)),))
+    for seed in range(20):
+        algorithm, strategy, case = lr_periodic_scenario(seed)
+        base = _with_agent_1_in_round_2(case.ninput, extra)
+        witness = periodic_lambda_confounder(algorithm, base, strategy, 2, agent_count=2)
+        assert witness.is_valid(), seed
+        assert witness.input_a == base
+        assert _merged_into_agent_1(base, witness.input_b), seed
+
+
+def test_omission_confounder_merges_into_a_full_last_round():
+    extra = PointSet(((Fraction(-7),),))
+    for seed in range(6):
+        algorithm, strategy, case = kcenter_periodic_scenario(seed)
+        base = _with_agent_1_in_round_2(case.ninput, extra)
+        witness = periodic_kcenter_omission_confounder(algorithm, base, strategy, 2, agent_count=2)
+        assert witness is not None and witness.is_valid(), seed
+        assert _merged_into_agent_1(base, witness.input_a), seed
+        assert _merged_into_agent_1(base, witness.input_b), seed
 
 
 # =============================================================================

@@ -38,7 +38,6 @@ from exclusim.protocol import (
     LedgerUpdate,
     NatureElement,
     OutputBroadcast,
-    SAFETY_CAP_ENV,
     SafetyCapExceededError,
     broadcast_pairing_ok,
     ell_guard_respected,
@@ -164,26 +163,6 @@ def test_safety_cap_stops_runaway_loop():
             ell=1,
             safety_cap=50,
         )
-
-
-def test_safety_cap_env_override(monkeypatch):
-    def chatty(o):
-        return Scalar(Fraction(len(o.items)))
-
-    monkeypatch.setenv(SAFETY_CAP_ENV, "50")
-    with pytest.raises(SafetyCapExceededError):
-        run_protocol(
-            "continuous",
-            _scalar_input((2, 1)),
-            {1: chatty, 2: chatty},
-            MaxAlgorithm(),
-            2,
-            ell=1,
-        )
-
-    monkeypatch.setenv(SAFETY_CAP_ENV, "zero")
-    with pytest.raises(InputError):
-        run_protocol("continuous", _scalar_input((2, 1)), {}, MaxAlgorithm(), 2, ell=1)
 
 
 def test_continuous_rejects_rounds_and_bad_agents():
