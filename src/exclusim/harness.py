@@ -57,7 +57,6 @@ from .protocol import (
     extract,
     observed_history,
     run_protocol,
-    truthful_strategy,
 )
 from .strategies import (
     InferenceError,
@@ -105,12 +104,6 @@ def _agent_count(ninput: Sequence[NatureElement], j: int) -> int:
     return max([element.agent for element in ninput] + [j])
 
 
-def _strategy_table(strategy: Strategy, j: int, agent_count: int) -> dict[int, Strategy]:
-    table: dict[int, Strategy] = {agent: truthful_strategy for agent in range(1, agent_count + 1)}
-    table[j] = strategy
-    return table
-
-
 def check_condition_i(
     algorithm: Algorithm,
     strategy: Strategy,
@@ -126,12 +119,8 @@ def check_condition_i(
     the final broadcasts exactly.
     """
     count = agent_count if agent_count is not None else _agent_count(ninput, j)
-    run_attack = run_protocol(
-        protocol, ninput, _strategy_table(strategy, j, count), algorithm, count, ell=ell
-    )
-    run_truth = run_protocol(
-        protocol, ninput, _strategy_table(truthful_strategy, j, count), algorithm, count, ell=ell
-    )
+    run_attack = run_protocol(protocol, ninput, {j: strategy}, algorithm, count, ell=ell)
+    run_truth = run_protocol(protocol, ninput, {}, algorithm, count, ell=ell)
     attack_final = run_attack.final_output()
     truth_final = run_truth.final_output()
     return PairedVerdict(

@@ -7,7 +7,9 @@ not keep the ledger itself: they keep the algorithm's running state
 (`Algorithm.start`), fold each accepted update into it (`fold`) and broadcast
 its `output`, so the cost of one broadcast does not grow with the ledger. An
 agent's strategy is a pure function of its observed history: its own factual
-deliveries, its own ledger updates, and every broadcast, in run order.
+deliveries, its own ledger updates, and every broadcast, in run order. The
+run's message log is the engines' only record; each poll hands the strategy an
+`ObservedHistory` view of the log as it stands, not a copy.
 
 Simultaneity is resolved by polling agents in fixed ascending order. In the
 continuous protocol a single nature element opens an activity loop: agents are
@@ -21,7 +23,9 @@ plays no role there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algorithms import Algorithm, AlgorithmOutput, UpdatePayload
@@ -124,26 +128,50 @@ def extract(run: Run, kind: str, agent: Optional[int] = None) -> tuple[UpdatePay
 # =============================================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedHistory:
-    """What a single agent has seen so far, in run order."""
+    """What one agent has seen among the first `length` messages of a run's log.
+
+    An agent sees every broadcast and its own deliveries and updates. The log
+    is read in place, not copied; it only grows, so the prefix stays fixed.
+    Views are equal when their agents and items are.
+    """
 
     agent: int
-    items: tuple[Message, ...]
+    log: Sequence[Message] = field(repr=False)
+    length: int
+
+    def sees(self, message: Message) -> bool:
+        return isinstance(message, OutputBroadcast) or message.agent == self.agent
+
+    @cached_property
+    def items(self) -> tuple[Message, ...]:
+        return tuple(m for m in islice(self.log, self.length) if self.sees(m))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ObservedHistory):
+            return NotImplemented
+        return self.agent == other.agent and self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash((self.agent, self.items))
 
     def __len__(self) -> int:
         return len(self.items)
 
     def last(self) -> Optional[Message]:
-        return self.items[-1] if self.items else None
+        for index in range(self.length - 1, -1, -1):
+            if self.sees(self.log[index]):
+                return self.log[index]
+        return None
 
     def broadcasts(self) -> tuple[AlgorithmOutput, ...]:
         return tuple(m.output for m in self.items if isinstance(m, OutputBroadcast))
 
     def last_broadcast(self) -> Optional[AlgorithmOutput]:
-        for item in reversed(self.items):
-            if isinstance(item, OutputBroadcast):
-                return item.output
+        for index in range(self.length - 1, -1, -1):
+            if isinstance(self.log[index], OutputBroadcast):
+                return self.log[index].output
         return None
 
     def own_factuals(self) -> tuple[UpdatePayload, ...]:
@@ -157,15 +185,8 @@ Strategy = Callable[[ObservedHistory], Optional[UpdatePayload]]
 
 
 def observed_history(run: Run, agent: int, upto: Optional[int] = None) -> ObservedHistory:
-    """Project a run onto one agent's view (optionally only the first `upto` messages)."""
-    messages = run.messages if upto is None else run.messages[:upto]
-    items = tuple(
-        m
-        for m in messages
-        if isinstance(m, OutputBroadcast)
-        or (isinstance(m, (FactualDelivery, LedgerUpdate)) and m.agent == agent)
-    )
-    return ObservedHistory(agent, items)
+    """One agent's view of a run, or of `run.messages[:upto]` when `upto` is given."""
+    return ObservedHistory(agent, run.messages, slice(upto).indices(len(run.messages))[1])
 
 
 def truthful_strategy(obs: ObservedHistory) -> Optional[UpdatePayload]:
@@ -220,23 +241,6 @@ def validate_periodic_input(elements: Sequence[NatureElement], agent_count: int)
 # =============================================================================
 
 
-class _Views:
-    """Incrementally maintained per-agent observed histories."""
-
-    def __init__(self, agent_count: int):
-        self.items: list[list[Message]] = [[] for _ in range(agent_count + 1)]
-
-    def deliver(self, message: Message, agent_count: int) -> None:
-        if isinstance(message, OutputBroadcast):
-            for a in range(1, agent_count + 1):
-                self.items[a].append(message)
-        else:
-            self.items[message.agent].append(message)
-
-    def snapshot(self, agent: int) -> ObservedHistory:
-        return ObservedHistory(agent, tuple(self.items[agent]))
-
-
 def run_continuous(
     ninput: Sequence[NatureElement],
     strategies: Mapping[int, Strategy],
@@ -251,16 +255,11 @@ def run_continuous(
     validate_continuous_input(ninput, agent_count)
 
     messages: list[Message] = []
-    views = _Views(agent_count)
     state = algorithm.start()
     ledger_authors: list[int] = []
 
-    def post(message: Message) -> None:
-        messages.append(message)
-        views.deliver(message, agent_count)
-
     for element in ninput:
-        post(FactualDelivery(element.agent, element.payload))
+        messages.append(FactualDelivery(element.agent, element.payload))
         active = True
         passes = 0
         while active:
@@ -272,7 +271,7 @@ def run_continuous(
             active = False
             for agent in range(1, agent_count + 1):
                 strategy = strategies.get(agent, truthful_strategy)
-                wish = strategy(views.snapshot(agent))
+                wish = strategy(ObservedHistory(agent, messages, len(messages)))
                 if wish is None:
                     continue
                 if len(ledger_authors) >= ell and all(
@@ -283,8 +282,8 @@ def run_continuous(
                     continue
                 state = algorithm.fold(state, wish)
                 ledger_authors.append(agent)
-                post(LedgerUpdate(agent, wish))
-                post(OutputBroadcast(algorithm.output(state)))
+                messages.append(LedgerUpdate(agent, wish))
+                messages.append(OutputBroadcast(algorithm.output(state)))
                 active = True
 
     return Run("continuous", agent_count, tuple(messages), ell=ell)
@@ -300,25 +299,20 @@ def run_periodic(
     validate_periodic_input(ninput, agent_count)
 
     messages: list[Message] = []
-    views = _Views(agent_count)
     state = algorithm.start()
-
-    def post(message: Message) -> None:
-        messages.append(message)
-        views.deliver(message, agent_count)
 
     last_round = max((el.round for el in ninput), default=0)
     for round_no in range(1, last_round + 1):
         for element in ninput:
             if element.round == round_no:
-                post(FactualDelivery(element.agent, element.payload))
+                messages.append(FactualDelivery(element.agent, element.payload))
         for agent in range(1, agent_count + 1):
             strategy = strategies.get(agent, truthful_strategy)
-            wish = strategy(views.snapshot(agent))
+            wish = strategy(ObservedHistory(agent, messages, len(messages)))
             if wish is not None:
                 state = algorithm.fold(state, wish)
-                post(LedgerUpdate(agent, wish))
-        post(OutputBroadcast(algorithm.output(state)))
+                messages.append(LedgerUpdate(agent, wish))
+        messages.append(OutputBroadcast(algorithm.output(state)))
 
     return Run("periodic", agent_count, tuple(messages), ell=None)
 

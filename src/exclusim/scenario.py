@@ -34,6 +34,7 @@ from .algorithms import (
     Scalar,
     ScalarOutput,
     UpdatePayload,
+    coerce_point,
     make_algorithm,
     moments,
 )
@@ -256,6 +257,14 @@ def _name_and_params(spec: object, path: str) -> tuple[str, dict]:
     return spec["name"], params
 
 
+def _check_foldable(algorithm: Algorithm, payload: UpdatePayload, path: str) -> None:
+    """A payload the algorithm cannot take fails here, not mid-run."""
+    try:
+        algorithm.fold(algorithm.start(), payload)
+    except PayloadError as exc:
+        raise _fail(path, str(exc)) from exc
+
+
 def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     """Validate a parsed scenario object; error messages cite field paths."""
     if not isinstance(data, dict):
@@ -310,6 +319,17 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         except ParamError as exc:
             field = f"{path}.params.{exc.param}" if exc.param else path
             raise _fail(field, str(exc)) from exc
+        # Parameters the algorithm would refuse mid-run fail here.
+        if name == "triangulation" and not (
+            isinstance(algorithm, DlrAlgorithm) and algorithm.d == decoded["d"]
+        ):
+            raise _fail(f"{path}.params.d", f"triangulation needs dlr with d = {decoded['d']}")
+        for key, kind in kinds.items():
+            if kind in ("payload", "point"):
+                payload = (
+                    decoded[key] if kind == "payload" else PointSet((coerce_point(decoded[key]),))
+                )
+                _check_foldable(algorithm, payload, f"{path}.params.{key}")
         strategy_specs[agent] = {"name": name, "params": dict(params)}
 
     raw_input = data.get("nature_input")
@@ -322,11 +342,7 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
             raise _fail(path, "expected an element object")
         agent = _require_int(entry.get("agent"), f"{path}.agent")
         payload = payload_from_json(entry.get("payload"), f"{path}.payload")
-        try:
-            # A payload kind the algorithm cannot take fails here, not mid-run.
-            algorithm.fold(algorithm.start(), payload)
-        except PayloadError as exc:
-            raise _fail(f"{path}.payload", str(exc)) from exc
+        _check_foldable(algorithm, payload, f"{path}.payload")
         round_no = entry.get("round")
         if round_no is not None:
             round_no = _require_int(round_no, f"{path}.round")

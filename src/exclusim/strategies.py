@@ -81,16 +81,14 @@ class SneakParams:
             )
 
 
-def _sneak_start(items: Sequence[Message], agent: int, params: SneakParams) -> Optional[int]:
+def _sneak_start(items: Sequence[Message], params: SneakParams) -> Optional[int]:
     """Index of the broadcast that completes the first swap signature, if any."""
     for t in range(len(items) - 2):
         first, second, third = items[t : t + 3]
         if (
             isinstance(first, FactualDelivery)
-            and first.agent == agent
             and first.payload == params.u_cond
             and isinstance(second, LedgerUpdate)
-            and second.agent == agent
             and second.payload == params.u_attack
             and isinstance(third, OutputBroadcast)
         ):
@@ -109,7 +107,7 @@ def sneak_attack(params: SneakParams) -> Strategy:
     """
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
-        start = _sneak_start(o.items, o.agent, params)
+        start = _sneak_start(o.items, params)
         if start is None:
             last = o.last()
             if (
@@ -197,7 +195,7 @@ def _response_after_own_update(o: ObservedHistory, ordinal: int) -> Optional[Fra
     """Scalar broadcast value right behind the agent's ordinal-th ledger update."""
     seen = 0
     for t, item in enumerate(o.items):
-        if isinstance(item, LedgerUpdate) and item.agent == o.agent:
+        if isinstance(item, LedgerUpdate):
             if seen == ordinal:
                 follower = o.items[t + 1] if t + 1 < len(o.items) else None
                 if isinstance(follower, OutputBroadcast) and isinstance(

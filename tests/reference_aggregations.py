@@ -150,7 +150,7 @@ def reference_run(
             m for m in messages
             if isinstance(m, OutputBroadcast) or m.agent == agent
         )
-        return strategies.get(agent, truthful_strategy)(ObservedHistory(agent, items))
+        return strategies.get(agent, truthful_strategy)(ObservedHistory(agent, items, len(items)))
 
     def push(agent: int, payload: UpdatePayload) -> None:
         ledger.append(payload)

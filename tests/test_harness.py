@@ -32,7 +32,6 @@ from exclusim.harness import (
     NotApplicableError,
     _agent_count,
     _candidate_pairs,
-    _strategy_table,
     _witness,
     certify_attack,
     check_condition_i,
@@ -235,8 +234,8 @@ def _measure_pair(
         _agent_count(input_b, j),
         agent_count or 1,
     )
-    attack_table = _strategy_table(strategy, j, count)
-    truth_table = _strategy_table(truthful_strategy, j, count)
+    attack_table = {j: strategy}
+    truth_table: dict[int, Strategy] = {}
 
     def view(ninput: Sequence[NatureElement], table: Mapping[int, Strategy]):
         run = run_protocol(protocol, ninput, table, algorithm, count, ell=ell)

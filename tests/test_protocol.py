@@ -37,6 +37,7 @@ from exclusim.protocol import (
     KIND_LEDGER,
     LedgerUpdate,
     NatureElement,
+    ObservedHistory,
     OutputBroadcast,
     SafetyCapExceededError,
     broadcast_pairing_ok,
@@ -263,6 +264,57 @@ def test_observed_history_projects_own_messages_and_broadcasts():
     assert all(
         m.agent == 2 for m in view.items if isinstance(m, (FactualDelivery, LedgerUpdate))
     )
+
+
+def _visible(messages, agent):
+    return tuple(
+        m for m in messages if isinstance(m, OutputBroadcast) or m.agent == agent
+    )
+
+
+def test_observed_history_is_a_prefix_view_with_slice_semantics():
+    run = run_protocol(
+        "continuous",
+        _scalar_input((1, 5), (3, 9), (2, 7), (1, 2)),
+        {2: max_echo_attack()},
+        MaxAlgorithm(),
+        3,
+        ell=1,
+    )
+    size = len(run.messages)
+    for upto in [None, *range(-size - 2, size + 3)]:
+        for agent in (1, 2, 3):
+            view = observed_history(run, agent, upto=upto)
+            expected = _visible(run.messages[:upto], agent)
+            assert view.log is run.messages
+            assert view.items == expected
+            assert view == ObservedHistory(agent, expected, len(expected))
+            assert hash(view) == hash(ObservedHistory(agent, expected, len(expected)))
+            assert view.last() == (expected[-1] if expected else None)
+            outputs = [m.output for m in expected if isinstance(m, OutputBroadcast)]
+            assert view.last_broadcast() == (outputs[-1] if outputs else None)
+    # Before the first element reaches agent 2 it has seen only broadcasts,
+    # as agent 3 has; equal items under different agents are different views.
+    assert observed_history(run, 2, upto=3).items == observed_history(run, 3, upto=3).items
+    assert observed_history(run, 2, upto=3) != observed_history(run, 3, upto=3)
+
+
+def test_engines_poll_views_of_one_log():
+    for protocol, ninput, ell in (
+        ("continuous", _scalar_input((1, 5), (2, 7), (1, 2)), 1),
+        ("periodic", (NatureElement(1, Scalar(5), 1), NatureElement(2, Scalar(7), 2)), None),
+    ):
+        polled = []
+
+        def spy(o):
+            polled.append(o)
+            return truthful_strategy(o)
+
+        run = run_protocol(protocol, ninput, {1: spy, 2: spy}, MaxAlgorithm(), 2, ell=ell)
+        assert len({id(o.log) for o in polled}) == 1
+        # Every view still reads the prefix it was polled with.
+        for o in polled:
+            assert o.items == _visible(run.messages[: o.length], o.agent)
 
 
 def test_truthful_strategy_fires_only_on_own_fresh_factual():

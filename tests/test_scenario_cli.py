@@ -44,6 +44,49 @@ FIGURE_7_TRACE = [
     '{"seq":4,"kind":"broadcast","agent":null,"payload":{"kind":"scalar","value":90}}',
 ]
 
+FIGURE_1_TRACE = [
+    '{"seq":0,"kind":"factual","agent":2,"payload":{"kind":"scalar","value":90}}',
+    '{"seq":1,"kind":"ledger","agent":2,"payload":{"kind":"scalar","value":90}}',
+    '{"seq":2,"kind":"broadcast","agent":null,"payload":{"kind":"scalar","value":90}}',
+    '{"seq":3,"kind":"ledger","agent":1,"payload":{"kind":"scalar","value":110}}',
+    '{"seq":4,"kind":"broadcast","agent":null,"payload":{"kind":"scalar","value":110}}',
+    '{"seq":5,"kind":"factual","agent":2,"payload":{"kind":"scalar","value":100}}',
+    '{"seq":6,"kind":"ledger","agent":2,"payload":{"kind":"scalar","value":100}}',
+    '{"seq":7,"kind":"broadcast","agent":null,"payload":{"kind":"scalar","value":110}}',
+    '{"seq":8,"kind":"ledger","agent":1,"payload":{"kind":"scalar","value":110}}',
+    '{"seq":9,"kind":"broadcast","agent":null,"payload":{"kind":"scalar","value":110}}',
+]
+
+KCENTER_SNEAK_TRACE = [
+    '{"seq":0,"kind":"factual","agent":1,'
+    '"payload":{"kind":"points","points":[["-1/1000"],[0],["1/1000"]]}}',
+    '{"seq":1,"kind":"ledger","agent":1,'
+    '"payload":{"kind":"points","points":[["-1/1000"],[0],["1/1000"]]}}',
+    '{"seq":2,"kind":"broadcast","agent":null,'
+    '"payload":{"kind":"centers","centers":[["-1/1000"],[0],["1/1000"]]}}',
+    '{"seq":3,"kind":"factual","agent":2,'
+    '"payload":{"kind":"points","points":[[1],[2],[10],[100]]}}',
+    '{"seq":4,"kind":"ledger","agent":2,"payload":{"kind":"points","points":[[1]]}}',
+    '{"seq":5,"kind":"broadcast","agent":null,'
+    '"payload":{"kind":"centers","centers":[["-1/1000"],[0],[1]]}}',
+]
+
+LR_SNEAK_TRACE = [
+    '{"seq":0,"kind":"factual","agent":1,"payload":{"kind":"rows","rows":'
+    '[{"features":[1,0],"target":1},{"features":[1,1],"target":1}]}}',
+    '{"seq":1,"kind":"ledger","agent":1,"payload":{"kind":"rows","rows":'
+    '[{"features":[1,0],"target":1},{"features":[1,1],"target":1}]}}',
+    '{"seq":2,"kind":"broadcast","agent":null,'
+    '"payload":{"kind":"coefficients","coefficients":[1,0]}}',
+    '{"seq":3,"kind":"factual","agent":2,"payload":{"kind":"rows","rows":'
+    '[{"features":[1,0],"target":1},{"features":[1,0],"target":1},'
+    '{"features":[1,3],"target":1}]}}',
+    '{"seq":4,"kind":"ledger","agent":2,"payload":{"kind":"rows","rows":'
+    '[{"features":[1,2],"target":2}]}}',
+    '{"seq":5,"kind":"broadcast","agent":null,'
+    '"payload":{"kind":"coefficients","coefficients":["5/6","1/2"]}}',
+]
+
 
 def _minimal_dict(**overrides) -> dict:
     data = {
@@ -98,27 +141,16 @@ def test_periodic_fixture_golden_trace():
     assert trace_lines(run_scenario(scenario)) == FIGURE_7_TRACE
 
 
-def test_overbid_fixture_final_broadcast():
+def test_overbid_fixture_golden_trace():
     scenario = load_scenario(FIXTURES / "figure_1.json")
-    lines = trace_lines(run_scenario(scenario))
-    assert len(lines) == 10
-    assert lines[-1] == (
-        '{"seq":9,"kind":"broadcast","agent":null,'
-        '"payload":{"kind":"scalar","value":110}}'
-    )
+    assert trace_lines(run_scenario(scenario)) == FIGURE_1_TRACE
 
 
-def test_sneak_fixture_final_broadcasts():
+def test_sneak_fixture_golden_traces():
     kcenter = load_scenario(FIXTURES / "kcenter_sneak.json")
-    assert trace_lines(run_scenario(kcenter))[-1] == (
-        '{"seq":5,"kind":"broadcast","agent":null,'
-        '"payload":{"kind":"centers","centers":[["-1/1000"],[0],[1]]}}'
-    )
+    assert trace_lines(run_scenario(kcenter)) == KCENTER_SNEAK_TRACE
     lr = load_scenario(FIXTURES / "lr_sneak.json")
-    assert trace_lines(run_scenario(lr))[-1] == (
-        '{"seq":5,"kind":"broadcast","agent":null,'
-        '"payload":{"kind":"coefficients","coefficients":["5/6","1/2"]}}'
-    )
+    assert trace_lines(run_scenario(lr)) == LR_SNEAK_TRACE
 
 
 def test_fixture_round_trips():
@@ -330,6 +362,15 @@ _ROWS = {
     "rows": [{"features": [1, 0], "target": 1}, {"features": [1, 1], "target": 2}],
 }
 _POINTS = {"kind": "points", "points": [[0], [1], [2]]}
+# Rows that pin a two-feature fit.
+_WIDE_ROWS = {
+    "kind": "rows",
+    "rows": [
+        {"features": [1, 0, 0], "target": 1},
+        {"features": [1, 1, 0], "target": 2},
+        {"features": [1, 0, 1], "target": 3},
+    ],
+}
 
 
 @pytest.mark.parametrize(
@@ -395,8 +436,57 @@ def test_cli_run_rejects_non_integer_strategy_counts(
             {"name": "kcenter_sneak", "params": {"k": 2, "eps": "1/1000"}},
             "strategies.2.params.k",
         ),
+        (
+            {"name": "dlr", "params": {"d": 1}},
+            _ROWS,
+            {"name": "triangulation", "params": {"d": 2}},
+            "strategies.2.params.d",
+        ),
+        (
+            {"name": "kcenter", "params": {"k": 1}},
+            _POINTS,
+            {"name": "triangulation", "params": {"d": 1}},
+            "strategies.2.params.d",
+        ),
+        (
+            {"name": "kcenter", "params": {"k": 1}},
+            _POINTS,
+            {
+                "name": "sneak",
+                "params": {
+                    "u_cond": _POINTS,
+                    "rho_cond": {"kind": "centers", "centers": [[0]]},
+                    "u_attack": {"kind": "points", "points": [[1]]},
+                    "u_resync": _ROWS,
+                },
+            },
+            "strategies.2.params.u_resync",
+        ),
+        (
+            {"name": "dlr", "params": {"d": 1}},
+            _ROWS,
+            {"name": "fabricate_rows", "params": {"rows": _WIDE_ROWS}},
+            "strategies.2.params.rows",
+        ),
+        (
+            {"name": "max"},
+            {"kind": "scalar", "value": 5},
+            {"name": "fabricate_point", "params": {"point": 3}},
+            "strategies.2.params.point",
+        ),
+        (
+            {"name": "dlr", "params": {"d": 1}},
+            _ROWS,
+            {"name": "omit_point", "params": {"point": [0, 1]}},
+            "strategies.2.params.point",
+        ),
     ],
-    ids=["fabricate_rows_list", "sneak_integers", "omit_point_dict", "max_overbid_list", "kcenter_sneak_k2"],
+    ids=[
+        "fabricate_rows_list", "sneak_integers", "omit_point_dict", "max_overbid_list",
+        "kcenter_sneak_k2", "triangulation_other_d", "triangulation_not_dlr",
+        "sneak_rows_on_kcenter", "fabricate_rows_too_wide", "fabricate_point_on_max",
+        "omit_point_on_dlr",
+    ],
 )
 def test_cli_run_rejects_malformed_strategy_params(
     tmp_path, capsys, algorithm, payload, strategy, field
@@ -431,6 +521,29 @@ _STRATEGY_PARAMS = {
 }
 
 
+# A ledger that takes each strategy's payload and point parameters, with a
+# nature payload for it; the strategies not listed load on `max`.
+_STRATEGY_LEDGERS = {
+    "triangulation": ({"name": "dlr", "params": {"d": 2}}, _WIDE_ROWS),
+    "sneak": ({"name": "kcenter", "params": {"k": 2}}, _POINTS),
+    "omit_point": ({"name": "kcenter", "params": {"k": 2}}, _POINTS),
+    "fabricate_point": ({"name": "kcenter", "params": {"k": 2}}, _POINTS),
+    "fabricate_rows": ({"name": "dlr", "params": {"d": 1}}, _ROWS),
+}
+
+
+def _strategy_dict(name: str, params: dict) -> dict:
+    algorithm, payload = _STRATEGY_LEDGERS.get(
+        name, ({"name": "max"}, {"kind": "scalar", "value": 5})
+    )
+    spec = {"name": name, "params": params} if params else {"name": name}
+    return _minimal_dict(
+        algorithm=algorithm,
+        strategies={"2": spec},
+        nature_input=[{"agent": 1, "payload": payload}],
+    )
+
+
 def test_strategy_table_declares_every_parameter_kind():
     assert set(_STRATEGY_PARAMS) == set(STRATEGIES)
     kinds = {kind for _, declared in STRATEGIES.values() for kind in declared.values()}
@@ -441,11 +554,11 @@ def test_strategy_table_declares_every_parameter_kind():
 def test_every_strategy_loads_and_round_trips(name):
     params = _STRATEGY_PARAMS[name]
     assert set(params) == set(STRATEGIES[name][1])
-    spec = {"name": name, "params": params} if params else {"name": name}
-    scenario = scenario_from_dict(_minimal_dict(strategies={"2": spec}))
+    source = _strategy_dict(name, params)
+    scenario = scenario_from_dict(source)
     assert callable(scenario.strategies[2])
     data = scenario_to_dict(scenario)
-    assert data["strategies"] == {"2": spec}
+    assert data["strategies"] == source["strategies"]
     assert scenario_to_dict(scenario_from_dict(json.loads(json.dumps(data)))) == data
 
 
@@ -456,7 +569,22 @@ def test_every_strategy_loads_and_round_trips(name):
 def test_every_strategy_param_rejects_a_float(name, key):
     params = {**_STRATEGY_PARAMS[name], key: 1.5}
     with pytest.raises(ValidationError, match=rf"^strategies\.2\.params\.{key}: "):
-        scenario_from_dict(_minimal_dict(strategies={"2": {"name": name, "params": params}}))
+        scenario_from_dict(_strategy_dict(name, params))
+
+
+def test_triangulation_must_match_the_dlr_algorithm():
+    spec = {"name": "triangulation", "params": {"d": 2}}
+    other_d = _minimal_dict(
+        algorithm={"name": "dlr", "params": {"d": 1}},
+        strategies={"2": spec},
+        nature_input=[{"agent": 1, "payload": _ROWS}],
+    )
+    for data in (other_d, _minimal_dict(strategies={"2": spec})):
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(data)
+        assert str(excinfo.value) == (
+            "strategies.2.params.d: triangulation needs dlr with d = 2"
+        )
 
 
 def test_cli_run_kmedian_irrational_distance_exits_1(tmp_path, capsys):

@@ -22,7 +22,8 @@ from exclusim.algorithms import (
     Scalar,
     ScalarOutput,
 )
-from exclusim.protocol import NatureElement, observed_history, run_protocol
+from exclusim.cli import triangulation_csv_rows
+from exclusim.protocol import KIND_LEDGER, NatureElement, extract, observed_history, run_protocol
 from exclusim.strategies import (
     InferenceError,
     SneakParams,
@@ -343,6 +344,32 @@ def test_triangulation_insufficient_history_raises():
     run = run_protocol("continuous", (NatureElement(1, warm),), {}, DlrAlgorithm(1), 2, ell=3)
     with pytest.raises(InferenceError):
         triangulation_infer_from_history(observed_history(run, 2), 1)
+
+
+def test_triangulation_deflects_when_the_truth_equals_the_broadcast():
+    # Run a warm ledger under the ladder and read its two probe rows P. Then
+    # hand P to the attacker first: with no fit yet it withholds P, the ladder
+    # sends the same probes, and the inferred truth fit(H + P) is the current
+    # broadcast, so a third own row pushes the fit away.
+    warm = _rows((1, 1), (0, 1))
+    first, _ = _triangulation_runs(1, (NatureElement(1, warm),))
+    probes = tuple(row for payload in extract(first, KIND_LEDGER, 2) for row in payload.rows)
+    assert len(probes) == 2
+
+    ninput = (NatureElement(2, RowMultiset(probes)), NatureElement(1, warm))
+    attack, truth = _triangulation_runs(1, ninput)
+    sent = extract(attack, KIND_LEDGER, 2)
+    assert tuple(row for payload in sent[:2] for row in payload.rows) == probes
+    assert len(sent) == 3
+    (deflection,) = sent[2].rows
+    assert deflection.features == (1, 0)
+    probed = attack.broadcasts()[-2]
+    assert probed == truth.final_output()
+    assert deflection.target == probed.coefficients[0] + 1
+    assert attack.final_output() != truth.final_output()
+
+    roles = [line[3] for line in triangulation_csv_rows(attack, 2, 1)[1:]]
+    assert roles == ["factual", "factual", "ledger", "ledger", "probe", "probe", "deflection"]
 
 
 def test_triangulation_rejects_bad_dimension():
