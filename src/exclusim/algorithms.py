@@ -10,12 +10,17 @@ an empty ledger, `fold(state, payload)` the state after one more update, and
 `output(state)` the public output, or `NullOutput` while the aggregation is
 not defined. States are immutable values and a fold costs time in the size of
 its payload, not of the ledger: max keeps a running maximum, average a sum
-and a count, regression the moments X^T X and X^T y (a `MomentPair`), and
-k-center and k-median the point union, which `output` solves. The engines
-keep one running state per run; `compute(ledger)` folds a whole ledger.
+and a count, regression the moments X^T X and X^T y in integers over one
+common squared scale (a `ScaledMoments`), and k-center and k-median the
+point union, which `output` solves. The engines keep one running state per
+run; `compute(ledger)` folds a whole ledger.
 
-Everything is exact rational arithmetic. `moments` scales the rows to
-integers by their least common denominator, sums plain ints and divides once.
+Everything is exact rational arithmetic. `scaled_moments` scales the rows to
+integers by their least common denominator and sums plain ints; a
+regression fold rescales two such records to the lcm of their scales and
+adds ints, and `output` hands the integer normal equations straight to the
+fraction-free solve, since the scale cancels in them. Only the coefficients
+become `Fraction`s. `moments` is the same record divided once.
 The clustering solvers are exact: they build the pairwise distance table of
 the input union once, scale it to integers over a common denominator, and
 cost every k-subset from that table, skipping a subset as soon as its cost
@@ -32,9 +37,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .numerics import RMatrix, RationalLike, rational, rational_sqrt
+from .numerics import RMatrix, RationalLike, _scaled, rational, rational_sqrt, solve_integer_rows
 
 DEFAULT_MAX_UNION = 20
 NORM_INF = "inf"
@@ -435,45 +440,81 @@ class MomentPair:
     gram: RMatrix
     cross: RMatrix
 
-    def __add__(self, other: "MomentPair") -> "MomentPair":
-        return MomentPair(self.gram + other.gram, self.cross + other.cross)
+
+class ScaledMoments(NamedTuple):
+    """Moments in integers over one common positive scale.
+
+    `gram[i][j]` and `cross[i]` are `scale` times the entries of X^T X and
+    X^T y. For rows, `scale` is the square of their least common
+    denominator, or the lcm of such squares once records are added.
+    """
+
+    scale: int
+    gram: tuple[tuple[int, ...], ...]
+    cross: tuple[int, ...]
+
+    def add(self, other: "ScaledMoments", sign: int = 1) -> "ScaledMoments":
+        """`self` plus `sign` times `other`, over the lcm of the two scales."""
+        scale = math.lcm(self.scale, other.scale)
+        a, b = scale // self.scale, sign * (scale // other.scale)
+        return ScaledMoments(
+            scale,
+            tuple(
+                tuple(a * x + b * y for x, y in zip(row, other_row))
+                for row, other_row in zip(self.gram, other.gram)
+            ),
+            tuple(a * x + b * y for x, y in zip(self.cross, other.cross)),
+        )
+
+    def solve(self) -> Optional[tuple[Fraction, ...]]:
+        """The coefficients that solve the normal equations, or None while the
+        Gram matrix is singular; the scale cancels, so no `Fraction` is built
+        before them."""
+        solved = solve_integer_rows([[*row, c] for row, c in zip(self.gram, self.cross)])
+        if solved is None:
+            return None
+        denominator, rows = solved
+        return tuple(Fraction(v, denominator) for v, in rows)
+
+
+def scaled_moments(rows: Sequence[Row], width: int) -> ScaledMoments:
+    """The moments of `rows` (all of width `width`) as a `ScaledMoments`.
+
+    Every value is scaled by the least common denominator of all the rows,
+    so the Gram and cross entries are sums of plain ints over its square.
+    """
+    for row in rows:
+        if row.width != width:
+            raise PayloadError(f"row width {row.width} does not match {width}")
+    if not rows:
+        zeros = (0,) * width
+        return ScaledMoments(1, (zeros,) * width, zeros)
+    scale, flat = _scaled([v for row in rows for v in (*row.features, row.target)])
+    # columns[i]: the i-th feature (the target last) of every row, times `scale`.
+    columns = [flat[i :: width + 1] for i in range(width + 1)]
+    gram = [[0] * width for _ in range(width)]
+    for i in range(width):
+        for j in range(i, width):
+            gram[i][j] = gram[j][i] = sum(map(mul, columns[i], columns[j]))
+    cross = tuple(sum(map(mul, column, columns[width])) for column in columns[:width])
+    return ScaledMoments(scale * scale, tuple(map(tuple, gram)), cross)
 
 
 def moments(rows: Union[RowMultiset, Sequence[Row]], width: Optional[int] = None) -> MomentPair:
     """Exact moments of a row multiset; additive under concatenation.
 
-    Every value is scaled by the least common denominator of all the rows,
-    so the Gram and cross entries are sums of plain ints, divided by the
-    squared scale once at the end.
+    The `scaled_moments` of the rows, divided by their scale once.
     """
     seq = rows.rows if isinstance(rows, RowMultiset) else tuple(rows)
     if width is None:
         if not seq:
             raise PayloadError("cannot infer moment width from an empty multiset")
         width = seq[0].width
-    for row in seq:
-        if row.width != width:
-            raise PayloadError(f"row width {row.width} does not match {width}")
-    # An all-zero row adds nothing; it gives an empty multiset its columns.
-    values = [(*row.features, row.target) for row in seq] or [(0,) * (width + 1)]
-    scale = math.lcm(*[v.denominator for row in values for v in row])
-    # columns[i]: the i-th feature (the target last) of every row, times `scale`.
-    columns = [[v.numerator * (scale // v.denominator) for v in column] for column in zip(*values)]
-    square = scale * scale
-
-    def entry(i: int, j: int) -> Fraction:
-        return Fraction(sum(map(mul, columns[i], columns[j])), square)
-
-    gram = tuple(tuple(entry(i, j) for j in range(width)) for i in range(width))
-    cross = tuple((entry(i, width),) for i in range(width))
-    return MomentPair(RMatrix._exact(gram), RMatrix._exact(cross))
-
-
-def fit_from_moments(m: MomentPair) -> Union[CoefficientsOutput, NullOutput]:
-    solution = m.gram.solve(m.cross)
-    if solution is None:
-        return NullOutput()
-    return CoefficientsOutput(solution.column_values())
+    scale, gram, cross = scaled_moments(seq, width)
+    return MomentPair(
+        RMatrix._exact(tuple(tuple(Fraction(v, scale) for v in row) for row in gram)),
+        RMatrix._exact(tuple((Fraction(v, scale),) for v in cross)),
+    )
 
 
 def predict(coefficients: Point, features: Point) -> Fraction:
@@ -608,7 +649,8 @@ class KMedianAlgorithm(ClusteringAlgorithm):
 class DlrAlgorithm(Algorithm):
     """Least-squares fit of all rows, Null while the Gram matrix is singular.
 
-    State: the `MomentPair` of the rows so far, or None before the first row.
+    State: the `ScaledMoments` of the rows so far; a fold adds the
+    payload's.
     """
 
     name = "dlr"
@@ -616,20 +658,20 @@ class DlrAlgorithm(Algorithm):
     def __init__(self, d: int):
         self.d = check_count("d", d)
 
-    def start(self) -> Optional[MomentPair]:
-        return None
+    def start(self) -> ScaledMoments:
+        return scaled_moments((), self.d + 1)
 
-    def fold(self, state: Optional[MomentPair], payload: UpdatePayload) -> Optional[MomentPair]:
+    def fold(self, state: ScaledMoments, payload: UpdatePayload) -> ScaledMoments:
         if not _contributes(payload, RowMultiset) or not payload.rows:
             return state
         width = payload.rows[0].width
         if width != self.d + 1:
             raise PayloadError(f"rows of width {width} on a {self.d}-dimensional regression ledger")
-        added = moments(payload, width)
-        return added if state is None else state + added
+        return state.add(scaled_moments(payload.rows, width))
 
-    def output(self, state: Optional[MomentPair]) -> AlgorithmOutput:
-        return NullOutput() if state is None else fit_from_moments(state)
+    def output(self, state: ScaledMoments) -> AlgorithmOutput:
+        coefficients = state.solve()
+        return NullOutput() if coefficients is None else CoefficientsOutput(coefficients)
 
 
 _ALGORITHMS: dict[str, tuple[type, tuple[str, ...], tuple[str, ...]]] = {

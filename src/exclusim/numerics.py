@@ -12,7 +12,11 @@ the least common multiple of its own denominators; elimination is
 fraction-free (Bareiss 1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination"), so every intermediate division is
 exact; and each result entry becomes one ``Fraction`` at the end. The results
-are the same reduced rationals that ``Fraction`` arithmetic would give.
+are the same reduced rationals that ``Fraction`` arithmetic would give. The
+Gauss-Jordan loop is one function over integer rows, `solve_integer_rows`:
+`RMatrix.solve` calls it on its scaled rows, and the regression fold state
+(`algorithms.DlrAlgorithm`) and the probe-ladder inference
+(`strategies.triangulation_infer`) hand it their integer systems directly.
 """
 
 from __future__ import annotations
@@ -61,6 +65,37 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
+def solve_integer_rows(work: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
+    """Solve the integer system [A | B] given by its n rows; None if A is singular.
+
+    Fraction-free Gauss-Jordan (Bareiss): with `pivot` the current pivot,
+    `previous` the one before it and `f` a row's entry in the pivot column,
+    each entry `a` of every other row, above the pivot as well as below,
+    becomes `(pivot * a - f * b) // previous`, where `b` is the pivot row's
+    entry; the division is always exact. The pivot is the first nonzero
+    entry of the column, so row scaling does not change which systems are
+    singular. The left block ends as the last pivot times the
+    identity, so the solution X of A @ X = B is the returned rows (the right
+    block) over the returned last pivot. `work` is consumed.
+    """
+    n = len(work)
+    # After step k, work[r] holds only the columns of row r right of k.
+    previous = 1
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if work[r][0]), None)
+        if pivot_row is None:
+            return None
+        work[k], work[pivot_row] = work[pivot_row], work[k]
+        pivot, *tail = work[k]
+        for r in range(n):
+            if r != k:
+                f, *rest = work[r]
+                work[r] = [(pivot * a - f * b) // previous for a, b in zip(rest, tail)]
+        work[k] = tail
+        previous = pivot
+    return previous, work
+
+
 class RMatrix:
     """Immutable dense matrix of exact rationals.
 
@@ -68,13 +103,10 @@ class RMatrix:
     dimension d+1, d <= a handful). `solve` and `det` scale each row to ints
     by the lcm of its own denominators, which changes neither the solution
     nor (up to the product of the scales) the determinant, and then run
-    Bareiss's fraction-free elimination: with `pivot` the current pivot,
-    `previous` the one before it and `f` a row's entry in the pivot column,
-    each entry `a` of that row becomes `(pivot * a - f * b) // previous`,
-    where `b` is the pivot row's entry; the division is always exact. The
-    pivot is the first nonzero entry of the column, the right rule for exact
-    arithmetic; an entry is zero here exactly when it is zero under
-    `Fraction` elimination, so the same systems are singular. `@` takes
+    Bareiss's fraction-free elimination, the step `solve_integer_rows`
+    states. The pivot is the first nonzero entry of the column, the right
+    rule for exact arithmetic; an entry is zero here exactly when it is zero
+    under `Fraction` elimination, so the same systems are singular. `@` takes
     integer dot products of the scaled rows and columns and builds one
     `Fraction` per entry.
     """
@@ -224,32 +256,18 @@ class RMatrix:
     def solve(self, rhs: "RMatrix") -> Optional["RMatrix"]:
         """Solve self @ X = rhs exactly; None signals a singular system.
 
-        Fraction-free Gauss-Jordan: every other row, above the pivot as well
-        as below, is eliminated at each step, so the left block ends as the
-        last pivot times the identity and X is the right block over it.
+        Each row of [self | rhs] is scaled to ints and `solve_integer_rows`
+        eliminates; X is its right block over its last pivot.
         """
         if self.nrows != self.ncols:
             raise DimensionError("solve requires a square matrix")
         if rhs.nrows != self.nrows:
             raise DimensionError("right-hand side has the wrong number of rows")
-        n = self.nrows
-        # work[r]: row r of [self | rhs] in ints; after step k, only its
-        # columns right of k.
-        work = [_scaled(a + b)[1] for a, b in zip(self.rows, rhs.rows)]
-        previous = 1
-        for k in range(n):
-            pivot_row = next((r for r in range(k, n) if work[r][0]), None)
-            if pivot_row is None:
-                return None
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            pivot, *tail = work[k]
-            for r in range(n):
-                if r != k:
-                    f, *rest = work[r]
-                    work[r] = [(pivot * a - f * b) // previous for a, b in zip(rest, tail)]
-            work[k] = tail
-            previous = pivot
-        return RMatrix._exact(tuple(tuple(Fraction(v, previous) for v in row) for row in work))
+        solved = solve_integer_rows([_scaled(a + b)[1] for a, b in zip(self.rows, rhs.rows)])
+        if solved is None:
+            return None
+        denominator, rows = solved
+        return RMatrix._exact(tuple(tuple(Fraction(v, denominator) for v in row) for row in rows))
 
     def inverse(self) -> Optional["RMatrix"]:
         return self.solve(RMatrix.identity(self.nrows))

@@ -7,7 +7,10 @@ reproducible from the file alone. All rationals travel as "p/q" strings or
 integers; floats are rejected everywhere. Algorithm and strategy parameters
 are checked by the constructors that use them; the loader decodes each
 strategy parameter by its kind in `strategies.STRATEGIES` and maps a
-`ParamError` to the parameter's field path.
+`ParamError` to the parameter's field path. Every payload a run can put on
+the ledger must fold onto the empty ledger, or the file is refused before
+the run: nature's payloads, each strategy's payload and point parameters,
+and the payloads a strategy makes up by itself.
 """
 
 from __future__ import annotations
@@ -319,7 +322,9 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         except ParamError as exc:
             field = f"{path}.params.{exc.param}" if exc.param else path
             raise _fail(field, str(exc)) from exc
-        # Parameters the algorithm would refuse mid-run fail here.
+        # Payloads the algorithm would refuse mid-run fail here.
+        for payload in STRATEGIES[name][2]:
+            _check_foldable(algorithm, payload, f"{path}.name")
         if name == "triangulation" and not (
             isinstance(algorithm, DlrAlgorithm) and algorithm.d == decoded["d"]
         ):

@@ -2,14 +2,17 @@
 max and average, the triangulation probe ladder for linear regression, and the
 exact inference helpers that decode what the truthful outcome would have been.
 `STRATEGIES` gives each strategy a scenario file can name, with the kinds of
-its parameters; the builders check the values.
+its parameters and of the payloads it makes up; the builders check the values.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algorithms import (
@@ -25,15 +28,16 @@ from .algorithms import (
     RowMultiset,
     Scalar,
     ScalarOutput,
+    ScaledMoments,
     UpdatePayload,
     check_count,
     coerce_point,
-    moments,
     multiset_points,
     payload_difference,
     payload_union,
+    scaled_moments,
 )
-from .numerics import RationalLike, RMatrix, rational
+from .numerics import RationalLike, RMatrix, _scaled, rational
 from .protocol import (
     KIND_FACTUAL,
     KIND_LEDGER,
@@ -447,7 +451,18 @@ class InferenceResult:
 
 
 def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
-    """Solve the probe responses for the hidden moments and the truthful fit."""
+    """Solve the probe responses for the hidden moments and the truthful fit.
+
+    With G_i and c_i the moments of the i-th probe, A_i = G_1 + ... + G_i,
+    rho_i the fit after it and delta_i = rho_i - rho_(i-1), the normal
+    equations of two consecutive fits give Sigma @ delta_i = c_i - G_i @ rho_i
+    - A_(i-1) @ delta_i, the i-th response. So Sigma solves
+    Delta^T @ Sigma^T = R^T, with the deltas and the responses as the columns
+    of Delta and R, and sigma = Sigma @ rho_0. The moments, the responses
+    and the own-row correction Sigma - (own ledger) + (own factual) are
+    computed in ints over common scales; each entry returned is one
+    `Fraction`.
+    """
     width = d + 1
     if state.step < width:
         raise InferenceError(
@@ -457,39 +472,58 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     rho = state.rho_seq[: width + 1]
     if any(coeffs is None for coeffs in rho):
         raise InferenceError("a probe response was Null; the ledger fit vanished")
+    scaled_rho = [_scaled(coeffs) for coeffs in rho]
     delta_columns: list[tuple[Fraction, ...]] = []
     response_columns: list[tuple[Fraction, ...]] = []
-    accumulated = RMatrix.zeros(width, width)
+    accumulated = scaled_moments((), width)
     for i in range(1, width + 1):
-        step_moments = moments(state.probes[i - 1], width)
-        rho_i = RMatrix.column(rho[i])
-        delta = rho_i - RMatrix.column(rho[i - 1])
-        response = step_moments.cross - (step_moments.gram @ rho_i) - (accumulated @ delta)
-        delta_columns.append(delta.column_values())
-        response_columns.append(response.column_values())
-        accumulated = accumulated + step_moments.gram
-    delta_matrix = RMatrix(zip(*delta_columns))
-    response_matrix = RMatrix(zip(*response_columns))
-    delta_inverse = delta_matrix.inverse()
-    if delta_inverse is None:
+        probe = scaled_moments(state.probes[i - 1], width)
+        (t, current), (u, previous) = scaled_rho[i], scaled_rho[i - 1]
+        delta_scale = math.lcm(t, u)
+        delta = [
+            x * (delta_scale // t) - y * (delta_scale // u) for x, y in zip(current, previous)
+        ]
+        # (c_i - G_i @ rho_i) over probe.scale * t, A_(i-1) @ delta_i over
+        # accumulated.scale * delta_scale.
+        own = [c * t - sum(map(mul, g, current)) for g, c in zip(probe.gram, probe.cross)]
+        carried = [sum(map(mul, a, delta)) for a in accumulated.gram]
+        own_scale, carried_scale = probe.scale * t, accumulated.scale * delta_scale
+        response_scale = math.lcm(own_scale, carried_scale)
+        response = [
+            x * (response_scale // own_scale) - y * (response_scale // carried_scale)
+            for x, y in zip(own, carried)
+        ]
+        delta_columns.append(tuple(Fraction(v, delta_scale) for v in delta))
+        response_columns.append(tuple(Fraction(v, response_scale) for v in response))
+        accumulated = accumulated.add(probe)
+    # The columns of Delta and R are the rows of Delta^T and R^T.
+    sigma_transposed = RMatrix._exact(tuple(delta_columns)).solve(
+        RMatrix._exact(tuple(response_columns))
+    )
+    if sigma_transposed is None:
         raise InferenceError(
             "the fit never moved along some direction; probe responses are dependent"
         )
-    sigma_matrix = response_matrix @ delta_inverse
+    sigma_matrix = sigma_transposed.transpose()
     sigma_vector = sigma_matrix @ RMatrix.column(rho[0])
-    own_ledger = moments(state.own_ledger_rows, width)
-    own_factual = moments(state.own_factual_rows, width)
-    truth_gram = sigma_matrix - own_ledger.gram + own_factual.gram
-    truth_cross = sigma_vector - own_ledger.cross + own_factual.cross
-    solution = truth_gram.solve(truth_cross)
+    # sigma, then Sigma row by row, in ints over one scale.
+    scale, ints = _scaled([*sigma_vector.column_values(), *chain.from_iterable(sigma_matrix.rows)])
+    sigma = ScaledMoments(
+        scale,
+        tuple(tuple(ints[i : i + width]) for i in range(width, width * (width + 1), width)),
+        tuple(ints[:width]),
+    )
+    own_ledger = scaled_moments(state.own_ledger_rows, width)
+    correction = scaled_moments(state.own_factual_rows, width).add(own_ledger, -1)
+    solution = sigma.add(correction).solve()
     if solution is None:
         raise InferenceError("the truthful data does not determine a unique fit")
     return InferenceResult(
         sigma_matrix=sigma_matrix,
         sigma_vector=sigma_vector,
-        truth_output=CoefficientsOutput(solution.column_values()),
-        response_matrix=response_matrix,
-        delta_matrix=delta_matrix,
+        truth_output=CoefficientsOutput(solution),
+        response_matrix=RMatrix._exact(tuple(zip(*response_columns))),
+        delta_matrix=RMatrix._exact(tuple(zip(*delta_columns))),
     )
 
 
@@ -641,26 +675,33 @@ def lr_sneak_params() -> SneakParams:
 # =============================================================================
 
 
-# name -> (builder, {parameter: kind}); a scenario file gives each parameter in
-# the JSON form of its kind: rational, count, point, payload or output.
-STRATEGIES: dict[str, tuple[Callable[..., Strategy], dict[str, str]]] = {
-    "truthful": (lambda: truthful_strategy, {}),
-    "max_echo": (max_echo_attack, {}),
-    "max_overbid": (max_overbid, {"value": "rational"}),
-    "average_probe": (average_double_probe, {}),
+# name -> (builder, {parameter: kind}, payloads). A scenario file gives each
+# parameter in the JSON form of its kind: rational, count, point, payload or
+# output. `payloads` holds one payload of each kind the strategy makes up by
+# itself, besides its parameters and its echoes of nature's payloads.
+STRATEGIES: dict[
+    str, tuple[Callable[..., Strategy], dict[str, str], tuple[UpdatePayload, ...]]
+] = {
+    "truthful": (lambda: truthful_strategy, {}, ()),
+    "max_echo": (max_echo_attack, {}, (Scalar(0),)),
+    "max_overbid": (max_overbid, {"value": "rational"}, (Scalar(0),)),
+    "average_probe": (average_double_probe, {}, (_PROBE_ZERO,)),
     "kcenter_sneak": (
         lambda k, eps: sneak_attack(kcenter_sneak_params(k, eps)),
         {"k": "count", "eps": "rational"},
+        (PointSet(((1,),)),),
     ),
-    "lr_sneak": (lambda: sneak_attack(lr_sneak_params()), {}),
-    "triangulation": (triangulation_attack, {"d": "count"}),
+    "lr_sneak": (lambda: sneak_attack(lr_sneak_params()), {}, (lr_sneak_params().u_attack,)),
+    # Its rows have width d + 1, which the scenario loader checks against the ledger.
+    "triangulation": (triangulation_attack, {"d": "count"}, ()),
     "sneak": (
         lambda **params: sneak_attack(SneakParams(**params)),
         {"u_cond": "payload", "rho_cond": "output", "u_attack": "payload", "u_resync": "payload"},
+        (),
     ),
-    "omit_point": (omit_point, {"point": "point"}),
-    "fabricate_point": (fabricate_point, {"point": "point"}),
-    "fabricate_rows": (fabricate_rows, {"rows": "payload"}),
+    "omit_point": (omit_point, {"point": "point"}, ()),
+    "fabricate_point": (fabricate_point, {"point": "point"}, ()),
+    "fabricate_rows": (fabricate_rows, {"rows": "payload"}, ()),
 }
 
 
@@ -668,7 +709,7 @@ def make_strategy(name: str, params: Optional[Mapping[str, object]] = None) -> S
     """Build a named strategy from a parameter mapping, as scenario files do."""
     if name not in STRATEGIES:
         raise ParamError(f"unknown strategy '{name}'; expected one of {', '.join(STRATEGIES)}")
-    builder, kinds = STRATEGIES[name]
+    builder, kinds, _ = STRATEGIES[name]
     args = dict(params or {})
     for key in kinds:
         if key not in args:

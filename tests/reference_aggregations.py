@@ -16,6 +16,7 @@ from exclusim.algorithms import (
     AlgorithmOutput,
     AverageAlgorithm,
     CentersOutput,
+    CoefficientsOutput,
     DlrAlgorithm,
     Empty,
     KCenterAlgorithm,
@@ -31,7 +32,6 @@ from exclusim.algorithms import (
     ScalarOutput,
     UpdatePayload,
     all_rows,
-    fit_from_moments,
     kcenter_solution,
     kmedian_solution,
     multiset_points,
@@ -72,6 +72,14 @@ def reference_moments(rows: Sequence[Row], width: Optional[int] = None) -> Momen
         gram = gram + (x.transpose() @ x)
         cross = cross + x.transpose().scale(row.target)
     return MomentPair(gram, cross)
+
+
+def fit_from_moments(m: MomentPair) -> AlgorithmOutput:
+    """The least-squares fit the moments determine, Null while the Gram matrix is singular."""
+    solution = m.gram.solve(m.cross)
+    if solution is None:
+        return NullOutput()
+    return CoefficientsOutput(solution.column_values())
 
 
 def reference_max(ledger: Sequence[UpdatePayload]) -> ScalarOutput:

@@ -1,0 +1,63 @@
+"""Probe-ladder inference over `Fraction` matrices: the oracle for `triangulation_infer`.
+
+This is how `strategies.triangulation_infer` computed before it moved to
+integer moments: `Fraction` moments per probe, the responses through
+`RMatrix` products, and Sigma as the response matrix times the inverse of the
+delta matrix. The differential tests in `test_strategies.py` compare the two
+field by field, including the `InferenceError` raised.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from exclusim.algorithms import CoefficientsOutput, moments
+from exclusim.numerics import RMatrix
+from exclusim.strategies import InferenceError, InferenceResult, TriangulationState
+
+
+def reference_triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
+    """Solve the probe responses for the hidden moments and the truthful fit."""
+    width = d + 1
+    if state.step < width:
+        raise InferenceError(
+            f"need {width} probe responses to solve a width-{width} system, "
+            f"got {state.step}"
+        )
+    rho = state.rho_seq[: width + 1]
+    if any(coeffs is None for coeffs in rho):
+        raise InferenceError("a probe response was Null; the ledger fit vanished")
+    delta_columns: list[tuple[Fraction, ...]] = []
+    response_columns: list[tuple[Fraction, ...]] = []
+    accumulated = RMatrix.zeros(width, width)
+    for i in range(1, width + 1):
+        step_moments = moments(state.probes[i - 1], width)
+        rho_i = RMatrix.column(rho[i])
+        delta = rho_i - RMatrix.column(rho[i - 1])
+        response = step_moments.cross - (step_moments.gram @ rho_i) - (accumulated @ delta)
+        delta_columns.append(delta.column_values())
+        response_columns.append(response.column_values())
+        accumulated = accumulated + step_moments.gram
+    delta_matrix = RMatrix(zip(*delta_columns))
+    response_matrix = RMatrix(zip(*response_columns))
+    delta_inverse = delta_matrix.inverse()
+    if delta_inverse is None:
+        raise InferenceError(
+            "the fit never moved along some direction; probe responses are dependent"
+        )
+    sigma_matrix = response_matrix @ delta_inverse
+    sigma_vector = sigma_matrix @ RMatrix.column(rho[0])
+    own_ledger = moments(state.own_ledger_rows, width)
+    own_factual = moments(state.own_factual_rows, width)
+    truth_gram = sigma_matrix - own_ledger.gram + own_factual.gram
+    truth_cross = sigma_vector - own_ledger.cross + own_factual.cross
+    solution = truth_gram.solve(truth_cross)
+    if solution is None:
+        raise InferenceError("the truthful data does not determine a unique fit")
+    return InferenceResult(
+        sigma_matrix=sigma_matrix,
+        sigma_vector=sigma_vector,
+        truth_output=CoefficientsOutput(solution.column_values()),
+        response_matrix=response_matrix,
+        delta_matrix=delta_matrix,
+    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import pytest
@@ -521,6 +522,56 @@ def test_fold_matches_from_scratch_reference(case):
     got = outcome(algorithm.compute, ledger)
     want = outcome(reference_output, algorithm, ledger)
     assert got == want
+
+
+def _split(rows: list, cuts: list[int]) -> list[RowMultiset]:
+    """`rows` cut at the given positions into consecutive payloads."""
+    bounds = [0, *sorted({min(c, len(rows)) for c in cuts}), len(rows)]
+    return [RowMultiset(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+# Several coprime denominators, so that two payloads rarely share a scale.
+_wide_fraction = st.builds(
+    Fraction, st.integers(min_value=-20, max_value=20), st.sampled_from((1, 2, 3, 5, 7, 12))
+)
+
+
+def _dlr_rows_and_cuts(max_rows: int):
+    def rows_and_cuts(width: int):
+        row = st.tuples(st.tuples(*[_wide_fraction] * (width - 1)), _wide_fraction).map(
+            lambda pair: Row((1,) + pair[0], pair[1])
+        )
+        return st.tuples(
+            st.just(width),
+            st.lists(row, max_size=max_rows),
+            st.lists(st.integers(min_value=0, max_value=max_rows), max_size=4),
+        )
+
+    return st.integers(min_value=2, max_value=4).flatmap(rows_and_cuts)
+
+
+@given(case=_dlr_rows_and_cuts(6))
+@example(case=(2, [Row((1, Fraction(1, 3)), Fraction(-1, 6)), Row((1, 2), Fraction(1, 4))], [1]))
+@settings(max_examples=200, deadline=None)
+def test_integer_dlr_state_over_its_scale_is_the_moments(case):
+    width, rows, cuts = case
+    algorithm = DlrAlgorithm(width - 1)
+    state = reduce(algorithm.fold, _split(rows, cuts), algorithm.start())
+    entries = [state.scale, *state.cross, *(v for row in state.gram for v in row)]
+    assert all(type(v) is int for v in entries)
+    want = moments(rows, width)
+    assert tuple(tuple(Fraction(v, state.scale) for v in row) for row in state.gram) == want.gram.rows
+    assert tuple((Fraction(v, state.scale),) for v in state.cross) == want.cross.rows
+
+
+@given(case=_dlr_rows_and_cuts(6))
+@settings(max_examples=200, deadline=None)
+def test_dlr_output_is_the_same_for_any_split_of_the_rows(case):
+    width, rows, cuts = case
+    algorithm = DlrAlgorithm(width - 1)
+    whole = algorithm.fold(algorithm.start(), RowMultiset(rows))
+    split = reduce(algorithm.fold, _split(rows, cuts), algorithm.start())
+    assert algorithm.output(split) == algorithm.output(whole)
 
 
 def test_fold_states_are_reusable_values():

@@ -521,9 +521,13 @@ _STRATEGY_PARAMS = {
 }
 
 
-# A ledger that takes each strategy's payload and point parameters, with a
-# nature payload for it; the strategies not listed load on `max`.
+# A ledger that takes each strategy's payload and point parameters and the
+# payloads it makes up, with a nature payload for it; the strategies not
+# listed load on `max`.
 _STRATEGY_LEDGERS = {
+    "average_probe": ({"name": "average"}, _POINTS),
+    "kcenter_sneak": ({"name": "kcenter", "params": {"k": 3}}, _POINTS),
+    "lr_sneak": ({"name": "dlr", "params": {"d": 1}}, _ROWS),
     "triangulation": ({"name": "dlr", "params": {"d": 2}}, _WIDE_ROWS),
     "sneak": ({"name": "kcenter", "params": {"k": 2}}, _POINTS),
     "omit_point": ({"name": "kcenter", "params": {"k": 2}}, _POINTS),
@@ -546,7 +550,7 @@ def _strategy_dict(name: str, params: dict) -> dict:
 
 def test_strategy_table_declares_every_parameter_kind():
     assert set(_STRATEGY_PARAMS) == set(STRATEGIES)
-    kinds = {kind for _, declared in STRATEGIES.values() for kind in declared.values()}
+    kinds = {kind for _, declared, _ in STRATEGIES.values() for kind in declared.values()}
     assert kinds == {"rational", "count", "point", "payload", "output"}
 
 
@@ -564,7 +568,7 @@ def test_every_strategy_loads_and_round_trips(name):
 
 @pytest.mark.parametrize(
     "name, key",
-    [(name, key) for name, (_, kinds) in sorted(STRATEGIES.items()) for key in kinds],
+    [(name, key) for name, (_, kinds, _) in sorted(STRATEGIES.items()) for key in kinds],
 )
 def test_every_strategy_param_rejects_a_float(name, key):
     params = {**_STRATEGY_PARAMS[name], key: 1.5}
@@ -585,6 +589,38 @@ def test_triangulation_must_match_the_dlr_algorithm():
         assert str(excinfo.value) == (
             "strategies.2.params.d: triangulation needs dlr with d = 2"
         )
+
+
+@pytest.mark.parametrize(
+    "algorithm, payload, strategy",
+    [
+        ({"name": "dlr", "params": {"d": 1}}, _ROWS, {"name": "max_overbid", "params": {"value": 9}}),
+        ({"name": "average"}, _POINTS, {"name": "max_echo"}),
+        ({"name": "max"}, {"kind": "scalar", "value": 5}, {"name": "average_probe"}),
+        (
+            {"name": "dlr", "params": {"d": 1}},
+            _ROWS,
+            {"name": "kcenter_sneak", "params": {"k": 3, "eps": "1/1000"}},
+        ),
+        ({"name": "dlr", "params": {"d": 2}}, _WIDE_ROWS, {"name": "lr_sneak"}),
+    ],
+    ids=[
+        "max_overbid_on_dlr", "max_echo_on_average", "average_probe_on_max",
+        "kcenter_sneak_on_dlr", "lr_sneak_on_dlr_d2",
+    ],
+)
+def test_cli_run_refuses_a_strategy_whose_payloads_the_ledger_cannot_fold(
+    tmp_path, capsys, algorithm, payload, strategy
+):
+    # The first three used to fail mid-run with exit 1, the sneak presets to
+    # run with exit 0 while never firing.
+    data = _minimal_dict(
+        algorithm=algorithm,
+        strategies={"2": strategy},
+        nature_input=[{"agent": 1, "payload": payload}],
+    )
+    assert _run_file(tmp_path, data) == 2
+    assert "error: strategies.2.name: " in capsys.readouterr().err
 
 
 def test_cli_run_kmedian_irrational_distance_exits_1(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,11 +24,15 @@ from exclusim.algorithms import (
     ScalarOutput,
 )
 from exclusim.cli import triangulation_csv_rows
+from exclusim.harness import make_triangulation_cases
+from exclusim.numerics import RMatrix
 from exclusim.protocol import KIND_LEDGER, NatureElement, extract, observed_history, run_protocol
 from exclusim.strategies import (
     InferenceError,
     SneakParams,
     StrategyClass,
+    TriangulationState,
+    _probe_row,
     average_double_probe,
     average_infer,
     average_infer_from_history,
@@ -42,8 +47,11 @@ from exclusim.strategies import (
     omit_point,
     sneak_attack,
     triangulation_attack,
+    triangulation_infer,
     triangulation_infer_from_history,
+    triangulation_state,
 )
+from reference_triangulation import reference_triangulation_infer
 
 TRUTHFUL = {}
 
@@ -370,6 +378,112 @@ def test_triangulation_deflects_when_the_truth_equals_the_broadcast():
 
     roles = [line[3] for line in triangulation_csv_rows(attack, 2, 1)[1:]]
     assert roles == ["factual", "factual", "ledger", "ledger", "probe", "probe", "deflection"]
+
+
+# --- the integer inference against the Fraction-matrix oracle ---------------
+
+
+def _ladder_states(d: int, seeds: range) -> list[TriangulationState]:
+    """Every distinct state with at least d + 1 responses that a prefix of a
+    generated criterion-6 attack run shows the attacker."""
+    generate = make_triangulation_cases(d)
+    states: dict[TriangulationState, None] = {}
+    for seed in seeds:
+        case = generate(seed)
+        run = run_protocol(
+            "continuous", case.ninput, {2: triangulation_attack(d)}, DlrAlgorithm(d),
+            case.agent_count, ell=case.ell,
+        )
+        for upto in range(len(run.messages) + 1):
+            state = triangulation_state(observed_history(run, 2, upto))
+            if state is not None and state.step >= d + 1:
+                states[state] = None
+    return list(states)
+
+
+def _inference_fields(function, state, d):
+    """The five result fields, or the InferenceError message."""
+    try:
+        result = function(state, d)
+    except InferenceError as exc:
+        return str(exc)
+    return tuple(getattr(result, f.name) for f in dataclasses.fields(result))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_triangulation_infer_matches_the_fraction_reference(d):
+    states = _ladder_states(d, range(150))
+    assert len(states) > 300
+    for state in states:
+        got = _inference_fields(triangulation_infer, state, d)
+        assert got == _inference_fields(reference_triangulation_infer, state, d)
+        if not isinstance(got, str):
+            sigma, vector, truth, response, delta = got
+            entries = [*truth.coefficients]
+            for matrix in (sigma, vector, response, delta):
+                entries.extend(v for row in matrix.rows for v in row)
+            assert all(type(v) is Fraction for v in entries)
+
+
+def _ladder_by_hand(hidden: tuple[Row, ...], d: int) -> TriangulationState:
+    """The ladder an attacker sees over a ledger of `hidden` rows, with no rows of its own."""
+    algorithm = DlrAlgorithm(d)
+    ledger = [RowMultiset(hidden)]
+    rho = [algorithm.compute(ledger).coefficients]
+    probes = []
+    for step in range(1, d + 2):
+        probes.append((_probe_row(step, rho[-1]),))
+        ledger.append(RowMultiset(probes[-1]))
+        rho.append(algorithm.compute(ledger).coefficients)
+    return TriangulationState(d + 1, tuple(rho), tuple(probes), (), ())
+
+
+def test_triangulation_infer_errors_match_the_fraction_reference():
+    hidden = (Row((1, 0), 1), Row((1, 1), 2), Row((1, 3), 2))
+    ladder = _ladder_by_hand(hidden, 1)
+    rho0, rho1, _ = ladder.rho_seq
+    cases = {
+        "too few steps": dataclasses.replace(
+            ladder, step=1, rho_seq=ladder.rho_seq[:2], probes=ladder.probes[:1]
+        ),
+        "a Null response": dataclasses.replace(ladder, rho_seq=(rho0, None, rho1)),
+        "dependent probes": dataclasses.replace(ladder, rho_seq=(rho0, rho0, rho1)),
+        # The attacker's own ledger rows are all the hidden rows, so nothing is left.
+        "no unique truthful fit": dataclasses.replace(ladder, own_ledger_rows=hidden),
+    }
+    messages = {
+        name: _inference_fields(triangulation_infer, state, 1) for name, state in cases.items()
+    }
+    assert messages == {
+        name: _inference_fields(reference_triangulation_infer, state, 1)
+        for name, state in cases.items()
+    }
+    assert messages == {
+        "too few steps": "need 2 probe responses to solve a width-2 system, got 1",
+        "a Null response": "a probe response was Null; the ledger fit vanished",
+        "dependent probes": (
+            "the fit never moved along some direction; probe responses are dependent"
+        ),
+        "no unique truthful fit": "the truthful data does not determine a unique fit",
+    }
+    result = triangulation_infer(ladder, 1)
+    assert result.truth_output == DlrAlgorithm(1).compute([RowMultiset(hidden)])
+    assert result == reference_triangulation_infer(ladder, 1)
+
+
+def test_triangulation_infer_matches_the_reference_off_any_ledger():
+    # Fits that no ledger produces give a Sigma that is not symmetric, so
+    # Sigma and its transpose are told apart.
+    ladder = _ladder_by_hand((Row((1, 0), 1), Row((1, 1), 2), Row((1, 3), 2)), 1)
+    rho0, rho1, rho2 = ladder.rho_seq
+    skewed = dataclasses.replace(
+        ladder,
+        rho_seq=(rho0, rho1, (rho2[0], rho2[1] + Fraction(1, 3))),
+        own_factual_rows=(Row((1, 5), Fraction(1, 2)),),
+    )
+    got = triangulation_infer(skewed, 1)
+    assert got.sigma_matrix != got.sigma_matrix.transpose()
+    assert got == reference_triangulation_infer(skewed, 1)
 
 
 def test_triangulation_rejects_bad_dimension():
