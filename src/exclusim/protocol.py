@@ -146,7 +146,11 @@ class ObservedHistory:
 
     @cached_property
     def items(self) -> tuple[Message, ...]:
-        return tuple(m for m in islice(self.log, self.length) if self.sees(m))
+        # From a list, not a generator: CPython sizes a tuple built from a
+        # generator at 10 and then resizes it, so each poll's tuple would be
+        # freed onto the free list of another size, and those lists (2000
+        # tuples per size) would hold megabytes between full collections.
+        return tuple([m for m in islice(self.log, self.length) if self.sees(m)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObservedHistory):
