@@ -25,7 +25,6 @@ from exclusim.algorithms import (
 )
 from exclusim.cli import triangulation_csv_rows
 from exclusim.harness import make_triangulation_cases
-from exclusim.numerics import RMatrix
 from exclusim.protocol import KIND_LEDGER, NatureElement, extract, observed_history, run_protocol
 from exclusim.strategies import (
     InferenceError,
