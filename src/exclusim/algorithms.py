@@ -545,7 +545,10 @@ class Algorithm:
     state once `payload` is appended (a `PayloadError` if the algorithm
     cannot take it), and `output(state)` the public output, `NullOutput`
     while the aggregation is undefined. States are immutable, so one state
-    may be folded further along two different continuations.
+    may be folded further along two different continuations. `fold` returns
+    `state` itself when the payload adds nothing to it (an `Empty` payload, a
+    max that is not higher, points already in the union); the engines then
+    rebroadcast the last output instead of calling `output` again.
     """
 
     name: str = "abstract"
@@ -628,6 +631,8 @@ class ClusteringAlgorithm(Algorithm):
             return state
         if state and len(next(iter(state))) != len(payload.points[0]):
             raise PayloadError("point payloads of mixed dimension on one ledger")
+        if state.issuperset(payload.points):
+            return state
         return state.union(payload.points)
 
     def output(self, state: frozenset[Point]) -> AlgorithmOutput:

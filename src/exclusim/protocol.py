@@ -5,7 +5,8 @@ agents may push ledger updates; after pushes the ledger broadcasts the
 aggregation algorithm's output over everything pushed so far. The engines do
 not keep the ledger itself: they keep the algorithm's running state
 (`Algorithm.start`), fold each accepted update into it (`fold`) and broadcast
-its `output`, so the cost of one broadcast does not grow with the ledger. An
+its `output`, so the cost of one broadcast does not grow with the ledger; a
+fold that returns the state itself rebroadcasts the last output. An
 agent's strategy is a pure function of its observed history: its own factual
 deliveries, its own ledger updates, and every broadcast, in run order. The
 run's message log is the engines' only record; each poll hands the strategy an
@@ -13,7 +14,8 @@ run's message log is the engines' only record; each poll hands the strategy an
 
 Simultaneity is resolved by polling agents in fixed ascending order. In the
 continuous protocol a single nature element opens an activity loop: agents are
-polled repeatedly, each accepted update is broadcast immediately, and an
+polled repeatedly (each only when its view has grown since its last poll),
+each accepted update is broadcast immediately, and an
 anti-flooding guard suppresses an agent once it authored the last `ell`
 consecutive ledger updates (the guard models how many consecutive identities
 one party controls). The periodic protocol delivers a round's factual updates,
@@ -101,11 +103,13 @@ class Run:
     ell: Optional[int] = None
 
     def broadcasts(self) -> tuple[AlgorithmOutput, ...]:
-        return tuple(m.output for m in self.messages if isinstance(m, OutputBroadcast))
+        return tuple([m.output for m in self.messages if isinstance(m, OutputBroadcast)])
 
     def final_output(self) -> Optional[AlgorithmOutput]:
-        outs = self.broadcasts()
-        return outs[-1] if outs else None
+        for message in reversed(self.messages):
+            if isinstance(message, OutputBroadcast):
+                return message.output
+        return None
 
 
 def extract(run: Run, kind: str, agent: Optional[int] = None) -> tuple[UpdatePayload, ...]:
@@ -116,11 +120,11 @@ def extract(run: Run, kind: str, agent: Optional[int] = None) -> tuple[UpdatePay
         wanted = FactualDelivery
     else:
         raise InputError(f"extract kind must be '{KIND_LEDGER}' or '{KIND_FACTUAL}'")
-    return tuple(
+    return tuple([
         m.payload
         for m in run.messages
         if isinstance(m, wanted) and (agent is None or m.agent == agent)
-    )
+    ])
 
 
 # =============================================================================
@@ -170,7 +174,7 @@ class ObservedHistory:
         return None
 
     def broadcasts(self) -> tuple[AlgorithmOutput, ...]:
-        return tuple(m.output for m in self.items if isinstance(m, OutputBroadcast))
+        return tuple([m.output for m in self.items if isinstance(m, OutputBroadcast)])
 
     def last_broadcast(self) -> Optional[AlgorithmOutput]:
         for index in range(self.length - 1, -1, -1):
@@ -179,10 +183,10 @@ class ObservedHistory:
         return None
 
     def own_factuals(self) -> tuple[UpdatePayload, ...]:
-        return tuple(m.payload for m in self.items if isinstance(m, FactualDelivery))
+        return tuple([m.payload for m in self.items if isinstance(m, FactualDelivery)])
 
     def own_ledger_updates(self) -> tuple[UpdatePayload, ...]:
-        return tuple(m.payload for m in self.items if isinstance(m, LedgerUpdate))
+        return tuple([m.payload for m in self.items if isinstance(m, LedgerUpdate)])
 
 
 Strategy = Callable[[ObservedHistory], Optional[UpdatePayload]]
@@ -253,17 +257,33 @@ def run_continuous(
     agent_count: int,
     safety_cap: int = DEFAULT_SAFETY_CAP,
 ) -> Run:
-    """Execute the continuous protocol and return the full transcript."""
+    """Execute the continuous protocol and return the full transcript.
+
+    An agent is polled only when its view has grown since its last poll: a
+    delivery to it, or a broadcast, came after that poll. Strategies are pure
+    functions of their views (the property `replay_matches` checks), so an
+    unchanged view would give the same wish, and that wish would be dropped
+    again: an accepted wish is always followed by a broadcast, which grows
+    every view, and without one the guard's ledger authors are unchanged too.
+    A stateful callable is therefore not a supported strategy.
+    """
     if ell < 1:
         raise InputError("ell must be at least 1")
     validate_continuous_input(ninput, agent_count)
 
     messages: list[Message] = []
     state = algorithm.start()
+    broadcast: Optional[OutputBroadcast] = None
     ledger_authors: list[int] = []
+    # Log lengths: at each agent's last poll, just after its last delivery,
+    # and just after the last broadcast.
+    polled_at = [0] * (agent_count + 1)
+    delivered_at = [0] * (agent_count + 1)
+    broadcast_at = 0
 
     for element in ninput:
         messages.append(FactualDelivery(element.agent, element.payload))
+        delivered_at[element.agent] = len(messages)
         active = True
         passes = 0
         while active:
@@ -274,6 +294,9 @@ def run_continuous(
                 )
             active = False
             for agent in range(1, agent_count + 1):
+                if polled_at[agent] >= delivered_at[agent] and polled_at[agent] >= broadcast_at:
+                    continue
+                polled_at[agent] = len(messages)
                 strategy = strategies.get(agent, truthful_strategy)
                 wish = strategy(ObservedHistory(agent, messages, len(messages)))
                 if wish is None:
@@ -284,10 +307,13 @@ def run_continuous(
                     # Guard: this agent wrote the last `ell` updates. The wish
                     # is dropped and does not keep the loop alive.
                     continue
-                state = algorithm.fold(state, wish)
+                folded = algorithm.fold(state, wish)
+                if folded is not state or broadcast is None:
+                    state, broadcast = folded, OutputBroadcast(algorithm.output(folded))
                 ledger_authors.append(agent)
                 messages.append(LedgerUpdate(agent, wish))
-                messages.append(OutputBroadcast(algorithm.output(state)))
+                messages.append(broadcast)
+                broadcast_at = len(messages)
                 active = True
 
     return Run("continuous", agent_count, tuple(messages), ell=ell)
@@ -304,19 +330,23 @@ def run_periodic(
 
     messages: list[Message] = []
     state = algorithm.start()
+    broadcast: Optional[OutputBroadcast] = None
 
     last_round = max((el.round for el in ninput), default=0)
     for round_no in range(1, last_round + 1):
         for element in ninput:
             if element.round == round_no:
                 messages.append(FactualDelivery(element.agent, element.payload))
+        folded = state
         for agent in range(1, agent_count + 1):
             strategy = strategies.get(agent, truthful_strategy)
             wish = strategy(ObservedHistory(agent, messages, len(messages)))
             if wish is not None:
-                state = algorithm.fold(state, wish)
+                folded = algorithm.fold(folded, wish)
                 messages.append(LedgerUpdate(agent, wish))
-        messages.append(OutputBroadcast(algorithm.output(state)))
+        if folded is not state or broadcast is None:
+            state, broadcast = folded, OutputBroadcast(algorithm.output(folded))
+        messages.append(broadcast)
 
     return Run("periodic", agent_count, tuple(messages), ell=None)
 

@@ -448,6 +448,10 @@ def run_scenario(scenario: Scenario) -> Run:
 # =============================================================================
 
 
+# One encoder for every line: `json.dumps` with arguments builds a new one per call.
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def trace_records(run: Run) -> list[dict]:
     """One record per transcript message, in run order."""
     records = []
@@ -463,7 +467,4 @@ def trace_records(run: Run) -> list[dict]:
 
 def trace_lines(run: Run) -> list[str]:
     """Line-delimited JSON trace, stable byte-for-byte across runs."""
-    return [
-        json.dumps(record, separators=(",", ":"), sort_keys=False)
-        for record in trace_records(run)
-    ]
+    return [_encode_record(record) for record in trace_records(run)]

@@ -5,13 +5,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exclusim.algorithms import (
     NORM_INF,
     AverageAlgorithm,
     DlrAlgorithm,
+    Empty,
     KCenterAlgorithm,
     KMedianAlgorithm,
     MaxAlgorithm,
@@ -470,10 +471,98 @@ def _generated_runs(draw):
     return protocol, ninput, strategies, algorithm, agent_count, None
 
 
+def _spied(strategies, agent_count, polls):
+    """Every agent's strategy, defaults included, recording (agent, view length) per poll."""
+
+    def spy(agent, strategy):
+        def polled(o):
+            polls.append((agent, o.length))
+            return strategy(o)
+
+        return polled
+
+    return {
+        agent: spy(agent, strategies.get(agent, truthful_strategy))
+        for agent in range(1, agent_count + 1)
+    }
+
+
 @given(case=_generated_runs())
+# An attacker that always bids, on a ledger it wrote last, repeats a wish the
+# guard drops.
+@example(case=(
+    "continuous", _scalar_input((1, 5), (2, 3), (2, 4)), {2: _always_bid(9)}, MaxAlgorithm(), 2, 1,
+))
+@example(case=(
+    "continuous", _scalar_input((1, 5), (2, 3), (1, 4)), {2: _always_bid(9)}, MaxAlgorithm(), 3, 2,
+))
 @settings(max_examples=300, deadline=None)
 def test_engines_match_from_scratch_reference(case):
-    _assert_matches_reference(*case)
+    protocol, ninput, strategies, algorithm, agent_count, ell = case
+    polls: list[tuple[int, int]] = []
+    spied = _spied(strategies, agent_count, polls)
+    got = outcome(
+        run_protocol, protocol, ninput, spied, algorithm, agent_count, ell=ell, safety_cap=200
+    )
+    want = outcome(
+        reference_run, protocol, ninput, strategies, algorithm, agent_count,
+        ell=ell, safety_cap=200,
+    )
+    assert (got if isinstance(got, type) else got.messages) == want
+    # A view that has not grown is never asked again.
+    assert len(set(polls)) == len(polls)
+
+
+class _CountingKCenter(KCenterAlgorithm):
+    def __init__(self, k):
+        super().__init__(k)
+        self.outputs = 0
+
+    def output(self, state):
+        self.outputs += 1
+        return super().output(state)
+
+
+def _points(*values):
+    return PointSet(tuple((Fraction(v),) for v in values))
+
+
+def test_continuous_rebroadcasts_when_the_union_does_not_grow():
+    # The union grows at the first and fourth elements only.
+    payloads = [_points(0, 1), _points(1), _points(0), _points(5), _points(0, 5), _points(1, 5)]
+    ninput = tuple(NatureElement(1 + i % 3, p) for i, p in enumerate(payloads))
+    algorithm = _CountingKCenter(2)
+    run = run_protocol("continuous", ninput, {}, algorithm, 3, ell=1)
+    assert algorithm.outputs == 2
+    assert len(run.broadcasts()) == 6
+    assert run.messages == reference_run("continuous", ninput, {}, algorithm, 3, ell=1)
+
+
+def test_first_broadcast_is_computed_when_the_fold_changes_nothing():
+    ninput = (NatureElement(1, Empty()), NatureElement(1, Empty()))
+    for protocol, ninput in (
+        ("continuous", ninput),
+        ("periodic", tuple(NatureElement(1, el.payload, 1 + i) for i, el in enumerate(ninput))),
+    ):
+        run = run_protocol(protocol, ninput, {}, MaxAlgorithm(), 1, ell=2)
+        assert run.broadcasts() == (NullOutput(), NullOutput())
+        assert run.messages == reference_run(protocol, ninput, {}, MaxAlgorithm(), 1, ell=2)
+
+
+def test_periodic_rebroadcasts_when_the_union_does_not_grow():
+    # Nobody writes in round 2, round 3 repeats points, round 4 adds one.
+    ninput = (
+        NatureElement(1, _points(0, 1), 1),
+        NatureElement(2, _points(1), 1),
+        NatureElement(1, _points(0), 3),
+        NatureElement(2, _points(0, 1), 3),
+        NatureElement(2, _points(5), 4),
+    )
+    algorithm = _CountingKCenter(2)
+    run = run_protocol("periodic", ninput, {}, algorithm, 2)
+    assert algorithm.outputs == 2
+    assert len(run.broadcasts()) == 4
+    assert run.messages == reference_run("periodic", ninput, {}, algorithm, 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
