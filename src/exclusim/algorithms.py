@@ -10,17 +10,19 @@ an empty ledger, `fold(state, payload)` the state after one more update, and
 `output(state)` the public output, or `NullOutput` while the aggregation is
 not defined. States are immutable values and a fold costs time in the size of
 its payload, not of the ledger: max keeps a running maximum, average a sum
-and a count, regression the moments X^T X and X^T y in integers over one
-common squared scale (a `ScaledMoments`), and k-center and k-median the
-point union, which `output` solves. The engines keep one running state per
-run; `compute(ledger)` folds a whole ledger.
+and a count, regression the moments X^T X and X^T y in integers, the Gram
+block over the squared feature scale and the cross block over the feature
+scale times the target scale (a `ScaledMoments`), and k-center and k-median
+the point union, which `output` solves. The engines keep one running state
+per run; `compute(ledger)` folds a whole ledger.
 
-Everything is exact rational arithmetic. `scaled_moments` scales the rows to
-integers by their least common denominator and sums plain ints; a
-regression fold rescales two such records to the lcm of their scales and
-adds ints, and `output` hands the integer normal equations straight to the
-fraction-free solve, since the scale cancels in them. Only the coefficients
-become `Fraction`s. `moments` is the same record divided once.
+Everything is exact rational arithmetic. `scaled_moments` scales the
+features to integers by their least common denominator, and the targets by
+theirs, and sums plain ints; a regression fold rescales each block of two
+such records to the lcm of its two scales and adds ints, and `output` hands
+the integer normal equations straight to the fraction-free solve and
+rescales the solution by the ratio of the two scales. Only the coefficients
+become `Fraction`s. `moments` is the same record, each block divided once.
 The clustering solvers are exact: they build the pairwise distance table of
 the input union once, scale it to integers over a common denominator, and
 cost every k-subset from that table, skipping a subset as soon as its cost
@@ -442,78 +444,98 @@ class MomentPair:
 
 
 class ScaledMoments(NamedTuple):
-    """Moments in integers over one common positive scale.
+    """Moments in integers, each block over its own positive scale.
 
-    `gram[i][j]` and `cross[i]` are `scale` times the entries of X^T X and
-    X^T y. For rows, `scale` is the square of their least common
-    denominator, or the lcm of such squares once records are added.
+    `gram[i][j]` is `gram_scale` times the entry of X^T X, and `cross[i]` is
+    `cross_scale` times the entry of X^T y. For rows with f the least common
+    denominator of their features and t that of their targets, `gram_scale`
+    is f * f and `cross_scale` is f * t; once records are added, each scale
+    is the lcm of the two. So the Gram block never carries the targets'
+    denominators, which in a probe ladder grow with every fit.
     """
 
-    scale: int
+    gram_scale: int
     gram: tuple[tuple[int, ...], ...]
+    cross_scale: int
     cross: tuple[int, ...]
 
     def add(self, other: "ScaledMoments", sign: int = 1) -> "ScaledMoments":
-        """`self` plus `sign` times `other`, over the lcm of the two scales."""
-        scale = math.lcm(self.scale, other.scale)
-        a, b = scale // self.scale, sign * (scale // other.scale)
+        """`self` plus `sign` times `other`, each block over the lcm of its two scales."""
+        gram_scale = math.lcm(self.gram_scale, other.gram_scale)
+        a, b = gram_scale // self.gram_scale, sign * (gram_scale // other.gram_scale)
+        cross_scale = math.lcm(self.cross_scale, other.cross_scale)
+        p, q = cross_scale // self.cross_scale, sign * (cross_scale // other.cross_scale)
         return ScaledMoments(
-            scale,
+            gram_scale,
             tuple(
                 tuple(a * x + b * y for x, y in zip(row, other_row))
                 for row, other_row in zip(self.gram, other.gram)
             ),
-            tuple(a * x + b * y for x, y in zip(self.cross, other.cross)),
+            cross_scale,
+            tuple(p * x + q * y for x, y in zip(self.cross, other.cross)),
         )
 
     def solve(self) -> Optional[tuple[Fraction, ...]]:
         """The coefficients that solve the normal equations, or None while the
-        Gram matrix is singular; the scale cancels, so no `Fraction` is built
-        before them."""
+        Gram matrix is singular.
+
+        The integer system [gram | cross] is solved as it stands, so the
+        large integers stay in the right-hand column, and each solution entry
+        v over the last pivot becomes one `Fraction`, rescaled by
+        gram_scale / cross_scale.
+        """
         solved = solve_integer_rows([[*row, c] for row, c in zip(self.gram, self.cross)])
         if solved is None:
             return None
-        denominator, rows = solved
-        return tuple(Fraction(v, denominator) for v, in rows)
+        pivot, rows = solved
+        return tuple(Fraction(v * self.gram_scale, pivot * self.cross_scale) for v, in rows)
 
 
 def scaled_moments(rows: Sequence[Row], width: int) -> ScaledMoments:
     """The moments of `rows` (all of width `width`) as a `ScaledMoments`.
 
-    Every value is scaled by the least common denominator of all the rows,
-    so the Gram and cross entries are sums of plain ints over its square.
+    The features are scaled by the least common denominator f of all the
+    feature values and the targets by that of the targets, t, so the Gram
+    entries are sums of plain ints over f * f and the cross entries over
+    f * t.
     """
     for row in rows:
         if row.width != width:
             raise PayloadError(f"row width {row.width} does not match {width}")
     if not rows:
         zeros = (0,) * width
-        return ScaledMoments(1, (zeros,) * width, zeros)
-    scale, flat = _scaled([v for row in rows for v in (*row.features, row.target)])
-    # columns[i]: the i-th feature (the target last) of every row, times `scale`.
-    columns = [flat[i :: width + 1] for i in range(width + 1)]
+        return ScaledMoments(1, (zeros,) * width, 1, zeros)
+    feature_scale, flat = _scaled([v for row in rows for v in row.features])
+    target_scale, targets = _scaled([row.target for row in rows])
+    # columns[i]: the i-th feature of every row, times `feature_scale`.
+    columns = [flat[i::width] for i in range(width)]
     gram = [[0] * width for _ in range(width)]
     for i in range(width):
         for j in range(i, width):
             gram[i][j] = gram[j][i] = sum(map(mul, columns[i], columns[j]))
-    cross = tuple(sum(map(mul, column, columns[width])) for column in columns[:width])
-    return ScaledMoments(scale * scale, tuple(map(tuple, gram)), cross)
+    cross = tuple(sum(map(mul, column, targets)) for column in columns)
+    return ScaledMoments(
+        feature_scale * feature_scale,
+        tuple(map(tuple, gram)),
+        feature_scale * target_scale,
+        cross,
+    )
 
 
 def moments(rows: Union[RowMultiset, Sequence[Row]], width: Optional[int] = None) -> MomentPair:
     """Exact moments of a row multiset; additive under concatenation.
 
-    The `scaled_moments` of the rows, divided by their scale once.
+    The `scaled_moments` of the rows, each block divided by its scale once.
     """
     seq = rows.rows if isinstance(rows, RowMultiset) else tuple(rows)
     if width is None:
         if not seq:
             raise PayloadError("cannot infer moment width from an empty multiset")
         width = seq[0].width
-    scale, gram, cross = scaled_moments(seq, width)
+    gram_scale, gram, cross_scale, cross = scaled_moments(seq, width)
     return MomentPair(
-        RMatrix._exact(tuple(tuple(Fraction(v, scale) for v in row) for row in gram)),
-        RMatrix._exact(tuple((Fraction(v, scale),) for v in cross)),
+        RMatrix._exact(tuple(tuple(Fraction(v, gram_scale) for v in row) for row in gram)),
+        RMatrix._exact(tuple((Fraction(v, cross_scale),) for v in cross)),
     )
 
 

@@ -16,7 +16,11 @@ are the same reduced rationals that ``Fraction`` arithmetic would give. The
 Gauss-Jordan loop is one function over integer rows, `solve_integer_rows`:
 `RMatrix.solve` calls it on its scaled rows, and the regression fold state
 (`algorithms.DlrAlgorithm`) and the probe-ladder inference
-(`strategies.triangulation_infer`) hand it their integer systems directly.
+(`strategies.triangulation_infer`) hand it their integer systems directly:
+the Gram block over the squared feature scale on the left and the cross
+vector over the feature scale times the target scale on the right, so the
+pivots stay as small as the features and the large target integers stay in
+the right-hand column.
 """
 
 from __future__ import annotations

@@ -332,11 +332,15 @@ def run_periodic(
     state = algorithm.start()
     broadcast: Optional[OutputBroadcast] = None
 
-    last_round = max((el.round for el in ninput), default=0)
-    for round_no in range(1, last_round + 1):
-        for element in ninput:
-            if element.round == round_no:
-                messages.append(FactualDelivery(element.agent, element.payload))
+    # by_round[r - 1]: the deliveries of round r, in input order; a round
+    # without elements is still played.
+    by_round: list[list[FactualDelivery]] = [
+        [] for _ in range(max((el.round for el in ninput), default=0))
+    ]
+    for element in ninput:
+        by_round[element.round - 1].append(FactualDelivery(element.agent, element.payload))
+    for deliveries in by_round:
+        messages.extend(deliveries)
         folded = state
         for agent in range(1, agent_count + 1):
             strategy = strategies.get(agent, truthful_strategy)

@@ -423,13 +423,16 @@ def triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
 
 
 def _probe_row(step: int, previous: Point) -> Row:
-    """The step-th ladder point: unit features, target one above the current fit."""
-    width = len(previous)
-    features = tuple(
-        Fraction(1) if c == 0 or c == step - 1 else Fraction(0) for c in range(width)
-    )
-    target = sum((f * p for f, p in zip(features, previous)), Fraction(0)) + 1
-    return Row(features, target)
+    """The step-th ladder point: unit features, target one above the current fit.
+
+    The features are 1 at the intercept and at coordinate step - 1 (the
+    intercept alone at step 1) and 0 elsewhere, so the fit there is the sum
+    of those one or two coefficients.
+    """
+    features = [0] * len(previous)
+    features[0] = features[step - 1] = 1
+    fit = previous[0] if step == 1 else previous[0] + previous[step - 1]
+    return Row(features, fit + 1)
 
 
 @dataclass(frozen=True)
@@ -460,8 +463,9 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     Delta^T @ Sigma^T = R^T, with the deltas and the responses as the columns
     of Delta and R, and sigma = Sigma @ rho_0. The moments, the responses
     and the own-row correction Sigma - (own ledger) + (own factual) are
-    computed in ints over common scales; each entry returned is one
-    `Fraction`.
+    computed in ints: each Gram block over its own scale, each cross vector
+    and response over its own, so the probe targets' large denominators
+    stay out of the Gram blocks. Each entry returned is one `Fraction`.
     """
     width = d + 1
     if state.step < width:
@@ -483,16 +487,14 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
         delta = [
             x * (delta_scale // t) - y * (delta_scale // u) for x, y in zip(current, previous)
         ]
-        # (c_i - G_i @ rho_i) over probe.scale * t, A_(i-1) @ delta_i over
-        # accumulated.scale * delta_scale.
-        own = [c * t - sum(map(mul, g, current)) for g, c in zip(probe.gram, probe.cross)]
+        # c_i over probe.cross_scale, G_i @ rho_i over probe.gram_scale * t,
+        # A_(i-1) @ delta_i over accumulated.gram_scale * delta_scale.
+        fitted = [sum(map(mul, g, current)) for g in probe.gram]
         carried = [sum(map(mul, a, delta)) for a in accumulated.gram]
-        own_scale, carried_scale = probe.scale * t, accumulated.scale * delta_scale
-        response_scale = math.lcm(own_scale, carried_scale)
-        response = [
-            x * (response_scale // own_scale) - y * (response_scale // carried_scale)
-            for x, y in zip(own, carried)
-        ]
+        scales = (probe.cross_scale, probe.gram_scale * t, accumulated.gram_scale * delta_scale)
+        response_scale = math.lcm(*scales)
+        a, b, c = (response_scale // scale for scale in scales)
+        response = [a * x - b * y - c * z for x, y, z in zip(probe.cross, fitted, carried)]
         delta_columns.append(tuple(Fraction(v, delta_scale) for v in delta))
         response_columns.append(tuple(Fraction(v, response_scale) for v in response))
         accumulated = accumulated.add(probe)
@@ -506,12 +508,14 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
         )
     sigma_matrix = sigma_transposed.transpose()
     sigma_vector = sigma_matrix @ RMatrix.column(rho[0])
-    # sigma, then Sigma row by row, in ints over one scale.
-    scale, ints = _scaled([*sigma_vector.column_values(), *chain.from_iterable(sigma_matrix.rows)])
+    # Sigma row by row over its own scale, sigma over its own.
+    gram_scale, gram = _scaled(list(chain.from_iterable(sigma_matrix.rows)))
+    cross_scale, cross = _scaled(sigma_vector.column_values())
     sigma = ScaledMoments(
-        scale,
-        tuple(tuple(ints[i : i + width]) for i in range(width, width * (width + 1), width)),
-        tuple(ints[:width]),
+        gram_scale,
+        tuple(tuple(gram[i : i + width]) for i in range(0, width * width, width)),
+        cross_scale,
+        tuple(cross),
     )
     own_ledger = scaled_moments(state.own_ledger_rows, width)
     correction = scaled_moments(state.own_factual_rows, width).add(own_ledger, -1)

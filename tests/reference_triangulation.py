@@ -4,16 +4,28 @@ This is how `strategies.triangulation_infer` computed before it moved to
 integer moments: `Fraction` moments per probe, the responses through
 `RMatrix` products, and Sigma as the response matrix times the inverse of the
 delta matrix. The differential tests in `test_strategies.py` compare the two
-field by field, including the `InferenceError` raised.
+field by field, including the `InferenceError` raised. `reference_probe_row`
+is the probe rule as a dot product of the features with the current fit, the
+oracle for `strategies._probe_row`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from exclusim.algorithms import CoefficientsOutput, moments
+from exclusim.algorithms import CoefficientsOutput, Point, Row, moments
 from exclusim.numerics import RMatrix
 from exclusim.strategies import InferenceError, InferenceResult, TriangulationState
+
+
+def reference_probe_row(step: int, previous: Point) -> Row:
+    """The step-th ladder point: unit features, target one above the current fit."""
+    width = len(previous)
+    features = tuple(
+        Fraction(1) if c == 0 or c == step - 1 else Fraction(0) for c in range(width)
+    )
+    target = sum((f * p for f, p in zip(features, previous)), Fraction(0)) + 1
+    return Row(features, target)
 
 
 def reference_triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:

@@ -534,11 +534,26 @@ def _split(rows: list, cuts: list[int]) -> list[RowMultiset]:
 _wide_fraction = st.builds(
     Fraction, st.integers(min_value=-20, max_value=20), st.sampled_from((1, 2, 3, 5, 7, 12))
 )
+# Pairwise coprime denominators of 323 to 1279 bits (products of distinct
+# Mersenne primes), like the targets of a probe ladder that inherit the
+# denominators of the fit.
+_HUGE_DENOMINATORS = (
+    (2**89 - 1) * (2**107 - 1) * (2**127 - 1),
+    2**521 - 1,
+    2**607 - 1,
+    2**1279 - 1,
+)
+_huge_fraction = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**1300), max_value=2**1300),
+    st.sampled_from(_HUGE_DENOMINATORS),
+)
+_target = st.one_of(_wide_fraction, _huge_fraction)
 
 
 def _dlr_rows_and_cuts(max_rows: int):
     def rows_and_cuts(width: int):
-        row = st.tuples(st.tuples(*[_wide_fraction] * (width - 1)), _wide_fraction).map(
+        row = st.tuples(st.tuples(*[_wide_fraction] * (width - 1)), _target).map(
             lambda pair: Row((1,) + pair[0], pair[1])
         )
         return st.tuples(
@@ -552,16 +567,41 @@ def _dlr_rows_and_cuts(max_rows: int):
 
 @given(case=_dlr_rows_and_cuts(6))
 @example(case=(2, [Row((1, Fraction(1, 3)), Fraction(-1, 6)), Row((1, 2), Fraction(1, 4))], [1]))
+@example(
+    case=(
+        2,
+        [Row((1, Fraction(1, 3)), Fraction(1, 2**521 - 1)), Row((1, 2), Fraction(5, 2**607 - 1))],
+        [1],
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_integer_dlr_state_over_its_scale_is_the_moments(case):
     width, rows, cuts = case
     algorithm = DlrAlgorithm(width - 1)
     state = reduce(algorithm.fold, _split(rows, cuts), algorithm.start())
-    entries = [state.scale, *state.cross, *(v for row in state.gram for v in row)]
+    entries = [
+        state.gram_scale, state.cross_scale, *state.cross, *(v for row in state.gram for v in row)
+    ]
     assert all(type(v) is int for v in entries)
-    want = moments(rows, width)
-    assert tuple(tuple(Fraction(v, state.scale) for v in row) for row in state.gram) == want.gram.rows
-    assert tuple((Fraction(v, state.scale),) for v in state.cross) == want.cross.rows
+    want = reference_moments(rows, width)
+    assert (
+        tuple(tuple(Fraction(v, state.gram_scale) for v in row) for row in state.gram)
+        == want.gram.rows
+    )
+    assert tuple((Fraction(v, state.cross_scale),) for v in state.cross) == want.cross.rows
+
+
+@given(case=_dlr_rows_and_cuts(6), targets=st.lists(_huge_fraction, min_size=6, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_dlr_gram_scale_depends_only_on_the_features(case, targets):
+    # Refolding the same features, cut the same way, with huge-denominator
+    # targets leaves the Gram block and its scale as they were.
+    width, rows, cuts = case
+    relabeled = [Row(row.features, target) for row, target in zip(rows, targets)]
+    algorithm = DlrAlgorithm(width - 1)
+    state = reduce(algorithm.fold, _split(rows, cuts), algorithm.start())
+    other = reduce(algorithm.fold, _split(relabeled, cuts), algorithm.start())
+    assert (other.gram_scale, other.gram) == (state.gram_scale, state.gram)
 
 
 @given(case=_dlr_rows_and_cuts(6))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -563,6 +564,23 @@ def test_periodic_rebroadcasts_when_the_union_does_not_grow():
     assert algorithm.outputs == 2
     assert len(run.broadcasts()) == 4
     assert run.messages == reference_run("periodic", ninput, {}, algorithm, 2)
+
+
+def test_periodic_run_over_many_rounds_with_gaps_matches_reference():
+    # 300 rounds; runs of empty rounds up to 9 long, rounds holding one to
+    # three agents' elements in scrambled agent order, and an echo attacker.
+    rng = random.Random("periodic:many-rounds")
+    elements = []
+    round_no = 1
+    while round_no <= 300:
+        agents = rng.sample((1, 2, 3), rng.randint(1, 3))
+        elements += [
+            NatureElement(a, Scalar(Fraction(rng.randint(-50, 50))), round_no) for a in agents
+        ]
+        round_no += rng.choice((1, 1, 2, 5, 10))
+    ninput = tuple(elements)
+    assert ninput[-1].round < 300 < ninput[-1].round + 10
+    _assert_matches_reference("periodic", ninput, {2: max_echo_attack()}, MaxAlgorithm(), 3)
 
 
 @pytest.mark.parametrize("seed", range(6))

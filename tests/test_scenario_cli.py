@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -680,6 +681,22 @@ def test_cli_demo_triangulation_csv(tmp_path, capsys):
     roles = {line.split(",")[4] for line in lines[1:]}
     assert roles <= {"ledger", "factual", "probe", "deflection"}
     assert "probe" in roles
+
+
+# sha256 of the `attack-demo triangulation --csv` table at the default seed.
+TRIANGULATION_CSV_SHA256 = {
+    1: "a5b4b1ac7da0b18f0cf7e1c8fa3e96f49ea17c42c223eca80c862547dc484c5c",
+    2: "c1c87fa6710297dcbaae01ec01141b0f36cfa92cc18dc4a7fa1fcb68d203610e",
+    3: "4882a36a6c384f07a6a62a041ef768782d336302fc06cbe205dabf25fedacd7f",
+}
+
+
+@pytest.mark.parametrize("d", sorted(TRIANGULATION_CSV_SHA256))
+def test_cli_demo_triangulation_csv_golden_digest(tmp_path, capsys, d):
+    csv_path = tmp_path / "ladder.csv"
+    assert main(["attack-demo", "triangulation", "--d", str(d), "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == TRIANGULATION_CSV_SHA256[d]
 
 
 def test_cli_demo_unknown_name(capsys):

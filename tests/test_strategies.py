@@ -6,6 +6,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exclusim.algorithms import (
     AverageAlgorithm,
@@ -50,7 +52,7 @@ from exclusim.strategies import (
     triangulation_infer_from_history,
     triangulation_state,
 )
-from reference_triangulation import reference_triangulation_infer
+from reference_triangulation import reference_probe_row, reference_triangulation_infer
 
 TRUTHFUL = {}
 
@@ -483,6 +485,28 @@ def test_triangulation_infer_matches_the_reference_off_any_ledger():
     got = triangulation_infer(skewed, 1)
     assert got.sigma_matrix != got.sigma_matrix.transpose()
     assert got == reference_triangulation_infer(skewed, 1)
+
+
+# Fits whose denominators run to hundreds of bits, as they do along a ladder.
+_fit_value = st.builds(
+    Fraction, st.integers(min_value=-(2**400), max_value=2**400), st.integers(1, 2**400)
+)
+
+
+@given(
+    case=st.integers(min_value=1, max_value=4).flatmap(
+        lambda width: st.tuples(
+            st.integers(min_value=1, max_value=width),
+            st.lists(_fit_value, min_size=width, max_size=width).map(tuple),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_probe_row_matches_the_dot_product_reference(case):
+    step, previous = case
+    row = _probe_row(step, previous)
+    assert row == reference_probe_row(step, previous)
+    assert all(type(v) is Fraction for v in (*row.features, row.target))
 
 
 def test_triangulation_rejects_bad_dimension():
