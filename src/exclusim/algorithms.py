@@ -23,12 +23,13 @@ such records to the lcm of its two scales and adds ints, and `output` hands
 the integer normal equations straight to the fraction-free solve and
 rescales the solution by the ratio of the two scales. Only the coefficients
 become `Fraction`s. `moments` is the same record, each block divided once.
-The clustering solvers are exact: they build the pairwise distance table of
-the input union once, scale it to integers over a common denominator, and
-cost every k-subset from that table, skipping a subset as soon as its cost
-exceeds the best one found. The enumeration is still exhaustive, so instances
-are capped at a small size (`DEFAULT_MAX_UNION`); that is deliberate, since
-the attack constructions only ever need a handful of points.
+The clustering solvers are exact on one coordinate scale per solve: they
+scale the input union's coordinates by the lcm of all their denominators,
+build the distance table of those integer points once, and cost every
+k-subset from it in ints, skipping a subset as soon as its cost exceeds the
+best one found. The enumeration is still exhaustive, so instances are capped
+at a small size (`DEFAULT_MAX_UNION`); that is deliberate, since the attack
+constructions only ever need a handful of points.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .numerics import RMatrix, RationalLike, _scaled, rational, rational_sqrt, solve_integer_rows
+from .numerics import RMatrix, RationalLike, _scaled, rational, solve_integer_rows
 
 DEFAULT_MAX_UNION = 20
 NORM_INF = "inf"
@@ -301,39 +302,18 @@ def check_count(name: str, value: object) -> int:
     return value
 
 
-def norm_key(point: Point, p: NormOrder) -> Fraction:
-    """A rational magnitude key, monotone in the L_p norm.
+def format_point(point: Point) -> str:
+    """A point as it is written in messages: `(1, 1)`, `(1/2, 0)`."""
+    return f"({', '.join(map(str, point))})"
 
-    For p=1 and p=inf this is the norm itself; for p=2 it is the squared
-    norm, which orders identically and keeps every comparison inside Q.
-    """
-    if p == 1:
-        return sum((abs(x) for x in point), Fraction(0))
+
+def _magnitude(vector: Sequence[int], p: NormOrder) -> int:
+    """The L_p norm of an int vector for p=1 and p=inf; for p=2 its square, an int."""
     if p == 2:
-        return sum((x * x for x in point), Fraction(0))
+        return sum(map(mul, vector, vector))
     if p == NORM_INF:
-        return max((abs(x) for x in point), default=Fraction(0))
-    raise ParamError(f"norm order must be 1, 2 or '{NORM_INF}', got {p!r}")
-
-
-def dist_key(a: Point, b: Point, p: NormOrder) -> Fraction:
-    if len(a) != len(b):
-        raise PayloadError(f"points of different dimension: {a} vs {b}")
-    return norm_key(tuple(x - y for x, y in zip(a, b)), p)
-
-
-def true_distance(a: Point, b: Point, p: NormOrder) -> Fraction:
-    """The actual L_p distance; raises when it would leave the rationals."""
-    key = dist_key(a, b, p)
-    if p != 2:
-        return key
-    root = rational_sqrt(key)
-    if root is None:
-        raise UnsupportedNormError(
-            f"euclidean distance between {a} and {b} is irrational; "
-            "use p=1 or p='inf', or 1-dimensional data"
-        )
-    return root
+        return max(map(abs, vector), default=0)
+    return sum(map(abs, vector))
 
 
 # =============================================================================
@@ -349,14 +329,18 @@ class KCenterSolution:
     value for p=1/p=inf and for the k-median objective, the squared distance
     for the k-center objective under p=2.
 
-    The solver computes the n x n table of these distances once per solve
-    (so k-median under p=2 checks each pair for an irrational distance once),
-    scales it by the least common denominator, and takes a candidate's cost
-    as the max (k-center) or sum (k-median) of per-point minima over plain
-    integers. A candidate costlier than the best so far is skipped before
-    its tie-break key is built. The result, the errors raised, the tie-break
-    (cost, then the sum of center `norm_key`s, then lexicographic order) and
-    the union cap are those of costing every k-subset from scratch.
+    The solver scales every coordinate of the input by one integer L, the
+    lcm of all their denominators, and works on those ints. Its n x n table
+    holds L times each pair's L1 or L-inf distance, L^2 times the squared L2
+    distance for k-center, and for k-median under p=2 L times the distance:
+    the `math.isqrt` of the scaled squared distance, which is rational just
+    when that is a perfect square. A candidate's cost is the max (k-center)
+    or sum (k-median) of per-point minima over the table, and a candidate
+    costlier than the best so far is skipped before its tie-break key is
+    built; `cost` is the best one over the table's scale. The result, the
+    errors and the pair they name, the tie-break (cost, then the sum of
+    center norms, then lexicographic order) and the union cap are those of
+    costing every k-subset from scratch in `Fraction`s.
     """
 
     centers: tuple[Point, ...]
@@ -379,21 +363,42 @@ def _solve_clustering(
             f"{len(universe)} points exceed the exhaustive-search cap {max_union}"
         )
     n = len(universe)
-    distance = true_distance if median else dist_key
-    table: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
-    # Fill the table in the order in which costing every k-subset from
-    # scratch first meets each (point, center) pair: the first n-k+1
-    # candidates already hold every center. An invalid pair (mixed
-    # dimensions, an irrational distance) then raises the same error.
+    scale = math.lcm(*[x.denominator for point in universe for x in point])
+    # coords[i]: the coordinates of universe[i] times `scale`.
+    coords = [[x.numerator * (scale // x.denominator) for x in point] for point in universe]
+    needs_root = median and p == 2
+
+    def distance(i: int, j: int) -> int:
+        a, b = coords[i], coords[j]
+        if len(a) != len(b):
+            raise PayloadError(
+                "points of different dimension: "
+                f"{format_point(universe[i])} vs {format_point(universe[j])}"
+            )
+        key = _magnitude(list(map(sub, a, b)), p)
+        if not needs_root:
+            return key
+        length = math.isqrt(key)
+        if length * length != key:
+            raise UnsupportedNormError(
+                f"euclidean distance between {format_point(universe[i])} and "
+                f"{format_point(universe[j])} is irrational; "
+                "use p=1 or p='inf', or 1-dimensional data"
+            )
+        return length
+
+    # rows[j][i]: the distance from center j to point i over the table's
+    # scale. Filled in the order in which costing every k-subset from scratch
+    # first meets each (point, center) pair: the first n-k+1 candidates
+    # already hold every center. An invalid pair (mixed dimensions, an
+    # irrational distance) then raises the same error.
+    rows: list[list[int]] = [[-1] * n for _ in range(n)]
     for last in range(k - 1, n):
         for i in range(n):
             for j in (*range(k - 1), last):
-                if table[i][j] is None:
-                    table[i][j] = table[j][i] = distance(universe[i], universe[j], p)
-    scale = math.lcm(*[d.denominator for row in table for d in row])
-    # rows[j][i]: the distance from center j to point i, times `scale`.
-    rows = [[d.numerator * (scale // d.denominator) for d in row] for row in table]
-    norms = [norm_key(u, p) for u in universe]
+                if rows[i][j] < 0:
+                    rows[i][j] = rows[j][i] = distance(i, j)
+    norms = [_magnitude(c, p) for c in coords]
     aggregate = sum if median else max
     best_cost, best_tie, best = math.inf, None, ()
     for candidate in combinations(range(n), k):
@@ -407,14 +412,15 @@ def _solve_clustering(
         if cost < best_cost or tie < best_tie:
             best_cost, best_tie, best = cost, tie, candidate
     # Each point goes to its nearest center; ties favor the smaller-norm
-    # center, then the smaller index. The table's distances order like
-    # `dist_key` for either objective.
+    # center, then the smaller index. The table orders pairs as their
+    # distances do, for either objective.
     assignment = tuple(
         (point, universe[min(best, key=lambda j: (rows[j][i], norms[j]))])
         for i, point in enumerate(universe)
     )
+    unit = scale * scale if p == 2 and not median else scale
     return KCenterSolution(
-        tuple(universe[j] for j in best), assignment, Fraction(best_cost, scale)
+        tuple(universe[j] for j in best), assignment, Fraction(best_cost, unit)
     )
 
 

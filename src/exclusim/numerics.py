@@ -52,17 +52,6 @@ def rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    """Exact square root of a non-negative rational, or None if irrational."""
-    if value < 0:
-        raise ValueError("square root of a negative rational")
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm of the denominators of `values`, and `values` times it as ints."""
     scale = math.lcm(*[v.denominator for v in values])

@@ -5,33 +5,49 @@ reference engine calls it on the whole ledger at every broadcast, which is
 how the library worked before its algorithms became folds over a running
 state. The differential tests in `test_algorithms.py` and `test_protocol.py`
 compare the two.
+
+`reference_clustering` is the oracle of the exact clustering solvers: it
+costs every k-subset from scratch with `Fraction` distances, as the solvers
+did before they worked on one integer coordinate scale.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from exclusim.algorithms import (
+    DEFAULT_MAX_UNION,
+    NORM_INF,
     AlgorithmOutput,
     AverageAlgorithm,
     CentersOutput,
     CoefficientsOutput,
     DlrAlgorithm,
     Empty,
+    InstanceTooLargeError,
     KCenterAlgorithm,
+    KCenterSolution,
     KMedianAlgorithm,
     MaxAlgorithm,
     MomentPair,
     NoOutputError,
+    NormOrder,
     NotEnoughPointsError,
     NullOutput,
+    ParamError,
     PayloadError,
+    Point,
     Row,
     Scalar,
     ScalarOutput,
+    UnsupportedNormError,
     UpdatePayload,
     all_rows,
+    check_norm_order,
+    format_point,
     kcenter_solution,
     kmedian_solution,
     multiset_points,
@@ -80,6 +96,106 @@ def fit_from_moments(m: MomentPair) -> AlgorithmOutput:
     if solution is None:
         return NullOutput()
     return CoefficientsOutput(solution.column_values())
+
+
+def rational_sqrt(value: Fraction) -> Optional[Fraction]:
+    """Exact square root of a non-negative rational, or None if irrational."""
+    if value < 0:
+        raise ValueError("square root of a negative rational")
+    num, den = value.numerator, value.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+def norm_key(point: Point, p: NormOrder) -> Fraction:
+    """A rational magnitude key, monotone in the L_p norm.
+
+    For p=1 and p=inf this is the norm itself; for p=2 it is the squared
+    norm, which orders identically and keeps every comparison inside Q.
+    """
+    if p == 1:
+        return sum((abs(x) for x in point), Fraction(0))
+    if p == 2:
+        return sum((x * x for x in point), Fraction(0))
+    if p == NORM_INF:
+        return max((abs(x) for x in point), default=Fraction(0))
+    raise ParamError(f"norm order must be 1, 2 or '{NORM_INF}', got {p!r}")
+
+
+def dist_key(a: Point, b: Point, p: NormOrder) -> Fraction:
+    if len(a) != len(b):
+        raise PayloadError(
+            f"points of different dimension: {format_point(a)} vs {format_point(b)}"
+        )
+    return norm_key(tuple(x - y for x, y in zip(a, b)), p)
+
+
+def true_distance(a: Point, b: Point, p: NormOrder) -> Fraction:
+    """The actual L_p distance; raises when it would leave the rationals."""
+    key = dist_key(a, b, p)
+    if p != 2:
+        return key
+    root = rational_sqrt(key)
+    if root is None:
+        raise UnsupportedNormError(
+            f"euclidean distance between {format_point(a)} and {format_point(b)} is "
+            "irrational; use p=1 or p='inf', or 1-dimensional data"
+        )
+    return root
+
+
+def _reference_cost(points, centers, p, median):
+    total = Fraction(0)
+    worst = Fraction(0)
+    for point in points:
+        if median:
+            nearest = min(true_distance(point, c, p) for c in centers)
+            total += nearest
+        else:
+            nearest = min(dist_key(point, c, p) for c in centers)
+            worst = max(worst, nearest)
+    return total if median else worst
+
+
+def assign_to_centers(
+    points: Sequence[Point], centers: Sequence[Point], p: NormOrder
+) -> tuple[tuple[Point, Point], ...]:
+    """Map each point to its nearest center; ties favor the smaller-norm center."""
+    pairs = []
+    for point in points:
+        chosen = min(centers, key=lambda c: (dist_key(point, c, p), norm_key(c, p), c))
+        pairs.append((point, chosen))
+    return tuple(pairs)
+
+
+def reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION) -> KCenterSolution:
+    """The exhaustive solve the table-based solver replaced, kept as its oracle.
+
+    Every k-subset is costed from scratch in `Fraction` arithmetic; ties go
+    to the smaller sum of center norms, then to lexicographic order. The
+    first invalid (point, center) pair met, of mixed dimension or at an
+    irrational distance, raises.
+    """
+    check_norm_order(p)
+    if k < 1:
+        raise ParamError(f"k must be positive, got {k}")
+    universe = tuple(sorted(set(points)))
+    if not universe:
+        raise NoOutputError("no points on the ledger")
+    if len(universe) < k:
+        raise NotEnoughPointsError(f"{len(universe)} distinct points, need {k}")
+    if len(universe) > max_union:
+        raise InstanceTooLargeError(f"{len(universe)} points exceed the cap {max_union}")
+    best_key = None
+    for candidate in itertools.combinations(universe, k):
+        cost = _reference_cost(universe, candidate, p, median)
+        key = (cost, sum(norm_key(c, p) for c in candidate), candidate)
+        if best_key is None or key < best_key:
+            best_key = key
+    cost, _, best = best_key
+    return KCenterSolution(best, assign_to_centers(universe, best, p), cost)
 
 
 def reference_max(ledger: Sequence[UpdatePayload]) -> ScalarOutput:

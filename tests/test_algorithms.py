@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exclusim.algorithms import (
-    DEFAULT_MAX_UNION,
     NORM_INF,
     AverageAlgorithm,
     CentersOutput,
@@ -21,38 +18,37 @@ from exclusim.algorithms import (
     Empty,
     InstanceTooLargeError,
     KCenterAlgorithm,
-    KCenterSolution,
     KMedianAlgorithm,
     MaxAlgorithm,
-    NoOutputError,
-    NormOrder,
     NotEnoughPointsError,
     NullOutput,
     ParamError,
     PayloadError,
-    Point,
     PointSet,
     Row,
     RowMultiset,
     Scalar,
     ScalarOutput,
     UnsupportedNormError,
-    check_norm_order,
-    dist_key,
     kcenter_solution,
     kmedian_solution,
     lr_cost,
     make_algorithm,
     moments,
-    norm_key,
     payload_difference,
     payload_union,
     predict,
-    true_distance,
     union_points,
 )
 from exclusim.numerics import RMatrix
-from reference_aggregations import outcome, reference_moments, reference_output
+from reference_aggregations import (
+    dist_key,
+    outcome,
+    rational_sqrt,
+    reference_clustering,
+    reference_moments,
+    reference_output,
+)
 
 
 # =============================================================================
@@ -145,56 +141,6 @@ def _kcenter(points: PointSet, k: int):
     return KCenterAlgorithm(k, 2, 20).compute([points])
 
 
-def _reference_cost(points, centers, p, median):
-    total = Fraction(0)
-    worst = Fraction(0)
-    for point in points:
-        if median:
-            nearest = min(true_distance(point, c, p) for c in centers)
-            total += nearest
-        else:
-            nearest = min(dist_key(point, c, p) for c in centers)
-            worst = max(worst, nearest)
-    return total if median else worst
-
-
-def assign_to_centers(
-    points: Sequence[Point], centers: Sequence[Point], p: NormOrder
-) -> tuple[tuple[Point, Point], ...]:
-    """Map each point to its nearest center; ties favor the smaller-norm center."""
-    pairs = []
-    for point in points:
-        chosen = min(centers, key=lambda c: (dist_key(point, c, p), norm_key(c, p), c))
-        pairs.append((point, chosen))
-    return tuple(pairs)
-
-
-def _reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION):
-    """The exhaustive solve the table-based solver replaced, kept as its oracle.
-
-    Every k-subset is costed from scratch in `Fraction` arithmetic; ties go
-    to the smaller sum of center norms, then to lexicographic order.
-    """
-    check_norm_order(p)
-    if k < 1:
-        raise ParamError(f"k must be positive, got {k}")
-    universe = tuple(sorted(set(points)))
-    if not universe:
-        raise NoOutputError("no points on the ledger")
-    if len(universe) < k:
-        raise NotEnoughPointsError(f"{len(universe)} distinct points, need {k}")
-    if len(universe) > max_union:
-        raise InstanceTooLargeError(f"{len(universe)} points exceed the cap {max_union}")
-    best_key = None
-    for candidate in itertools.combinations(universe, k):
-        cost = _reference_cost(universe, candidate, p, median)
-        key = (cost, sum(norm_key(c, p) for c in candidate), candidate)
-        if best_key is None or key < best_key:
-            best_key = key
-    cost, _, best = best_key
-    return KCenterSolution(best, assign_to_centers(universe, best, p), cost)
-
-
 def test_kcenter_three_points_are_their_own_centers():
     out = _kcenter(_points(0, 10, 100), 3)
     assert isinstance(out, CentersOutput)
@@ -213,7 +159,7 @@ def test_kcenter_matches_brute_force_cost():
     points = _points(-7, -2, 0, 3, 4, 9)
     out = _kcenter(points, 2)
     assert isinstance(out, CentersOutput)
-    best_cost = _reference_clustering(points.points, 2, 2, median=False).cost
+    best_cost = reference_clustering(points.points, 2, 2, median=False).cost
     got_cost = max(
         min(dist_key(p, c, 2) for c in out.centers) for p in points.points
     )
@@ -250,7 +196,7 @@ def test_kcenter_cost_optimal_against_enumeration(values, k):
     points = _points(*values)
     out = _kcenter(points, k)
     assert isinstance(out, CentersOutput)
-    best_cost = _reference_clustering(points.points, k, 2, median=False).cost
+    best_cost = reference_clustering(points.points, k, 2, median=False).cost
     got_cost = max(min(dist_key(p, c, 2) for c in out.centers) for p in points.points)
     assert got_cost == best_cost
 
@@ -258,7 +204,16 @@ def test_kcenter_cost_optimal_against_enumeration(values, k):
 _SOLVERS = {False: kcenter_solution, True: kmedian_solution}
 
 
-_coordinates = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+# Pairwise coprime denominators of 61 to 127 bits (Mersenne primes): a few
+# coordinates over them put the solver's one coordinate scale at hundreds of
+# bits.
+_LARGE_DENOMINATORS = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+_coordinates = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=3),
+    st.sampled_from(_LARGE_DENOMINATORS).flatmap(
+        lambda d: st.integers(min_value=-6 * d, max_value=6 * d).map(lambda n: Fraction(n, d))
+    ),
+)
 
 
 @st.composite
@@ -268,6 +223,19 @@ def _clustering_instances(draw):
     dims = draw(st.sampled_from(((1,), (2,), (2, 3))))
     point = st.sampled_from(dims).flatmap(lambda dim: st.tuples(*[_coordinates] * dim))
     return draw(st.lists(point, min_size=1, max_size=8, unique=True))
+
+
+def _fractions(*points):
+    return [tuple(Fraction(x) for x in point) for point in points]
+
+
+# A mixed-dimension universe whose first invalid pair comes late in the
+# table: the 3-D point sorts last, after every 2-D point has met each center.
+_LATE_MIXED = _fractions((0, 0), (0, 1), (1, 0), (1, 1), (2, 0, 0))
+# A k-median pair at distance 1 only after scaling: (0, 0) and (3, 4) over 5.
+_RATIONAL_AFTER_SCALING = _fractions((0, 0), ("3/5", "4/5"))
+# An irrational distance over the scale 6: sqrt(13) / 6.
+_IRRATIONAL_OVER_SIX = _fractions(("1/2", 0), (0, "1/3"))
 
 
 @given(
@@ -283,17 +251,79 @@ def _clustering_instances(draw):
     points=[(Fraction(x), Fraction(y)) for x in (-1, 0, 1) for y in (-1, 0, 1)],
     k=4, p=1, median=False,
 )
-@example(points=[(Fraction(0), Fraction(0)), (Fraction(3), Fraction(4))], k=1, p=2, median=True)
-@example(
-    points=[(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
-            (Fraction(1), Fraction(0), Fraction(0))],
-    k=2, p=2, median=True,
-)
+@example(points=_fractions((0, 0), (3, 4)), k=1, p=2, median=True)
+@example(points=_fractions((0, 0), (0, 1), (1, 0), (1, 0, 0)), k=2, p=2, median=True)
+@example(points=_RATIONAL_AFTER_SCALING, k=1, p=2, median=True)
+@example(points=_IRRATIONAL_OVER_SIX, k=1, p=2, median=True)
+@example(points=_LATE_MIXED, k=3, p=1, median=False)
+@example(points=_LATE_MIXED, k=2, p=2, median=True)
+# Equal radii: every pair of centers from -3/2, -1/2, 1/2, 3/2 covers the
+# others within 1, and so does every center of a square's corners and middle
+# under p=inf; the center norms decide.
+@example(points=[(Fraction(v, 2),) for v in (-3, -1, 1, 3)], k=2, p=2, median=False)
+@example(points=_fractions((-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1)), k=2, p=NORM_INF, median=False)
+@example(points=_fractions((-1, 0), (0, -1), (0, 1), (1, 0)), k=1, p=1, median=True)
 @settings(max_examples=300, deadline=None)
 def test_clustering_matches_reference_enumeration(points, k, p, median):
     got = outcome(_SOLVERS[median], points, k, p)
-    want = outcome(_reference_clustering, points, k, p, median)
+    want = outcome(reference_clustering, points, k, p, median)
     assert got == want
+
+
+def _failure(function, *args):
+    """The type of the error `function` raises, with its message when it
+    names an invalid pair; None when it returns."""
+    try:
+        function(*args)
+    except (PayloadError, UnsupportedNormError) as exc:
+        return type(exc), str(exc)
+    except Exception as exc:  # the other errors' messages differ in wording
+        return type(exc)
+    return None
+
+
+@given(
+    points=_clustering_instances(),
+    k=st.integers(min_value=1, max_value=4),
+    p=st.sampled_from((1, 2, NORM_INF)),
+    median=st.booleans(),
+)
+@example(points=_LATE_MIXED, k=3, p=1, median=False)
+@example(points=_IRRATIONAL_OVER_SIX, k=1, p=2, median=True)
+@settings(max_examples=150, deadline=None)
+def test_clustering_error_names_the_references_first_invalid_pair(points, k, p, median):
+    assert _failure(_SOLVERS[median], points, k, p) == _failure(
+        reference_clustering, points, k, p, median
+    )
+
+
+@pytest.mark.parametrize(
+    "points, k, p, median, error, message",
+    [
+        (_LATE_MIXED, 3, 1, False, PayloadError,
+         "points of different dimension: (2, 0, 0) vs (0, 0)"),
+        (_IRRATIONAL_OVER_SIX, 1, 2, True, UnsupportedNormError,
+         "euclidean distance between (1/2, 0) and (0, 1/3) is irrational"),
+    ],
+    ids=["mixed_dimension", "irrational"],
+)
+def test_clustering_error_writes_points_in_wire_form(points, k, p, median, error, message):
+    with pytest.raises(error) as info:
+        _SOLVERS[median](points, k, p)
+    assert str(info.value).startswith(message)
+
+
+def test_kmedian_distance_rational_only_after_scaling():
+    solution = kmedian_solution(_RATIONAL_AFTER_SCALING, 1, p=2)
+    assert solution.cost == 1
+    assert solution.centers == ((Fraction(0), Fraction(0)),)
+
+
+def test_rational_sqrt():
+    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert rational_sqrt(Fraction(2)) is None
+    with pytest.raises(ValueError):
+        rational_sqrt(Fraction(-1))
 
 
 @pytest.mark.parametrize("values", ((0, 1, 2, 3), (-3, -2, 0, 2, 3)))
@@ -303,7 +333,7 @@ def test_clustering_assignment_ties_match_reference(values, p, median):
     # With k=2 one point lies halfway between the two centers: at 1 between
     # 0 and 2 the smaller norm wins, at 0 between -2 and 2 the smaller point.
     points = [(Fraction(v),) for v in values]
-    assert _SOLVERS[median](points, 2, p) == _reference_clustering(points, 2, p, median)
+    assert _SOLVERS[median](points, 2, p) == reference_clustering(points, 2, p, median)
 
 
 def test_kmedian_irrational_euclidean_distance_is_refused():
@@ -311,7 +341,7 @@ def test_kmedian_irrational_euclidean_distance_is_refused():
     with pytest.raises(UnsupportedNormError):
         kmedian_solution(points, 1, p=2)
     solution = kmedian_solution(points, 1, p=1)
-    assert solution == _reference_clustering(points, 1, 1, median=True)
+    assert solution == reference_clustering(points, 1, 1, median=True)
     # Every center costs 4 under L1, so the smallest-norm point wins the tie.
     assert solution.centers == ((Fraction(0), Fraction(0)),)
     assert solution.cost == 4

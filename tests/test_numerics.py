@@ -12,7 +12,6 @@ from exclusim.numerics import (
     DimensionError,
     RMatrix,
     rational,
-    rational_sqrt,
 )
 from reference_linalg import (
     reference_det,
@@ -42,13 +41,6 @@ def test_rational_rejects_floats():
 def test_rational_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         rational("1/0")
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    with pytest.raises(ValueError):
-        rational_sqrt(Fraction(-1))
 
 
 # =============================================================================

@@ -635,6 +635,26 @@ def test_cli_run_kmedian_irrational_distance_exits_1(tmp_path, capsys):
     assert "error: UnsupportedNormError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "points, pair",
+    [
+        ([[0, 0], [1, 1]], "(1, 1) and (0, 0)"),
+        ([["1/2", 0], [0, "1/3"]], "(1/2, 0) and (0, 1/3)"),
+    ],
+    ids=["unit_scale", "scale_6"],
+)
+def test_cli_run_kmedian_irrational_distance_names_the_pair(tmp_path, capsys, points, pair):
+    data = _minimal_dict(
+        algorithm={"name": "kmedian", "params": {"k": 1, "p": 2}},
+        nature_input=[{"agent": 1, "payload": {"kind": "points", "points": points}}],
+    )
+    assert _run_file(tmp_path, data) == 1
+    assert capsys.readouterr().err == (
+        f"error: UnsupportedNormError: euclidean distance between {pair} is irrational; "
+        "use p=1 or p='inf', or 1-dimensional data\n"
+    )
+
+
 def test_cli_demo_average(capsys):
     assert main(["attack-demo", "average"]) == 0
     assert capsys.readouterr().out.splitlines() == [
