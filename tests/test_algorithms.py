@@ -232,8 +232,6 @@ def _fractions(*points):
 # A mixed-dimension universe whose first invalid pair comes late in the
 # table: the 3-D point sorts last, after every 2-D point has met each center.
 _LATE_MIXED = _fractions((0, 0), (0, 1), (1, 0), (1, 1), (2, 0, 0))
-# A k-median pair at distance 1 only after scaling: (0, 0) and (3, 4) over 5.
-_RATIONAL_AFTER_SCALING = _fractions((0, 0), ("3/5", "4/5"))
 # An irrational distance over the scale 6: sqrt(13) / 6.
 _IRRATIONAL_OVER_SIX = _fractions(("1/2", 0), (0, "1/3"))
 
@@ -253,13 +251,14 @@ _IRRATIONAL_OVER_SIX = _fractions(("1/2", 0), (0, "1/3"))
 )
 @example(points=_fractions((0, 0), (3, 4)), k=1, p=2, median=True)
 @example(points=_fractions((0, 0), (0, 1), (1, 0), (1, 0, 0)), k=2, p=2, median=True)
-@example(points=_RATIONAL_AFTER_SCALING, k=1, p=2, median=True)
+# A k-median pair at distance 1 only after scaling: (0, 0) and (3, 4) over 5.
+@example(points=_fractions((0, 0), ("3/5", "4/5")), k=1, p=2, median=True)
 @example(points=_IRRATIONAL_OVER_SIX, k=1, p=2, median=True)
 @example(points=_LATE_MIXED, k=3, p=1, median=False)
 @example(points=_LATE_MIXED, k=2, p=2, median=True)
-# Equal radii: every pair of centers from -3/2, -1/2, 1/2, 3/2 covers the
-# others within 1, and so does every center of a square's corners and middle
-# under p=inf; the center norms decide.
+# Ties: every pair from -3/2, -1/2, 1/2, 3/2 covers the rest within 1; a
+# square's middle with any corner covers it within 1 under p=inf; every
+# vertex of a diamond has the same L1 cost. Norms, then index order, decide.
 @example(points=[(Fraction(v, 2),) for v in (-3, -1, 1, 3)], k=2, p=2, median=False)
 @example(points=_fractions((-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1)), k=2, p=NORM_INF, median=False)
 @example(points=_fractions((-1, 0), (0, -1), (0, 1), (1, 0)), k=1, p=1, median=True)
@@ -311,12 +310,6 @@ def test_clustering_error_writes_points_in_wire_form(points, k, p, median, error
     with pytest.raises(error) as info:
         _SOLVERS[median](points, k, p)
     assert str(info.value).startswith(message)
-
-
-def test_kmedian_distance_rational_only_after_scaling():
-    solution = kmedian_solution(_RATIONAL_AFTER_SCALING, 1, p=2)
-    assert solution.cost == 1
-    assert solution.centers == ((Fraction(0), Fraction(0)),)
 
 
 def test_rational_sqrt():
