@@ -16,13 +16,13 @@ scale times the target scale (a `ScaledMoments`), and k-center and k-median
 the point union, which `output` solves. The engines keep one running state
 per run; `compute(ledger)` folds a whole ledger.
 
-Everything is exact rational arithmetic. `scaled_moments` scales the
-features to integers by their least common denominator, and the targets by
-theirs, and sums plain ints; a regression fold rescales each block of two
-such records to the lcm of its two scales and adds ints, and `output` hands
-the integer normal equations straight to the fraction-free solve and
-rescales the solution by the ratio of the two scales. Only the coefficients
-become `Fraction`s. `moments` is the same record, each block divided once.
+Everything is exact rational arithmetic. `moments` scales the features to
+integers by their least common denominator, and the targets by theirs, and
+sums plain ints; a regression fold rescales each block of two such records
+to the lcm of its two scales and adds ints, and `output` hands the integer
+normal equations straight to the fraction-free solve and rescales the
+solution by the ratio of the two scales. Only the coefficients become
+`Fraction`s.
 The clustering solvers are exact on one coordinate scale per solve: they
 scale the input union's coordinates by the lcm of all their denominators,
 build the distance table of those integer points once, and cost every
@@ -42,7 +42,7 @@ from itertools import combinations
 from operator import mul, sub
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .numerics import RMatrix, RationalLike, _scaled, rational, solve_integer_rows
+from .numerics import RationalLike, _scaled, rational, solve_integer_rows
 
 DEFAULT_MAX_UNION = 20
 NORM_INF = "inf"
@@ -118,7 +118,7 @@ class PointSet:
         normalized = sorted(as_point(p) for p in points)
         for a, b in zip(normalized, normalized[1:]):
             if a == b:
-                raise PayloadError(f"duplicate point in set payload: {a}")
+                raise PayloadError(f"duplicate point in set payload: {format_point(a)}")
         if len({len(p) for p in normalized}) > 1:
             raise PayloadError("points of mixed dimension in one payload")
         object.__setattr__(self, "points", tuple(normalized))
@@ -134,7 +134,7 @@ class Row:
     def __init__(self, features: Sequence[RationalLike], target: RationalLike):
         feats = as_point(features)
         if not feats or feats[0] != 1:
-            raise PayloadError(f"feature vector must lead with 1, got {feats}")
+            raise PayloadError(f"feature vector must lead with 1, got {format_point(feats)}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "target", rational(target))
 
@@ -441,14 +441,6 @@ def kmedian_solution(
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class MomentPair:
-    """Gram matrix X^T X and cross-moment vector X^T y of a row multiset."""
-
-    gram: RMatrix
-    cross: RMatrix
-
-
 class ScaledMoments(NamedTuple):
     """Moments in integers, each block over its own positive scale.
 
@@ -497,13 +489,14 @@ class ScaledMoments(NamedTuple):
         return tuple(Fraction(v * self.gram_scale, pivot * self.cross_scale) for v, in rows)
 
 
-def scaled_moments(rows: Sequence[Row], width: int) -> ScaledMoments:
-    """The moments of `rows` (all of width `width`) as a `ScaledMoments`.
+def moments(rows: Sequence[Row], width: int) -> ScaledMoments:
+    """The moments X^T X and X^T y of `rows` (all of width `width`).
 
     The features are scaled by the least common denominator f of all the
     feature values and the targets by that of the targets, t, so the Gram
     entries are sums of plain ints over f * f and the cross entries over
-    f * t.
+    f * t. Additive under concatenation: the blocks of `moments(a + b)`
+    over their scales are those of `moments(a).add(moments(b))`.
     """
     for row in rows:
         if row.width != width:
@@ -526,39 +519,6 @@ def scaled_moments(rows: Sequence[Row], width: int) -> ScaledMoments:
         feature_scale * target_scale,
         cross,
     )
-
-
-def moments(rows: Union[RowMultiset, Sequence[Row]], width: Optional[int] = None) -> MomentPair:
-    """Exact moments of a row multiset; additive under concatenation.
-
-    The `scaled_moments` of the rows, each block divided by its scale once.
-    """
-    seq = rows.rows if isinstance(rows, RowMultiset) else tuple(rows)
-    if width is None:
-        if not seq:
-            raise PayloadError("cannot infer moment width from an empty multiset")
-        width = seq[0].width
-    gram_scale, gram, cross_scale, cross = scaled_moments(seq, width)
-    return MomentPair(
-        RMatrix._exact(tuple(tuple(Fraction(v, gram_scale) for v in row) for row in gram)),
-        RMatrix._exact(tuple((Fraction(v, cross_scale),) for v in cross)),
-    )
-
-
-def predict(coefficients: Point, features: Point) -> Fraction:
-    if len(coefficients) != len(features):
-        raise PayloadError("coefficient/feature length mismatch")
-    return sum((c * x for c, x in zip(coefficients, features)), Fraction(0))
-
-
-def lr_cost(rows: Union[RowMultiset, Sequence[Row]], coefficients: Point) -> Fraction:
-    """Sum of squared residuals; additive over multiset union, linear in copies."""
-    seq = rows.rows if isinstance(rows, RowMultiset) else tuple(rows)
-    total = Fraction(0)
-    for row in seq:
-        residual = row.target - predict(coefficients, row.features)
-        total += residual * residual
-    return total
 
 
 # =============================================================================
@@ -692,7 +652,7 @@ class DlrAlgorithm(Algorithm):
         self.d = check_count("d", d)
 
     def start(self) -> ScaledMoments:
-        return scaled_moments((), self.d + 1)
+        return moments((), self.d + 1)
 
     def fold(self, state: ScaledMoments, payload: UpdatePayload) -> ScaledMoments:
         if not _contributes(payload, RowMultiset) or not payload.rows:
@@ -700,7 +660,7 @@ class DlrAlgorithm(Algorithm):
         width = payload.rows[0].width
         if width != self.d + 1:
             raise PayloadError(f"rows of width {width} on a {self.d}-dimensional regression ledger")
-        return state.add(scaled_moments(payload.rows, width))
+        return state.add(moments(payload.rows, width))
 
     def output(self, state: ScaledMoments) -> AlgorithmOutput:
         coefficients = state.solve()

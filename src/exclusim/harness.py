@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algorithms import (
@@ -41,12 +42,11 @@ from .algorithms import (
     all_rows,
     check_count,
     coerce_point,
-    lr_cost,
     moments,
     payload_union,
     union_points,
 )
-from .numerics import RationalLike
+from .numerics import RationalLike, _scaled
 from .protocol import (
     KIND_FACTUAL,
     KIND_LEDGER,
@@ -497,6 +497,21 @@ def _append_to_last_round(
     return ninput[:position] + (merged,) + ninput[position + 1 :]
 
 
+def _cost_gap(rows: Sequence[Row], fit: Point, other: Point) -> Fraction:
+    """How much more the squared residuals of `rows` sum to at `other` than at
+    `fit`, their least-squares fit.
+
+    That is delta^T G delta, with delta = other - fit and G the Gram matrix
+    of `rows`, since the cross term vanishes by the normal equations; so it
+    is never negative. It is computed in ints, with G over its scale and
+    delta over the lcm of its denominators.
+    """
+    gram_scale, gram, _, _ = moments(rows, len(fit))
+    scale, delta = _scaled([b - a for a, b in zip(fit, other)])
+    form = sum(x * sum(map(mul, row, delta)) for x, row in zip(delta, gram))
+    return Fraction(form, gram_scale * scale * scale)
+
+
 def periodic_lambda_confounder(
     algorithm: Algorithm,
     ninput: Sequence[NatureElement],
@@ -527,19 +542,14 @@ def periodic_lambda_confounder(
         rho_truth, CoefficientsOutput
     ):
         raise NotApplicableError("both runs must end on a proper fit")
+    # Each final output is the least-squares fit of its run's whole ledger. So
+    # the attack rows are not empty and their Gram matrix is non-singular,
+    # hence positive definite: as the fits differ, gap_attack is positive.
     truth_rows = all_rows(extract(verdict.run_truth, KIND_LEDGER))
     attack_rows = all_rows(extract(verdict.run_attack, KIND_LEDGER))
-    if not attack_rows:
-        raise NotApplicableError("the attack run left the ledger empty")
-    gap_truth = lr_cost(truth_rows, rho_attack.coefficients) - lr_cost(
-        truth_rows, rho_truth.coefficients
-    )
-    gap_attack = lr_cost(attack_rows, rho_truth.coefficients) - lr_cost(
-        attack_rows, rho_attack.coefficients
-    )
-    if gap_attack <= 0:
-        raise NotApplicableError("the attack ledger does not strictly prefer its output")
-    copies = math.ceil(Fraction(max(gap_truth, 0)) / gap_attack) + 1
+    gap_truth = _cost_gap(truth_rows, rho_truth.coefficients, rho_attack.coefficients)
+    gap_attack = _cost_gap(attack_rows, rho_attack.coefficients, rho_truth.coefficients)
+    copies = math.ceil(gap_truth / gap_attack) + 1
     payload = RowMultiset(tuple(attack_rows) * copies)
     flooded = _append_to_last_round(base, payload, j, count)
     flooded_verdict = check_condition_i(
@@ -689,7 +699,7 @@ def _warm_rows(rng: random.Random, d: int, count: Optional[int] = None) -> tuple
     size = width if count is None else count
     for _ in range(_RESAMPLE_LIMIT):
         rows = tuple(_labeled_row(rng, d) for _ in range(size))
-        if moments(rows, width).gram.det() != 0:
+        if moments(rows, width).solve() is not None:
             return rows
     raise NotApplicableError("could not sample an invertible warm start")
 

@@ -5,7 +5,9 @@ downstream (does one run's output differ from another's?) are exact-equality
 predicates, so floating point is never acceptable. ``Fraction`` already
 guarantees the canonical form (reduced, positive denominator), which is why
 there is no separate rational wrapper here, only a parse helper for the "p/q"
-wire format and a matrix type sized for normal-equation work.
+wire format and a matrix type sized for normal-equation work. `RMatrix`
+offers products, transposes and elimination; it has no elementwise sums,
+since the moments are added as integer `algorithms.ScaledMoments` records.
 
 The matrix kernel computes on plain ints. Each row (or column) is scaled by
 the least common multiple of its own denominators; elimination is
@@ -14,10 +16,10 @@ integer-preserving Gaussian elimination"), so every intermediate division is
 exact; and each result entry becomes one ``Fraction`` at the end. The results
 are the same reduced rationals that ``Fraction`` arithmetic would give. The
 Gauss-Jordan loop is one function over integer rows, `solve_integer_rows`:
-`RMatrix.solve` calls it on its scaled rows, and the regression fold state
-(`algorithms.DlrAlgorithm`) and the probe-ladder inference
-(`strategies.triangulation_infer`) hand it their integer systems directly:
-the Gram block over the squared feature scale on the left and the cross
+`RMatrix.solve` calls it on its scaled rows, and `ScaledMoments.solve`, the
+one solve of the regression fold state (`algorithms.DlrAlgorithm`) and of
+the probe-ladder inference (`strategies.triangulation_infer`), hands it the
+integer system directly: the Gram block over the squared feature scale on the left and the cross
 vector over the feature scale times the target scale on the right, so the
 pivots stay as small as the features and the large target integers stay in
 the right-hand column.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -162,10 +164,6 @@ class RMatrix:
         )
 
     @staticmethod
-    def zeros(nrows: int, ncols: int) -> "RMatrix":
-        return RMatrix._exact(((Fraction(0),) * ncols,) * nrows)
-
-    @staticmethod
     def column(values: Sequence[RationalLike]) -> "RMatrix":
         return RMatrix([[v] for v in values])
 
@@ -175,28 +173,6 @@ class RMatrix:
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
-
-    def _same_shape(self, other: "RMatrix") -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionError(
-                f"shape mismatch: {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
-
-    def __add__(self, other: "RMatrix") -> "RMatrix":
-        self._same_shape(other)
-        return RMatrix._exact(
-            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
-    def __sub__(self, other: "RMatrix") -> "RMatrix":
-        self._same_shape(other)
-        return RMatrix._exact(
-            tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
-    def scale(self, factor: RationalLike) -> "RMatrix":
-        f = rational(factor)
-        return RMatrix._exact(tuple(tuple(f * v for v in row) for row in self.rows))
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         if self.ncols != other.nrows:

@@ -233,14 +233,6 @@ class Scenario:
     ninput: NatureInput
     seed: Optional[int] = None
 
-    @property
-    def algorithm_name(self) -> str:
-        return str(self.algorithm_spec["name"])
-
-    @property
-    def strategy_names(self) -> dict[int, str]:
-        return {agent: str(spec["name"]) for agent, spec in self.strategy_specs.items()}
-
 
 def _require_int(value: object, path: str, minimum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -413,7 +405,7 @@ def _check_regression_start(scenario: Scenario) -> None:
         raise PreconditionError(
             "nature_input[0].payload: regression scenarios start with a rows payload"
         )
-    if moments(first.rows, width).gram.det() == 0:
+    if moments(first.rows, width).solve() is None:
         raise PreconditionError(
             "nature_input[0].payload: the opening rows leave the fit underdetermined"
         )

@@ -32,10 +32,10 @@ from .algorithms import (
     UpdatePayload,
     check_count,
     coerce_point,
+    moments,
     multiset_points,
     payload_difference,
     payload_union,
-    scaled_moments,
 )
 from .numerics import RationalLike, RMatrix, _scaled, rational
 from .protocol import (
@@ -479,9 +479,9 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     scaled_rho = [_scaled(coeffs) for coeffs in rho]
     delta_columns: list[tuple[Fraction, ...]] = []
     response_columns: list[tuple[Fraction, ...]] = []
-    accumulated = scaled_moments((), width)
+    accumulated = moments((), width)
     for i in range(1, width + 1):
-        probe = scaled_moments(state.probes[i - 1], width)
+        probe = moments(state.probes[i - 1], width)
         (t, current), (u, previous) = scaled_rho[i], scaled_rho[i - 1]
         delta_scale = math.lcm(t, u)
         delta = [
@@ -517,8 +517,8 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
         cross_scale,
         tuple(cross),
     )
-    own_ledger = scaled_moments(state.own_ledger_rows, width)
-    correction = scaled_moments(state.own_factual_rows, width).add(own_ledger, -1)
+    own_ledger = moments(state.own_ledger_rows, width)
+    correction = moments(state.own_factual_rows, width).add(own_ledger, -1)
     solution = sigma.add(correction).solve()
     if solution is None:
         raise InferenceError("the truthful data does not determine a unique fit")

@@ -9,6 +9,11 @@ compare the two.
 `reference_clustering` is the oracle of the exact clustering solvers: it
 costs every k-subset from scratch with `Fraction` distances, as the solvers
 did before they worked on one integer coordinate scale.
+
+`reference_moments` sums the regression moments as `Fraction` outer
+products, the oracle of the integer `algorithms.moments`; `divided` turns a
+`ScaledMoments` into the same `MomentPair` for comparison. `lr_cost` and
+`predict` evaluate a fit row by row, the oracle of the harness's cost gaps.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from exclusim.algorithms import (
     DEFAULT_MAX_UNION,
@@ -32,7 +37,6 @@ from exclusim.algorithms import (
     KCenterSolution,
     KMedianAlgorithm,
     MaxAlgorithm,
-    MomentPair,
     NoOutputError,
     NormOrder,
     NotEnoughPointsError,
@@ -41,8 +45,10 @@ from exclusim.algorithms import (
     PayloadError,
     Point,
     Row,
+    RowMultiset,
     Scalar,
     ScalarOutput,
+    ScaledMoments,
     UnsupportedNormError,
     UpdatePayload,
     all_rows,
@@ -65,6 +71,7 @@ from exclusim.protocol import (
     Strategy,
     truthful_strategy,
 )
+from reference_linalg import add, scale, zeros
 
 
 def outcome(function, *args, **kwargs):
@@ -75,19 +82,50 @@ def outcome(function, *args, **kwargs):
         return type(exc)
 
 
+class MomentPair(NamedTuple):
+    """Gram matrix X^T X and cross-moment vector X^T y of a row multiset."""
+
+    gram: RMatrix
+    cross: RMatrix
+
+
 def reference_moments(rows: Sequence[Row], width: Optional[int] = None) -> MomentPair:
     """X^T X and X^T y summed as 1 x w outer products over `Fraction`."""
     rows = tuple(rows)
     width = rows[0].width if width is None else width
-    gram = RMatrix.zeros(width, width)
-    cross = RMatrix.zeros(width, 1)
+    gram = zeros(width, width)
+    cross = zeros(width, 1)
     for row in rows:
         if row.width != width:
             raise PayloadError(f"row width {row.width} does not match {width}")
         x = RMatrix([row.features])
-        gram = gram + (x.transpose() @ x)
-        cross = cross + x.transpose().scale(row.target)
+        gram = add(gram, x.transpose() @ x)
+        cross = add(cross, scale(x.transpose(), row.target))
     return MomentPair(gram, cross)
+
+
+def divided(m: ScaledMoments) -> MomentPair:
+    """The `Fraction` moments of a `ScaledMoments`: each block over its scale."""
+    return MomentPair(
+        RMatrix([[Fraction(v, m.gram_scale) for v in row] for row in m.gram]),
+        RMatrix([[Fraction(v, m.cross_scale)] for v in m.cross]),
+    )
+
+
+def predict(coefficients: Point, features: Point) -> Fraction:
+    if len(coefficients) != len(features):
+        raise PayloadError("coefficient/feature length mismatch")
+    return sum((c * x for c, x in zip(coefficients, features)), Fraction(0))
+
+
+def lr_cost(rows: Union[RowMultiset, Sequence[Row]], coefficients: Point) -> Fraction:
+    """Sum of squared residuals; additive over multiset union, linear in copies."""
+    seq = rows.rows if isinstance(rows, RowMultiset) else tuple(rows)
+    total = Fraction(0)
+    for row in seq:
+        residual = row.target - predict(coefficients, row.features)
+        total += residual * residual
+    return total
 
 
 def fit_from_moments(m: MomentPair) -> AlgorithmOutput:

@@ -5,6 +5,10 @@ This is how `RMatrix` computed before its kernel became fraction-free
 `Fraction` arithmetic with first-nonzero pivoting. The differential tests in
 `test_numerics.py` compare the two exactly, including which systems are
 singular.
+
+`zeros`, `add`, `sub` and `scale` are the elementwise matrix operations that
+only the `Fraction` oracles (`reference_moments`, the probe-ladder oracle)
+use, so they live here rather than on `RMatrix`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,31 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from exclusim.numerics import RMatrix
+from exclusim.numerics import DimensionError, RationalLike, RMatrix, rational
+
+
+def zeros(nrows: int, ncols: int) -> RMatrix:
+    return RMatrix([[0] * ncols] * nrows)
+
+
+def _same_shape(a: RMatrix, b: RMatrix) -> None:
+    if a.nrows != b.nrows or a.ncols != b.ncols:
+        raise DimensionError(f"shape mismatch: {a.nrows}x{a.ncols} vs {b.nrows}x{b.ncols}")
+
+
+def add(a: RMatrix, b: RMatrix) -> RMatrix:
+    _same_shape(a, b)
+    return RMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
+def sub(a: RMatrix, b: RMatrix) -> RMatrix:
+    _same_shape(a, b)
+    return RMatrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
+def scale(a: RMatrix, factor: RationalLike) -> RMatrix:
+    f = rational(factor)
+    return RMatrix([[f * v for v in row] for row in a.rows])
 
 
 def reference_det(a: RMatrix) -> Fraction:

@@ -1,7 +1,7 @@
 """Probe-ladder inference over `Fraction` matrices: the oracle for `triangulation_infer`.
 
 This is how `strategies.triangulation_infer` computed before it moved to
-integer moments: `Fraction` moments per probe, the responses through
+integer moments: `Fraction` moments per probe (`reference_moments`), the responses through
 `RMatrix` products, and Sigma as the response matrix times the inverse of the
 delta matrix. The differential tests in `test_strategies.py` compare the two
 field by field, including the `InferenceError` raised. `reference_probe_row`
@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from exclusim.algorithms import CoefficientsOutput, Point, Row, moments
+from exclusim.algorithms import CoefficientsOutput, Point, Row
 from exclusim.numerics import RMatrix
 from exclusim.strategies import InferenceError, InferenceResult, TriangulationState
+from reference_aggregations import reference_moments
+from reference_linalg import add, sub, zeros
 
 
 def reference_probe_row(step: int, previous: Point) -> Row:
@@ -41,15 +43,15 @@ def reference_triangulation_infer(state: TriangulationState, d: int) -> Inferenc
         raise InferenceError("a probe response was Null; the ledger fit vanished")
     delta_columns: list[tuple[Fraction, ...]] = []
     response_columns: list[tuple[Fraction, ...]] = []
-    accumulated = RMatrix.zeros(width, width)
+    accumulated = zeros(width, width)
     for i in range(1, width + 1):
-        step_moments = moments(state.probes[i - 1], width)
+        step_moments = reference_moments(state.probes[i - 1], width)
         rho_i = RMatrix.column(rho[i])
-        delta = rho_i - RMatrix.column(rho[i - 1])
-        response = step_moments.cross - (step_moments.gram @ rho_i) - (accumulated @ delta)
+        delta = sub(rho_i, RMatrix.column(rho[i - 1]))
+        response = sub(sub(step_moments.cross, step_moments.gram @ rho_i), accumulated @ delta)
         delta_columns.append(delta.column_values())
         response_columns.append(response.column_values())
-        accumulated = accumulated + step_moments.gram
+        accumulated = add(accumulated, step_moments.gram)
     delta_matrix = RMatrix(zip(*delta_columns))
     response_matrix = RMatrix(zip(*response_columns))
     delta_inverse = delta_matrix.inverse()
@@ -59,10 +61,10 @@ def reference_triangulation_infer(state: TriangulationState, d: int) -> Inferenc
         )
     sigma_matrix = response_matrix @ delta_inverse
     sigma_vector = sigma_matrix @ RMatrix.column(rho[0])
-    own_ledger = moments(state.own_ledger_rows, width)
-    own_factual = moments(state.own_factual_rows, width)
-    truth_gram = sigma_matrix - own_ledger.gram + own_factual.gram
-    truth_cross = sigma_vector - own_ledger.cross + own_factual.cross
+    own_ledger = reference_moments(state.own_ledger_rows, width)
+    own_factual = reference_moments(state.own_factual_rows, width)
+    truth_gram = add(sub(sigma_matrix, own_ledger.gram), own_factual.gram)
+    truth_cross = add(sub(sigma_vector, own_ledger.cross), own_factual.cross)
     solution = truth_gram.solve(truth_cross)
     if solution is None:
         raise InferenceError("the truthful data does not determine a unique fit")

@@ -32,18 +32,19 @@ from exclusim.algorithms import (
     UnsupportedNormError,
     kcenter_solution,
     kmedian_solution,
-    lr_cost,
     make_algorithm,
     moments,
     payload_difference,
     payload_union,
-    predict,
     union_points,
 )
 from exclusim.numerics import RMatrix
 from reference_aggregations import (
     dist_key,
+    divided,
+    lr_cost,
     outcome,
+    predict,
     rational_sqrt,
     reference_clustering,
     reference_moments,
@@ -362,21 +363,19 @@ def test_moments_known_grams():
     cond = _rows((3, 1), (0, 1), (0, 1))
     attack = _rows((2, 2))
     resync = _rows((2, 0), (-1, 1))
-    m_cond = moments(cond)
-    m_attack = moments(attack)
-    m_resync = moments(resync)
+    m_cond = divided(moments(cond.rows, 2))
+    assert m_cond == reference_moments(cond.rows)
     assert m_cond.gram == RMatrix([[3, 3], [3, 9]])
     assert m_cond.cross.column_values() == (Fraction(3), Fraction(3))
-    assert (m_attack.gram + m_resync.gram) == m_cond.gram
-    assert (m_attack.cross + m_resync.cross) == m_cond.cross
+    assert divided(moments(attack.rows, 2).add(moments(resync.rows, 2))) == m_cond
 
 
 def test_moments_additive_over_concatenation():
     a = _rows((1, 1), (0, 1))
     b = _rows((2, 2))
-    ab = moments(tuple(a.rows) + tuple(b.rows))
-    assert ab.gram == moments(a).gram + moments(b).gram
-    assert ab.cross == moments(a).cross + moments(b).cross
+    ab = divided(moments(a.rows + b.rows, 2))
+    assert ab == reference_moments(a.rows + b.rows)
+    assert ab == divided(moments(a.rows, 2).add(moments(b.rows, 2)))
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -398,9 +397,10 @@ def _row_strategy(width: int):
 @example(width=3, rows=[])
 @settings(max_examples=200, deadline=None)
 def test_moments_match_outer_product_reference(width, rows):
-    # Integer-scaled sums give the same reduced fractions as Fraction sums,
-    # and the same error on a row of the wrong width.
-    assert outcome(moments, rows, width) == outcome(reference_moments, rows, width)
+    # Integer-scaled sums, each block over its scale, give the same reduced
+    # fractions as Fraction sums, and the same error on a row of the wrong width.
+    got = outcome(lambda: divided(moments(rows, width)))
+    assert got == outcome(reference_moments, rows, width)
 
 
 def test_alg_dlr_exact_fit():
@@ -606,12 +606,7 @@ def test_integer_dlr_state_over_its_scale_is_the_moments(case):
         state.gram_scale, state.cross_scale, *state.cross, *(v for row in state.gram for v in row)
     ]
     assert all(type(v) is int for v in entries)
-    want = reference_moments(rows, width)
-    assert (
-        tuple(tuple(Fraction(v, state.gram_scale) for v in row) for row in state.gram)
-        == want.gram.rows
-    )
-    assert tuple((Fraction(v, state.cross_scale),) for v in state.cross) == want.cross.rows
+    assert divided(state) == reference_moments(rows, width)
 
 
 @given(case=_dlr_rows_and_cuts(6), targets=st.lists(_huge_fraction, min_size=6, max_size=6))

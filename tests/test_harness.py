@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from typing import Mapping, Optional, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exclusim import harness
@@ -25,13 +26,17 @@ from exclusim.algorithms import (
     RowMultiset,
     Scalar,
     ScalarOutput,
+    all_rows,
+    moments,
     union_points,
 )
 from exclusim.harness import (
     ConfoundingWitness,
     NotApplicableError,
     _agent_count,
+    _append_to_last_round,
     _candidate_pairs,
+    _cost_gap,
     _witness,
     certify_attack,
     check_condition_i,
@@ -49,7 +54,14 @@ from exclusim.harness import (
     periodic_lambda_confounder,
     verify_inference,
 )
-from exclusim.protocol import NatureElement, Strategy, observed_history, run_protocol
+from exclusim.protocol import (
+    KIND_LEDGER,
+    NatureElement,
+    Strategy,
+    extract,
+    observed_history,
+    run_protocol,
+)
 from exclusim.strategies import (
     average_double_probe,
     average_infer_from_history,
@@ -62,6 +74,7 @@ from exclusim.strategies import (
     sneak_attack,
     truthful_strategy,
 )
+from reference_aggregations import lr_cost
 
 
 def _scalar_input(*pairs):
@@ -460,6 +473,61 @@ def test_lambda_confounder_on_swap_scenarios():
             algorithm, case.ninput, strategy, 2, agent_count=case.agent_count
         )
         assert witness.is_valid()
+
+
+def _gap_case(width: int):
+    value = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    row = st.tuples(st.tuples(*[value] * (width - 1)), value).map(
+        lambda pair: Row((1,) + pair[0], pair[1])
+    )
+    return st.tuples(
+        st.lists(row, min_size=width, max_size=width + 3), st.tuples(*[st.fractions()] * width)
+    )
+
+
+# Pairwise coprime denominators in features, targets and beta.
+_COPRIME_ROWS = [
+    Row((1, Fraction(1, 3)), Fraction(1, 5)),
+    Row((1, Fraction(2, 7)), Fraction(-3, 11)),
+    Row((1, Fraction(-4, 13)), Fraction(6, 17)),
+]
+# The least-squares fit of these rows is (5/6, 1/2).
+_FIT_ROWS = [Row((1, 1), 1), Row((1, 0), 1), Row((1, 2), 2)]
+
+
+@given(case=st.integers(min_value=2, max_value=4).flatmap(_gap_case))
+@example(case=(_COPRIME_ROWS, (Fraction(1, 19), Fraction(-2, 23))))
+@example(case=(_FIT_ROWS, (Fraction(5, 6), Fraction(1, 2))))
+@settings(max_examples=200, deadline=None)
+def test_cost_gap_is_the_lr_cost_difference(case):
+    # The confounder's cost gap from the Gram matrix alone equals the gap
+    # between squared-residual sums, at any beta against the rows' own fit.
+    rows, beta = case
+    fit = moments(rows, len(beta)).solve()
+    assume(fit is not None)
+    gap = _cost_gap(rows, fit, beta)
+    assert gap == lr_cost(rows, beta) - lr_cost(rows, fit)
+    assert (gap == 0) == (beta == fit)
+
+
+def test_lambda_confounder_floods_with_the_lr_cost_copy_count():
+    # The copy count from the Gram-form gaps is the one the residual sums give.
+    for seed in range(5):
+        algorithm, strategy, case = lr_periodic_scenario(seed)
+        base = tuple(case.ninput)
+        count = max(case.agent_count, _agent_count(base, 2), 2)
+        witness = periodic_lambda_confounder(algorithm, base, strategy, 2, agent_count=count)
+        verdict = check_condition_i(
+            algorithm, strategy, 2, base, protocol="periodic", agent_count=count
+        )
+        attack, truth = verdict.attack_final.coefficients, verdict.truth_final.coefficients
+        truth_rows = all_rows(extract(verdict.run_truth, KIND_LEDGER))
+        attack_rows = all_rows(extract(verdict.run_attack, KIND_LEDGER))
+        gap_truth = lr_cost(truth_rows, attack) - lr_cost(truth_rows, truth)
+        gap_attack = lr_cost(attack_rows, truth) - lr_cost(attack_rows, attack)
+        copies = math.ceil(gap_truth / gap_attack) + 1
+        flooded = _append_to_last_round(base, RowMultiset(attack_rows * copies), 2, count)
+        assert witness.input_b == flooded, seed
 
 
 def test_lambda_confounder_needs_a_moved_output():

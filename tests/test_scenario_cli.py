@@ -127,8 +127,10 @@ def test_example_fixture_fields():
     scenario = load_scenario(FIXTURES / "example_1_1.json")
     assert scenario.protocol == "continuous"
     assert scenario.ell == 2
-    assert scenario.algorithm_name == "average"
-    assert scenario.strategy_names == {2: "average_probe"}
+    assert scenario.algorithm_spec["name"] == "average"
+    assert {agent: spec["name"] for agent, spec in scenario.strategy_specs.items()} == {
+        2: "average_probe"
+    }
 
 
 def test_example_fixture_golden_trace():
@@ -331,6 +333,30 @@ def test_cli_run_rejects_points_on_a_max_ledger(tmp_path, capsys):
     data["nature_input"].append({"agent": 2, "payload": {"kind": "points", "points": [[1]]}})
     assert _run_file(tmp_path, data) == 2
     assert "error: nature_input[1].payload: expected Scalar payloads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "algorithm, payload, message",
+    [
+        (
+            {"name": "kcenter", "params": {"k": 1}},
+            {"kind": "points", "points": [["1/2", 0], ["2/4", 0]]},
+            "duplicate point in set payload: (1/2, 0)",
+        ),
+        (
+            {"name": "dlr", "params": {"d": 1}},
+            {"kind": "rows", "rows": [{"features": ["1/2", 0], "target": 1}]},
+            "feature vector must lead with 1, got (1/2, 0)",
+        ),
+    ],
+    ids=["duplicate_point", "row_not_leading_with_1"],
+)
+def test_cli_run_prints_a_rejected_point_as_written(tmp_path, capsys, algorithm, payload, message):
+    data = _minimal_dict(algorithm=algorithm, nature_input=[{"agent": 1, "payload": payload}])
+    assert _run_file(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert f"error: nature_input[0].payload: {message}" in err
+    assert "Fraction(" not in err
 
 
 def test_cli_run_rejects_wrong_width_rows_on_a_dlr_ledger(tmp_path, capsys):
