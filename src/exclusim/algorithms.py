@@ -353,19 +353,24 @@ def _solve_clustering(
 ) -> KCenterSolution:
     check_norm_order(p)
     check_count("k", k)
-    universe = tuple(sorted(set(points)))
-    if not universe:
+    distinct = set(points)
+    n = len(distinct)
+    if not n:
         raise NoOutputError("no points on the ledger")
-    if len(universe) < k:
-        raise NotEnoughPointsError(f"{len(universe)} distinct points, need {k}")
-    if len(universe) > max_union:
-        raise InstanceTooLargeError(
-            f"{len(universe)} points exceed the exhaustive-search cap {max_union}"
-        )
-    n = len(universe)
-    scale = math.lcm(*[x.denominator for point in universe for x in point])
+    if n < k:
+        raise NotEnoughPointsError(f"{n} distinct points, need {k}")
+    if n > max_union:
+        raise InstanceTooLargeError(f"{n} points exceed the exhaustive-search cap {max_union}")
+    scale = math.lcm(*[x.denominator for point in distinct for x in point])
+    # (coordinates times `scale`, point): one positive scale keeps the order
+    # of every coordinate, so sorting the ints sorts the points.
+    scaled = sorted(
+        (tuple([x.numerator * (scale // x.denominator) for x in point]), point)
+        for point in distinct
+    )
+    universe = tuple(point for _, point in scaled)
     # coords[i]: the coordinates of universe[i] times `scale`.
-    coords = [[x.numerator * (scale // x.denominator) for x in point] for point in universe]
+    coords = [ints for ints, _ in scaled]
     needs_root = median and p == 2
 
     def distance(i: int, j: int) -> int:

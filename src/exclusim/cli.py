@@ -466,12 +466,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.file)
     run = run_scenario(scenario)
-    lines = trace_lines(run)
+    text = "".join([line + "\n" for line in trace_lines(run)])
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write(text)
     return 0
 
 

@@ -28,11 +28,15 @@ the right-hand column.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+
+# The string forms `rational` reads: sign, numerator, optional denominator.
+_RATIONAL_TEXT = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 class DimensionError(ValueError):
@@ -43,14 +47,29 @@ def rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational.
 
     Floats are rejected on purpose: silently rationalizing a float would
-    smuggle rounding error into exact-equality comparisons.
+    smuggle rounding error into exact-equality comparisons. A string is an
+    optional sign, ASCII digits and an optional "/digits", with whitespace
+    around it; the decimal and exponent forms `Fraction` also reads are
+    refused with its message, since a short exponent string such as
+    "1e10000000" would build an integer of ten million digits.
     """
-    if isinstance(value, Fraction):
-        return value
+    if isinstance(value, str):
+        text = value.strip()
+        match = _RATIONAL_TEXT.fullmatch(text)
+        if match is None:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        sign, numerator, denominator = match.groups()
+        # `int` keeps the interpreter's cap on digits, so an overlong string
+        # fails as `Fraction` would fail on it.
+        numerator = int(numerator)
+        if sign == "-":
+            numerator = -numerator
+        return Fraction(numerator) if denominator is None else Fraction(numerator, int(denominator))
+    # `int` before `Fraction`: a failing check against an abstract base class is slow.
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
+    if isinstance(value, Fraction):
+        return value
     raise TypeError(f"not an exact rational: {value!r}")
 
 

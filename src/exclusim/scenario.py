@@ -4,7 +4,8 @@ line-delimited trace emission for finished runs.
 A scenario file pins the protocol mode, the update-window size, the
 algorithm, the per-agent strategies, and the nature input, so a run is fully
 reproducible from the file alone. All rationals travel as "p/q" strings or
-integers; floats are rejected everywhere. Algorithm and strategy parameters
+integers; floats, and decimal or exponent strings, are rejected everywhere.
+The decoder builds a value's field path only when the value fails. Algorithm and strategy parameters
 are checked by the constructors that use them; the loader decodes each
 strategy parameter by its kind in `strategies.STRATEGIES` and maps a
 `ParamError` to the parameter's field path. Every payload a run can put on
@@ -18,8 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, TypeVar, Union
 
 from .algorithms import (
     Algorithm,
@@ -65,6 +67,9 @@ class PreconditionError(ValidationError):
     """A scenario is well-formed but starts in a state an attack cannot use."""
 
 
+T = TypeVar("T")
+
+
 def _fail(path: str, message: str) -> ValidationError:
     return ValidationError(f"{path}: {message}")
 
@@ -74,59 +79,133 @@ def _fail(path: str, message: str) -> ValidationError:
 # =============================================================================
 
 
-def parse_rational(value: object, path: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
-        raise _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
-    try:
-        return rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _fail(path, str(exc)) from exc
+# Ints of at most this many bits have fewer decimal digits (602) than any
+# int-to-str cap the interpreter allows (640 at least), so `str` takes them whole.
+_STR_SAFE_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of any int, converted in pieces below the int-to-str cap."""
+    if n.bit_length() <= _STR_SAFE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    low_digits = n.bit_length() * 3 // 20  # about half its digits: log10(2) > 3/10
+    high, low = divmod(n, 10**low_digits)
+    return _decimal(high) + _decimal(low).zfill(low_digits)
 
 
 def format_rational(value: Fraction) -> Union[int, str]:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    """An integral value as an int, any other as a "p/q" string, every digit exact.
+
+    An integer with more digits than the interpreter will convert with `str`
+    goes out as a digit string, since the JSON encoder could not write it as a
+    number.
+    """
+    numerator, denominator = value.numerator, value.denominator
+    if denominator != 1:
+        return f"{_decimal(numerator)}/{_decimal(denominator)}"
+    if numerator.bit_length() > _STR_SAFE_BITS:
+        try:
+            str(numerator)
+        except ValueError:
+            return _decimal(numerator)
+    return numerator
 
 
-def _parse_point(value: object, path: str) -> tuple[Fraction, ...]:
-    if not isinstance(value, list) or not value:
-        raise _fail(path, "expected a non-empty list of coordinates")
-    return tuple(parse_rational(c, f"{path}[{i}]") for i, c in enumerate(value))
+class _Invalid(Exception):
+    """A decoding failure below the field path of the value being decoded.
+
+    The path is only built when decoding fails: each level the failure passes
+    on its way up appends its own segment to `segments`, innermost first, and
+    `_decode` joins them onto the path of the value it was given.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.segments: list[str] = []
+
+    def below(self, segment: str) -> "_Invalid":
+        self.segments.append(segment)
+        return self
+
+
+def _decode(decoder: Callable[[object], T], value: object, path: str) -> T:
+    """`decoder(value)`, failing with a `ValidationError` at the failing field's path."""
+    try:
+        return decoder(value)
+    except _Invalid as exc:
+        raise _fail(path + "".join(reversed(exc.segments)), str(exc)) from exc.__cause__
+
+
+def _field(obj: dict, key: str, decoder: Callable[[object], T]) -> T:
+    try:
+        return decoder(obj.get(key))
+    except _Invalid as exc:
+        raise exc.below(f".{key}")
+
+
+def _list(raw: object, decoder: Callable[[object], T], noun: str, empty: bool = False) -> list[T]:
+    """`decoder` on each entry of a JSON list, non-empty unless `empty`; a
+    failure names the entry's index."""
+    if not isinstance(raw, list) or not (raw or empty):
+        raise _Invalid(f"expected a {'list' if empty else 'non-empty list'} of {noun}")
+    items: list[T] = []
+    try:
+        for entry in raw:
+            items.append(decoder(entry))
+    except _Invalid as exc:
+        raise exc.below(f"[{len(items)}]")
+    return items
+
+
+def _int(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _Invalid(f"expected an integer, got {value!r}")
+    return value
+
+
+def _rational(value: object) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+        raise _Invalid(f"expected an integer or 'p/q' string, got {value!r}")
+    try:
+        return rational(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _Invalid(str(exc)) from exc
+
+
+def _point(value: object) -> tuple[Fraction, ...]:
+    return tuple(_list(value, _rational, "coordinates"))
+
+
+def _row(entry: object) -> Row:
+    if not isinstance(entry, dict):
+        raise _Invalid("expected a row object")
+    return Row(_field(entry, "features", _point), _field(entry, "target", _rational))
+
+
+def _payload(obj: object) -> UpdatePayload:
+    if not isinstance(obj, dict):
+        raise _Invalid(f"expected a payload object, got {obj!r}")
+    kind = obj.get("kind")
+    try:
+        if kind == "scalar":
+            return Scalar(_field(obj, "value", _rational))
+        if kind == "points":
+            return PointSet(_field(obj, "points", lambda raw: _list(raw, _point, "points")))
+        if kind == "rows":
+            return RowMultiset(_field(obj, "rows", lambda raw: _list(raw, _row, "rows")))
+        if kind == "empty":
+            return Empty()
+    except PayloadError as exc:
+        # The payload's own checks (duplicates, widths, the leading 1) cite the payload.
+        raise _Invalid(str(exc)) from exc
+    raise _Invalid(f"unknown payload kind {kind!r}").below(".kind")
 
 
 def payload_from_json(obj: object, path: str) -> UpdatePayload:
     """Decode one update payload: scalar, points, rows, or empty."""
-    if not isinstance(obj, dict):
-        raise _fail(path, f"expected a payload object, got {obj!r}")
-    kind = obj.get("kind")
-    try:
-        if kind == "scalar":
-            return Scalar(parse_rational(obj.get("value"), f"{path}.value"))
-        if kind == "points":
-            raw = obj.get("points")
-            if not isinstance(raw, list) or not raw:
-                raise _fail(f"{path}.points", "expected a non-empty list of points")
-            return PointSet(
-                tuple(_parse_point(p, f"{path}.points[{i}]") for i, p in enumerate(raw))
-            )
-        if kind == "rows":
-            raw = obj.get("rows")
-            if not isinstance(raw, list) or not raw:
-                raise _fail(f"{path}.rows", "expected a non-empty list of rows")
-            rows = []
-            for i, entry in enumerate(raw):
-                if not isinstance(entry, dict):
-                    raise _fail(f"{path}.rows[{i}]", "expected a row object")
-                features = _parse_point(entry.get("features"), f"{path}.rows[{i}].features")
-                target = parse_rational(entry.get("target"), f"{path}.rows[{i}].target")
-                rows.append(Row(features, target))
-            return RowMultiset(tuple(rows))
-        if kind == "empty":
-            return Empty()
-    except PayloadError as exc:
-        raise _fail(path, str(exc)) from exc
-    raise _fail(f"{path}.kind", f"unknown payload kind {kind!r}")
+    return _decode(_payload, obj, path)
 
 
 def payload_to_json(payload: UpdatePayload) -> dict:
@@ -162,27 +241,22 @@ def ninput_to_json(ninput: NatureInput) -> list[dict]:
     return entries
 
 
-def output_from_json(obj: object, path: str) -> AlgorithmOutput:
+def _output(obj: object) -> AlgorithmOutput:
     """Decode one algorithm output: scalar, centers, coefficients, or null."""
     if not isinstance(obj, dict):
-        raise _fail(path, f"expected an output object, got {obj!r}")
+        raise _Invalid(f"expected an output object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "scalar":
-        return ScalarOutput(parse_rational(obj.get("value"), f"{path}.value"))
+        return ScalarOutput(_field(obj, "value", _rational))
     if kind == "centers":
-        raw = obj.get("centers")
-        if not isinstance(raw, list):
-            raise _fail(f"{path}.centers", "expected a list of points")
         return CentersOutput(
-            tuple(_parse_point(p, f"{path}.centers[{i}]") for i, p in enumerate(raw))
+            _field(obj, "centers", lambda raw: _list(raw, _point, "points", empty=True))
         )
     if kind == "coefficients":
-        return CoefficientsOutput(
-            _parse_point(obj.get("coefficients"), f"{path}.coefficients")
-        )
+        return CoefficientsOutput(_field(obj, "coefficients", _point))
     if kind == "null":
         return NullOutput()
-    raise _fail(f"{path}.kind", f"unknown output kind {kind!r}")
+    raise _Invalid(f"unknown output kind {kind!r}").below(".kind")
 
 
 def output_to_json(output: Optional[AlgorithmOutput]) -> dict:
@@ -208,14 +282,12 @@ def output_to_json(output: Optional[AlgorithmOutput]) -> dict:
 
 # Strategy parameter kind -> JSON decoder. A count goes to its constructor as
 # given; a point is a coordinate list or one rational.
-_PARAM_DECODERS = {
-    "rational": parse_rational,
-    "count": lambda value, path: value,
-    "point": lambda value, path: (
-        _parse_point(value, path) if isinstance(value, list) else parse_rational(value, path)
-    ),
-    "payload": payload_from_json,
-    "output": output_from_json,
+_PARAM_DECODERS: dict[str, Callable[[object], object]] = {
+    "rational": _rational,
+    "count": lambda value: value,
+    "point": lambda value: _point(value) if isinstance(value, list) else _rational(value),
+    "payload": _payload,
+    "output": _output,
 }
 
 
@@ -235,8 +307,7 @@ class Scenario:
 
 
 def _require_int(value: object, path: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(path, f"expected an integer, got {value!r}")
+    value = _decode(_int, value, path)
     if minimum is not None and value < minimum:
         raise _fail(path, f"must be at least {minimum}, got {value}")
     return value
@@ -252,12 +323,17 @@ def _name_and_params(spec: object, path: str) -> tuple[str, dict]:
     return spec["name"], params
 
 
-def _check_foldable(algorithm: Algorithm, payload: UpdatePayload, path: str) -> None:
-    """A payload the algorithm cannot take fails here, not mid-run."""
+def _foldable(algorithm: Algorithm, payload: UpdatePayload) -> UpdatePayload:
+    """`payload`, if `algorithm` can take it: a payload it cannot take fails here, not mid-run."""
     try:
         algorithm.fold(algorithm.start(), payload)
     except PayloadError as exc:
-        raise _fail(path, str(exc)) from exc
+        raise _Invalid(str(exc)) from exc
+    return payload
+
+
+def _check_foldable(algorithm: Algorithm, payload: UpdatePayload, path: str) -> None:
+    _decode(partial(_foldable, algorithm), payload, path)
 
 
 def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
@@ -308,7 +384,9 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         decoded = dict(params)
         for key in kinds:
             if key in decoded:
-                decoded[key] = _PARAM_DECODERS[kinds[key]](decoded[key], f"{path}.params.{key}")
+                decoded[key] = _decode(
+                    _PARAM_DECODERS[kinds[key]], decoded[key], f"{path}.params.{key}"
+                )
         try:
             strategies[agent] = make_strategy(name, decoded)
         except ParamError as exc:
@@ -329,21 +407,21 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
                 _check_foldable(algorithm, payload, f"{path}.params.{key}")
         strategy_specs[agent] = {"name": name, "params": dict(params)}
 
-    raw_input = data.get("nature_input")
-    if not isinstance(raw_input, list):
-        raise _fail("nature_input", "expected a list of elements")
-    elements: list[NatureElement] = []
-    for index, entry in enumerate(raw_input):
-        path = f"nature_input[{index}]"
+    def element(entry: object) -> NatureElement:
         if not isinstance(entry, dict):
-            raise _fail(path, "expected an element object")
-        agent = _require_int(entry.get("agent"), f"{path}.agent")
-        payload = payload_from_json(entry.get("payload"), f"{path}.payload")
-        _check_foldable(algorithm, payload, f"{path}.payload")
+            raise _Invalid("expected an element object")
+        agent = _field(entry, "agent", _int)
+        payload = _field(entry, "payload", lambda raw: _foldable(algorithm, _payload(raw)))
         round_no = entry.get("round")
         if round_no is not None:
-            round_no = _require_int(round_no, f"{path}.round")
-        elements.append(NatureElement(agent, payload, round_no))
+            round_no = _field(entry, "round", _int)
+        return NatureElement(agent, payload, round_no)
+
+    elements = _decode(
+        lambda raw: _list(raw, element, "elements", empty=True),
+        data.get("nature_input"),
+        "nature_input",
+    )
     validate = validate_periodic_input if protocol == "periodic" else validate_continuous_input
     try:
         validate(elements, agent_count)
@@ -440,23 +518,32 @@ def run_scenario(scenario: Scenario) -> Run:
 # =============================================================================
 
 
-# One encoder for every line: `json.dumps` with arguments builds a new one per call.
-_encode_record = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def trace_records(run: Run) -> list[dict]:
-    """One record per transcript message, in run order."""
-    records = []
-    for seq, message in enumerate(run.messages):
-        if isinstance(message, OutputBroadcast):
-            kind, agent, payload = "broadcast", None, output_to_json(message.output)
-        else:
-            kind = "factual" if isinstance(message, FactualDelivery) else "ledger"
-            agent, payload = message.agent, payload_to_json(message.payload)
-        records.append({"seq": seq, "kind": kind, "agent": agent, "payload": payload})
-    return records
+# One encoder for every payload: `json.dumps` with arguments builds a new one per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def trace_lines(run: Run) -> list[str]:
-    """Line-delimited JSON trace, stable byte-for-byte across runs."""
-    return [_encode_record(record) for record in trace_records(run)]
+    """Line-delimited JSON trace, stable byte-for-byte across runs.
+
+    One line per transcript message, in run order:
+    `{"seq":N,"kind":"factual"|"ledger"|"broadcast","agent":A|null,"payload":P}`.
+    P is encoded once per distinct payload or output object: a truthful
+    agent's ledger update carries its delivery's payload, and a rebroadcast
+    output is the same object.
+    """
+    # P by the id of the object it encodes; the run's log keeps each one alive.
+    texts: dict[int, str] = {}
+    lines = []
+    for seq, message in enumerate(run.messages):
+        if isinstance(message, OutputBroadcast):
+            value, to_json = message.output, output_to_json
+            head = '"kind":"broadcast","agent":null'
+        else:
+            value, to_json = message.payload, payload_to_json
+            kind = "factual" if isinstance(message, FactualDelivery) else "ledger"
+            head = f'"kind":"{kind}","agent":{message.agent}'
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = _encode(to_json(value))
+        lines.append(f'{{"seq":{seq},{head},"payload":{text}}}')
+    return lines

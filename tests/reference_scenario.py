@@ -1,0 +1,104 @@
+"""The scenario layer's payload decoder and trace encoder as they were before
+they stopped repeating work: the oracle for `scenario.payload_from_json` and
+`scenario.trace_lines`.
+
+`payload_from_json` here formats the field path of every point, row and
+coordinate before decoding it, and `trace_lines` turns every message into a
+dict and encodes the whole dict, even where two messages carry the same
+payload object. The differential tests in `test_scenario_cli.py` compare the
+library against both: the same decoded value or the same error message, and
+the same trace lines.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+from exclusim.algorithms import (
+    Empty,
+    PayloadError,
+    PointSet,
+    Row,
+    RowMultiset,
+    Scalar,
+    UpdatePayload,
+)
+from exclusim.numerics import rational
+from exclusim.protocol import FactualDelivery, OutputBroadcast, Run
+from exclusim.scenario import ValidationError, output_to_json, payload_to_json
+
+
+def _fail(path: str, message: str) -> ValidationError:
+    return ValidationError(f"{path}: {message}")
+
+
+def parse_rational(value: object, path: str) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+        raise _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
+    try:
+        return rational(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _fail(path, str(exc)) from exc
+
+
+def _parse_point(value: object, path: str) -> tuple[Fraction, ...]:
+    if not isinstance(value, list) or not value:
+        raise _fail(path, "expected a non-empty list of coordinates")
+    return tuple(parse_rational(c, f"{path}[{i}]") for i, c in enumerate(value))
+
+
+def payload_from_json(obj: object, path: str) -> UpdatePayload:
+    """Decode one update payload: scalar, points, rows, or empty."""
+    if not isinstance(obj, dict):
+        raise _fail(path, f"expected a payload object, got {obj!r}")
+    kind = obj.get("kind")
+    try:
+        if kind == "scalar":
+            return Scalar(parse_rational(obj.get("value"), f"{path}.value"))
+        if kind == "points":
+            raw = obj.get("points")
+            if not isinstance(raw, list) or not raw:
+                raise _fail(f"{path}.points", "expected a non-empty list of points")
+            return PointSet(
+                tuple(_parse_point(p, f"{path}.points[{i}]") for i, p in enumerate(raw))
+            )
+        if kind == "rows":
+            raw = obj.get("rows")
+            if not isinstance(raw, list) or not raw:
+                raise _fail(f"{path}.rows", "expected a non-empty list of rows")
+            rows = []
+            for i, entry in enumerate(raw):
+                if not isinstance(entry, dict):
+                    raise _fail(f"{path}.rows[{i}]", "expected a row object")
+                features = _parse_point(entry.get("features"), f"{path}.rows[{i}].features")
+                target = parse_rational(entry.get("target"), f"{path}.rows[{i}].target")
+                rows.append(Row(features, target))
+            return RowMultiset(tuple(rows))
+        if kind == "empty":
+            return Empty()
+    except PayloadError as exc:
+        raise _fail(path, str(exc)) from exc
+    raise _fail(f"{path}.kind", f"unknown payload kind {kind!r}")
+
+
+# One encoder for every line: `json.dumps` with arguments builds a new one per call.
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def trace_records(run: Run) -> list[dict]:
+    """One record per transcript message, in run order."""
+    records = []
+    for seq, message in enumerate(run.messages):
+        if isinstance(message, OutputBroadcast):
+            kind, agent, payload = "broadcast", None, output_to_json(message.output)
+        else:
+            kind = "factual" if isinstance(message, FactualDelivery) else "ledger"
+            agent, payload = message.agent, payload_to_json(message.payload)
+        records.append({"seq": seq, "kind": kind, "agent": agent, "payload": payload})
+    return records
+
+
+def trace_lines(run: Run) -> list[str]:
+    """Line-delimited JSON trace, stable byte-for-byte across runs."""
+    return [_encode_record(record) for record in trace_records(run)]

@@ -235,6 +235,9 @@ def _fractions(*points):
 _LATE_MIXED = _fractions((0, 0), (0, 1), (1, 0), (1, 1), (2, 0, 0))
 # An irrational distance over the scale 6: sqrt(13) / 6.
 _IRRATIONAL_OVER_SIX = _fractions(("1/2", 0), (0, "1/3"))
+# Negative coordinates, and a point that is a prefix of another: the solver
+# sorts the scaled int tuples, which must order these as the points do.
+_NEGATIVE_PREFIX = _fractions(("-3/2",), ("-3/2", "-1/3"), (-1, 2), ("1/4",))
 
 
 @given(
@@ -257,6 +260,7 @@ _IRRATIONAL_OVER_SIX = _fractions(("1/2", 0), (0, "1/3"))
 @example(points=_IRRATIONAL_OVER_SIX, k=1, p=2, median=True)
 @example(points=_LATE_MIXED, k=3, p=1, median=False)
 @example(points=_LATE_MIXED, k=2, p=2, median=True)
+@example(points=_NEGATIVE_PREFIX, k=2, p=1, median=False)
 # Ties: every pair from -3/2, -1/2, 1/2, 3/2 covers the rest within 1; a
 # square's middle with any corner covers it within 1 under p=inf; every
 # vertex of a diamond has the same L1 cost. Norms, then index order, decide.
@@ -290,6 +294,7 @@ def _failure(function, *args):
 )
 @example(points=_LATE_MIXED, k=3, p=1, median=False)
 @example(points=_IRRATIONAL_OVER_SIX, k=1, p=2, median=True)
+@example(points=_NEGATIVE_PREFIX, k=3, p=NORM_INF, median=True)
 @settings(max_examples=150, deadline=None)
 def test_clustering_error_names_the_references_first_invalid_pair(points, k, p, median):
     assert _failure(_SOLVERS[median], points, k, p) == _failure(

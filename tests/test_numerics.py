@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,50 @@ def test_rational_rejects_floats():
 def test_rational_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         rational("1/0")
+
+
+@pytest.mark.parametrize(
+    "text", ["0.5", "1e3", "1e10000000", "-47e-2", ".5", "1.", "1_000", "\u0663", "inf", "1/-2"]
+)
+def test_rational_refuses_decimal_and_exponent_strings(text):
+    with pytest.raises(ValueError) as info:
+        rational(f" {text} ")
+    assert str(info.value) == f"Invalid literal for Fraction: {text!r}"
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "-" + "2" * 4301, "1/" + "3" * 5000])
+def test_rational_keeps_the_interpreters_digit_cap(text):
+    with pytest.raises(ValueError) as got:
+        rational(text)
+    with pytest.raises(ValueError) as want:
+        Fraction(text)
+    assert str(got.value) == str(want.value)
+
+
+def _parsed(function, text):
+    try:
+        return function(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# A sign, ASCII digits and an optional "/digits", with whitespace around them.
+_DOCUMENTED = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", re.ASCII)
+
+
+@given(text=st.text(alphabet="0123456789+-/._eE \t", max_size=7))
+@example(text=" -7/2 ")
+@example(text="+0/3")
+@example(text="-1/0")
+@example(text="007/0014")
+@settings(max_examples=500, deadline=None)
+def test_rational_reads_its_documented_strings_as_fraction_does(text):
+    if _DOCUMENTED.fullmatch(text):
+        assert _parsed(rational, text) == _parsed(Fraction, text.strip())
+    else:
+        assert _parsed(rational, text) == (
+            ValueError, f"Invalid literal for Fraction: {text.strip()!r}"
+        )
 
 
 # =============================================================================

@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_scenario
+from exclusim.algorithms import (
+    CentersOutput,
+    CoefficientsOutput,
+    Empty,
+    NullOutput,
+    PointSet,
+    Row,
+    RowMultiset,
+    Scalar,
+    ScalarOutput,
+    make_algorithm,
+)
 from exclusim.cli import ATTACKS, PERIODIC_SCENARIOS, build_parser, main
 from exclusim.harness import check_condition_i, check_condition_i_star, verify_inference
 from exclusim.scenario import (
@@ -17,12 +35,21 @@ from exclusim.scenario import (
     load_scenario,
     ninput_to_json,
     output_to_json,
+    payload_from_json,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
     trace_lines,
 )
-from exclusim.strategies import STRATEGIES
+from exclusim.protocol import (
+    FactualDelivery,
+    LedgerUpdate,
+    NatureElement,
+    OutputBroadcast,
+    Run,
+    run_protocol,
+)
+from exclusim.strategies import STRATEGIES, make_strategy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "exclusim" / "fixtures"
 
@@ -998,3 +1025,238 @@ def test_seed_survives_round_trip():
     scenario = scenario_from_dict(data)
     assert scenario.seed == 42
     assert scenario_to_dict(scenario)["seed"] == 42
+
+
+# =============================================================================
+# Exact rationals of any length
+# =============================================================================
+
+# A numerator of 5,001 digits: more than the interpreter's int-to-str cap.
+_LONG = 10**5000 + 7
+_LONG_TEXT = "1" + "0" * 4999 + "7"
+
+
+def test_format_rational_writes_every_digit_of_a_long_numerator():
+    text = format_rational(Fraction(-_LONG, 3))
+    assert text == f"-{_LONG_TEXT}/3"
+
+
+def test_format_rational_writes_a_long_integer_as_a_digit_string():
+    assert format_rational(Fraction(_LONG)) == _LONG_TEXT
+    assert format_rational(Fraction(10**1000)) == 10**1000
+
+
+def test_trace_of_a_long_rational():
+    payload = Scalar(Fraction(_LONG, 3))
+    run = Run("continuous", 1, (FactualDelivery(1, payload), LedgerUpdate(1, payload)))
+    value = f'{{"kind":"scalar","value":"{_LONG_TEXT}/3"}}'
+    assert trace_lines(run)[1] == f'{{"seq":1,"kind":"ledger","agent":1,"payload":{value}}}'
+
+
+def test_a_long_rational_string_fails_at_its_field_path():
+    data = _minimal_dict()
+    data["nature_input"][0]["payload"]["value"] = "1" * 5000
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(data)
+    assert str(info.value).startswith("nature_input[0].payload.value: Exceeds the limit")
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "0.5", "-47e-2"])
+def test_cli_run_refuses_decimal_and_exponent_strings(tmp_path, capsys, value):
+    data = _minimal_dict()
+    data["nature_input"][0]["payload"]["value"] = value
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    assert (
+        f"error: nature_input[0].payload.value: Invalid literal for Fraction: '{value}'"
+        in capsys.readouterr().err
+    )
+
+
+def test_cli_demo_refuses_an_exponent_eps(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["attack-demo", "kcenter_sneak", "--eps", "1e10000000"])
+    assert info.value.code == 2
+    assert "argument --eps: invalid rational value: '1e10000000'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_cli_run_prints_what_it_writes(tmp_path, capsys, path):
+    target = tmp_path / "trace.jsonl"
+    assert main(["run", str(path), "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == target.read_text()
+
+
+# =============================================================================
+# Differential tests: the decoder and the trace against their oracles
+# =============================================================================
+
+
+def _outcome(function, *args):
+    try:
+        return "value", function(*args)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+# JSON values a payload field might hold, well-formed or not.
+_atoms = st.one_of(
+    st.integers(min_value=-10, max_value=10),
+    st.sampled_from(
+        ["1/2", "2/4", "-3/7", " -7/2 ", "4", "abc", "1/0", "0.5", "1e3", "", "1/-2"]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.booleans(),
+    st.none(),
+    st.just([]),
+    st.just({}),
+)
+_coordinates = st.lists(_atoms, max_size=3)
+_points_field = st.one_of(
+    st.lists(_coordinates, max_size=4),
+    # Duplicates and mixed dimension among valid points.
+    st.lists(st.sampled_from([[1], ["2/4"], ["1/2"], [0, 1], [-1, "1/3"]]), max_size=4),
+    _atoms,
+)
+_row_entry = st.one_of(
+    st.fixed_dictionaries(
+        {"features": st.one_of(_coordinates, st.sampled_from([[1], [1, 2], [1, "1/2", 3]]))},
+        optional={"target": _atoms},
+    ),
+    st.fixed_dictionaries({"target": _atoms}),
+    st.sampled_from([{"features": [2, 1], "target": 1}, {"features": [1, 5], "target": "x"}]),
+    _atoms,
+)
+_payload_json = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("scalar")}, optional={"value": _atoms}),
+    st.fixed_dictionaries({"kind": st.just("points")}, optional={"points": _points_field}),
+    st.fixed_dictionaries(
+        {"kind": st.just("rows")},
+        optional={"rows": st.one_of(st.lists(_row_entry, max_size=4), _atoms)},
+    ),
+    st.fixed_dictionaries({}, optional={"kind": st.sampled_from(["empty", "blobs", 3])}),
+    _atoms,
+)
+
+
+@given(obj=_payload_json)
+@example(obj={"kind": "points", "points": [[1], ["2/4"], ["1/2"]]})
+@example(obj={"kind": "points", "points": [[1], [1, 2]]})
+@example(obj={"kind": "rows", "rows": [{"features": [1, 2], "target": 1}, {"features": [1]}]})
+@example(obj={"kind": "rows", "rows": [{"features": [2], "target": 1}, {"target": "abc"}]})
+@example(
+    obj={"kind": "rows", "rows": [{"features": [1], "target": 0}, {"features": [1, 2], "target": 0}]}
+)
+@settings(max_examples=400, deadline=None)
+def test_payload_decoder_matches_the_oracle(obj):
+    assert _outcome(payload_from_json, obj, "nature_input[3].payload") == _outcome(
+        reference_scenario.payload_from_json, obj, "nature_input[3].payload"
+    )
+
+
+_rationals = st.one_of(
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+)
+
+
+@st.composite
+def _payloads(draw):
+    kind = draw(st.sampled_from(["scalar", "points", "rows", "empty"]))
+    if kind == "scalar":
+        return Scalar(draw(_rationals))
+    if kind == "points":
+        dim = draw(st.integers(min_value=1, max_value=2))
+        points = draw(
+            st.lists(st.tuples(*[_rationals] * dim), min_size=1, max_size=3, unique=True)
+        )
+        return PointSet(points)
+    if kind == "rows":
+        width = draw(st.integers(min_value=1, max_value=3))
+        rows = draw(
+            st.lists(
+                st.tuples(st.tuples(*[_rationals] * (width - 1)), _rationals),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        return RowMultiset([Row((1, *features), target) for features, target in rows])
+    return Empty()
+
+
+_outputs = st.one_of(
+    _rationals.map(ScalarOutput),
+    st.lists(st.tuples(_rationals, _rationals), max_size=3).map(CentersOutput),
+    st.lists(_rationals, min_size=1, max_size=3).map(CoefficientsOutput),
+    st.just(NullOutput()),
+)
+
+
+@st.composite
+def _transcripts(draw):
+    """Runs whose messages share some payload and output objects, and carry
+    equal but distinct objects elsewhere."""
+    payloads = draw(st.lists(_payloads(), min_size=1, max_size=4))
+    outputs = draw(st.lists(_outputs, min_size=1, max_size=3))
+    messages = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        kind = draw(st.sampled_from([FactualDelivery, LedgerUpdate, OutputBroadcast]))
+        pool = outputs if kind is OutputBroadcast else payloads
+        value = pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
+        if draw(st.booleans()):
+            value = copy.deepcopy(value)
+        if kind is OutputBroadcast:
+            messages.append(OutputBroadcast(value))
+        else:
+            messages.append(kind(draw(st.integers(min_value=1, max_value=3)), value))
+    protocol = draw(st.sampled_from(["continuous", "periodic"]))
+    return Run(protocol, 3, tuple(messages), 1 if protocol == "continuous" else None)
+
+
+@given(run=_transcripts())
+@settings(max_examples=300, deadline=None)
+def test_trace_matches_the_oracle_on_shared_and_distinct_objects(run):
+    assert trace_lines(run) == reference_scenario.trace_lines(run)
+
+
+@given(
+    protocol=st.sampled_from(["continuous", "periodic"]),
+    algorithm=st.sampled_from(["max", "average"]),
+    attack=st.booleans(),
+    values=st.lists(st.tuples(st.integers(1, 2), _rationals), min_size=1, max_size=8),
+    shared=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_trace_matches_the_oracle_on_engine_runs(protocol, algorithm, attack, values, shared):
+    # One payload object per distinct value when `shared`, else one per element.
+    made: dict = {}
+
+    def payload(value):
+        fresh = Scalar(value) if algorithm == "max" else PointSet([(value,)])
+        return made.setdefault(value, fresh) if shared else fresh
+
+    if protocol == "continuous":
+        ninput = [NatureElement(agent, payload(value)) for agent, value in values]
+    else:
+        ninput = [
+            NatureElement(agent, payload(value), index + 1)
+            for index, (agent, value) in enumerate(values)
+        ]
+    attacker = make_strategy("max_echo" if algorithm == "max" else "average_probe")
+    strategies = {2: attacker} if attack else {}
+    run = run_protocol(
+        protocol, ninput, strategies, make_algorithm(algorithm, {}), 2,
+        ell=2 if protocol == "continuous" else None,
+    )
+    assert trace_lines(run) == reference_scenario.trace_lines(run)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_fixture_traces_match_the_oracle(path):
+    run = run_scenario(load_scenario(path))
+    assert trace_lines(run) == reference_scenario.trace_lines(run)
