@@ -35,8 +35,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
-# The string forms `rational` reads: sign, numerator, optional denominator.
-_RATIONAL_TEXT = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+# The string forms `rational` reads: a signed numerator, an optional denominator.
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class DimensionError(ValueError):
@@ -58,13 +58,12 @@ def rational(value: RationalLike) -> Fraction:
         match = _RATIONAL_TEXT.fullmatch(text)
         if match is None:
             raise ValueError(f"Invalid literal for Fraction: {text!r}")
-        sign, numerator, denominator = match.groups()
+        numerator, denominator = match.groups()
         # `int` keeps the interpreter's cap on digits, so an overlong string
         # fails as `Fraction` would fail on it.
-        numerator = int(numerator)
-        if sign == "-":
-            numerator = -numerator
-        return Fraction(numerator) if denominator is None else Fraction(numerator, int(denominator))
+        if denominator is None:
+            return Fraction(int(numerator))
+        return Fraction(int(numerator), int(denominator))
     # `int` before `Fraction`: a failing check against an abstract base class is slow.
     if isinstance(value, int):
         return Fraction(value)
