@@ -50,6 +50,8 @@ NormOrder = Union[int, str]  # 1, 2, or "inf"
 
 Point = tuple[Fraction, ...]
 
+MIXED_DIMENSIONS = "point payloads of mixed dimension on one ledger"
+
 
 class PayloadError(ValueError):
     """A payload is malformed or of the wrong kind for the algorithm."""
@@ -222,7 +224,7 @@ def union_points(ledger: Sequence[UpdatePayload]) -> tuple[Point, ...]:
     """The set union of all point-set payloads, in sorted order."""
     collected = multiset_points(ledger)
     if collected and len({len(p) for p in collected}) > 1:
-        raise PayloadError("point payloads of mixed dimension on one ledger")
+        raise PayloadError(MIXED_DIMENSIONS)
     return tuple(sorted(set(collected)))
 
 
@@ -542,11 +544,20 @@ class Algorithm:
     `state` itself when the payload adds nothing to it (an `Empty` payload, a
     max that is not higher, points already in the union); the engines then
     rebroadcast the last output instead of calling `output` again.
+
+    `check(payload)` states which payloads the algorithm takes and builds no
+    state: True if the payload adds data, False if every fold returns its
+    state unchanged for it, and otherwise the `PayloadError` of `fold`. Every
+    `fold` opens with it; the clustering fold also tests the point dimension
+    against its state.
     """
 
     name: str = "abstract"
 
     def start(self) -> object:
+        raise NotImplementedError
+
+    def check(self, payload: UpdatePayload) -> bool:
         raise NotImplementedError
 
     def fold(self, state: object, payload: UpdatePayload) -> object:
@@ -568,8 +579,11 @@ class MaxAlgorithm(Algorithm):
     def start(self) -> Optional[Fraction]:
         return None
 
+    def check(self, payload: UpdatePayload) -> bool:
+        return _contributes(payload, Scalar)
+
     def fold(self, state: Optional[Fraction], payload: UpdatePayload) -> Optional[Fraction]:
-        if not _contributes(payload, Scalar):
+        if not self.check(payload):
             return state
         return payload.value if state is None else max(state, payload.value)
 
@@ -588,11 +602,16 @@ class AverageAlgorithm(Algorithm):
     def start(self) -> tuple[Fraction, int]:
         return Fraction(0), 0
 
-    def fold(self, state: tuple[Fraction, int], payload: UpdatePayload) -> tuple[Fraction, int]:
+    def check(self, payload: UpdatePayload) -> bool:
         if not _contributes(payload, PointSet):
-            return state
+            return False
         if any(len(p) != 1 for p in payload.points):
             raise PayloadError("the average aggregation expects 1-dimensional points")
+        return True
+
+    def fold(self, state: tuple[Fraction, int], payload: UpdatePayload) -> tuple[Fraction, int]:
+        if not self.check(payload):
+            return state
         total, count = state
         return total + sum(p[0] for p in payload.points), count + len(payload.points)
 
@@ -619,11 +638,14 @@ class ClusteringAlgorithm(Algorithm):
     def start(self) -> frozenset[Point]:
         return frozenset()
 
+    def check(self, payload: UpdatePayload) -> bool:
+        return _contributes(payload, PointSet) and bool(payload.points)
+
     def fold(self, state: frozenset[Point], payload: UpdatePayload) -> frozenset[Point]:
-        if not _contributes(payload, PointSet) or not payload.points:
+        if not self.check(payload):
             return state
         if state and len(next(iter(state))) != len(payload.points[0]):
-            raise PayloadError("point payloads of mixed dimension on one ledger")
+            raise PayloadError(MIXED_DIMENSIONS)
         if state.issuperset(payload.points):
             return state
         return state.union(payload.points)
@@ -659,13 +681,18 @@ class DlrAlgorithm(Algorithm):
     def start(self) -> ScaledMoments:
         return moments((), self.d + 1)
 
-    def fold(self, state: ScaledMoments, payload: UpdatePayload) -> ScaledMoments:
+    def check(self, payload: UpdatePayload) -> bool:
         if not _contributes(payload, RowMultiset) or not payload.rows:
-            return state
+            return False
         width = payload.rows[0].width
         if width != self.d + 1:
             raise PayloadError(f"rows of width {width} on a {self.d}-dimensional regression ledger")
-        return state.add(moments(payload.rows, width))
+        return True
+
+    def fold(self, state: ScaledMoments, payload: UpdatePayload) -> ScaledMoments:
+        if not self.check(payload):
+            return state
+        return state.add(moments(payload.rows, self.d + 1))
 
     def output(self, state: ScaledMoments) -> AlgorithmOutput:
         coefficients = state.solve()

@@ -9,9 +9,10 @@ The decoder builds a value's field path only when the value fails. Algorithm and
 are checked by the constructors that use them; the loader decodes each
 strategy parameter by its kind in `strategies.STRATEGIES` and maps a
 `ParamError` to the parameter's field path. Every payload a run can put on
-the ledger must fold onto the empty ledger, or the file is refused before
-the run: nature's payloads, each strategy's payload and point parameters,
-and the payloads a strategy makes up by itself.
+the ledger must pass the algorithm's `check`, and all its point sets must
+share one dimension, or the file is refused before the run: nature's
+payloads, each strategy's payload and point parameters, and the payloads a
+strategy makes up by itself.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .algorithms import (
     CoefficientsOutput,
     DlrAlgorithm,
     Empty,
+    MIXED_DIMENSIONS,
     NullOutput,
     ParamError,
     PayloadError,
@@ -323,17 +325,19 @@ def _name_and_params(spec: object, path: str) -> tuple[str, dict]:
     return spec["name"], params
 
 
-def _foldable(algorithm: Algorithm, payload: UpdatePayload) -> UpdatePayload:
-    """`payload`, if `algorithm` can take it: a payload it cannot take fails here, not mid-run."""
+def _taken(algorithm: Algorithm, payload: UpdatePayload) -> UpdatePayload:
+    """`payload`, if `algorithm.check` passes it: a payload the algorithm
+    cannot take fails here, not mid-run."""
     try:
-        algorithm.fold(algorithm.start(), payload)
+        algorithm.check(payload)
     except PayloadError as exc:
         raise _Invalid(str(exc)) from exc
     return payload
 
 
-def _check_foldable(algorithm: Algorithm, payload: UpdatePayload, path: str) -> None:
-    _decode(partial(_foldable, algorithm), payload, path)
+# Strategy parameters that are only compared with the agent's factual data
+# and never reach the ledger, so they need not share its point dimension.
+_WATCHED_PARAMS = {("omit_point", "params.point"), ("sneak", "params.u_cond")}
 
 
 def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
@@ -368,6 +372,8 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
 
     strategies: dict[int, Strategy] = {}
     strategy_specs: dict[int, dict] = {}
+    # (payload, field path) of each payload a strategy may put on the ledger.
+    sent: list[tuple[UpdatePayload, str]] = []
     raw_strategies = data.get("strategies") or {}
     if not isinstance(raw_strategies, dict):
         raise _fail("strategies", "expected an object keyed by agent number")
@@ -392,26 +398,43 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         except ParamError as exc:
             field = f"{path}.params.{exc.param}" if exc.param else path
             raise _fail(field, str(exc)) from exc
-        # Payloads the algorithm would refuse mid-run fail here.
-        for payload in STRATEGIES[name][2]:
-            _check_foldable(algorithm, payload, f"{path}.name")
         if name == "triangulation" and not (
             isinstance(algorithm, DlrAlgorithm) and algorithm.d == decoded["d"]
         ):
             raise _fail(f"{path}.params.d", f"triangulation needs dlr with d = {decoded['d']}")
-        for key, kind in kinds.items():
-            if kind in ("payload", "point"):
-                payload = (
-                    decoded[key] if kind == "payload" else PointSet((coerce_point(decoded[key]),))
-                )
-                _check_foldable(algorithm, payload, f"{path}.params.{key}")
+        # The payloads it makes up, then its payload and point parameters:
+        # one the algorithm would refuse mid-run fails here.
+        checked = [(payload, "name") for payload in STRATEGIES[name][2]] + [
+            (
+                decoded[key] if kind == "payload" else PointSet((coerce_point(decoded[key]),)),
+                f"params.{key}",
+            )
+            for key, kind in kinds.items()
+            if kind in ("payload", "point")
+        ]
+        for payload, field in checked:
+            _decode(partial(_taken, algorithm), payload, f"{path}.{field}")
+            if (name, field) not in _WATCHED_PARAMS:
+                sent.append((payload, f"{path}.{field}"))
         strategy_specs[agent] = {"name": name, "params": dict(params)}
+
+    dimensions: set[int] = set()
+
+    def one_dimension(payload: UpdatePayload) -> UpdatePayload:
+        """`payload`, if its points have the dimension of the first point set met."""
+        if isinstance(payload, PointSet) and payload.points:
+            dimensions.add(len(payload.points[0]))
+            if len(dimensions) > 1:
+                raise _Invalid(MIXED_DIMENSIONS)
+        return payload
 
     def element(entry: object) -> NatureElement:
         if not isinstance(entry, dict):
             raise _Invalid("expected an element object")
         agent = _field(entry, "agent", _int)
-        payload = _field(entry, "payload", lambda raw: _foldable(algorithm, _payload(raw)))
+        payload = _field(
+            entry, "payload", lambda raw: one_dimension(_taken(algorithm, _payload(raw)))
+        )
         round_no = entry.get("round")
         if round_no is not None:
             round_no = _field(entry, "round", _int)
@@ -422,6 +445,9 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         data.get("nature_input"),
         "nature_input",
     )
+    # Nature's first point set fixes the dimension that strategies must send.
+    for payload, field in sent:
+        _decode(one_dimension, payload, field)
     validate = validate_periodic_input if protocol == "periodic" else validate_continuous_input
     try:
         validate(elements, agent_count)

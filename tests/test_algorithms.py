@@ -47,6 +47,7 @@ from reference_aggregations import (
     predict,
     rational_sqrt,
     reference_clustering,
+    reference_compute,
     reference_moments,
     reference_output,
 )
@@ -550,6 +551,47 @@ def test_fold_matches_from_scratch_reference(case):
     got = outcome(algorithm.compute, ledger)
     want = outcome(reference_output, algorithm, ledger)
     assert got == want
+
+
+_CHECK_ALGORITHMS = {
+    "max": MaxAlgorithm(),
+    "average": AverageAlgorithm(),
+    "kcenter": KCenterAlgorithm(1),
+    "kmedian": KMedianAlgorithm(1),
+    "dlr_d1": DlrAlgorithm(1),
+    "dlr_d2": DlrAlgorithm(2),
+}
+_CHECK_PAYLOADS = {
+    "scalar": Scalar(1),
+    "empty": Empty(),
+    "points_1d": PointSet(((1,), (2,))),
+    "points_2d": PointSet(((1, 2),)),
+    "points_none": PointSet(()),
+    "rows_width_2": RowMultiset((Row((1, 1), 1), Row((1, 2), 3))),
+    "rows_width_3": RowMultiset((Row((1, 2, 3), 0),)),
+    "rows_none": RowMultiset(()),
+}
+
+
+@pytest.mark.parametrize("payload", list(_CHECK_PAYLOADS.values()), ids=list(_CHECK_PAYLOADS))
+@pytest.mark.parametrize(
+    "algorithm", list(_CHECK_ALGORITHMS.values()), ids=list(_CHECK_ALGORITHMS)
+)
+def test_check_refuses_what_the_reference_refuses(algorithm, payload):
+    # `check` raises just where the from-scratch aggregation of the one-payload
+    # ledger raises a PayloadError, with the fold's message, and says False
+    # just where the fold returns the empty ledger's state itself.
+    refused = outcome(algorithm.check, payload) is PayloadError
+    assert refused == (outcome(reference_compute, algorithm, [payload]) is PayloadError)
+    state = algorithm.start()
+    if refused:
+        with pytest.raises(PayloadError) as checked:
+            algorithm.check(payload)
+        with pytest.raises(PayloadError) as folded:
+            algorithm.fold(state, payload)
+        assert str(checked.value) == str(folded.value)
+    else:
+        assert (algorithm.fold(state, payload) is state) == (not algorithm.check(payload))
 
 
 def _split(rows: list, cuts: list[int]) -> list[RowMultiset]:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import reference_scenario
 from exclusim.algorithms import (
+    Algorithm,
     CentersOutput,
     CoefficientsOutput,
     Empty,
@@ -148,6 +149,47 @@ def test_all_fixtures_load():
     for name in names:
         scenario = load_scenario(FIXTURES / name)
         assert scenario.agent_count == 2
+
+
+def _with_subclasses(cls: type) -> list[type]:
+    return [cls, *(sub for child in cls.__subclasses__() for sub in _with_subclasses(child))]
+
+
+def test_loading_builds_no_fold_state(monkeypatch):
+    # The loader asks each algorithm's `check` about every payload and never
+    # starts or folds a state.
+    def forbidden(*args):
+        raise AssertionError("the scenario loader ran fold code")
+
+    for cls in _with_subclasses(Algorithm):
+        monkeypatch.setattr(cls, "start", forbidden)
+        monkeypatch.setattr(cls, "fold", forbidden)
+    for path in sorted(FIXTURES.glob("*.json")):
+        load_scenario(path)
+    second_rows = {"kind": "rows", "rows": [{"features": [1, 2], "target": 0}]}
+    for data in (
+        _minimal_dict(
+            algorithm={"name": "average"},
+            strategies={"2": {"name": "fabricate_point", "params": {"point": 3}}},
+            nature_input=[{"agent": 1, "payload": _POINTS}, {"agent": 2, "payload": _POINTS}],
+        ),
+        _minimal_dict(
+            algorithm={"name": "kmedian", "params": {"k": 2, "p": 1}},
+            strategies={"2": {"name": "omit_point", "params": {"point": [0, 0]}}},
+            nature_input=[{"agent": 1, "payload": {"kind": "points", "points": [[0, 0], [1, 2]]}}],
+        ),
+        _minimal_dict(
+            protocol="periodic",
+            ell=None,
+            algorithm={"name": "dlr", "params": {"d": 1}},
+            strategies={"2": {"name": "fabricate_rows", "params": {"rows": second_rows}}},
+            nature_input=[
+                {"agent": 1, "payload": _ROWS, "round": 1},
+                {"agent": 2, "payload": second_rows, "round": 2},
+            ],
+        ),
+    ):
+        scenario_from_dict(data)
 
 
 def test_example_fixture_fields():
@@ -675,6 +717,64 @@ def test_cli_run_refuses_a_strategy_whose_payloads_the_ledger_cannot_fold(
     )
     assert _run_file(tmp_path, data) == 2
     assert "error: strategies.2.name: " in capsys.readouterr().err
+
+
+_POINTS_2D = {"kind": "points", "points": [[0, 0], [1, 1], [2, 0]]}
+
+
+@pytest.mark.parametrize(
+    "nature, strategies, field",
+    [
+        ([_POINTS, _POINTS_2D], {}, "nature_input[1].payload"),
+        (
+            [_POINTS_2D],
+            {"2": {"name": "fabricate_point", "params": {"point": 5}}},
+            "strategies.2.params.point",
+        ),
+        (
+            [_POINTS_2D],
+            {"2": {"name": "kcenter_sneak", "params": {"k": 3, "eps": "1/1000"}}},
+            "strategies.2.name",
+        ),
+        (
+            [{"kind": "empty"}, _POINTS],
+            {
+                "2": {
+                    "name": "sneak",
+                    "params": {
+                        "u_cond": _POINTS,
+                        "rho_cond": {"kind": "null"},
+                        "u_attack": {"kind": "points", "points": [[0, 1]]},
+                        "u_resync": {"kind": "empty"},
+                    },
+                }
+            },
+            "strategies.2.params.u_attack",
+        ),
+        (
+            [{"kind": "empty"}],
+            {
+                "2": {"name": "fabricate_point", "params": {"point": [1, 2]}},
+                "3": {"name": "fabricate_point", "params": {"point": 1}},
+            },
+            "strategies.3.params.point",
+        ),
+    ],
+    ids=["nature", "fabricate_point", "kcenter_sneak", "sneak_u_attack", "two_strategies"],
+)
+def test_cli_run_refuses_mixed_point_dimensions(tmp_path, capsys, nature, strategies, field):
+    # Nature's first point set fixes the one dimension, or else the first
+    # point set a strategy sends; these used to exit 1 mid-run or, for
+    # `kcenter_sneak`, run without ever firing.
+    data = _minimal_dict(
+        agents=3,
+        algorithm={"name": "kcenter", "params": {"k": 3}},
+        strategies=strategies,
+        nature_input=[{"agent": 1, "payload": payload} for payload in nature],
+    )
+    assert _run_file(tmp_path, data) == 2
+    message = "point payloads of mixed dimension on one ledger"
+    assert f"error: {field}: {message}" in capsys.readouterr().err
 
 
 def test_cli_run_kmedian_irrational_distance_exits_1(tmp_path, capsys):
