@@ -541,15 +541,15 @@ class Algorithm:
     cannot take it), and `output(state)` the public output, `NullOutput`
     while the aggregation is undefined. States are immutable, so one state
     may be folded further along two different continuations. `fold` returns
-    `state` itself when the payload adds nothing to it (an `Empty` payload, a
+    `state` itself when the payload adds nothing to it (an empty payload, a
     max that is not higher, points already in the union); the engines then
     rebroadcast the last output instead of calling `output` again.
 
     `check(payload)` states which payloads the algorithm takes and builds no
-    state: True if the payload adds data, False if every fold returns its
-    state unchanged for it, and otherwise the `PayloadError` of `fold`. Every
-    `fold` opens with it; the clustering fold also tests the point dimension
-    against its state.
+    state: False for an empty payload, which adds nothing on every algorithm,
+    True for one that adds data, and otherwise the `PayloadError` of `fold`.
+    Every `fold` opens with it; the clustering fold also tests the point
+    dimension against its state.
     """
 
     name: str = "abstract"
@@ -603,7 +603,7 @@ class AverageAlgorithm(Algorithm):
         return Fraction(0), 0
 
     def check(self, payload: UpdatePayload) -> bool:
-        if not _contributes(payload, PointSet):
+        if not _contributes(payload, PointSet) or not payload.points:
             return False
         if any(len(p) != 1 for p in payload.points):
             raise PayloadError("the average aggregation expects 1-dimensional points")

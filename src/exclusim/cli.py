@@ -33,6 +33,7 @@ from .algorithms import (
     RowMultiset,
     Scalar,
     ScalarOutput,
+    format_point,
 )
 from .harness import (
     CaseGenerator,
@@ -93,19 +94,14 @@ class UsageError(Exception):
 # =============================================================================
 
 
-def _format_point(point: Sequence[Fraction]) -> str:
-    if len(point) == 1:
-        return str(point[0])
-    return "(" + ", ".join(str(c) for c in point) + ")"
-
-
 def format_output(output: Optional[AlgorithmOutput]) -> str:
     if isinstance(output, ScalarOutput):
         return str(output.value)
     if isinstance(output, CentersOutput):
-        return "{" + ", ".join(_format_point(p) for p in output.centers) + "}"
+        points = (str(p[0]) if len(p) == 1 else format_point(p) for p in output.centers)
+        return "{" + ", ".join(points) + "}"
     if isinstance(output, CoefficientsOutput):
-        return "(" + ", ".join(str(c) for c in output.coefficients) + ")"
+        return format_point(output.coefficients)
     return "null"
 
 

@@ -259,13 +259,15 @@ def run_continuous(
 ) -> Run:
     """Execute the continuous protocol and return the full transcript.
 
-    An agent is polled only when its view has grown since its last poll: a
-    delivery to it, or a broadcast, came after that poll. Strategies are pure
-    functions of their views (the property `replay_matches` checks), so an
-    unchanged view would give the same wish, and that wish would be dropped
-    again: an accepted wish is always followed by a broadcast, which grows
-    every view, and without one the guard's ledger authors are unchanged too.
-    A stateful callable is therefore not a supported strategy.
+    `grown` holds the agents whose view grew since their last poll: a
+    delivery adds its recipient, an accepted update adds every agent, and a
+    poll removes the polled agent. An element's activity loop runs while
+    `grown` is not empty. The guard drops a wish from `author`, who wrote the
+    last `streak` updates in a row, once `streak` reaches `ell`. Strategies
+    are pure functions of their views (the property `replay_matches` checks),
+    so an unchanged view would repeat a dropped wish; a stateful callable is
+    not supported. Between elements `grown` is empty, so the state there is
+    the fold state, the last broadcast, the streak and the log length.
     """
     if ell < 1:
         raise InputError("ell must be at least 1")
@@ -274,47 +276,37 @@ def run_continuous(
     messages: list[Message] = []
     state = algorithm.start()
     broadcast: Optional[OutputBroadcast] = None
-    ledger_authors: list[int] = []
-    # Log lengths: at each agent's last poll, just after its last delivery,
-    # and just after the last broadcast.
-    polled_at = [0] * (agent_count + 1)
-    delivered_at = [0] * (agent_count + 1)
-    broadcast_at = 0
+    author, streak = None, 0
+    agents = range(1, agent_count + 1)
 
     for element in ninput:
         messages.append(FactualDelivery(element.agent, element.payload))
-        delivered_at[element.agent] = len(messages)
-        active = True
+        grown = {element.agent}
         passes = 0
-        while active:
+        while grown:
             passes += 1
             if passes > safety_cap:
                 raise SafetyCapExceededError(
                     f"activity loop exceeded {safety_cap} polling passes for one nature element"
                 )
-            active = False
-            for agent in range(1, agent_count + 1):
-                if polled_at[agent] >= delivered_at[agent] and polled_at[agent] >= broadcast_at:
+            for agent in agents:
+                if agent not in grown:
                     continue
-                polled_at[agent] = len(messages)
+                grown.remove(agent)
                 strategy = strategies.get(agent, truthful_strategy)
                 wish = strategy(ObservedHistory(agent, messages, len(messages)))
                 if wish is None:
                     continue
-                if len(ledger_authors) >= ell and all(
-                    author == agent for author in ledger_authors[-ell:]
-                ):
-                    # Guard: this agent wrote the last `ell` updates. The wish
-                    # is dropped and does not keep the loop alive.
+                if agent == author and streak >= ell:
+                    # Guard: the agent wrote the last `ell` updates in a row.
                     continue
                 folded = algorithm.fold(state, wish)
                 if folded is not state or broadcast is None:
                     state, broadcast = folded, OutputBroadcast(algorithm.output(folded))
-                ledger_authors.append(agent)
+                author, streak = agent, streak + 1 if agent == author else 1
                 messages.append(LedgerUpdate(agent, wish))
                 messages.append(broadcast)
-                broadcast_at = len(messages)
-                active = True
+                grown.update(agents)
 
     return Run("continuous", agent_count, tuple(messages), ell=ell)
 

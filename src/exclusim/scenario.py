@@ -319,7 +319,7 @@ def _name_and_params(spec: object, path: str) -> tuple[str, dict]:
     """The `name` and `params` of an algorithm or strategy spec."""
     if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
         raise _fail(path, "expected an object with a 'name'")
-    params = spec.get("params") or {}
+    params = {} if spec.get("params") is None else spec["params"]
     if not isinstance(params, dict):
         raise _fail(f"{path}.params", "expected an object")
     return spec["name"], params
@@ -374,7 +374,7 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     strategy_specs: dict[int, dict] = {}
     # (payload, field path) of each payload a strategy may put on the ledger.
     sent: list[tuple[UpdatePayload, str]] = []
-    raw_strategies = data.get("strategies") or {}
+    raw_strategies = {} if data.get("strategies") is None else data["strategies"]
     if not isinstance(raw_strategies, dict):
         raise _fail("strategies", "expected an object keyed by agent number")
     for raw_agent, spec in raw_strategies.items():
@@ -383,6 +383,8 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
             agent = int(raw_agent)
         except (TypeError, ValueError):
             raise _fail(path, "agent keys must be integers") from None
+        if raw_agent != str(agent):
+            raise _fail(path, f"agent {agent} must be keyed as {str(agent)!r}")
         if not 1 <= agent <= agent_count:
             raise _fail(path, f"agent {agent} outside 1..{agent_count}")
         name, params = _name_and_params(spec, path)

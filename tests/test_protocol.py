@@ -497,6 +497,12 @@ def _spied(strategies, agent_count, polls):
 @example(case=(
     "continuous", _scalar_input((1, 5), (2, 3), (1, 4)), {2: _always_bid(9)}, MaxAlgorithm(), 3, 2,
 ))
+# With ell 3 the bidder's streak outlasts three elements delivered to it, agent
+# 1's update breaks it, and the bidder then writes three more.
+@example(case=(
+    "continuous", _scalar_input((2, 3), (2, 4), (2, 5), (1, 6)), {2: _always_bid(9)},
+    MaxAlgorithm(), 2, 3,
+))
 @settings(max_examples=300, deadline=None)
 def test_engines_match_from_scratch_reference(case):
     protocol, ninput, strategies, algorithm, agent_count, ell = case
@@ -514,14 +520,22 @@ def test_engines_match_from_scratch_reference(case):
     assert len(set(polls)) == len(polls)
 
 
-class _CountingKCenter(KCenterAlgorithm):
-    def __init__(self, k):
-        super().__init__(k)
-        self.outputs = 0
+class _CountingOutputs:
+    """Counts the `output` calls of the algorithm class it is mixed into."""
+
+    outputs = 0
 
     def output(self, state):
         self.outputs += 1
         return super().output(state)
+
+
+class _CountingKCenter(_CountingOutputs, KCenterAlgorithm):
+    pass
+
+
+class _CountingAverage(_CountingOutputs, AverageAlgorithm):
+    pass
 
 
 def _points(*values):
@@ -537,6 +551,14 @@ def test_continuous_rebroadcasts_when_the_union_does_not_grow():
     assert algorithm.outputs == 2
     assert len(run.broadcasts()) == 6
     assert run.messages == reference_run("continuous", ninput, {}, algorithm, 3, ell=1)
+    # An empty point set adds nothing to the average either.
+    payloads = [_points(1), _points(), _points(3), _points()]
+    ninput = tuple(NatureElement(1 + i % 2, p) for i, p in enumerate(payloads))
+    algorithm = _CountingAverage()
+    run = run_protocol("continuous", ninput, {}, algorithm, 2, ell=1)
+    assert algorithm.outputs == 2
+    assert run.broadcasts() == tuple(ScalarOutput(Fraction(v)) for v in (1, 1, 2, 2))
+    assert run.messages == reference_run("continuous", ninput, {}, algorithm, 2, ell=1)
 
 
 def test_first_broadcast_is_computed_when_the_fold_changes_nothing():

@@ -373,21 +373,33 @@ def _run_file(tmp_path, data: dict) -> int:
     return main(["run", str(path)])
 
 
+# Non-objects that are falsy: only an absent key or null means "none".
+_FALSY_NON_OBJECTS = {
+    "false": False, "zero": 0, "zero_float": 0.0, "empty_string": "", "empty_list": [],
+}
+
+
 @pytest.mark.parametrize(
-    "algorithm, field",
+    "algorithm, error",
     [
-        ({"name": "kcenter", "params": {"k": "5/2"}}, "algorithm.params.k"),
-        ({"name": "kcenter", "params": {"k": 2.5}}, "algorithm.params.k"),
-        ({"name": "kcenter", "params": {"k": True}}, "algorithm.params.k"),
-        ({"name": "kcenter", "params": {"k": 2, "max_union": 2.9}}, "algorithm.params.max_union"),
-        ({"name": "dlr", "params": {"d": True}}, "algorithm.params.d"),
+        ({"name": "kcenter", "params": {"k": "5/2"}}, "algorithm.params.k: k must be an integer"),
+        ({"name": "kcenter", "params": {"k": 2.5}}, "algorithm.params.k: k must be an integer"),
+        ({"name": "kcenter", "params": {"k": True}}, "algorithm.params.k: k must be an integer"),
+        (
+            {"name": "kcenter", "params": {"k": 2, "max_union": 2.9}},
+            "algorithm.params.max_union: max_union must be an integer",
+        ),
+        ({"name": "dlr", "params": {"d": True}}, "algorithm.params.d: d must be an integer"),
+    ] + [
+        ({"name": "max", "params": value}, "algorithm.params: expected an object")
+        for value in _FALSY_NON_OBJECTS.values()
     ],
-    ids=["k_string", "k_float", "k_bool", "max_union_float", "d_bool"],
+    ids=["k_string", "k_float", "k_bool", "max_union_float", "d_bool"]
+    + [f"params_{name}" for name in _FALSY_NON_OBJECTS],
 )
-def test_cli_run_rejects_non_integer_algorithm_params(tmp_path, capsys, algorithm, field):
+def test_cli_run_rejects_non_integer_algorithm_params(tmp_path, capsys, algorithm, error):
     assert _run_file(tmp_path, _minimal_dict(algorithm=algorithm)) == 2
-    param = field.rsplit(".", 1)[1]
-    assert f"error: {field}: {param} must be an integer" in capsys.readouterr().err
+    assert f"error: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [True, 2.0, "2", 3], ids=["bool", "float", "string", "three"])
@@ -576,13 +588,21 @@ def test_cli_run_rejects_non_integer_strategy_counts(
             {"name": "omit_point", "params": {"point": [0, 1]}},
             "strategies.2.params.point",
         ),
+    ] + [
+        (
+            {"name": "max"},
+            {"kind": "scalar", "value": 5},
+            {"name": "truthful", "params": value},
+            "strategies.2.params",
+        )
+        for value in _FALSY_NON_OBJECTS.values()
     ],
     ids=[
         "fabricate_rows_list", "sneak_integers", "omit_point_dict", "max_overbid_list",
         "kcenter_sneak_k2", "triangulation_other_d", "triangulation_not_dlr",
         "sneak_rows_on_kcenter", "fabricate_rows_too_wide", "fabricate_point_on_max",
         "omit_point_on_dlr",
-    ],
+    ] + [f"params_{name}" for name in _FALSY_NON_OBJECTS],
 )
 def test_cli_run_rejects_malformed_strategy_params(
     tmp_path, capsys, algorithm, payload, strategy, field
@@ -594,6 +614,45 @@ def test_cli_run_rejects_malformed_strategy_params(
     )
     assert _run_file(tmp_path, data) == 2
     assert f"error: {field}: " in capsys.readouterr().err
+
+
+_OVERBID = {"name": "max_overbid", "params": {"value": 1000}}
+
+
+@pytest.mark.parametrize(
+    "strategies, error",
+    [
+        (value, "strategies: expected an object keyed by agent number")
+        for value in _FALSY_NON_OBJECTS.values()
+    ] + [
+        (
+            {"1": _OVERBID, "01": {"name": "truthful"}},
+            "strategies.01: agent 1 must be keyed as '1'",
+        ),
+        ({"+1": _OVERBID}, "strategies.+1: agent 1 must be keyed as '1'"),
+        ({" 1": _OVERBID}, "strategies. 1: agent 1 must be keyed as '1'"),
+        ({"0_2": _OVERBID}, "strategies.0_2: agent 2 must be keyed as '2'"),
+        ({"one": _OVERBID}, "strategies.one: agent keys must be integers"),
+    ],
+    ids=[
+        *_FALSY_NON_OBJECTS, "leading_zero_twin", "plus_sign", "leading_space", "underscore",
+        "word",
+    ],
+)
+def test_cli_run_rejects_malformed_strategy_tables(tmp_path, capsys, strategies, error):
+    assert _run_file(tmp_path, _minimal_dict(strategies=strategies)) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+def test_absent_or_null_strategies_and_params_mean_none():
+    for data in (
+        _minimal_dict(strategies=None),
+        _minimal_dict(algorithm={"name": "max", "params": None}),
+        _minimal_dict(strategies={"2": {"name": "truthful", "params": None}}),
+    ):
+        scenario = scenario_from_dict(data)
+        assert scenario.algorithm_spec == {"name": "max", "params": {}}
+        assert all(spec["params"] == {} for spec in scenario.strategy_specs.values())
 
 
 # Valid JSON parameters for every strategy a scenario file can name.
