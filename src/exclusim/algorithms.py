@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import mul, sub
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .numerics import RationalLike, _scaled, rational, solve_integer_rows
 
@@ -325,7 +325,7 @@ def _magnitude(vector: Sequence[int], p: NormOrder) -> int:
 
 @dataclass(frozen=True)
 class KCenterSolution:
-    """Centers with the induced nearest-center partition and its cost.
+    """The chosen centers and their cost.
 
     `cost` is expressed in the norm's comparison scale: the true distance
     value for p=1/p=inf and for the k-median objective, the squared distance
@@ -346,7 +346,6 @@ class KCenterSolution:
     """
 
     centers: tuple[Point, ...]
-    assignment: tuple[tuple[Point, Point], ...]  # (input point, its center)
     cost: Fraction
 
 
@@ -418,17 +417,8 @@ def _solve_clustering(
         tie = (sum(norms[j] for j in candidate), candidate)
         if cost < best_cost or tie < best_tie:
             best_cost, best_tie, best = cost, tie, candidate
-    # Each point goes to its nearest center; ties favor the smaller-norm
-    # center, then the smaller index. The table orders pairs as their
-    # distances do, for either objective.
-    assignment = tuple(
-        (point, universe[min(best, key=lambda j: (rows[j][i], norms[j]))])
-        for i, point in enumerate(universe)
-    )
     unit = scale * scale if p == 2 and not median else scale
-    return KCenterSolution(
-        tuple(universe[j] for j in best), assignment, Fraction(best_cost, unit)
-    )
+    return KCenterSolution(tuple(universe[j] for j in best), Fraction(best_cost, unit))
 
 
 def kcenter_solution(
@@ -712,13 +702,16 @@ _ALGORITHMS: dict[str, tuple[type, tuple[str, ...], tuple[str, ...]]] = {
 def make_algorithm(name: str, params: Optional[dict] = None) -> Algorithm:
     """Build an algorithm from its scenario-file name and parameter object.
 
-    The constructors check the values: `k`, `max_union` and `d` must be
+    Only `None` means no parameters; any other non-mapping is refused. The
+    constructors check the values: `k`, `max_union` and `d` must be
     positive ints, and `p` exactly 1, 2 or "inf". A `ParamError` names the
     parameter at fault in `param`, where there is one.
     """
     if name not in _ALGORITHMS:
         raise ParamError(f"unknown algorithm {name!r}")
     cls, required, optional = _ALGORITHMS[name]
+    if params is not None and not isinstance(params, Mapping):
+        raise ParamError(f"{name} parameters must be a mapping, got {type(params).__name__}")
     params = dict(params or {})
     for key in required:
         if key not in params:

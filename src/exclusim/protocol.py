@@ -173,9 +173,6 @@ class ObservedHistory:
                 return self.log[index]
         return None
 
-    def broadcasts(self) -> tuple[AlgorithmOutput, ...]:
-        return tuple([m.output for m in self.items if isinstance(m, OutputBroadcast)])
-
     def last_broadcast(self) -> Optional[AlgorithmOutput]:
         for index in range(self.length - 1, -1, -1):
             if isinstance(self.log[index], OutputBroadcast):
@@ -184,9 +181,6 @@ class ObservedHistory:
 
     def own_factuals(self) -> tuple[UpdatePayload, ...]:
         return tuple([m.payload for m in self.items if isinstance(m, FactualDelivery)])
-
-    def own_ledger_updates(self) -> tuple[UpdatePayload, ...]:
-        return tuple([m.payload for m in self.items if isinstance(m, LedgerUpdate)])
 
 
 Strategy = Callable[[ObservedHistory], Optional[UpdatePayload]]

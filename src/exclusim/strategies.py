@@ -165,16 +165,13 @@ def max_overbid(value: RationalLike) -> Strategy:
 
 def max_infer(o: ObservedHistory) -> AlgorithmOutput:
     """The truthful maximum: largest value among broadcasts and own factual scalars."""
-    best: Optional[Fraction] = None
-    for output in o.broadcasts():
-        if isinstance(output, ScalarOutput):
-            best = output.value if best is None else max(best, output.value)
-    for payload in o.own_factuals():
-        if isinstance(payload, Scalar):
-            best = payload.value if best is None else max(best, payload.value)
-    if best is None:
-        return NullOutput()
-    return ScalarOutput(best)
+    values: list[Fraction] = []
+    for item in o.items:
+        if isinstance(item, OutputBroadcast) and isinstance(item.output, ScalarOutput):
+            values.append(item.output.value)
+        elif isinstance(item, FactualDelivery) and isinstance(item.payload, Scalar):
+            values.append(item.payload.value)
+    return ScalarOutput(max(values)) if values else NullOutput()
 
 
 # =============================================================================
@@ -195,20 +192,17 @@ class AverageInference:
     true_average: Fraction
 
 
-def _response_after_own_update(o: ObservedHistory, ordinal: int) -> Optional[Fraction]:
-    """Scalar broadcast value right behind the agent's ordinal-th ledger update."""
-    seen = 0
-    for t, item in enumerate(o.items):
-        if isinstance(item, LedgerUpdate):
-            if seen == ordinal:
-                follower = o.items[t + 1] if t + 1 < len(o.items) else None
-                if isinstance(follower, OutputBroadcast) and isinstance(
-                    follower.output, ScalarOutput
-                ):
-                    return follower.output.value
-                return None
-            seen += 1
-    return None
+def _probe_responses(o: ObservedHistory) -> list[Optional[Fraction]]:
+    """The scalar broadcast value right behind each of the agent's ledger
+    updates, or None where anything else, or nothing yet, follows one."""
+    items = o.items
+    return [
+        follower.output.value
+        if isinstance(follower, OutputBroadcast) and isinstance(follower.output, ScalarOutput)
+        else None
+        for item, follower in zip(items, (*items[1:], None))
+        if isinstance(item, LedgerUpdate)
+    ]
 
 
 def average_double_probe() -> Strategy:
@@ -222,11 +216,11 @@ def average_double_probe() -> Strategy:
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
         if not o.own_factuals():
             return truthful_strategy(o)
-        sent = o.own_ledger_updates()
-        if not sent:
+        responses = _probe_responses(o)
+        if not responses:
             return _PROBE_ZERO
-        if len(sent) == 1:
-            first = _response_after_own_update(o, 0)
+        if len(responses) == 1:
+            (first,) = responses
             if first is None:
                 return None
             return _PROBE_ZERO if first != 0 else _PROBE_ONE
@@ -276,8 +270,7 @@ def average_infer(
 
 def average_infer_from_history(o: ObservedHistory) -> AverageInference:
     """Decode a completed probing exchange straight from the observed history."""
-    first = _response_after_own_update(o, 0)
-    second = _response_after_own_update(o, 1)
+    first, second, *_ = _probe_responses(o) + [None, None]
     if first is None or second is None:
         raise InferenceError("the probe exchange has not completed")
     own = multiset_points(o.own_factuals())
@@ -363,61 +356,40 @@ def triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
     A fresh event while a ladder is running abandons it and starts over, and
     no ladder can start before the first usable broadcast.
     """
-    items = o.items
     own_factual_rows: list[Row] = []
     own_ledger_rows: list[Row] = []
     last_coeffs: Optional[Point] = None
-    active = False
-    ladder_rho: list[Optional[Point]] = []
-    ladder_probes: list[tuple[Row, ...]] = []
-    ladder_prior_ledger: tuple[Row, ...] = ()
-
-    for t, item in enumerate(items):
-        if isinstance(item, FactualDelivery):
-            if isinstance(item.payload, RowMultiset):
-                own_factual_rows.extend(item.payload.rows)
-            if last_coeffs is None:
-                active = False
-            else:
-                active = True
-                ladder_rho = [last_coeffs]
-                ladder_probes = []
-                ladder_prior_ledger = tuple(own_ledger_rows)
-        elif isinstance(item, LedgerUpdate):
+    # The running ladder: its broadcasts, its probes and how many own ledger
+    # rows came before it.
+    ladder: Optional[tuple[list[Optional[Point]], list[tuple[Row, ...]], int]] = None
+    sent: Optional[UpdatePayload] = None  # the own update right before `item`
+    for item in o.items:
+        if isinstance(item, OutputBroadcast):
+            output = item.output
+            last_coeffs = output.coefficients if isinstance(output, CoefficientsOutput) else None
+        if isinstance(item, LedgerUpdate):
             if isinstance(item.payload, RowMultiset):
                 own_ledger_rows.extend(item.payload.rows)
+        elif isinstance(item, OutputBroadcast) and sent is not None:
+            # The running ladder's response to the probe `sent`.
+            if ladder is not None:
+                ladder[0].append(last_coeffs)
+                ladder[1].append(sent.rows if isinstance(sent, RowMultiset) else ())
         else:
-            coeffs = (
-                item.output.coefficients
-                if isinstance(item.output, CoefficientsOutput)
-                else None
-            )
-            follows_own_update = t > 0 and isinstance(items[t - 1], LedgerUpdate)
-            if follows_own_update:
-                if active:
-                    sent = items[t - 1].payload
-                    ladder_probes.append(
-                        sent.rows if isinstance(sent, RowMultiset) else ()
-                    )
-                    ladder_rho.append(coeffs)
-                last_coeffs = coeffs
-            else:
-                last_coeffs = coeffs
-                if coeffs is None:
-                    active = False
-                else:
-                    active = True
-                    ladder_rho = [coeffs]
-                    ladder_probes = []
-                    ladder_prior_ledger = tuple(own_ledger_rows)
+            # A fresh event: start over at the last usable broadcast, if any.
+            if isinstance(item, FactualDelivery) and isinstance(item.payload, RowMultiset):
+                own_factual_rows.extend(item.payload.rows)
+            ladder = None if last_coeffs is None else ([last_coeffs], [], len(own_ledger_rows))
+        sent = item.payload if isinstance(item, LedgerUpdate) else None
 
-    if not active:
+    if ladder is None:
         return None
+    rho_seq, probes, prior = ladder
     return TriangulationState(
-        step=len(ladder_probes),
-        rho_seq=tuple(ladder_rho),
-        probes=tuple(ladder_probes),
-        own_ledger_rows=ladder_prior_ledger,
+        step=len(probes),
+        rho_seq=tuple(rho_seq),
+        probes=tuple(probes),
+        own_ledger_rows=tuple(own_ledger_rows[:prior]),
         own_factual_rows=tuple(own_factual_rows),
     )
 
@@ -710,10 +682,17 @@ STRATEGIES: dict[
 
 
 def make_strategy(name: str, params: Optional[Mapping[str, object]] = None) -> Strategy:
-    """Build a named strategy from a parameter mapping, as scenario files do."""
+    """Build a named strategy from a parameter mapping, as scenario files do.
+
+    Only `None` means no parameters; any other non-mapping is refused.
+    """
     if name not in STRATEGIES:
         raise ParamError(f"unknown strategy '{name}'; expected one of {', '.join(STRATEGIES)}")
     builder, kinds, _ = STRATEGIES[name]
+    if params is not None and not isinstance(params, Mapping):
+        raise ParamError(
+            f"strategy '{name}' parameters must be a mapping, got {type(params).__name__}"
+        )
     args = dict(params or {})
     for key in kinds:
         if key not in args:

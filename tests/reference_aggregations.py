@@ -197,17 +197,6 @@ def _reference_cost(points, centers, p, median):
     return total if median else worst
 
 
-def assign_to_centers(
-    points: Sequence[Point], centers: Sequence[Point], p: NormOrder
-) -> tuple[tuple[Point, Point], ...]:
-    """Map each point to its nearest center; ties favor the smaller-norm center."""
-    pairs = []
-    for point in points:
-        chosen = min(centers, key=lambda c: (dist_key(point, c, p), norm_key(c, p), c))
-        pairs.append((point, chosen))
-    return tuple(pairs)
-
-
 def reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION) -> KCenterSolution:
     """The exhaustive solve the table-based solver replaced, kept as its oracle.
 
@@ -233,7 +222,7 @@ def reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION) -> K
         if best_key is None or key < best_key:
             best_key = key
     cost, _, best = best_key
-    return KCenterSolution(best, assign_to_centers(universe, best, p), cost)
+    return KCenterSolution(best, cost)
 
 
 def reference_max(ledger: Sequence[UpdatePayload]) -> ScalarOutput:

@@ -7,14 +7,22 @@ delta matrix. The differential tests in `test_strategies.py` compare the two
 field by field, including the `InferenceError` raised. `reference_probe_row`
 is the probe rule as a dot product of the features with the current fit, the
 oracle for `strategies._probe_row`.
+
+`reference_triangulation_state` is the ladder rebuild as it stood before
+`strategies.triangulation_state` became one forward walk with a single
+ladder-start rule: it looks back one item by index to tell a probe response
+from a fresh broadcast, and spells out the start rule once for an own factual
+delivery and once for a fresh broadcast.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
-from exclusim.algorithms import CoefficientsOutput, Point, Row
+from exclusim.algorithms import CoefficientsOutput, Point, Row, RowMultiset
 from exclusim.numerics import RMatrix
+from exclusim.protocol import FactualDelivery, LedgerUpdate, ObservedHistory
 from exclusim.strategies import InferenceError, InferenceResult, TriangulationState
 from reference_aggregations import reference_moments
 from reference_linalg import add, sub, zeros
@@ -74,4 +82,71 @@ def reference_triangulation_infer(state: TriangulationState, d: int) -> Inferenc
         truth_output=CoefficientsOutput(solution.column_values()),
         response_matrix=response_matrix,
         delta_matrix=delta_matrix,
+    )
+
+
+def reference_triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
+    """Rebuild the current probe ladder by index, copying the prior own rows at each start.
+
+    A ladder starts at every fresh data event: an own factual delivery, or a
+    broadcast that is not the immediate consequence of an own ledger update.
+    A fresh event while a ladder is running abandons it and starts over, and
+    no ladder can start before the first usable broadcast.
+    """
+    items = o.items
+    own_factual_rows: list[Row] = []
+    own_ledger_rows: list[Row] = []
+    last_coeffs: Optional[Point] = None
+    active = False
+    ladder_rho: list[Optional[Point]] = []
+    ladder_probes: list[tuple[Row, ...]] = []
+    ladder_prior_ledger: tuple[Row, ...] = ()
+
+    for t, item in enumerate(items):
+        if isinstance(item, FactualDelivery):
+            if isinstance(item.payload, RowMultiset):
+                own_factual_rows.extend(item.payload.rows)
+            if last_coeffs is None:
+                active = False
+            else:
+                active = True
+                ladder_rho = [last_coeffs]
+                ladder_probes = []
+                ladder_prior_ledger = tuple(own_ledger_rows)
+        elif isinstance(item, LedgerUpdate):
+            if isinstance(item.payload, RowMultiset):
+                own_ledger_rows.extend(item.payload.rows)
+        else:
+            coeffs = (
+                item.output.coefficients
+                if isinstance(item.output, CoefficientsOutput)
+                else None
+            )
+            follows_own_update = t > 0 and isinstance(items[t - 1], LedgerUpdate)
+            if follows_own_update:
+                if active:
+                    sent = items[t - 1].payload
+                    ladder_probes.append(
+                        sent.rows if isinstance(sent, RowMultiset) else ()
+                    )
+                    ladder_rho.append(coeffs)
+                last_coeffs = coeffs
+            else:
+                last_coeffs = coeffs
+                if coeffs is None:
+                    active = False
+                else:
+                    active = True
+                    ladder_rho = [coeffs]
+                    ladder_probes = []
+                    ladder_prior_ledger = tuple(own_ledger_rows)
+
+    if not active:
+        return None
+    return TriangulationState(
+        step=len(ladder_probes),
+        rho_seq=tuple(ladder_rho),
+        probes=tuple(ladder_probes),
+        own_ledger_rows=ladder_prior_ledger,
+        own_factual_rows=tuple(own_factual_rows),
     )

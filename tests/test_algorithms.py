@@ -330,8 +330,9 @@ def test_rational_sqrt():
 @pytest.mark.parametrize("p", (1, 2, NORM_INF))
 @pytest.mark.parametrize("median", (False, True))
 def test_clustering_assignment_ties_match_reference(values, p, median):
-    # With k=2 one point lies halfway between the two centers: at 1 between
-    # 0 and 2 the smaller norm wins, at 0 between -2 and 2 the smaller point.
+    # Three or four k=2 candidates tie on cost in each set, so the centers
+    # rest on the tie-break: the smaller sum of center norms, then the
+    # smaller coordinates.
     points = [(Fraction(v),) for v in values]
     assert _SOLVERS[median](points, 2, p) == reference_clustering(points, 2, p, median)
 
@@ -743,6 +744,17 @@ def test_make_algorithm_names_the_faulty_parameter(name, params, param):
     with pytest.raises(ParamError) as info:
         make_algorithm(name, params)
     assert info.value.param == param
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("max", False), ("max", 0), ("max", ""), ("max", []), ("kcenter", [("k", 3)])],
+    ids=["false", "zero", "empty_string", "empty_list", "list_of_pairs"],
+)
+def test_make_algorithm_refuses_params_that_are_not_a_mapping(name, params):
+    # Only None means "no params": each of these used to build an algorithm.
+    with pytest.raises(ParamError, match=f"^{name} parameters must be a mapping, got "):
+        make_algorithm(name, params)
 
 
 def test_make_algorithm_accepts_every_norm():

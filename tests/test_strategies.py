@@ -27,7 +27,17 @@ from exclusim.algorithms import (
 )
 from exclusim.cli import triangulation_csv_rows
 from exclusim.harness import make_triangulation_cases
-from exclusim.protocol import KIND_LEDGER, NatureElement, extract, observed_history, run_protocol
+from exclusim.protocol import (
+    KIND_LEDGER,
+    FactualDelivery,
+    LedgerUpdate,
+    NatureElement,
+    ObservedHistory,
+    OutputBroadcast,
+    extract,
+    observed_history,
+    run_protocol,
+)
 from exclusim.strategies import (
     InferenceError,
     SneakParams,
@@ -52,7 +62,11 @@ from exclusim.strategies import (
     triangulation_infer_from_history,
     triangulation_state,
 )
-from reference_triangulation import reference_probe_row, reference_triangulation_infer
+from reference_triangulation import (
+    reference_probe_row,
+    reference_triangulation_infer,
+    reference_triangulation_state,
+)
 
 TRUTHFUL = {}
 
@@ -381,6 +395,104 @@ def test_triangulation_deflects_when_the_truth_equals_the_broadcast():
     assert roles == ["factual", "factual", "ledger", "ledger", "probe", "probe", "deflection"]
 
 
+# --- the ladder walk against the indexed rebuild ---------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_triangulation_state_matches_the_indexed_reference(d):
+    generate = make_triangulation_cases(d)
+    seen = {"ladder": 0, "response": 0, "own_ledger": 0, "own_factual": 0}
+    for seed in range(25):
+        case = generate(seed)
+        run = run_protocol(
+            "continuous", case.ninput, {2: triangulation_attack(d)}, DlrAlgorithm(d),
+            case.agent_count, ell=case.ell,
+        )
+        for upto in range(len(run.messages) + 1):
+            view = observed_history(run, 2, upto)
+            state = triangulation_state(view)
+            assert state == reference_triangulation_state(view)
+            if state is not None:
+                seen["ladder"] += 1
+                seen["response"] += state.step > 0
+                seen["own_ledger"] += bool(state.own_ledger_rows)
+                seen["own_factual"] += bool(state.own_factual_rows)
+    # The runs reach every field the walk fills.
+    assert all(seen.values()), seen
+
+
+_FIT = {c: CoefficientsOutput((Fraction(c), Fraction(0))) for c in range(3)}
+_OWN_ROWS = RowMultiset((Row((1, 5), 7),))
+_PROBES = (Row((1, 0), 1), Row((1, 1), 2))
+
+
+def _view_states(log):
+    """Agent 2's ladder on every prefix of `log`, checked against the reference."""
+    states = []
+    for length in range(len(log) + 1):
+        view = ObservedHistory(2, log, length)
+        states.append(triangulation_state(view))
+        assert states[-1] == reference_triangulation_state(view)
+    return states
+
+
+def test_triangulation_state_keeps_a_null_response_in_the_ladder():
+    log = (
+        LedgerUpdate(1, _OWN_ROWS),  # another agent's update: not in the view
+        OutputBroadcast(_FIT[0]),
+        LedgerUpdate(2, RowMultiset(_PROBES[:1])),
+        OutputBroadcast(NullOutput()),
+        LedgerUpdate(2, RowMultiset(_PROBES[1:])),
+        OutputBroadcast(_FIT[2]),
+    )
+    assert _view_states(log)[-1] == TriangulationState(
+        step=2,
+        rho_seq=(_FIT[0].coefficients, None, _FIT[2].coefficients),
+        probes=(_PROBES[:1], _PROBES[1:]),
+        own_ledger_rows=(),
+        own_factual_rows=(),
+    )
+    # Without a usable broadcast since, a fresh event clears the ladder.
+    assert _view_states(log[:4] + (FactualDelivery(2, _OWN_ROWS),))[-1] is None
+
+
+def test_triangulation_state_restarts_at_an_own_factual_delivery():
+    log = (
+        OutputBroadcast(_FIT[0]),
+        LedgerUpdate(2, RowMultiset(_PROBES[:1])),
+        OutputBroadcast(_FIT[1]),
+        FactualDelivery(2, _OWN_ROWS),
+        LedgerUpdate(2, RowMultiset(_PROBES[1:])),
+        OutputBroadcast(_FIT[2]),
+    )
+    assert _view_states(log)[-1] == TriangulationState(
+        step=1,
+        rho_seq=(_FIT[1].coefficients, _FIT[2].coefficients),
+        probes=(_PROBES[1:],),
+        own_ledger_rows=_PROBES[:1],
+        own_factual_rows=_OWN_ROWS.rows,
+    )
+
+
+def test_triangulation_state_starts_no_ladder_before_a_usable_broadcast():
+    log = (
+        OutputBroadcast(NullOutput()),
+        FactualDelivery(2, _OWN_ROWS),
+        LedgerUpdate(2, RowMultiset(_PROBES[:1])),
+        OutputBroadcast(_FIT[0]),  # a response, with no ladder to extend
+        OutputBroadcast(_FIT[1]),
+    )
+    states = _view_states(log)
+    assert states[:-1] == [None] * len(log)
+    assert states[-1] == TriangulationState(
+        step=0,
+        rho_seq=(_FIT[1].coefficients,),
+        probes=(),
+        own_ledger_rows=_PROBES[:1],
+        own_factual_rows=_OWN_ROWS.rows,
+    )
+
+
 # --- the integer inference against the Fraction-matrix oracle ---------------
 
 
@@ -571,3 +683,20 @@ def test_make_strategy_rejects_non_integer_counts(name, params, key):
     with pytest.raises(ParamError) as info:
         make_strategy(name, params)
     assert info.value.param == key
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("truthful", False),
+        ("truthful", 0),
+        ("truthful", ""),
+        ("truthful", []),
+        ("max_overbid", [("value", 3)]),
+    ],
+    ids=["false", "zero", "empty_string", "empty_list", "list_of_pairs"],
+)
+def test_make_strategy_refuses_params_that_are_not_a_mapping(name, params):
+    # Only None means "no params": each of these used to build a strategy.
+    with pytest.raises(ParamError, match=f"^strategy '{name}' parameters must be a mapping, got "):
+        make_strategy(name, params)
