@@ -196,7 +196,7 @@ def payload_difference(a: UpdatePayload, b: UpdatePayload) -> UpdatePayload:
     raise PayloadError("difference is only defined for point sets")
 
 
-# ===== ledger extraction =====
+# ===== the kind test every `check` opens with =====
 
 
 def _contributes(payload: UpdatePayload, kind: type) -> bool:
@@ -209,33 +209,6 @@ def _contributes(payload: UpdatePayload, kind: type) -> bool:
     if isinstance(payload, Empty):
         return False
     raise PayloadError(f"expected {kind.__name__} payloads, got {type(payload).__name__}")
-
-
-def multiset_points(ledger: Sequence[UpdatePayload]) -> list[Point]:
-    """All points of all set payloads, duplicates across updates preserved."""
-    points = []
-    for payload in ledger:
-        if _contributes(payload, PointSet):
-            points.extend(payload.points)
-    return points
-
-
-def union_points(ledger: Sequence[UpdatePayload]) -> tuple[Point, ...]:
-    """The set union of all point-set payloads, in sorted order."""
-    collected = multiset_points(ledger)
-    if collected and len({len(p) for p in collected}) > 1:
-        raise PayloadError(MIXED_DIMENSIONS)
-    return tuple(sorted(set(collected)))
-
-
-def all_rows(ledger: Sequence[UpdatePayload]) -> tuple[Row, ...]:
-    rows: list[Row] = []
-    for payload in ledger:
-        if _contributes(payload, RowMultiset):
-            rows.extend(payload.rows)
-    if rows and len({r.width for r in rows}) > 1:
-        raise PayloadError("row payloads of mixed width on one ledger")
-    return tuple(rows)
 
 
 # =============================================================================

@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, islice
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -39,12 +40,10 @@ from .algorithms import (
     Scalar,
     ScalarOutput,
     UpdatePayload,
-    all_rows,
     check_count,
     coerce_point,
     moments,
     payload_union,
-    union_points,
 )
 from .numerics import RationalLike, _scaled
 from .protocol import (
@@ -300,12 +299,11 @@ def _extension_agent(j: int, base: NatureInput, agent_count: int) -> int:
     return agent_count + 1
 
 
-def _point_values(payloads: Sequence[UpdatePayload]) -> set[Fraction]:
-    values: set[Fraction] = set()
-    for point in union_points(payloads):
-        if len(point) == 1:
-            values.add(point[0])
-    return values
+def _point_values(
+    algorithm: ClusteringAlgorithm, payloads: Sequence[UpdatePayload]
+) -> set[Fraction]:
+    """The 1-D values in the point union that `algorithm` folds from `payloads`."""
+    return {p[0] for p in reduce(algorithm.fold, payloads, algorithm.start()) if len(p) == 1}
 
 
 def _line(values: Iterable[Fraction]) -> PointSet:
@@ -344,8 +342,8 @@ def _fabrication_pairs(algorithm: Algorithm, verdict: PairedVerdict, j: int):
     """
     if not isinstance(algorithm, ClusteringAlgorithm) or algorithm.k < 2:
         return
-    factual = _point_values(extract(verdict.run_attack, KIND_FACTUAL))
-    sent = _point_values(extract(verdict.run_attack, KIND_LEDGER, j))
+    factual = _point_values(algorithm, extract(verdict.run_attack, KIND_FACTUAL))
+    sent = _point_values(algorithm, extract(verdict.run_attack, KIND_LEDGER, j))
     support = factual | sent
     if algorithm.median and len(support) < 2:
         return
@@ -444,7 +442,7 @@ def forceable_winner_set(
     """
     if kind not in ("kcenter", "kmedian"):
         raise ParamError(f"kind must be 'kcenter' or 'kmedian', got {kind!r}")
-    if k < 2:
+    if check_count("k", k) < 2:
         raise ParamError(f"need at least two centers, got k={k}")
     if not s.points:
         raise ParamError("the base point set is empty")
@@ -545,12 +543,17 @@ def periodic_lambda_confounder(
     # Each final output is the least-squares fit of its run's whole ledger. So
     # the attack rows are not empty and their Gram matrix is non-singular,
     # hence positive definite: as the fits differ, gap_attack is positive.
-    truth_rows = all_rows(extract(verdict.run_truth, KIND_LEDGER))
-    attack_rows = all_rows(extract(verdict.run_attack, KIND_LEDGER))
+    # The fold took every payload on both ledgers: row multisets or empty updates.
+    truth_rows, attack_rows = (
+        tuple(
+            row for u in extract(run, KIND_LEDGER) if isinstance(u, RowMultiset) for row in u.rows
+        )
+        for run in (verdict.run_truth, verdict.run_attack)
+    )
     gap_truth = _cost_gap(truth_rows, rho_truth.coefficients, rho_attack.coefficients)
     gap_attack = _cost_gap(attack_rows, rho_attack.coefficients, rho_truth.coefficients)
     copies = math.ceil(gap_truth / gap_attack) + 1
-    payload = RowMultiset(tuple(attack_rows) * copies)
+    payload = RowMultiset(attack_rows * copies)
     flooded = _append_to_last_round(base, payload, j, count)
     flooded_verdict = check_condition_i(
         algorithm, strategy, j, flooded, protocol="periodic", agent_count=count
@@ -583,10 +586,10 @@ def periodic_kcenter_omission_confounder(
         )
 
     verdict = paired(base)
-    own_factual = _point_values(extract(verdict.run_attack, KIND_FACTUAL, j))
-    own_sent = _point_values(extract(verdict.run_attack, KIND_LEDGER, j))
-    all_factual = _point_values(extract(verdict.run_attack, KIND_FACTUAL))
-    sent_by_all = _point_values(extract(verdict.run_attack, KIND_LEDGER))
+    own_factual = _point_values(algorithm, extract(verdict.run_attack, KIND_FACTUAL, j))
+    own_sent = _point_values(algorithm, extract(verdict.run_attack, KIND_LEDGER, j))
+    all_factual = _point_values(algorithm, extract(verdict.run_attack, KIND_FACTUAL))
+    sent_by_all = _point_values(algorithm, extract(verdict.run_attack, KIND_LEDGER))
     k = algorithm.k
     for x in sorted(own_factual - sent_by_all):
         support = all_factual | own_sent | {x + 1}

@@ -15,11 +15,13 @@ fraction-free (Bareiss 1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination"), so every intermediate division is
 exact; and each result entry becomes one ``Fraction`` at the end. The results
 are the same reduced rationals that ``Fraction`` arithmetic would give. The
-Gauss-Jordan loop is one function over integer rows, `solve_integer_rows`:
-`RMatrix.solve` calls it on its scaled rows, and `ScaledMoments.solve`, the
-one solve of the regression fold state (`algorithms.DlrAlgorithm`) and of
-the probe-ladder inference (`strategies.triangulation_infer`), hands it the
-integer system directly: the Gram block over the squared feature scale on the left and the cross
+Gauss-Jordan loop is one function over integer rows, `solve_integer_rows`,
+which returns the determinant d of the left block and the rows of d times
+the solution. `RMatrix.solve` and `RMatrix.det` call it on their scaled
+rows, and `ScaledMoments.solve`, the one solve of the regression fold state
+(`algorithms.DlrAlgorithm`) and of the probe-ladder inference
+(`strategies.triangulation_infer`), hands it the integer system directly:
+the Gram block over the squared feature scale on the left and the cross
 vector over the feature scale times the target scale on the right, so the
 pivots stay as small as the features and the large target integers stay in
 the right-hand column.
@@ -87,9 +89,10 @@ def solve_integer_rows(work: list[list[int]]) -> Optional[tuple[int, list[list[i
     becomes `(pivot * a - f * b) // previous`, where `b` is the pivot row's
     entry; the division is always exact. The pivot is the first nonzero
     entry of the column, so row scaling does not change which systems are
-    singular. The left block ends as the last pivot times the
-    identity, so the solution X of A @ X = B is the returned rows (the right
-    block) over the returned last pivot. `work` is consumed.
+    singular; a swap also negates the row it moves down, which keeps both
+    the determinant and the solution. The left block ends as the last pivot
+    d, the determinant of A, times the identity, so the returned rows (the
+    right block) are d times the solution X of A @ X = B. `work` is consumed.
     """
     n = len(work)
     # After step k, work[r] holds only the columns of row r right of k.
@@ -98,7 +101,8 @@ def solve_integer_rows(work: list[list[int]]) -> Optional[tuple[int, list[list[i
         pivot_row = next((r for r in range(k, n) if work[r][0]), None)
         if pivot_row is None:
             return None
-        work[k], work[pivot_row] = work[pivot_row], work[k]
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], [-v for v in work[k]]
         pivot, *tail = work[k]
         for r in range(n):
             if r != k:
@@ -115,13 +119,13 @@ class RMatrix:
     Intended for the small systems that arise here (normal equations in
     dimension d+1, d <= a handful). `solve` and `det` scale each row to ints
     by the lcm of its own denominators, which changes neither the solution
-    nor (up to the product of the scales) the determinant, and then run
-    Bareiss's fraction-free elimination, the step `solve_integer_rows`
-    states. The pivot is the first nonzero entry of the column, the right
-    rule for exact arithmetic; an entry is zero here exactly when it is zero
-    under `Fraction` elimination, so the same systems are singular. `@` takes
-    integer dot products of the scaled rows and columns and builds one
-    `Fraction` per entry.
+    nor (up to the product of the scales) the determinant, and hand them to
+    `solve_integer_rows`, the one fraction-free elimination. The pivot is the
+    first nonzero entry of the column, the right rule for exact arithmetic;
+    an entry is zero here exactly when it is zero under `Fraction`
+    elimination, so the same systems are singular. `@` takes integer dot
+    products of the scaled rows and columns and builds one `Fraction` per
+    entry.
     """
 
     __slots__ = ("rows",)
@@ -213,38 +217,18 @@ class RMatrix:
     # ------------------------------------------------------------------
 
     def det(self) -> Fraction:
-        """Bareiss forward elimination; the last pivot over the row scales."""
+        """The kernel's determinant of the scaled rows, over the row scales."""
         if self.nrows != self.ncols:
             raise DimensionError("determinant of a non-square matrix")
-        n = self.nrows
-        scales = 1
-        # work[r]: row r in ints; after step k, only its columns right of k.
-        work = []
-        for row in self.rows:
-            scale, ints = _scaled(row)
-            scales *= scale
-            work.append(ints)
-        sign = 1
-        previous = 1
-        for k in range(n):
-            pivot_row = next((r for r in range(k, n) if work[r][0]), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-                sign = -sign
-            pivot, *tail = work[k]
-            for r in range(k + 1, n):
-                f, *rest = work[r]
-                work[r] = [(pivot * a - f * b) // previous for a, b in zip(rest, tail)]
-            previous = pivot
-        return Fraction(sign * previous, scales)
+        scales, ints = zip(*map(_scaled, self.rows))
+        solved = solve_integer_rows(list(ints))
+        return Fraction(0) if solved is None else Fraction(solved[0], math.prod(scales))
 
     def solve(self, rhs: "RMatrix") -> Optional["RMatrix"]:
         """Solve self @ X = rhs exactly; None signals a singular system.
 
         Each row of [self | rhs] is scaled to ints and `solve_integer_rows`
-        eliminates; X is its right block over its last pivot.
+        eliminates; X is its right block over its determinant.
         """
         if self.nrows != self.ncols:
             raise DimensionError("solve requires a square matrix")

@@ -11,12 +11,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algorithms import (
     AlgorithmOutput,
+    AverageAlgorithm,
     CentersOutput,
     CoefficientsOutput,
     Empty,
@@ -33,7 +35,6 @@ from .algorithms import (
     check_count,
     coerce_point,
     moments,
-    multiset_points,
     payload_difference,
     payload_union,
 )
@@ -239,8 +240,9 @@ def average_infer(
 
     With a nonzero first response, a1 = S/(N+1) and a2 = S/(N+2) determine N
     and S directly. A zero first response means S = 0 and the second probe
-    added a 1, so a2 = 1/(N+2).
+    added a 1, so a2 = 1/(N+2). `own_count` must be a positive int.
     """
+    check_count("own_count", own_count)
     first = rational(a1)
     second = rational(a2)
     if first == second:
@@ -273,11 +275,11 @@ def average_infer_from_history(o: ObservedHistory) -> AverageInference:
     first, second, *_ = _probe_responses(o) + [None, None]
     if first is None or second is None:
         raise InferenceError("the probe exchange has not completed")
-    own = multiset_points(o.own_factuals())
-    if not own:
+    average = AverageAlgorithm()
+    own_sum, own_count = reduce(average.fold, o.own_factuals(), average.start())
+    if not own_count:
         raise InferenceError("no factual data to fold into the average")
-    own_sum = sum((p[0] for p in own), Fraction(0))
-    return average_infer(first, second, own_sum, len(own))
+    return average_infer(first, second, own_sum, own_count)
 
 
 # =============================================================================

@@ -14,6 +14,11 @@ did before they worked on one integer coordinate scale.
 products, the oracle of the integer `algorithms.moments`; `divided` turns a
 `ScaledMoments` into the same `MomentPair` for comparison. `lr_cost` and
 `predict` evaluate a fit row by row, the oracle of the harness's cost gaps.
+
+`reference_points`, `reference_union` and `reference_rows` read a ledger's
+points and rows with the oracle's own kind, dimension and width tests,
+raising the messages the folds raise, so the oracle shares no acceptance
+code with the `Algorithm.check` methods it is compared against.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from exclusim.algorithms import (
     DEFAULT_MAX_UNION,
+    MIXED_DIMENSIONS,
     NORM_INF,
     AlgorithmOutput,
     AverageAlgorithm,
@@ -44,6 +50,7 @@ from exclusim.algorithms import (
     ParamError,
     PayloadError,
     Point,
+    PointSet,
     Row,
     RowMultiset,
     Scalar,
@@ -51,13 +58,10 @@ from exclusim.algorithms import (
     ScaledMoments,
     UnsupportedNormError,
     UpdatePayload,
-    all_rows,
     check_norm_order,
     format_point,
     kcenter_solution,
     kmedian_solution,
-    multiset_points,
-    union_points,
 )
 from exclusim.numerics import RMatrix
 from exclusim.protocol import (
@@ -225,20 +229,51 @@ def reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION) -> K
     return KCenterSolution(best, cost)
 
 
-def reference_max(ledger: Sequence[UpdatePayload]) -> ScalarOutput:
-    values = []
+def _payloads_of(ledger: Sequence[UpdatePayload], kind: type) -> list[UpdatePayload]:
+    """The payloads of `kind` on `ledger`; Empty ones are skipped and any
+    other kind raises the folds' message."""
+    kept = []
     for payload in ledger:
-        if isinstance(payload, Scalar):
-            values.append(payload.value)
+        if isinstance(payload, kind):
+            kept.append(payload)
         elif not isinstance(payload, Empty):
-            raise PayloadError(f"expected scalar payloads, got {type(payload).__name__}")
+            raise PayloadError(f"expected {kind.__name__} payloads, got {type(payload).__name__}")
+    return kept
+
+
+def reference_max(ledger: Sequence[UpdatePayload]) -> ScalarOutput:
+    values = [payload.value for payload in _payloads_of(ledger, Scalar)]
     if not values:
         raise NoOutputError("no scalar values on the ledger")
     return ScalarOutput(max(values))
 
 
+def reference_points(ledger: Sequence[UpdatePayload]) -> list[Point]:
+    """All points of all set payloads, duplicates across updates kept."""
+    return [point for payload in _payloads_of(ledger, PointSet) for point in payload.points]
+
+
+def reference_union(ledger: Sequence[UpdatePayload]) -> tuple[Point, ...]:
+    """The set union of all point-set payloads, in sorted order."""
+    points = reference_points(ledger)
+    if len({len(p) for p in points}) > 1:
+        raise PayloadError(MIXED_DIMENSIONS)
+    return tuple(sorted(set(points)))
+
+
+def reference_rows(ledger: Sequence[UpdatePayload], d: int) -> tuple[Row, ...]:
+    """All rows of all row payloads of a d-dimensional regression ledger."""
+    rows = tuple(row for payload in _payloads_of(ledger, RowMultiset) for row in payload.rows)
+    for row in rows:
+        if row.width != d + 1:
+            raise PayloadError(
+                f"rows of width {row.width} on a {d}-dimensional regression ledger"
+            )
+    return rows
+
+
 def reference_average(ledger: Sequence[UpdatePayload]) -> ScalarOutput:
-    points = multiset_points(ledger)
+    points = reference_points(ledger)
     if not points:
         raise NoOutputError("no points on the ledger")
     if any(len(p) != 1 for p in points):
@@ -247,9 +282,7 @@ def reference_average(ledger: Sequence[UpdatePayload]) -> ScalarOutput:
 
 
 def reference_dlr(ledger: Sequence[UpdatePayload], d: int) -> AlgorithmOutput:
-    rows = all_rows(ledger)
-    if rows and rows[0].width != d + 1:
-        raise PayloadError(f"rows of width {rows[0].width} on a {d}-dimensional ledger")
+    rows = reference_rows(ledger, d)
     if not rows:
         return NullOutput()
     return fit_from_moments(reference_moments(rows))
@@ -263,7 +296,7 @@ def reference_compute(algorithm, ledger: Sequence[UpdatePayload]) -> AlgorithmOu
         return reference_average(ledger)
     if isinstance(algorithm, (KCenterAlgorithm, KMedianAlgorithm)):
         solve = kmedian_solution if isinstance(algorithm, KMedianAlgorithm) else kcenter_solution
-        points = union_points(ledger)
+        points = reference_union(ledger)
         return CentersOutput(solve(points, algorithm.k, algorithm.p, algorithm.max_union).centers)
     if isinstance(algorithm, DlrAlgorithm):
         return reference_dlr(ledger, algorithm.d)

@@ -28,7 +28,6 @@ from exclusim.algorithms import (
     Scalar,
     ScalarOutput,
     moments,
-    union_points,
 )
 from exclusim.harness import (
     NotApplicableError,
@@ -69,7 +68,7 @@ from exclusim.strategies import (
     triangulation_infer_from_history,
     truthful_strategy,
 )
-from reference_aggregations import divided
+from reference_aggregations import divided, reference_union
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "exclusim" / "fixtures"
 
@@ -215,7 +214,7 @@ def test_criterion_3_kcenter_sneak():
 
     for run, final in ((verdict.run_attack, verdict.attack_final),
                        (verdict.run_truth, verdict.truth_final)):
-        pool = union_points(extract(run, KIND_LEDGER))
+        pool = reference_union(extract(run, KIND_LEDGER))
         optimum = _brute_force_optimum(pool, 3)
         assert _kcenter_cost(pool, final.centers) == optimum
     _finish(3, "k-center sneak with brute-force oracle", start, 1)

@@ -26,9 +26,7 @@ from exclusim.algorithms import (
     RowMultiset,
     Scalar,
     ScalarOutput,
-    all_rows,
     moments,
-    union_points,
 )
 from exclusim.harness import (
     ConfoundingWitness,
@@ -74,7 +72,7 @@ from exclusim.strategies import (
     sneak_attack,
     truthful_strategy,
 )
-from reference_aggregations import lr_cost
+from reference_aggregations import lr_cost, reference_rows
 
 
 def _scalar_input(*pairs):
@@ -453,6 +451,11 @@ def test_forceable_winner_set_rejects_bad_instances():
         forceable_winner_set("kmeans", s, Fraction(0))
     with pytest.raises(ParamError):
         forceable_winner_set("kcenter", s, Fraction(0), k=1)
+    # A k that is not an int is refused by name, as every count is.
+    for k in (2.5, "3", None):
+        with pytest.raises(ParamError, match="^k must be an integer, got ") as caught:
+            forceable_winner_set("kcenter", s, Fraction(0), k=k)
+        assert caught.value.param == "k"
     with pytest.raises(ParamError):
         forceable_winner_set("kcenter", s, Fraction(5))
     with pytest.raises(ParamError):
@@ -521,8 +524,8 @@ def test_lambda_confounder_floods_with_the_lr_cost_copy_count():
             algorithm, strategy, 2, base, protocol="periodic", agent_count=count
         )
         attack, truth = verdict.attack_final.coefficients, verdict.truth_final.coefficients
-        truth_rows = all_rows(extract(verdict.run_truth, KIND_LEDGER))
-        attack_rows = all_rows(extract(verdict.run_attack, KIND_LEDGER))
+        truth_rows = reference_rows(extract(verdict.run_truth, KIND_LEDGER), algorithm.d)
+        attack_rows = reference_rows(extract(verdict.run_attack, KIND_LEDGER), algorithm.d)
         gap_truth = lr_cost(truth_rows, attack) - lr_cost(truth_rows, truth)
         gap_attack = lr_cost(attack_rows, truth) - lr_cost(attack_rows, attack)
         copies = math.ceil(gap_truth / gap_attack) + 1

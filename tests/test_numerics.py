@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from exclusim.numerics import (
     DimensionError,
     RMatrix,
+    _scaled,
     rational,
+    solve_integer_rows,
 )
 from reference_linalg import (
     add,
@@ -231,6 +234,11 @@ def _all_fractions(m):
     return m is None or all(type(v) is Fraction for row in m.rows for v in row)
 
 
+def test_kernel_returns_the_signed_determinant():
+    # One row swap: d is det A = -1, and the rows are d times X = (7, 5).
+    assert solve_integer_rows([[0, 1, 5], [1, 0, 7]]) == (-1, [[-7], [-5]])
+
+
 @given(system=_square_systems())
 @example(system=([[0, 1], [1, 0]], [[1], [2]]))
 @example(system=([[0, 0, 1], [0, 2, 0], [3, 0, 0]], [[1, 0], [0, 1], [1, 1]]))
@@ -244,6 +252,11 @@ def test_kernel_matches_fraction_gauss_jordan(system):
     assert solution == reference_solve(a, b)
     assert a.det() == reference_det(a)
     assert type(a.det()) is Fraction
+    # The kernel's own d, on the rows scaled to ints, is the signed determinant.
+    scales, ints = zip(*map(_scaled, a.rows))
+    solved = solve_integer_rows(list(ints))
+    kernel_det = 0 if solved is None else Fraction(solved[0], math.prod(scales))
+    assert kernel_det == reference_det(a)
     assert (solution is None) == (a.det() == 0)
     inverse = a.inverse()
     assert inverse == reference_inverse(a)

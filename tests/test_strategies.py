@@ -19,6 +19,7 @@ from exclusim.algorithms import (
     MaxAlgorithm,
     NullOutput,
     ParamError,
+    PayloadError,
     PointSet,
     Row,
     RowMultiset,
@@ -148,6 +149,20 @@ def test_average_probe_inference_from_history():
     assert result.true_average == Fraction(14, 5)
 
 
+def test_average_inference_refuses_an_own_point_that_is_not_one_dimensional():
+    # The own sum and count come from the average's fold, whose check refuses it.
+    probe = PointSet(((Fraction(0),),))
+    log = (
+        FactualDelivery(2, PointSet(((Fraction(1), Fraction(9)),))),
+        LedgerUpdate(2, probe),
+        OutputBroadcast(ScalarOutput(Fraction(5, 2))),
+        LedgerUpdate(2, probe),
+        OutputBroadcast(ScalarOutput(Fraction(2))),
+    )
+    with pytest.raises(PayloadError, match="^the average aggregation expects 1-dimensional"):
+        average_infer_from_history(ObservedHistory(2, log, len(log)))
+
+
 def test_average_infer_formulas():
     # First response nonzero: hidden count and sum come from the ratio shift.
     result = average_infer(
@@ -168,6 +183,12 @@ def test_average_infer_rejects_degenerate_responses():
         average_infer(Fraction(2), Fraction(2), Fraction(0), 1)
     with pytest.raises(InferenceError):
         average_infer(Fraction(5, 3), Fraction(7, 5), Fraction(0), 1)
+    # The own count is a positive int: a float, zero, a negative count and a
+    # bool are each refused by name.
+    for own_count in (1.5, 0, -3, True):
+        with pytest.raises(ParamError, match="^own_count must be ") as caught:
+            average_infer(1, Fraction(1, 2), 0, own_count)
+        assert caught.value.param == "own_count"
 
 
 # =============================================================================
