@@ -471,6 +471,7 @@ def moments(rows: Sequence[Row], width: int) -> ScaledMoments:
     for row in rows:
         if row.width != width:
             raise PayloadError(f"row width {row.width} does not match {width}")
+    # Not needed for correctness: a fifth of probe-ladder calls are empty and this is ~10x cheaper.
     if not rows:
         zeros = (0,) * width
         return ScaledMoments(1, (zeros,) * width, 1, zeros)

@@ -42,6 +42,7 @@ from .algorithms import (
     UpdatePayload,
     check_count,
     coerce_point,
+    format_point,
     moments,
     payload_union,
 )
@@ -171,6 +172,7 @@ def check_condition_i_star(
     seed: int = 0,
 ) -> dict:
     """Check that every generated scenario ends on a moved final output."""
+    check_count("count", count)
     verdicts = _case_verdicts(algorithm, strategy, j, scenario_generator, count, seed)
     non_differing = [case_seed for case_seed, verdict in verdicts if not verdict.differs]
     return {
@@ -196,6 +198,7 @@ def verify_inference(
     The inference callable receives the attacker's observed history from the
     attack run; it must return exactly the truthful run's final broadcast.
     """
+    check_count("count", count)
     failed: list[int] = []
     verdicts = _case_verdicts(algorithm, strategy, j, scenario_generator, count, seed)
     for case_seed, verdict in verdicts:
@@ -206,7 +209,7 @@ def verify_inference(
             estimate = None
         if estimate != verdict.truth_final:
             failed.append(case_seed)
-    rate = Fraction(count - len(failed), count) if count else Fraction(1)
+    rate = Fraction(count - len(failed), count)
     return {
         "count": count,
         "seeds": {"start": seed, "count": count},
@@ -448,9 +451,9 @@ def forceable_winner_set(
         raise ParamError("the base point set is empty")
     if any(len(point) != 1 for point in s.points):
         raise ParamError("forceable winners are built on the line only")
-    target = x if isinstance(x, tuple) else coerce_point(x)
+    target = coerce_point(x)
     if len(target) != 1 or target not in s.points:
-        raise ParamError(f"x must be a one-dimensional member of s, got {target}")
+        raise ParamError(f"x must be a one-dimensional member of s, got {format_point(target)}")
     center = target[0]
     values = [point[0] for point in s.points]
     if kind == "kcenter":
@@ -696,19 +699,17 @@ def _labeled_row(rng: random.Random, d: int) -> Row:
     return Row(features, _small_fraction(rng, -10, 10))
 
 
-def _warm_rows(rng: random.Random, d: int, count: Optional[int] = None) -> tuple[Row, ...]:
-    """Random labeled points whose feature moments are invertible."""
-    width = d + 1
-    size = width if count is None else count
-    for _ in range(_RESAMPLE_LIMIT):
-        rows = tuple(_labeled_row(rng, d) for _ in range(size))
-        if moments(rows, width).solve() is not None:
-            return rows
-    raise NotApplicableError("could not sample an invertible warm start")
-
-
 def _filler_rows(rng: random.Random, d: int, count: int) -> tuple[Row, ...]:
     return tuple(_labeled_row(rng, d) for _ in range(count))
+
+
+def _warm_rows(rng: random.Random, d: int, count: int) -> tuple[Row, ...]:
+    """Random labeled points whose feature moments are invertible."""
+    for _ in range(_RESAMPLE_LIMIT):
+        rows = _filler_rows(rng, d, count)
+        if moments(rows, d + 1).solve() is not None:
+            return rows
+    raise NotApplicableError("could not sample an invertible warm start")
 
 
 def make_triangulation_cases(d: int, j: int = 2) -> CaseGenerator:

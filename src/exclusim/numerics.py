@@ -49,11 +49,11 @@ def rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational.
 
     Floats are rejected on purpose: silently rationalizing a float would
-    smuggle rounding error into exact-equality comparisons. A string is an
-    optional sign, ASCII digits and an optional "/digits", with whitespace
-    around it; the decimal and exponent forms `Fraction` also reads are
-    refused with its message, since a short exponent string such as
-    "1e10000000" would build an integer of ten million digits.
+    smuggle rounding error into exact-equality comparisons; so are booleans,
+    though `bool` subclasses `int`. A string is an optional sign, ASCII
+    digits and an optional "/digits", with whitespace around it; the decimal
+    and exponent forms `Fraction` also reads are refused with its message,
+    since "1e10000000" would build an integer of ten million digits.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -67,11 +67,11 @@ def rational(value: RationalLike) -> Fraction:
             return Fraction(int(numerator))
         return Fraction(int(numerator), int(denominator))
     # `int` before `Fraction`: a failing check against an abstract base class is slow.
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    raise TypeError(f"not an exact rational: {value!r}")
+    raise TypeError(f"expected an integer or 'p/q' string, got {value!r}")
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:

@@ -77,8 +77,8 @@ class OutputBroadcast:
 
 Message = Union[FactualDelivery, LedgerUpdate, OutputBroadcast]
 
-KIND_FACTUAL = "factual"
-KIND_LEDGER = "ledger"
+KIND_FACTUAL = FactualDelivery
+KIND_LEDGER = LedgerUpdate
 
 
 @dataclass(frozen=True)
@@ -112,18 +112,14 @@ class Run:
         return None
 
 
-def extract(run: Run, kind: str, agent: Optional[int] = None) -> tuple[UpdatePayload, ...]:
+def extract(run: Run, kind: type, agent: Optional[int] = None) -> tuple[UpdatePayload, ...]:
     """The ordered payload subsequence of one message kind, optionally one agent's."""
-    if kind == KIND_LEDGER:
-        wanted = LedgerUpdate
-    elif kind == KIND_FACTUAL:
-        wanted = FactualDelivery
-    else:
-        raise InputError(f"extract kind must be '{KIND_LEDGER}' or '{KIND_FACTUAL}'")
+    if kind not in (KIND_LEDGER, KIND_FACTUAL):
+        raise InputError(f"extract kind must be LedgerUpdate or FactualDelivery, got {kind!r}")
     return tuple([
         m.payload
         for m in run.messages
-        if isinstance(m, wanted) and (agent is None or m.agent == agent)
+        if isinstance(m, kind) and (agent is None or m.agent == agent)
     ])
 
 

@@ -168,11 +168,9 @@ def _int(value: object) -> int:
 
 
 def _rational(value: object) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
-        raise _Invalid(f"expected an integer or 'p/q' string, got {value!r}")
     try:
         return rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise _Invalid(str(exc)) from exc
 
 
@@ -519,9 +517,10 @@ def _check_regression_start(scenario: Scenario) -> None:
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
     """Read and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

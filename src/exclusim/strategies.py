@@ -154,7 +154,7 @@ def max_echo_attack() -> Strategy:
 
 def max_overbid(value: RationalLike) -> Strategy:
     """Push one fixed high value whenever the ledger is live; never echo own data."""
-    bid = Scalar(rational(value))
+    bid = Scalar(value)
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
         if o.last_broadcast() is not None:
@@ -582,7 +582,9 @@ def classify_strategy_run(
     Omission means the sent points are a strict subset of the factual ones and
     the run ends on a different output than the truthful replay; pass
     `truth_run` to check that second part, without it the strict subset alone
-    counts. Everything else is truthlike.
+    counts. Everything else is truthlike. Payloads compare as sets, so sending
+    one copy of a row received twice is truthlike even when it moves the fit:
+    counting copies would call a harmless repeated scalar under `max` a lie.
     """
     sent: frozenset = frozenset()
     for payload in extract(run, KIND_LEDGER, j):

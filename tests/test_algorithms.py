@@ -63,6 +63,15 @@ def test_scalar_rejects_float():
         Scalar(0.5)  # type: ignore[arg-type]
 
 
+def test_payloads_reject_booleans():
+    with pytest.raises(TypeError, match="^expected an integer or 'p/q' string, got True$"):
+        Scalar(True)  # type: ignore[arg-type]
+    with pytest.raises(TypeError):
+        PointSet(((True,),))
+    with pytest.raises(TypeError):
+        Row((True, False), True)
+
+
 def test_pointset_sorts_and_rejects_duplicates():
     ps = PointSet(((Fraction(3),), (Fraction(1),), (Fraction(2),)))
     assert ps.points == ((Fraction(1),), (Fraction(2),), (Fraction(3),))

@@ -137,6 +137,18 @@ def test_condition_i_star_echo_fails_on_quiet_seeds():
     assert report["non_differing_seeds"]
 
 
+@pytest.mark.parametrize("count", [0, -1, True, 2.5])
+def test_verification_suites_refuse_a_count_that_is_not_positive(count):
+    with pytest.raises(ParamError) as caught:
+        check_condition_i_star(MaxAlgorithm(), max_echo_attack(), 1, make_max_cases(), count)
+    assert caught.value.param == "count"
+    with pytest.raises(ParamError) as caught:
+        verify_inference(
+            MaxAlgorithm(), max_echo_attack(), max_infer, make_max_cases(), count, j=1
+        )
+    assert caught.value.param == "count"
+
+
 def test_verify_inference_max_perfect():
     report = verify_inference(
         MaxAlgorithm(), max_echo_attack(), max_infer, make_max_cases(), count=25, j=1
@@ -458,6 +470,10 @@ def test_forceable_winner_set_rejects_bad_instances():
         assert caught.value.param == "k"
     with pytest.raises(ParamError):
         forceable_winner_set("kcenter", s, Fraction(5))
+    # x is coerced and printed as every other point is, whatever its form.
+    with pytest.raises(ParamError) as caught:
+        forceable_winner_set("kcenter", s, 5)
+    assert "(5)" in str(caught.value) and "Fraction(" not in str(caught.value)
     with pytest.raises(ParamError):
         forceable_winner_set(
             "kcenter", PointSet(((Fraction(0), Fraction(0)),)), (Fraction(0), Fraction(0))

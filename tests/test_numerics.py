@@ -45,6 +45,15 @@ def test_rational_rejects_floats():
         rational(0.5)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_rational_rejects_booleans(value):
+    # `bool` subclasses `int`, but a flag is no number; the scenario loader
+    # reports this same text at the field's path.
+    with pytest.raises(TypeError) as info:
+        rational(value)
+    assert str(info.value) == f"expected an integer or 'p/q' string, got {value!r}"
+
+
 def test_rational_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         rational("1/0")

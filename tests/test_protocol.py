@@ -352,6 +352,14 @@ def test_extract_filters_by_kind_and_agent():
     assert extract(run, KIND_LEDGER) == (Scalar(Fraction(5)), Scalar(Fraction(7)))
 
 
+def test_extract_refuses_other_kinds():
+    # The kinds are the message classes; a string name or another class is refused.
+    run = run_protocol("continuous", _scalar_input((1, 5)), {}, MaxAlgorithm(), 1, ell=1)
+    for kind in ("ledger", "factual", OutputBroadcast):
+        with pytest.raises(InputError, match="^extract kind must be LedgerUpdate or "):
+            extract(run, kind)
+
+
 def test_payload_kind_mismatch_propagates():
     # A points payload on a scalar algorithm is a scenario bug, not a
     # legitimate empty-ledger state, so the engine does not mask it.

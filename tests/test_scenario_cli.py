@@ -367,6 +367,14 @@ def test_cli_run_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    # A malformed file is a validation error, as invalid JSON is.
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text: ")
+
+
 def _run_file(tmp_path, data: dict) -> int:
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
