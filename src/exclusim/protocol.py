@@ -19,8 +19,8 @@ each accepted update is broadcast immediately, and an
 anti-flooding guard suppresses an agent once it authored the last `ell`
 consecutive ledger updates (the guard models how many consecutive identities
 one party controls). The periodic protocol delivers a round's factual updates,
-polls every agent exactly once, then broadcasts exactly once per round; `ell`
-plays no role there.
+polls every agent exactly once, then broadcasts exactly once per round, and
+takes no `ell`. `validate_run` states the rules a run's inputs must keep.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algorithms import Algorithm, AlgorithmOutput, UpdatePayload
 
@@ -36,17 +36,16 @@ DEFAULT_SAFETY_CAP = 10_000
 
 
 class InputError(ValueError):
-    """A nature input or engine argument violates the protocol's rules.
+    """A run's inputs break the protocol's rules.
 
-    When a nature element breaks a rule, `index` is its position and `field`
-    the field at fault ("agent" or "round"), or None when it is the element
-    as a whole (an agent's second element in a round).
+    `path` names the value at fault in the scenario schema's own terms
+    (`"ell"`, `"strategies.3"`, `"nature_input[2].round"`), or is None when
+    the fault is in an argument the schema does not hold.
     """
 
-    def __init__(self, message: str, index: Optional[int] = None, field: Optional[str] = None):
+    def __init__(self, message: str, path: Optional[str] = None):
         super().__init__(message)
-        self.index = index
-        self.field = field
+        self.path = path
 
 
 class SafetyCapExceededError(RuntimeError):
@@ -134,7 +133,6 @@ class ObservedHistory:
 
     An agent sees every broadcast and its own deliveries and updates. The log
     is read in place, not copied; it only grows, so the prefix stays fixed.
-    Views are equal when their agents and items are.
     """
 
     agent: int
@@ -151,14 +149,6 @@ class ObservedHistory:
         # freed onto the free list of another size, and those lists (2000
         # tuples per size) would hold megabytes between full collections.
         return tuple([m for m in islice(self.log, self.length) if self.sees(m)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ObservedHistory):
-            return NotImplemented
-        return self.agent == other.agent and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash((self.agent, self.items))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -200,38 +190,57 @@ def truthful_strategy(obs: ObservedHistory) -> Optional[UpdatePayload]:
 # =============================================================================
 
 
-def _validate_agents(elements: Sequence[NatureElement], agent_count: int) -> None:
+def validate_run(
+    protocol: str,
+    ell: Optional[int],
+    agent_count: int,
+    strategies: Iterable[int],
+    elements: Sequence[NatureElement],
+) -> None:
+    """The rules of a run, for the engines and the scenario loader alike.
+
+    Continuous runs need an update window `ell` of at least 1, and periodic
+    runs take none. Every strategy and element names an agent in 1..n.
+    Continuous elements carry no round; periodic rounds start at 1, never
+    decrease, and hold one element per agent.
+    """
+    if protocol not in ("continuous", "periodic"):
+        raise InputError(f"expected 'continuous' or 'periodic', got {protocol!r}", "protocol")
+    if protocol == "periodic":
+        if ell is not None:
+            raise InputError("periodic scenarios do not take an update window", "ell")
+    elif ell is None:
+        raise InputError("continuous runs need an update window", "ell")
+    elif ell < 1:
+        raise InputError(f"must be at least 1, got {ell}", "ell")
     if agent_count < 1:
-        raise InputError("need at least one agent")
-    for index, el in enumerate(elements):
-        if not 1 <= el.agent <= agent_count:
-            raise InputError(f"agent {el.agent} outside 1..{agent_count}", index, "agent")
-
-
-def validate_continuous_input(elements: Sequence[NatureElement], agent_count: int) -> None:
-    _validate_agents(elements, agent_count)
-    for index, el in enumerate(elements):
-        if el.round is not None:
-            raise InputError("continuous nature elements must not carry rounds", index, "round")
-
-
-def validate_periodic_input(elements: Sequence[NatureElement], agent_count: int) -> None:
-    """Rounds start at 1, never decrease, and hold one element per agent."""
-    _validate_agents(elements, agent_count)
+        raise InputError(f"must be at least 1, got {agent_count}", "agents")
+    for agent in strategies:
+        if not 1 <= agent <= agent_count:
+            raise InputError(f"agent {agent} outside 1..{agent_count}", f"strategies.{agent}")
     seen: set[tuple[int, int]] = set()
     previous = 1
     for index, el in enumerate(elements):
-        if el.round is None or el.round < 1:
-            raise InputError("periodic nature elements need a positive round", index, "round")
-        if index == 0 and el.round != 1:
-            raise InputError("periodic inputs start at round 1", index, "round")
-        if el.round < previous:
-            raise InputError("periodic rounds must be non-decreasing", index, "round")
-        previous = el.round
-        key = (el.agent, el.round)
-        if key in seen:
-            raise InputError(f"agent {el.agent} has two elements in round {el.round}", index)
-        seen.add(key)
+        # The path is built only for the element at fault.
+        message, suffix = None, ".round"
+        if not 1 <= el.agent <= agent_count:
+            message, suffix = f"agent {el.agent} outside 1..{agent_count}", ".agent"
+        elif protocol == "continuous":
+            if el.round is not None:
+                message = "continuous nature elements must not carry rounds"
+        elif el.round is None or el.round < 1:
+            message = "periodic nature elements need a positive round"
+        elif index == 0 and el.round != 1:
+            message = "periodic inputs start at round 1"
+        elif el.round < previous:
+            message = "periodic rounds must be non-decreasing"
+        elif (el.agent, el.round) in seen:
+            message, suffix = f"agent {el.agent} has two elements in round {el.round}", ""
+        else:
+            previous = el.round
+            seen.add((el.agent, el.round))
+        if message is not None:
+            raise InputError(message, f"nature_input[{index}]{suffix}")
 
 
 # =============================================================================
@@ -239,13 +248,13 @@ def validate_periodic_input(elements: Sequence[NatureElement], agent_count: int)
 # =============================================================================
 
 
-def run_continuous(
+def _run_continuous(
     ninput: Sequence[NatureElement],
     strategies: Mapping[int, Strategy],
     algorithm: Algorithm,
     ell: int,
     agent_count: int,
-    safety_cap: int = DEFAULT_SAFETY_CAP,
+    safety_cap: int,
 ) -> Run:
     """Execute the continuous protocol and return the full transcript.
 
@@ -259,10 +268,6 @@ def run_continuous(
     not supported. Between elements `grown` is empty, so the state there is
     the fold state, the last broadcast, the streak and the log length.
     """
-    if ell < 1:
-        raise InputError("ell must be at least 1")
-    validate_continuous_input(ninput, agent_count)
-
     messages: list[Message] = []
     state = algorithm.start()
     broadcast: Optional[OutputBroadcast] = None
@@ -301,15 +306,13 @@ def run_continuous(
     return Run("continuous", agent_count, tuple(messages), ell=ell)
 
 
-def run_periodic(
+def _run_periodic(
     ninput: Sequence[NatureElement],
     strategies: Mapping[int, Strategy],
     algorithm: Algorithm,
     agent_count: int,
 ) -> Run:
     """Execute the periodic protocol: per round, deliver, poll once each, broadcast once."""
-    validate_periodic_input(ninput, agent_count)
-
     messages: list[Message] = []
     state = algorithm.start()
     broadcast: Optional[OutputBroadcast] = None
@@ -346,13 +349,11 @@ def run_protocol(
     ell: Optional[int] = None,
     safety_cap: int = DEFAULT_SAFETY_CAP,
 ) -> Run:
+    """Check the run against `validate_run`, then execute it."""
+    validate_run(protocol, ell, agent_count, strategies, ninput)
     if protocol == "continuous":
-        if ell is None:
-            raise InputError("continuous runs need ell")
-        return run_continuous(ninput, strategies, algorithm, ell, agent_count, safety_cap)
-    if protocol == "periodic":
-        return run_periodic(ninput, strategies, algorithm, agent_count)
-    raise InputError(f"unknown protocol {protocol!r}")
+        return _run_continuous(ninput, strategies, algorithm, ell, agent_count, safety_cap)
+    return _run_periodic(ninput, strategies, algorithm, agent_count)
 
 
 # =============================================================================

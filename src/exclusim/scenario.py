@@ -55,8 +55,7 @@ from .protocol import (
     Run,
     Strategy,
     run_protocol,
-    validate_continuous_input,
-    validate_periodic_input,
+    validate_run,
 )
 from .strategies import STRATEGIES, make_strategy
 
@@ -306,13 +305,6 @@ class Scenario:
     seed: Optional[int] = None
 
 
-def _require_int(value: object, path: str, minimum: Optional[int] = None) -> int:
-    value = _decode(_int, value, path)
-    if minimum is not None and value < minimum:
-        raise _fail(path, f"must be at least {minimum}, got {value}")
-    return value
-
-
 def _name_and_params(spec: object, path: str) -> tuple[str, dict]:
     """The `name` and `params` of an algorithm or strategy spec."""
     if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
@@ -348,17 +340,12 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     if unknown:
         raise _fail(source, f"unknown top-level fields: {sorted(unknown)}")
 
+    # Only the JSON types are decoded here: `validate_run` holds the run's rules.
     protocol = data.get("protocol")
-    if protocol not in ("continuous", "periodic"):
-        raise _fail("protocol", f"expected 'continuous' or 'periodic', got {protocol!r}")
-
-    ell: Optional[int] = None
-    if protocol == "continuous":
-        ell = _require_int(data.get("ell"), "ell", minimum=1)
-    elif data.get("ell") is not None:
-        raise _fail("ell", "periodic scenarios do not take an update window")
-
-    agent_count = _require_int(data.get("agents"), "agents", minimum=1)
+    ell = data.get("ell")
+    if ell is not None:
+        ell = _decode(_int, ell, "ell")
+    agent_count = _decode(_int, data.get("agents"), "agents")
 
     algorithm_name, algorithm_params = _name_and_params(data.get("algorithm"), "algorithm")
     try:
@@ -383,8 +370,6 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
             raise _fail(path, "agent keys must be integers") from None
         if raw_agent != str(agent):
             raise _fail(path, f"agent {agent} must be keyed as {str(agent)!r}")
-        if not 1 <= agent <= agent_count:
-            raise _fail(path, f"agent {agent} outside 1..{agent_count}")
         name, params = _name_and_params(spec, path)
         kinds = STRATEGIES[name][1] if name in STRATEGIES else {}
         decoded = dict(params)
@@ -448,16 +433,14 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     # Nature's first point set fixes the dimension that strategies must send.
     for payload, field in sent:
         _decode(one_dimension, payload, field)
-    validate = validate_periodic_input if protocol == "periodic" else validate_continuous_input
     try:
-        validate(elements, agent_count)
+        validate_run(protocol, ell, agent_count, strategies, elements)
     except InputError as exc:
-        path = f"nature_input[{exc.index}]" + (f".{exc.field}" if exc.field else "")
-        raise _fail(path, str(exc)) from exc
+        raise _fail(exc.path, str(exc)) from exc
 
     seed = data.get("seed")
     if seed is not None:
-        seed = _require_int(seed, "seed")
+        seed = _decode(_int, seed, "seed")
 
     scenario = Scenario(
         protocol=protocol,

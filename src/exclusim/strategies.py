@@ -415,15 +415,12 @@ class InferenceResult:
 
     `sigma_matrix` is the ledger Gram block as it stood when the ladder
     started, so it still contains any rows the attacker itself had sent by
-    then; `sigma_vector` is the matching cross-moment vector. The two solved
-    system sides `response_matrix` and `delta_matrix` are kept for invariant
-    checks.
+    then. `delta_matrix` has the fit's moves along the ladder as its
+    columns; criterion 6 checks that both matrices are invertible.
     """
 
     sigma_matrix: RMatrix
-    sigma_vector: RMatrix
     truth_output: AlgorithmOutput
-    response_matrix: RMatrix
     delta_matrix: RMatrix
 
 
@@ -498,9 +495,7 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
         raise InferenceError("the truthful data does not determine a unique fit")
     return InferenceResult(
         sigma_matrix=sigma_matrix,
-        sigma_vector=sigma_vector,
         truth_output=CoefficientsOutput(solution),
-        response_matrix=RMatrix._exact(tuple(zip(*response_columns))),
         delta_matrix=RMatrix._exact(tuple(zip(*delta_columns))),
     )
 

@@ -78,9 +78,7 @@ def reference_triangulation_infer(state: TriangulationState, d: int) -> Inferenc
         raise InferenceError("the truthful data does not determine a unique fit")
     return InferenceResult(
         sigma_matrix=sigma_matrix,
-        sigma_vector=sigma_vector,
         truth_output=CoefficientsOutput(solution.column_values()),
-        response_matrix=response_matrix,
         delta_matrix=delta_matrix,
     )
 

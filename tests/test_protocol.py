@@ -26,6 +26,7 @@ from exclusim.algorithms import (
     ScalarOutput,
 )
 from exclusim.harness import (
+    check_condition_i,
     kcenter_periodic_scenario,
     lr_periodic_scenario,
     make_average_cases,
@@ -49,7 +50,7 @@ from exclusim.protocol import (
     replay_matches,
     run_protocol,
     truthful_strategy,
-    validate_periodic_input,
+    validate_run,
 )
 from exclusim.strategies import (
     average_double_probe,
@@ -181,6 +182,35 @@ def test_continuous_rejects_rounds_and_bad_agents():
         run_protocol("continuous", (), {}, MaxAlgorithm(), 2)
 
 
+# Runs that break one rule each: (protocol, nature input, ell, attacker, path).
+_REFUSED_RUNS = {
+    "periodic_ell": ("periodic", _rounds_input((1, 5, 1)), 1, 2, "ell"),
+    "strategy_for_agent_3_of_2": ("continuous", _scalar_input((1, 5)), 1, 3, "strategies.3"),
+    "unknown_protocol": ("rounds", _scalar_input((1, 5)), 1, 2, "protocol"),
+    "ell_zero": ("continuous", _scalar_input((1, 5)), 0, 2, "ell"),
+    "ell_none": ("continuous", _scalar_input((1, 5)), None, 2, "ell"),
+    "element_agent_3_of_2": (
+        "continuous", _scalar_input((1, 5), (3, 7)), 1, 2, "nature_input[1].agent"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "protocol, ninput, ell, j, path", _REFUSED_RUNS.values(), ids=list(_REFUSED_RUNS)
+)
+def test_engines_refuse_a_run_that_breaks_a_rule(protocol, ninput, ell, j, path):
+    # Two agents, agent j attacking: nothing runs, and the error names the field.
+    with pytest.raises(InputError) as info:
+        run_protocol(protocol, ninput, {j: max_echo_attack()}, MaxAlgorithm(), 2, ell=ell)
+    assert info.value.path == path
+    with pytest.raises(InputError) as info:
+        check_condition_i(
+            MaxAlgorithm(), max_echo_attack(), j, ninput,
+            ell=ell, protocol=protocol, agent_count=2,
+        )
+    assert info.value.path == path
+
+
 # =============================================================================
 # periodic engine
 # =============================================================================
@@ -227,14 +257,15 @@ def test_periodic_null_broadcast_when_no_updates():
 
 
 def test_periodic_validation_rules():
-    with pytest.raises(InputError):
-        validate_periodic_input(_rounds_input((1, 5, 2), (2, 7, 1)), 2)
-    with pytest.raises(InputError):
-        validate_periodic_input(_rounds_input((1, 5, 0)), 2)
-    with pytest.raises(InputError):
-        validate_periodic_input(_rounds_input((1, 5, 1), (1, 7, 1)), 2)
-    with pytest.raises(InputError):
-        validate_periodic_input(_scalar_input((1, 5)), 2)
+    for ninput, path in (
+        (_rounds_input((1, 5, 2), (2, 7, 1)), "nature_input[0].round"),
+        (_rounds_input((1, 5, 0)), "nature_input[0].round"),
+        (_rounds_input((1, 5, 1), (1, 7, 1)), "nature_input[1]"),
+        (_scalar_input((1, 5)), "nature_input[0].round"),
+    ):
+        with pytest.raises(InputError) as info:
+            validate_run("periodic", None, 2, (), ninput)
+        assert info.value.path == path
 
 
 def test_periodic_one_poll_no_guard():
@@ -290,15 +321,14 @@ def test_observed_history_is_a_prefix_view_with_slice_semantics():
             expected = _visible(run.messages[:upto], agent)
             assert view.log is run.messages
             assert view.items == expected
-            assert view == ObservedHistory(agent, expected, len(expected))
-            assert hash(view) == hash(ObservedHistory(agent, expected, len(expected)))
+            other = ObservedHistory(agent, expected, len(expected))
+            assert (view.agent, view.items) == (other.agent, other.items)
             assert view.last() == (expected[-1] if expected else None)
             outputs = [m.output for m in expected if isinstance(m, OutputBroadcast)]
             assert view.last_broadcast() == (outputs[-1] if outputs else None)
     # Before the first element reaches agent 2 it has seen only broadcasts,
-    # as agent 3 has; equal items under different agents are different views.
+    # as agent 3 has.
     assert observed_history(run, 2, upto=3).items == observed_history(run, 3, upto=3).items
-    assert observed_history(run, 2, upto=3) != observed_history(run, 3, upto=3)
 
 
 def test_engines_poll_views_of_one_log():
@@ -575,9 +605,10 @@ def test_first_broadcast_is_computed_when_the_fold_changes_nothing():
         ("continuous", ninput),
         ("periodic", tuple(NatureElement(1, el.payload, 1 + i) for i, el in enumerate(ninput))),
     ):
-        run = run_protocol(protocol, ninput, {}, MaxAlgorithm(), 1, ell=2)
+        ell = 2 if protocol == "continuous" else None
+        run = run_protocol(protocol, ninput, {}, MaxAlgorithm(), 1, ell=ell)
         assert run.broadcasts() == (NullOutput(), NullOutput())
-        assert run.messages == reference_run(protocol, ninput, {}, MaxAlgorithm(), 1, ell=2)
+        assert run.messages == reference_run(protocol, ninput, {}, MaxAlgorithm(), 1, ell=ell)
 
 
 def test_periodic_rebroadcasts_when_the_union_does_not_grow():

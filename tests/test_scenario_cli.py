@@ -381,6 +381,97 @@ def _run_file(tmp_path, data: dict) -> int:
     return main(["run", str(path)])
 
 
+def _periodic_dict(*elements, ell=None) -> dict:
+    """A periodic scenario whose elements are (agent, round) pairs; round None is left out."""
+    return _minimal_dict(protocol="periodic", ell=ell, nature_input=[
+        {"agent": agent, "payload": {"kind": "scalar", "value": 5}}
+        | ({} if round_no is None else {"round": round_no})
+        for agent, round_no in elements
+    ])
+
+
+def _without(key: str) -> dict:
+    data = _minimal_dict()
+    del data[key]
+    return data
+
+
+def _scalar_elements(*agents) -> list:
+    return [{"agent": agent, "payload": {"kind": "scalar", "value": 5}} for agent in agents]
+
+
+# Scenarios that break one run rule each, and the whole of what `run` writes
+# to stderr for them.
+_BROKEN_RUN_RULES = {
+    "protocol_unknown": (
+        _minimal_dict(protocol="rounds"),
+        "protocol: expected 'continuous' or 'periodic', got 'rounds'",
+    ),
+    "protocol_missing": (
+        _without("protocol"), "protocol: expected 'continuous' or 'periodic', got None"
+    ),
+    "ell_zero": (_minimal_dict(ell=0), "ell: must be at least 1, got 0"),
+    "ell_negative": (_minimal_dict(ell=-3), "ell: must be at least 1, got -3"),
+    "ell_missing": (_without("ell"), "ell: continuous runs need an update window"),
+    "ell_null": (_minimal_dict(ell=None), "ell: continuous runs need an update window"),
+    "ell_on_periodic": (
+        _periodic_dict((1, 1), ell=1), "ell: periodic scenarios do not take an update window"
+    ),
+    "agents_zero": (
+        _minimal_dict(agents=0, nature_input=[]), "agents: must be at least 1, got 0"
+    ),
+    "strategy_for_agent_3_of_2": (
+        _minimal_dict(strategies={"3": {"name": "max_overbid", "params": {"value": 1000}}}),
+        "strategies.3: agent 3 outside 1..2",
+    ),
+    "strategy_for_agent_0": (
+        _minimal_dict(strategies={"0": {"name": "truthful"}}),
+        "strategies.0: agent 0 outside 1..2",
+    ),
+    "element_agent_3_of_2": (
+        _minimal_dict(nature_input=_scalar_elements(1, 3)),
+        "nature_input[1].agent: agent 3 outside 1..2",
+    ),
+    "element_agent_0": (
+        _minimal_dict(nature_input=_scalar_elements(0)),
+        "nature_input[0].agent: agent 0 outside 1..2",
+    ),
+    "continuous_round": (
+        _minimal_dict(
+            nature_input=[{"agent": 1, "round": 1, "payload": {"kind": "scalar", "value": 5}}]
+        ),
+        "nature_input[0].round: continuous nature elements must not carry rounds",
+    ),
+    "periodic_without_round": (
+        _periodic_dict((1, 1), (2, None)),
+        "nature_input[1].round: periodic nature elements need a positive round",
+    ),
+    "periodic_round_zero": (
+        _periodic_dict((1, 0)),
+        "nature_input[0].round: periodic nature elements need a positive round",
+    ),
+    "periodic_start_at_two": (
+        _periodic_dict((1, 2)), "nature_input[0].round: periodic inputs start at round 1"
+    ),
+    "periodic_decreasing": (
+        _periodic_dict((1, 1), (2, 2), (1, 1)),
+        "nature_input[2].round: periodic rounds must be non-decreasing",
+    ),
+    "periodic_repeated_agent": (
+        _periodic_dict((1, 1), (2, 1), (1, 1)),
+        "nature_input[2]: agent 1 has two elements in round 1",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "data, error", _BROKEN_RUN_RULES.values(), ids=list(_BROKEN_RUN_RULES)
+)
+def test_cli_run_refuses_each_broken_run_rule(tmp_path, capsys, data, error):
+    assert _run_file(tmp_path, data) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 # Non-objects that are falsy: only an absent key or null means "none".
 _FALSY_NON_OBJECTS = {
     "false": False, "zero": 0, "zero_float": 0.0, "empty_string": "", "empty_list": [],

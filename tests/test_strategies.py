@@ -536,7 +536,7 @@ def _ladder_states(d: int, seeds: range) -> list[TriangulationState]:
 
 
 def _inference_fields(function, state, d):
-    """The five result fields, or the InferenceError message."""
+    """The result fields, or the InferenceError message."""
     try:
         result = function(state, d)
     except InferenceError as exc:
@@ -552,9 +552,9 @@ def test_triangulation_infer_matches_the_fraction_reference(d):
         got = _inference_fields(triangulation_infer, state, d)
         assert got == _inference_fields(reference_triangulation_infer, state, d)
         if not isinstance(got, str):
-            sigma, vector, truth, response, delta = got
+            sigma, truth, delta = got
             entries = [*truth.coefficients]
-            for matrix in (sigma, vector, response, delta):
+            for matrix in (sigma, delta):
                 entries.extend(v for row in matrix.rows for v in row)
             assert all(type(v) is Fraction for v in entries)
 
