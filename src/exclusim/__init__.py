@@ -15,155 +15,7 @@ The package has five layers:
 
 `scenario` and `cli` add JSON scenario files, trace emission, and the
 command-line entry point.
+
+The package root re-exports nothing, so import each name from its module,
+for example `from exclusim.protocol import run_protocol`.
 """
-
-from __future__ import annotations
-
-from .algorithms import (
-    Algorithm,
-    AlgorithmOutput,
-    AverageAlgorithm,
-    CentersOutput,
-    CoefficientsOutput,
-    DlrAlgorithm,
-    Empty,
-    KCenterAlgorithm,
-    KMedianAlgorithm,
-    MaxAlgorithm,
-    NullOutput,
-    ParamError,
-    PayloadError,
-    PointSet,
-    Row,
-    RowMultiset,
-    Scalar,
-    ScalarOutput,
-    UpdatePayload,
-    make_algorithm,
-)
-from .harness import (
-    ConfoundingWitness,
-    GeneratedCase,
-    NotApplicableError,
-    PairedVerdict,
-    certify_attack,
-    check_condition_i,
-    check_condition_i_star,
-    find_confounding_pair,
-    forceable_winner_set,
-    periodic_kcenter_omission_confounder,
-    periodic_lambda_confounder,
-    verify_inference,
-)
-from .protocol import (
-    FactualDelivery,
-    LedgerUpdate,
-    NatureElement,
-    NatureInput,
-    ObservedHistory,
-    OutputBroadcast,
-    Run,
-    SafetyCapExceededError,
-    Strategy,
-    observed_history,
-    run_protocol,
-    truthful_strategy,
-)
-from .scenario import (
-    PreconditionError,
-    Scenario,
-    ValidationError,
-    load_scenario,
-    run_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    trace_lines,
-)
-from .strategies import (
-    InferenceError,
-    SneakParams,
-    StrategyClass,
-    average_double_probe,
-    average_infer,
-    classify_strategy_run,
-    kcenter_sneak_params,
-    lr_sneak_params,
-    make_strategy,
-    max_echo_attack,
-    max_infer,
-    max_overbid,
-    sneak_attack,
-    triangulation_attack,
-    triangulation_infer,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Algorithm",
-    "AlgorithmOutput",
-    "AverageAlgorithm",
-    "CentersOutput",
-    "CoefficientsOutput",
-    "ConfoundingWitness",
-    "DlrAlgorithm",
-    "Empty",
-    "FactualDelivery",
-    "GeneratedCase",
-    "InferenceError",
-    "KCenterAlgorithm",
-    "KMedianAlgorithm",
-    "LedgerUpdate",
-    "MaxAlgorithm",
-    "NatureElement",
-    "NatureInput",
-    "NotApplicableError",
-    "NullOutput",
-    "ObservedHistory",
-    "OutputBroadcast",
-    "PairedVerdict",
-    "ParamError",
-    "PayloadError",
-    "PointSet",
-    "PreconditionError",
-    "Row",
-    "RowMultiset",
-    "Run",
-    "SafetyCapExceededError",
-    "Scalar",
-    "ScalarOutput",
-    "Scenario",
-    "SneakParams",
-    "Strategy",
-    "StrategyClass",
-    "UpdatePayload",
-    "ValidationError",
-    "average_double_probe",
-    "average_infer",
-    "certify_attack",
-    "check_condition_i",
-    "check_condition_i_star",
-    "classify_strategy_run",
-    "find_confounding_pair",
-    "forceable_winner_set",
-    "kcenter_sneak_params",
-    "load_scenario",
-    "lr_sneak_params",
-    "make_algorithm",
-    "make_strategy",
-    "max_echo_attack",
-    "max_infer",
-    "max_overbid",
-    "observed_history",
-    "periodic_kcenter_omission_confounder",
-    "periodic_lambda_confounder",
-    "run_protocol",
-    "run_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "sneak_attack",
-    "trace_lines",
-    "triangulation_attack",
-    "triangulation_infer",
-    "truthful_strategy",
-]

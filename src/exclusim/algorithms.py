@@ -327,6 +327,7 @@ def _solve_clustering(
 ) -> KCenterSolution:
     check_norm_order(p)
     check_count("k", k)
+    check_count("max_union", max_union)
     distinct = set(points)
     n = len(distinct)
     if not n:

@@ -404,6 +404,8 @@ def find_confounding_pair(
     bounds the number of candidate pairs compared. The candidates append
     elements without a round, so the search runs on continuous inputs only.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ParamError(f"budget must be a non-negative integer, got {budget!r}", "budget")
     base = tuple(base_inputs)
     count = max(_agent_count(base, j), 2)
     verdict = check_condition_i(algorithm, strategy, j, base, ell=ell, agent_count=count)
@@ -418,7 +420,7 @@ def find_confounding_pair(
         return verdicts[ninput]
 
     pairs = _candidate_pairs(algorithm, verdict, j, base, count)
-    for input_a, input_b in islice(pairs, max(budget, 0)):
+    for input_a, input_b in islice(pairs, budget):
         witness = _witness(input_a, paired(input_a), input_b, paired(input_b), j)
         if witness.is_valid():
             return witness

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algorithms import Algorithm, AlgorithmOutput, UpdatePayload
 
-DEFAULT_SAFETY_CAP = 10_000
+SAFETY_CAP = 10_000
 
 
 class InputError(ValueError):
@@ -49,7 +49,7 @@ class InputError(ValueError):
 
 
 class SafetyCapExceededError(RuntimeError):
-    """A single nature element kept the activity loop alive beyond the cap."""
+    """A single nature element kept the activity loop alive beyond `SAFETY_CAP` passes."""
 
 
 # =============================================================================
@@ -190,6 +190,14 @@ def truthful_strategy(obs: ObservedHistory) -> Optional[UpdatePayload]:
 # =============================================================================
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _not_int(value: object, path: str) -> InputError:
+    return InputError(f"expected an integer, got {value!r}", path)
+
+
 def validate_run(
     protocol: str,
     ell: Optional[int],
@@ -199,13 +207,16 @@ def validate_run(
 ) -> None:
     """The rules of a run, for the engines and the scenario loader alike.
 
-    Continuous runs need an update window `ell` of at least 1, and periodic
-    runs take none. Every strategy and element names an agent in 1..n.
-    Continuous elements carry no round; periodic rounds start at 1, never
-    decrease, and hold one element per agent.
+    `ell`, the agent count, every agent and every round are ints, not bools,
+    and each is type-checked first. Continuous runs need an update window
+    `ell` of at least 1, and periodic runs take none. Every strategy and
+    element names an agent in 1..n. Continuous elements carry no round;
+    periodic rounds start at 1, never decrease, and hold one element per agent.
     """
     if protocol not in ("continuous", "periodic"):
         raise InputError(f"expected 'continuous' or 'periodic', got {protocol!r}", "protocol")
+    if ell is not None and not _is_int(ell):
+        raise _not_int(ell, "ell")
     if protocol == "periodic":
         if ell is not None:
             raise InputError("periodic scenarios do not take an update window", "ell")
@@ -213,15 +224,23 @@ def validate_run(
         raise InputError("continuous runs need an update window", "ell")
     elif ell < 1:
         raise InputError(f"must be at least 1, got {ell}", "ell")
+    if not _is_int(agent_count):
+        raise _not_int(agent_count, "agents")
     if agent_count < 1:
         raise InputError(f"must be at least 1, got {agent_count}", "agents")
     for agent in strategies:
+        if not _is_int(agent):
+            raise _not_int(agent, f"strategies.{agent}")
         if not 1 <= agent <= agent_count:
             raise InputError(f"agent {agent} outside 1..{agent_count}", f"strategies.{agent}")
     seen: set[tuple[int, int]] = set()
     previous = 1
     for index, el in enumerate(elements):
         # The path is built only for the element at fault.
+        if not _is_int(el.agent):
+            raise _not_int(el.agent, f"nature_input[{index}].agent")
+        if el.round is not None and not _is_int(el.round):
+            raise _not_int(el.round, f"nature_input[{index}].round")
         message, suffix = None, ".round"
         if not 1 <= el.agent <= agent_count:
             message, suffix = f"agent {el.agent} outside 1..{agent_count}", ".agent"
@@ -254,7 +273,6 @@ def _run_continuous(
     algorithm: Algorithm,
     ell: int,
     agent_count: int,
-    safety_cap: int,
 ) -> Run:
     """Execute the continuous protocol and return the full transcript.
 
@@ -280,9 +298,9 @@ def _run_continuous(
         passes = 0
         while grown:
             passes += 1
-            if passes > safety_cap:
+            if passes > SAFETY_CAP:
                 raise SafetyCapExceededError(
-                    f"activity loop exceeded {safety_cap} polling passes for one nature element"
+                    f"activity loop exceeded {SAFETY_CAP} polling passes for one nature element"
                 )
             for agent in agents:
                 if agent not in grown:
@@ -347,12 +365,11 @@ def run_protocol(
     algorithm: Algorithm,
     agent_count: int,
     ell: Optional[int] = None,
-    safety_cap: int = DEFAULT_SAFETY_CAP,
 ) -> Run:
     """Check the run against `validate_run`, then execute it."""
     validate_run(protocol, ell, agent_count, strategies, ninput)
     if protocol == "continuous":
-        return _run_continuous(ninput, strategies, algorithm, ell, agent_count, safety_cap)
+        return _run_continuous(ninput, strategies, algorithm, ell, agent_count)
     return _run_periodic(ninput, strategies, algorithm, agent_count)
 
 

@@ -340,12 +340,10 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     if unknown:
         raise _fail(source, f"unknown top-level fields: {sorted(unknown)}")
 
-    # Only the JSON types are decoded here: `validate_run` holds the run's rules.
+    # `validate_run` holds the run's rules, the types of its integers included.
     protocol = data.get("protocol")
     ell = data.get("ell")
-    if ell is not None:
-        ell = _decode(_int, ell, "ell")
-    agent_count = _decode(_int, data.get("agents"), "agents")
+    agent_count = data.get("agents")
 
     algorithm_name, algorithm_params = _name_and_params(data.get("algorithm"), "algorithm")
     try:
@@ -416,14 +414,10 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     def element(entry: object) -> NatureElement:
         if not isinstance(entry, dict):
             raise _Invalid("expected an element object")
-        agent = _field(entry, "agent", _int)
         payload = _field(
             entry, "payload", lambda raw: one_dimension(_taken(algorithm, _payload(raw)))
         )
-        round_no = entry.get("round")
-        if round_no is not None:
-            round_no = _field(entry, "round", _int)
-        return NatureElement(agent, payload, round_no)
+        return NatureElement(entry.get("agent"), payload, entry.get("round"))
 
     elements = _decode(
         lambda raw: _list(raw, element, "elements", empty=True),

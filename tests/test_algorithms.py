@@ -189,6 +189,15 @@ def test_clustering_union_cap():
         _kcenter(_points(*range(25)), 3)
 
 
+@pytest.mark.parametrize("max_union", [True, 2.5, 0])
+@pytest.mark.parametrize("solve", [kcenter_solution, kmedian_solution])
+def test_clustering_solvers_refuse_a_union_cap_that_is_not_a_count(solve, max_union):
+    # Each of these used to fail as "3 points exceed the exhaustive-search cap".
+    with pytest.raises(ParamError) as caught:
+        solve(_points(0, 1, 2).points, 1, max_union=max_union)
+    assert caught.value.param == "max_union"
+
+
 def test_clustering_not_enough_points():
     # The solver refuses; the algorithm's output is Null until k points arrive.
     with pytest.raises(NotEnoughPointsError):

@@ -149,6 +149,16 @@ def test_verification_suites_refuse_a_count_that_is_not_positive(count):
     assert caught.value.param == "count"
 
 
+@pytest.mark.parametrize("budget", [-5, True, 2.5])
+def test_confounding_search_refuses_a_budget_that_is_not_a_count(budget):
+    # A negative budget used to read as "no witness" without comparing a pair.
+    with pytest.raises(ParamError) as caught:
+        find_confounding_pair(
+            MaxAlgorithm(), max_overbid(Fraction(110)), 1, _scalar_input((2, 90)), budget
+        )
+    assert caught.value.param == "budget"
+
+
 def test_verify_inference_max_perfect():
     report = verify_inference(
         MaxAlgorithm(), max_echo_attack(), max_infer, make_max_cases(), count=25, j=1

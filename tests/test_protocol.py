@@ -42,6 +42,7 @@ from exclusim.protocol import (
     NatureElement,
     ObservedHistory,
     OutputBroadcast,
+    SAFETY_CAP,
     SafetyCapExceededError,
     broadcast_pairing_ok,
     ell_guard_respected,
@@ -153,11 +154,12 @@ def test_consecutive_elements_same_agent_suppressed_at_ell_one():
     assert run.final_output() == ScalarOutput(Fraction(90))
 
 
-def test_safety_cap_stops_runaway_loop():
+def test_safety_cap_stops_runaway_loop(monkeypatch):
     def chatty(o):
         return Scalar(Fraction(len(o.items)))
 
-    with pytest.raises(SafetyCapExceededError):
+    monkeypatch.setattr("exclusim.protocol.SAFETY_CAP", 50)
+    with pytest.raises(SafetyCapExceededError, match="exceeded 50 polling passes"):
         run_protocol(
             "continuous",
             _scalar_input((2, 1)),
@@ -165,7 +167,6 @@ def test_safety_cap_stops_runaway_loop():
             MaxAlgorithm(),
             2,
             ell=1,
-            safety_cap=50,
         )
 
 
@@ -208,6 +209,37 @@ def test_engines_refuse_a_run_that_breaks_a_rule(protocol, ninput, ell, j, path)
             MaxAlgorithm(), max_echo_attack(), j, ninput,
             ell=ell, protocol=protocol, agent_count=2,
         )
+    assert info.value.path == path
+
+
+# Runs that give one value of the wrong type:
+# (protocol, nature input, strategies, agent count, ell, path).
+_MISTYPED_RUNS = {
+    "ell_float": ("continuous", _scalar_input((1, 5)), {}, 2, 1.5, "ell"),
+    "ell_bool": ("continuous", _scalar_input((1, 5)), {}, 2, True, "ell"),
+    "agents_bool": ("continuous", _scalar_input((1, 5)), {}, True, 1, "agents"),
+    "strategy_key_str": (
+        "continuous", _scalar_input((1, 5)), {"2": max_echo_attack()}, 2, 1, "strategies.2"
+    ),
+    "round_float": ("periodic", _rounds_input((1, 5, 1.0)), {}, 2, None, "nature_input[0].round"),
+    "round_bool": ("periodic", _rounds_input((1, 5, True)), {}, 2, None, "nature_input[0].round"),
+    "element_agent_bool": (
+        "continuous", _scalar_input((True, 5)), {}, 2, 1, "nature_input[0].agent"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "protocol, ninput, strategies, agent_count, ell, path",
+    _MISTYPED_RUNS.values(),
+    ids=list(_MISTYPED_RUNS),
+)
+def test_engines_refuse_a_value_of_the_wrong_type(
+    protocol, ninput, strategies, agent_count, ell, path
+):
+    # Each of these used to run, or to fail with a bare TypeError.
+    with pytest.raises(InputError, match="^expected an integer, got ") as info:
+        run_protocol(protocol, ninput, strategies, MaxAlgorithm(), agent_count, ell=ell)
     assert info.value.path == path
 
 
@@ -429,14 +461,10 @@ def test_truthful_runs_satisfy_engine_invariants(pairs, ell):
 
 
 def _assert_matches_reference(protocol, ninput, strategies, algorithm, agent_count, ell=None):
-    cap = 200
-    got = outcome(
-        run_protocol, protocol, ninput, strategies, algorithm, agent_count,
-        ell=ell, safety_cap=cap,
-    )
+    got = outcome(run_protocol, protocol, ninput, strategies, algorithm, agent_count, ell=ell)
     want = outcome(
         reference_run, protocol, ninput, strategies, algorithm, agent_count,
-        ell=ell, safety_cap=cap,
+        ell=ell, safety_cap=SAFETY_CAP,
     )
     assert (got if isinstance(got, type) else got.messages) == want
 
@@ -546,12 +574,10 @@ def test_engines_match_from_scratch_reference(case):
     protocol, ninput, strategies, algorithm, agent_count, ell = case
     polls: list[tuple[int, int]] = []
     spied = _spied(strategies, agent_count, polls)
-    got = outcome(
-        run_protocol, protocol, ninput, spied, algorithm, agent_count, ell=ell, safety_cap=200
-    )
+    got = outcome(run_protocol, protocol, ninput, spied, algorithm, agent_count, ell=ell)
     want = outcome(
         reference_run, protocol, ninput, strategies, algorithm, agent_count,
-        ell=ell, safety_cap=200,
+        ell=ell, safety_cap=SAFETY_CAP,
     )
     assert (got if isinstance(got, type) else got.messages) == want
     # A view that has not grown is never asked again.
