@@ -14,13 +14,15 @@ run's message log is the engines' only record; each poll hands the strategy an
 
 Simultaneity is resolved by polling agents in fixed ascending order. In the
 continuous protocol a single nature element opens an activity loop: agents are
-polled repeatedly (each only when its view has grown since its last poll),
-each accepted update is broadcast immediately, and an
-anti-flooding guard suppresses an agent once it authored the last `ell`
-consecutive ledger updates (the guard models how many consecutive identities
-one party controls). The periodic protocol delivers a round's factual updates,
-polls every agent exactly once, then broadcasts exactly once per round, and
-takes no `ell`. `validate_run` states the rules a run's inputs must keep.
+polled repeatedly, each only when its view has grown since its last poll.
+Each accepted update is broadcast immediately, and a broadcast wakes only the
+agents that play a strategy of their own: `truthful_strategy` never answers
+one. An anti-flooding guard suppresses an agent once it authored the last
+`ell` consecutive ledger updates (the guard models how many consecutive
+identities one party controls). The periodic protocol delivers a round's
+factual updates, polls every agent exactly once, then broadcasts exactly once
+per round, and takes no `ell`. `validate_run` states the rules a run's inputs
+must keep.
 """
 
 from __future__ import annotations
@@ -100,9 +102,6 @@ class Run:
     agent_count: int
     messages: tuple[Message, ...]
     ell: Optional[int] = None
-
-    def broadcasts(self) -> tuple[AlgorithmOutput, ...]:
-        return tuple([m.output for m in self.messages if isinstance(m, OutputBroadcast)])
 
     def final_output(self) -> Optional[AlgorithmOutput]:
         for message in reversed(self.messages):
@@ -277,8 +276,11 @@ def _run_continuous(
     """Execute the continuous protocol and return the full transcript.
 
     `grown` holds the agents whose view grew since their last poll: a
-    delivery adds its recipient, an accepted update adds every agent, and a
-    poll removes the polled agent. An element's activity loop runs while
+    delivery adds its recipient, an accepted update adds the `watchers` (the
+    agents named in `strategies`), and a poll removes the polled agent. An
+    agent with no entry plays `truthful_strategy`, which answers a view that
+    ends in a broadcast with None, so it is polled only on its own
+    deliveries. An element's activity loop runs while
     `grown` is not empty. The guard drops a wish from `author`, who wrote the
     last `streak` updates in a row, once `streak` reaches `ell`. Strategies
     are pure functions of their views (the property `replay_matches` checks),
@@ -291,6 +293,7 @@ def _run_continuous(
     broadcast: Optional[OutputBroadcast] = None
     author, streak = None, 0
     agents = range(1, agent_count + 1)
+    watchers = [agent for agent in agents if agent in strategies]
 
     for element in ninput:
         messages.append(FactualDelivery(element.agent, element.payload))
@@ -319,7 +322,7 @@ def _run_continuous(
                 author, streak = agent, streak + 1 if agent == author else 1
                 messages.append(LedgerUpdate(agent, wish))
                 messages.append(broadcast)
-                grown.update(agents)
+                grown.update(watchers)
 
     return Run("continuous", agent_count, tuple(messages), ell=ell)
 

@@ -19,6 +19,9 @@ products, the oracle of the integer `algorithms.moments`; `divided` turns a
 points and rows with the oracle's own kind, dimension and width tests,
 raising the messages the folds raise, so the oracle shares no acceptance
 code with the `Algorithm.check` methods it is compared against.
+
+`broadcasts` lists a run's broadcast outputs in order, for tests that read
+more of a transcript than `Run.final_output`.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from exclusim.protocol import (
     NatureElement,
     ObservedHistory,
     OutputBroadcast,
+    Run,
     SafetyCapExceededError,
     Strategy,
     truthful_strategy,
@@ -309,6 +313,10 @@ def reference_output(algorithm, ledger: Sequence[UpdatePayload]) -> AlgorithmOut
         return reference_compute(algorithm, ledger)
     except (NoOutputError, NotEnoughPointsError):
         return NullOutput()
+
+
+def broadcasts(run: Run) -> tuple[AlgorithmOutput, ...]:
+    return tuple([m.output for m in run.messages if isinstance(m, OutputBroadcast)])
 
 
 def reference_run(

@@ -62,7 +62,7 @@ from exclusim.strategies import (
     omit_point,
     triangulation_attack,
 )
-from reference_aggregations import outcome, reference_run
+from reference_aggregations import broadcasts, outcome, reference_run
 
 
 def _scalar_input(*pairs) -> tuple[NatureElement, ...]:
@@ -539,7 +539,11 @@ def _generated_runs(draw):
 
 
 def _spied(strategies, agent_count, polls):
-    """Every agent's strategy, defaults included, recording (agent, view length) per poll."""
+    """Every agent's strategy, defaults included, recording (agent, view length) per poll.
+
+    The table names every agent, so every broadcast wakes every agent: a run
+    through it never skips the strategy-less agents as a raw table does.
+    """
 
     def spy(agent, strategy):
         def polled(o):
@@ -569,19 +573,57 @@ def _spied(strategies, agent_count, polls):
     "continuous", _scalar_input((2, 3), (2, 4), (2, 5), (1, 6)), {2: _always_bid(9)},
     MaxAlgorithm(), 2, 3,
 ))
+# The guard drops truthful agent 1's echo of 4 at ell 1, and the echo attacker's
+# broadcast follows. The raw table does not ask agent 1 about that broadcast,
+# and the echo stays lost, as in the reference.
+@example(case=(
+    "continuous", _scalar_input((1, 5), (1, 4), (2, 3)), {2: max_echo_attack()},
+    MaxAlgorithm(), 2, 1,
+))
 @settings(max_examples=300, deadline=None)
 def test_engines_match_from_scratch_reference(case):
     protocol, ninput, strategies, algorithm, agent_count, ell = case
     polls: list[tuple[int, int]] = []
     spied = _spied(strategies, agent_count, polls)
-    got = outcome(run_protocol, protocol, ninput, spied, algorithm, agent_count, ell=ell)
     want = outcome(
         reference_run, protocol, ninput, strategies, algorithm, agent_count,
         ell=ell, safety_cap=SAFETY_CAP,
     )
-    assert (got if isinstance(got, type) else got.messages) == want
+    # The raw table leaves the strategy-less agents out of broadcast wake-ups.
+    for table in (spied, strategies):
+        got = outcome(run_protocol, protocol, ninput, table, algorithm, agent_count, ell=ell)
+        assert (got if isinstance(got, type) else got.messages) == want
     # A view that has not grown is never asked again.
     assert len(set(polls)) == len(polls)
+
+
+def test_truthful_agents_are_polled_only_on_their_own_deliveries(monkeypatch):
+    calls = []
+
+    def counting(o):
+        calls.append((o.agent, o.length))
+        return truthful_strategy(o)
+
+    # The engine looks the default strategy up when it polls.
+    monkeypatch.setattr("exclusim.protocol.truthful_strategy", counting)
+    ninput = _scalar_input((1, 5), (2, 3), (3, 7), (1, 9), (2, 2), (1, 1))
+    run_protocol("continuous", ninput, {}, MaxAlgorithm(), 3, ell=1)
+    assert calls == [(1, 1), (2, 4), (3, 7), (1, 10), (2, 13), (1, 16)]
+    # An attacker is still asked about every broadcast, with the same views
+    # as when every agent was woken by it.
+    attacker_polls = []
+    attack = max_echo_attack()
+
+    def attacker(o):
+        attacker_polls.append((o.agent, o.length))
+        return attack(o)
+
+    calls.clear()
+    run_protocol("continuous", ninput, {1: attacker}, MaxAlgorithm(), 3, ell=1)
+    assert attacker_polls == [
+        (1, 1), (1, 3), (1, 6), (1, 9), (1, 10), (1, 12), (1, 15), (1, 16), (1, 18),
+    ]
+    assert calls == [(2, 4), (3, 7), (2, 13)]
 
 
 class _CountingOutputs:
@@ -613,7 +655,7 @@ def test_continuous_rebroadcasts_when_the_union_does_not_grow():
     algorithm = _CountingKCenter(2)
     run = run_protocol("continuous", ninput, {}, algorithm, 3, ell=1)
     assert algorithm.outputs == 2
-    assert len(run.broadcasts()) == 6
+    assert len(broadcasts(run)) == 6
     assert run.messages == reference_run("continuous", ninput, {}, algorithm, 3, ell=1)
     # An empty point set adds nothing to the average either.
     payloads = [_points(1), _points(), _points(3), _points()]
@@ -621,7 +663,7 @@ def test_continuous_rebroadcasts_when_the_union_does_not_grow():
     algorithm = _CountingAverage()
     run = run_protocol("continuous", ninput, {}, algorithm, 2, ell=1)
     assert algorithm.outputs == 2
-    assert run.broadcasts() == tuple(ScalarOutput(Fraction(v)) for v in (1, 1, 2, 2))
+    assert broadcasts(run) == tuple(ScalarOutput(Fraction(v)) for v in (1, 1, 2, 2))
     assert run.messages == reference_run("continuous", ninput, {}, algorithm, 2, ell=1)
 
 
@@ -633,7 +675,7 @@ def test_first_broadcast_is_computed_when_the_fold_changes_nothing():
     ):
         ell = 2 if protocol == "continuous" else None
         run = run_protocol(protocol, ninput, {}, MaxAlgorithm(), 1, ell=ell)
-        assert run.broadcasts() == (NullOutput(), NullOutput())
+        assert broadcasts(run) == (NullOutput(), NullOutput())
         assert run.messages == reference_run(protocol, ninput, {}, MaxAlgorithm(), 1, ell=ell)
 
 
@@ -649,7 +691,7 @@ def test_periodic_rebroadcasts_when_the_union_does_not_grow():
     algorithm = _CountingKCenter(2)
     run = run_protocol("periodic", ninput, {}, algorithm, 2)
     assert algorithm.outputs == 2
-    assert len(run.broadcasts()) == 4
+    assert len(broadcasts(run)) == 4
     assert run.messages == reference_run("periodic", ninput, {}, algorithm, 2)
 
 

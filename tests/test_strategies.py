@@ -63,6 +63,7 @@ from exclusim.strategies import (
     triangulation_infer_from_history,
     triangulation_state,
 )
+from reference_aggregations import broadcasts
 from reference_triangulation import (
     reference_probe_row,
     reference_triangulation_infer,
@@ -253,7 +254,7 @@ def test_lr_sneak_canonical_run():
         "continuous", ninput, {2: sneak_attack(params)}, DlrAlgorithm(1), 2, ell=1
     )
     truth = run_protocol("continuous", ninput, {}, DlrAlgorithm(1), 2, ell=1)
-    assert list(attack.broadcasts()) == [
+    assert list(broadcasts(attack)) == [
         CoefficientsOutput((Fraction(1), Fraction(0))),
         CoefficientsOutput((Fraction(5, 6), Fraction(1, 2))),
     ]
@@ -407,7 +408,7 @@ def test_triangulation_deflects_when_the_truth_equals_the_broadcast():
     assert len(sent) == 3
     (deflection,) = sent[2].rows
     assert deflection.features == (1, 0)
-    probed = attack.broadcasts()[-2]
+    probed = broadcasts(attack)[-2]
     assert probed == truth.final_output()
     assert deflection.target == probed.coefficients[0] + 1
     assert attack.final_output() != truth.final_output()
