@@ -24,23 +24,26 @@ normal equations straight to the fraction-free solve and rescales the
 solution by the ratio of the two scales. Only the coefficients become
 `Fraction`s.
 The clustering solvers are exact on one coordinate scale per solve: they
-scale the input union's coordinates by the lcm of all their denominators,
-build the distance table of those integer points once, and cost every
-k-subset from it in ints, skipping a subset as soon as its cost exceeds the
-best one found. The enumeration is still exhaustive, so instances are capped
-at a small size (`DEFAULT_MAX_UNION`); that is deliberate, since the attack
-constructions only ever need a handful of points.
+scale the input union's coordinates by the lcm of all their denominators
+and work in ints. A union on the line is solved by a dynamic program over
+the sorted points in polynomial time. A union of two or more dimensions has
+the distance table of its integer points built once, and every k-subset is
+costed from it, skipping a subset as soon as its cost exceeds the best one
+found. That enumeration is exhaustive, so instances are capped at a small
+size (`DEFAULT_MAX_UNION`), on the line too; a caller with larger unions
+raises the cap through `max_union`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
-from operator import mul, sub
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from itertools import accumulate, combinations
+from operator import add, mul, sub
+from typing import Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .numerics import RationalLike, _scaled, rational, solve_integer_rows
 
@@ -77,7 +80,7 @@ class NotEnoughPointsError(Exception):
 
 
 class InstanceTooLargeError(Exception):
-    """The input union exceeds the exhaustive-enumeration cap."""
+    """The input union exceeds the solver's cap, `max_union`."""
 
 
 class UnsupportedNormError(Exception):
@@ -305,17 +308,15 @@ class KCenterSolution:
     for the k-center objective under p=2.
 
     The solver scales every coordinate of the input by one integer L, the
-    lcm of all their denominators, and works on those ints. Its n x n table
-    holds L times each pair's L1 or L-inf distance, L^2 times the squared L2
-    distance for k-center, and for k-median under p=2 L times the distance:
-    the `math.isqrt` of the scaled squared distance, which is rational just
-    when that is a perfect square. A candidate's cost is the max (k-center)
-    or sum (k-median) of per-point minima over the table, and a candidate
-    costlier than the best so far is skipped before its tie-break key is
-    built; `cost` is the best one over the table's scale. The result, the
-    errors and the pair they name, the tie-break (cost, then the sum of
-    center norms, then lexicographic order) and the union cap are those of
-    costing every k-subset from scratch in `Fraction`s.
+    lcm of all their denominators, and works on those ints. A union whose
+    points are all one-dimensional is solved on the line by dynamic
+    programming, in O(k n^2) steps for k-median and O(k n^2 log n) for
+    k-center (`_solve_line`); a union of two or more dimensions by costing
+    every k-subset from an n x n distance table (`_solve_table`). Either
+    way the result, the tie-break (cost, then the sum of center norms, then
+    lexicographic order) and the union cap are those of costing every
+    k-subset from scratch in `Fraction`s, and so are the errors of the
+    table route and the pair they name; on a line no such error can arise.
     """
 
     centers: tuple[Point, ...]
@@ -323,19 +324,25 @@ class KCenterSolution:
 
 
 def _solve_clustering(
-    points: Sequence[Point], k: int, p: NormOrder, median: bool, max_union: int
+    points: Collection[Point], k: int, p: NormOrder, median: bool, max_union: int
 ) -> KCenterSolution:
+    """The exact k-center (or k-median, when `median`) solution of `points`.
+
+    The checks run in this order: norm, `k`, `max_union`, the empty union,
+    fewer than k distinct points, and the union cap. A frozenset of points
+    is taken as it stands, without hashing its points again.
+    """
     check_norm_order(p)
     check_count("k", k)
     check_count("max_union", max_union)
-    distinct = set(points)
+    distinct = frozenset(points)
     n = len(distinct)
     if not n:
         raise NoOutputError("no points on the ledger")
     if n < k:
         raise NotEnoughPointsError(f"{n} distinct points, need {k}")
     if n > max_union:
-        raise InstanceTooLargeError(f"{n} points exceed the exhaustive-search cap {max_union}")
+        raise InstanceTooLargeError(f"{n} points exceed the union cap {max_union}")
     scale = math.lcm(*[x.denominator for point in distinct for x in point])
     # (coordinates times `scale`, point): one positive scale keeps the order
     # of every coordinate, so sorting the ints sorts the points.
@@ -346,6 +353,131 @@ def _solve_clustering(
     universe = tuple(point for _, point in scaled)
     # coords[i]: the coordinates of universe[i] times `scale`.
     coords = [ints for ints, _ in scaled]
+    norms = [_magnitude(c, p) for c in coords]
+    squared = p == 2 and not median
+    if all(len(c) == 1 for c in coords):
+        cost, best = _solve_line([x for x, in coords], k, median, norms)
+        if squared:
+            cost *= cost
+    else:
+        cost, best = _solve_table(coords, universe, k, p, median, norms)
+    unit = scale * scale if squared else scale
+    return KCenterSolution(tuple(universe[j] for j in best), Fraction(cost, unit))
+
+
+def _solve_line(
+    xs: Sequence[int], k: int, median: bool, norms: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """The least (cost, sum of center norms, index tuple) over the k-subsets
+    of the sorted distinct ints `xs`, as (cost, index tuple).
+
+    The points nearest to each center of a subset form a run of `xs` that
+    holds the center, so the least subset is found by a dynamic program
+    over the splits of `xs` into k runs, with one center in each run
+    (Hassin & Tamir 1991; Megiddo & Tamir 1983). For k-median the whole key
+    adds up over the runs, and a run's best center is one of its one or
+    two middle points, costed from prefix sums. A max does not add up, so
+    k-center first finds the least radius, then the least (norm sum, index
+    tuple) over the splits whose runs all fit inside it. The cost is a
+    distance over the scale of `xs`.
+    """
+    if median:
+        sums = list(accumulate(xs, initial=0))  # sums[i]: xs[0] + ... + xs[i - 1]
+
+        def middle(a: int, m: int) -> tuple[int, int, int]:
+            """The least (cost, norm, center) of the run xs[a:m]."""
+            return min(
+                (
+                    (j - a) * xs[j] - sums[j] + sums[a] + sums[m] - sums[j + 1] - (m - 1 - j) * xs[j],
+                    norms[j],
+                    j,
+                )
+                for j in {(a + m - 1) // 2, (a + m) // 2}
+            )
+
+        cost, _, best = _least_split(len(xs), k, middle, add)
+        return cost, best
+    doubled = [2 * x for x in xs]
+
+    def reach(a: int, m: int) -> tuple[int, int, int]:
+        """The least radius of the run xs[a:m], from a center next to its midpoint."""
+        mid = bisect_left(doubled, xs[a] + xs[m - 1], a, m)
+        return min(
+            (max(xs[j] - xs[a], xs[m - 1] - xs[j]), 0, j) for j in (mid - 1, mid) if a <= j < m
+        )
+
+    radius = _least_split(len(xs), k, reach, max)[0]
+
+    def fitting(a: int, m: int) -> Optional[tuple[int, int, int]]:
+        """The least (0, norm, center) of the run xs[a:m] within `radius`.
+
+        The centers that fit are the points from xs[m - 1] - radius to
+        xs[a] + radius, and a norm grows with the distance from 0, so the
+        least one is one of the two next to 0.
+        """
+        lo = bisect_left(xs, xs[m - 1] - radius, a, m)
+        hi = bisect_right(xs, xs[a] + radius, a, m)
+        zero = bisect_left(xs, 0, lo, hi)
+        return min(((0, norms[j], j) for j in (zero - 1, zero) if lo <= j < hi), default=None)
+
+    return radius, _least_split(len(xs), k, fitting, add)[2]
+
+
+def _least_split(
+    n: int,
+    k: int,
+    run: Callable[[int, int], Optional[tuple[int, int, int]]],
+    combine: Callable[[int, int], int],
+) -> tuple[int, int, tuple[int, ...]]:
+    """The least (cost, norm sum, center tuple) over the splits of range(n)
+    into k runs, where `run(a, m)` is the least (cost, norm, center) of the
+    run a, ..., m - 1, or None when it has none, and the costs of the runs
+    are combined with `combine`.
+
+    Appending one run to two splits of the same points adds the same cost
+    and norm to both and the same center, which keeps their order when
+    `combine` is `add`; so keeping the least key per (points split, runs
+    used) is exact. Under `max` only the cost is exact: it is the least one
+    over all splits.
+    """
+    # best[m]: the least key that splits the first m points into `used` runs.
+    best: list = [(0, 0, ())] + [None] * n
+    for used in range(1, k + 1):
+        longer: list = [None] * (n + 1)
+        for m in range(used, n + 1):
+            options = []
+            for a in range(used - 1, m):
+                head, last = best[a], run(a, m)
+                if head is not None and last is not None:
+                    options.append((combine(head[0], last[0]), head[1] + last[1], head[2], last[2]))
+            if options:
+                cost, norm, centers, j = min(options)
+                longer[m] = (cost, norm, centers + (j,))
+        best = longer
+    return best[n]
+
+
+def _solve_table(
+    coords: Sequence[tuple[int, ...]],
+    universe: Sequence[Point],
+    k: int,
+    p: NormOrder,
+    median: bool,
+    norms: Sequence[int],
+) -> tuple[int, tuple[int, ...]]:
+    """The least (cost, sum of center norms, index tuple) over every k-subset
+    of the sorted `universe`, as (cost, index tuple), costed from its n x n
+    distance table.
+
+    The table holds L times each pair's L1 or L-inf distance, L^2 times the
+    squared L2 distance for k-center, and for k-median under p=2 L times the
+    distance: the `math.isqrt` of the scaled squared distance, which is
+    rational just when that is a perfect square. A candidate's cost is the
+    max (k-center) or sum (k-median) of per-point minima over the table,
+    and a candidate costlier than the best so far is skipped before its
+    tie-break key is built.
+    """
+    n = len(coords)
     needs_root = median and p == 2
 
     def distance(i: int, j: int) -> int:
@@ -378,7 +510,6 @@ def _solve_clustering(
             for j in (*range(k - 1), last):
                 if rows[i][j] < 0:
                     rows[i][j] = rows[j][i] = distance(i, j)
-    norms = [_magnitude(c, p) for c in coords]
     aggregate = sum if median else max
     best_cost, best_tie, best = math.inf, None, ()
     for candidate in combinations(range(n), k):
@@ -391,18 +522,17 @@ def _solve_clustering(
         tie = (sum(norms[j] for j in candidate), candidate)
         if cost < best_cost or tie < best_tie:
             best_cost, best_tie, best = cost, tie, candidate
-    unit = scale * scale if p == 2 and not median else scale
-    return KCenterSolution(tuple(universe[j] for j in best), Fraction(best_cost, unit))
+    return best_cost, best
 
 
 def kcenter_solution(
-    points: Sequence[Point], k: int, p: NormOrder = 2, max_union: int = DEFAULT_MAX_UNION
+    points: Collection[Point], k: int, p: NormOrder = 2, max_union: int = DEFAULT_MAX_UNION
 ) -> KCenterSolution:
     return _solve_clustering(points, k, p, median=False, max_union=max_union)
 
 
 def kmedian_solution(
-    points: Sequence[Point], k: int, p: NormOrder = 2, max_union: int = DEFAULT_MAX_UNION
+    points: Collection[Point], k: int, p: NormOrder = 2, max_union: int = DEFAULT_MAX_UNION
 ) -> KCenterSolution:
     return _solve_clustering(points, k, p, median=True, max_union=max_union)
 
@@ -619,7 +749,7 @@ class ClusteringAlgorithm(Algorithm):
         if len(state) < self.k:
             return NullOutput()
         solve = kmedian_solution if self.median else kcenter_solution
-        return CentersOutput(solve(tuple(state), self.k, self.p, self.max_union).centers)
+        return CentersOutput(solve(state, self.k, self.p, self.max_union).centers)
 
 
 class KCenterAlgorithm(ClusteringAlgorithm):

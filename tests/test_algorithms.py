@@ -355,6 +355,63 @@ def test_clustering_assignment_ties_match_reference(values, p, median):
     assert _SOLVERS[median](points, 2, p) == reference_clustering(points, 2, p, median)
 
 
+@st.composite
+def _line_instances(draw):
+    """A 1-D union of up to 12 points and a k from 1 to its size.
+
+    Mirrored values tie x with -x on every norm, so the index decides;
+    evenly spaced ones tie radii and medians; the coordinates include the
+    large Mersenne denominators.
+    """
+    shape = draw(st.sampled_from(("any", "mirrored", "evenly_spaced")))
+    if shape == "evenly_spaced":
+        start = draw(_coordinates)
+        step = draw(_coordinates.filter(bool).map(abs))
+        values = [start + i * step for i in range(draw(st.integers(1, 12)))]
+    else:
+        values = draw(st.lists(_coordinates, min_size=1, max_size=12, unique=True))
+        if shape == "mirrored":
+            values = sorted({v for x in values for v in (x, -x)})[:12]
+    k = draw(st.integers(min_value=1, max_value=len(values)))
+    return [(v,) for v in values], k
+
+
+def _line(*values):
+    return [(Fraction(v),) for v in values]
+
+
+@given(
+    instance=_line_instances(),
+    p=st.sampled_from((1, 2, NORM_INF)),
+    median=st.booleans(),
+)
+# n == k: every point is its own center at cost 0.
+@example(instance=(_line(-2, -1, "1/3", 5), 4), p=2, median=False)
+@example(instance=(_line(-2, -1, "1/3", 5), 4), p=1, median=True)
+# k == 1 on evenly spaced points: the middle point is the one best center.
+@example(instance=(_line(0, 2, 4, 6, 8), 1), p=2, median=False)
+# An even-sized run: its two middle points tie on cost, on norm too when
+# they mirror each other, and then the smaller index wins.
+@example(instance=(_line(-3, -1, 1, 3), 1), p=1, median=True)
+@example(instance=(_line(-3, -1, 1, 3), 1), p=2, median=False)
+@example(instance=(_line(0, 1, 2, 3, 20, 21), 2), p=NORM_INF, median=True)
+@settings(max_examples=200, deadline=None)
+def test_line_solver_matches_reference_enumeration(instance, p, median):
+    points, k = instance
+    assert _SOLVERS[median](points, k, p) == reference_clustering(points, k, p, median)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("median", (False, True))
+def test_line_solver_serves_a_union_past_the_default_cap(k, median):
+    points = [(Fraction(i * i, 4) - 50,) for i in range(30)]
+    with pytest.raises(InstanceTooLargeError):
+        _SOLVERS[median](points, k)
+    assert _SOLVERS[median](points, k, max_union=30) == reference_clustering(
+        points, k, 2, median, max_union=30
+    )
+
+
 def test_kmedian_irrational_euclidean_distance_is_refused():
     points = [(Fraction(x), Fraction(y)) for x, y in ((0, 0), (1, 1), (2, 0))]
     with pytest.raises(UnsupportedNormError):
