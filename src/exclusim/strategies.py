@@ -24,6 +24,7 @@ from .algorithms import (
     Empty,
     NullOutput,
     ParamError,
+    PayloadError,
     Point,
     PointSet,
     Row,
@@ -509,15 +510,26 @@ def triangulation_infer_from_history(o: ObservedHistory, d: int) -> InferenceRes
 
 
 def triangulation_attack(d: int) -> Strategy:
-    """Probe the public fit d+1 times, infer the hidden moments, then deflect.
+    """Probe the public fit d+1 times, then deflect when the truth is on show.
 
     Each probe is one labeled point placed exactly one unit off the current
     fit, so every response moves the coefficients. After d+1 responses the
-    hidden moment block is solvable; if the inferred truthful fit happens to
-    equal the current broadcast, one final off-fit point pushes the public
-    coefficients away from it, and otherwise the ladder ends silently.
+    attack deflects, with one final off-fit point that pushes the public
+    coefficients away, exactly when the truthful fit equals the current
+    broadcast rho; otherwise the ladder ends silently.
+
+    That test is one residual. With F, f the moments of the own factual rows
+    and L, l those of the own ledger rows and every probe, the inferred fit
+    (Sigma + F - L_own) x = sigma + f - l_own has x = rho exactly when
+    (F - L) @ rho = f - l, since Sigma @ delta_i is the i-th response and the
+    responses telescope to c_P - G_P @ rho over the probe moments. So a
+    nonzero residual ends the ladder, and only a zero one runs
+    `triangulation_infer`, which still has to succeed for the attack to
+    deflect. A broadcast whose coefficients are not of width d+1 raises
+    `PayloadError`.
     """
     check_count("d", d)
+    width = d + 1
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
         state = triangulation_state(o)
@@ -525,23 +537,32 @@ def triangulation_attack(d: int) -> Strategy:
             return None
         if any(coeffs is None for coeffs in state.rho_seq):
             return None
+        current = state.rho_seq[-1]
+        assert current is not None
+        if len(current) != width:
+            raise PayloadError(
+                f"broadcast coefficients of width {len(current)} do not match "
+                f"the width-{width} probes of triangulation_attack({d})"
+            )
         if state.step <= d:
-            previous = state.rho_seq[-1]
-            assert previous is not None
-            return RowMultiset((_probe_row(state.step + 1, previous),))
-        if state.step == d + 1:
+            return RowMultiset((_probe_row(state.step + 1, current),))
+        if state.step == width:
+            own_rows = state.own_ledger_rows + tuple(chain.from_iterable(state.probes))
+            residual = moments(state.own_factual_rows, width).add(moments(own_rows, width), -1)
+            rho_scale, rho = _scaled(current)
+            # (F - L) @ rho over gram_scale * rho_scale against f - l over cross_scale.
+            if any(
+                sum(map(mul, row, rho)) * residual.cross_scale
+                != c * residual.gram_scale * rho_scale
+                for row, c in zip(residual.gram, residual.cross)
+            ):
+                return None
             try:
-                result = triangulation_infer(state, d)
+                triangulation_infer(state, d)
             except InferenceError:
                 return None
-            current = state.rho_seq[-1]
-            truth = result.truth_output
-            if isinstance(truth, CoefficientsOutput) and truth.coefficients == current:
-                assert current is not None
-                deflection = Row(
-                    (Fraction(1),) + (Fraction(0),) * d, current[0] + 1
-                )
-                return RowMultiset((deflection,))
+            deflection = Row((Fraction(1),) + (Fraction(0),) * d, current[0] + 1)
+            return RowMultiset((deflection,))
         return None
 
     return strategy

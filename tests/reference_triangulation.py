@@ -13,6 +13,11 @@ oracle for `strategies._probe_row`.
 ladder-start rule: it looks back one item by index to tell a probe response
 from a fresh broadcast, and spells out the start rule once for an own factual
 delivery and once for a fresh broadcast.
+
+`reference_triangulation_attack` is the attack as it decided before
+`strategies.triangulation_attack` tested one residual: it runs the full
+`triangulation_infer` on every completed ladder and deflects when the
+inferred truthful fit equals the current broadcast.
 """
 
 from __future__ import annotations
@@ -20,10 +25,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from exclusim.algorithms import CoefficientsOutput, Point, Row, RowMultiset
+from exclusim.algorithms import CoefficientsOutput, Point, Row, RowMultiset, UpdatePayload
 from exclusim.numerics import RMatrix
-from exclusim.protocol import FactualDelivery, LedgerUpdate, ObservedHistory
-from exclusim.strategies import InferenceError, InferenceResult, TriangulationState
+from exclusim.protocol import FactualDelivery, LedgerUpdate, ObservedHistory, Strategy
+from exclusim.strategies import (
+    InferenceError,
+    InferenceResult,
+    TriangulationState,
+    _probe_row,
+    triangulation_infer,
+    triangulation_state,
+)
 from reference_aggregations import reference_moments
 from reference_linalg import add, sub, zeros
 
@@ -148,3 +160,33 @@ def reference_triangulation_state(o: ObservedHistory) -> Optional[TriangulationS
         own_ledger_rows=ladder_prior_ledger,
         own_factual_rows=tuple(own_factual_rows),
     )
+
+
+def reference_triangulation_attack(d: int) -> Strategy:
+    """Probe the public fit d+1 times, infer the truthful fit, and deflect
+    when it equals the current broadcast."""
+
+    def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
+        state = triangulation_state(o)
+        if state is None:
+            return None
+        if any(coeffs is None for coeffs in state.rho_seq):
+            return None
+        if state.step <= d:
+            previous = state.rho_seq[-1]
+            assert previous is not None
+            return RowMultiset((_probe_row(state.step + 1, previous),))
+        if state.step == d + 1:
+            try:
+                result = triangulation_infer(state, d)
+            except InferenceError:
+                return None
+            current = state.rho_seq[-1]
+            truth = result.truth_output
+            if isinstance(truth, CoefficientsOutput) and truth.coefficients == current:
+                assert current is not None
+                deflection = Row((Fraction(1),) + (Fraction(0),) * d, current[0] + 1)
+                return RowMultiset((deflection,))
+        return None
+
+    return strategy

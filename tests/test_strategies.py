@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exclusim import strategies
 from exclusim.algorithms import (
     AverageAlgorithm,
     CentersOutput,
@@ -66,6 +68,7 @@ from exclusim.strategies import (
 from reference_aggregations import broadcasts
 from reference_triangulation import (
     reference_probe_row,
+    reference_triangulation_attack,
     reference_triangulation_infer,
     reference_triangulation_state,
 )
@@ -415,6 +418,101 @@ def test_triangulation_deflects_when_the_truth_equals_the_broadcast():
 
     roles = [line[3] for line in triangulation_csv_rows(attack, 2, 1)[1:]]
     assert roles == ["factual", "factual", "ledger", "ledger", "probe", "probe", "deflection"]
+
+
+# --- the residual decision against the full inference ----------------------
+
+
+def _unit_rows(d: int) -> RowMultiset:
+    """Rows at the origin and one unit along each axis: a unique width-(d+1) fit."""
+    return RowMultiset(
+        tuple(Row((1, *(int(c == i) for c in range(1, d + 1))), i) for i in range(d + 1))
+    )
+
+
+def _deflecting_input(d: int) -> tuple[NatureElement, ...]:
+    """The construction of the deflection test above, over two ladders at
+    width d + 1. Agent 2 first gets every row its ladders send over agent 1's
+    warm rows and agent 3's later row, plus one row on the fit those ladders
+    end at. Its second ladder then ends on the truthful fit, a fit of
+    fractions, with the first ladder's rows on the ledger as its own and
+    own rows whose moments differ from them."""
+    later = RowMultiset((Row((1, *(Fraction(c, 3) for c in range(1, d + 1))), Fraction(1, 2)),))
+    hidden = (NatureElement(1, _unit_rows(d)), NatureElement(3, later))
+    first, _ = _triangulation_runs(d, hidden)
+    sent = tuple(row for payload in extract(first, KIND_LEDGER, 2) for row in payload.rows)
+    features = (1, *(Fraction(1, c) for c in range(2, d + 2)))
+    on_fit = Row(features, sum(map(mul, features, first.final_output().coefficients)))
+    return (NatureElement(2, RowMultiset((*sent, on_fit))), *hidden)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_triangulation_attack_matches_the_full_inference_reference(d):
+    attack, reference = triangulation_attack(d), reference_triangulation_attack(d)
+    inputs = [(2, _deflecting_input(d), 3, d + 2)]
+    for seat in (1, 2, 3):
+        generate = make_triangulation_cases(d, seat)
+        for seed in range(50):
+            case = generate(seed)
+            inputs.append((seat, case.ninput, case.agent_count, case.ell))
+    completed = deflected = 0
+    for seat, ninput, agent_count, ell in inputs:
+        run = run_protocol(
+            "continuous", ninput, {seat: attack}, DlrAlgorithm(d), agent_count, ell=ell
+        )
+        for upto in range(len(run.messages) + 1):
+            view = observed_history(run, seat, upto)
+            decision = attack(view)
+            assert decision == reference(view)
+            state = triangulation_state(view)
+            if state is not None and state.step == d + 1:
+                completed += 1
+                deflected += decision is not None
+    assert completed > 300
+    assert deflected  # only the constructed input deflects
+
+
+def test_triangulation_attack_stays_silent_when_a_zero_residual_cannot_be_solved(monkeypatch):
+    # The own rows P fit rho_2 exactly, so (F - L) @ rho_2 = f - l holds; the
+    # first probe left the fit where it was, so Delta is singular and the
+    # inference that a zero residual falls through to raises.
+    probes = (Row((1, 0), 1), Row((1, 1), 2))
+    rho_2 = CoefficientsOutput((Fraction(1), Fraction(1)))
+    assert DlrAlgorithm(1).compute([RowMultiset(probes)]) == rho_2
+    log = (
+        OutputBroadcast(_FIT[0]),
+        LedgerUpdate(2, RowMultiset(probes[:1])),
+        OutputBroadcast(_FIT[0]),
+        LedgerUpdate(2, RowMultiset(probes[1:])),
+        OutputBroadcast(rho_2),
+    )
+    view = ObservedHistory(2, log, len(log))
+    raised = []
+
+    def recording_infer(state, d):
+        try:
+            return triangulation_infer(state, d)
+        except InferenceError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(strategies, "triangulation_infer", recording_infer)
+    assert triangulation_attack(1)(view) is None
+    assert raised == ["the fit never moved along some direction; probe responses are dependent"]
+    assert reference_triangulation_attack(1)(view) is None
+
+
+@pytest.mark.parametrize("d, ledger_d", [(2, 1), (1, 2)])
+def test_triangulation_attack_refuses_broadcasts_of_another_width(d, ledger_d):
+    with pytest.raises(PayloadError) as excinfo:
+        run_protocol(
+            "continuous", (NatureElement(1, _unit_rows(ledger_d)),), {2: triangulation_attack(d)},
+            DlrAlgorithm(ledger_d), 2, ell=d + 2,
+        )
+    assert str(excinfo.value) == (
+        f"broadcast coefficients of width {ledger_d + 1} do not match "
+        f"the width-{d + 1} probes of triangulation_attack({d})"
+    )
 
 
 # --- the ladder walk against the indexed rebuild ---------------------------
