@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import add, mul, sub
-from typing import Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .numerics import RationalLike, _scaled, rational, solve_integer_rows
 
@@ -794,34 +794,43 @@ class DlrAlgorithm(Algorithm):
         return NullOutput() if coefficients is None else CoefficientsOutput(coefficients)
 
 
-_ALGORITHMS: dict[str, tuple[type, tuple[str, ...], tuple[str, ...]]] = {
-    # name: (class, required params, optional params)
-    "max": (MaxAlgorithm, (), ()),
-    "average": (AverageAlgorithm, (), ()),
-    "kcenter": (KCenterAlgorithm, ("k",), ("p", "max_union")),
-    "kmedian": (KMedianAlgorithm, ("k",), ("p", "max_union")),
-    "dlr": (DlrAlgorithm, ("d",), ()),
+def build_named(
+    kind: str, table: Mapping[str, Sequence], name: str, params: Optional[Mapping[str, object]],
+    label: str, optional: Collection[str] = (),
+) -> Any:
+    """`table[name]`'s builder called with `params`: each parameter its entry
+    lists is required unless in `optional`, only `None` means none, and
+    `label` starts the messages."""
+    if name not in table:
+        raise ParamError(f"unknown {kind} '{name}'; expected one of {', '.join(table)}")
+    builder, accepted = table[name][:2]
+    if params is not None and not isinstance(params, Mapping):
+        raise ParamError(f"{label} parameters must be a mapping, got {type(params).__name__}")
+    args = dict(params or {})
+    for key in accepted:
+        if key not in args and key not in optional:
+            raise ParamError(f"{label} needs parameter '{key}'", key)
+    unknown = set(args).difference(accepted)
+    if unknown:
+        raise ParamError(f"unknown {label} parameters: {sorted(unknown)}")
+    return builder(**args)
+
+
+# name -> (class, parameters). `p` and `max_union` may be left to the defaults.
+_ALGORITHMS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "max": (MaxAlgorithm, ()),
+    "average": (AverageAlgorithm, ()),
+    "kcenter": (KCenterAlgorithm, ("k", "p", "max_union")),
+    "kmedian": (KMedianAlgorithm, ("k", "p", "max_union")),
+    "dlr": (DlrAlgorithm, ("d",)),
 }
 
 
-def make_algorithm(name: str, params: Optional[dict] = None) -> Algorithm:
+def make_algorithm(name: str, params: Optional[Mapping[str, object]] = None) -> Algorithm:
     """Build an algorithm from its scenario-file name and parameter object.
 
-    Only `None` means no parameters; any other non-mapping is refused. The
-    constructors check the values: `k`, `max_union` and `d` must be
+    The constructors check the values: `k`, `max_union` and `d` must be
     positive ints, and `p` exactly 1, 2 or "inf". A `ParamError` names the
     parameter at fault in `param`, where there is one.
     """
-    if name not in _ALGORITHMS:
-        raise ParamError(f"unknown algorithm {name!r}")
-    cls, required, optional = _ALGORITHMS[name]
-    if params is not None and not isinstance(params, Mapping):
-        raise ParamError(f"{name} parameters must be a mapping, got {type(params).__name__}")
-    params = dict(params or {})
-    for key in required:
-        if key not in params:
-            raise ParamError(f"{name} needs parameter {key}", key)
-    unknown = set(params) - set(required) - set(optional)
-    if unknown:
-        raise ParamError(f"unknown {name} parameters: {sorted(unknown)}")
-    return cls(**params)
+    return build_named("algorithm", _ALGORITHMS, name, params, name, ("p", "max_union"))

@@ -177,9 +177,10 @@ def _kcenter_sneak(args: argparse.Namespace) -> Attack:
     params = kcenter_sneak_params(args.k, args.eps)
     cluster = PointSet(params.rho_cond.centers)  # type: ignore[union-attr]
     ninput = (NatureElement(1, cluster), NatureElement(2, params.u_cond))
-    return Attack(
-        KCenterAlgorithm(args.k), sneak_attack(params), j=2, ell=1, agent_count=2, ninput=ninput
-    )
+    # Every payload of the run comes from these two sets, 2k + 1 points in all.
+    union = len(set(cluster.points) | set(params.u_cond.points))
+    algorithm = KCenterAlgorithm(args.k, max_union=union)
+    return Attack(algorithm, sneak_attack(params), j=2, ell=1, agent_count=2, ninput=ninput)
 
 
 def _lr_sneak(args: argparse.Namespace) -> Attack:

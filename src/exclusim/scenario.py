@@ -8,11 +8,11 @@ integers; floats, and decimal or exponent strings, are rejected everywhere.
 The decoder builds a value's field path only when the value fails. Algorithm and strategy parameters
 are checked by the constructors that use them; the loader decodes each
 strategy parameter by its kind in `strategies.STRATEGIES` and maps a
-`ParamError` to the parameter's field path. Every payload a run can put on
-the ledger must pass the algorithm's `check`, and all its point sets must
-share one dimension, or the file is refused before the run: nature's
-payloads, each strategy's payload and point parameters, and the payloads a
-strategy makes up by itself.
+`ParamError` to the parameter's field path. The algorithm's `check` decides
+which payloads a file may hold: nature's, each strategy's payload and point
+parameters, and what the table lists that each strategy can send. Nature's
+and the listed payloads reach the ledger, so their point sets must also
+share one dimension. Either fault refuses the file before the run.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .algorithms import (
     Scalar,
     ScalarOutput,
     UpdatePayload,
-    coerce_point,
     make_algorithm,
     moments,
 )
@@ -284,7 +283,7 @@ def output_to_json(output: Optional[AlgorithmOutput]) -> dict:
 _PARAM_DECODERS: dict[str, Callable[[object], object]] = {
     "rational": _rational,
     "count": lambda value: value,
-    "point": lambda value: _point(value) if isinstance(value, list) else _rational(value),
+    "point": lambda value: _point(value) if isinstance(value, list) else (_rational(value),),
     "payload": _payload,
     "output": _output,
 }
@@ -325,11 +324,6 @@ def _taken(algorithm: Algorithm, payload: UpdatePayload) -> UpdatePayload:
     return payload
 
 
-# Strategy parameters that are only compared with the agent's factual data
-# and never reach the ledger, so they need not share its point dimension.
-_WATCHED_PARAMS = {("omit_point", "params.point"), ("sneak", "params.u_cond")}
-
-
 def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     """Validate a parsed scenario object; error messages cite field paths."""
     if not isinstance(data, dict):
@@ -355,6 +349,7 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
 
     strategies: dict[int, Strategy] = {}
     strategy_specs: dict[int, dict] = {}
+    taken = partial(_taken, algorithm)
     # (payload, field path) of each payload a strategy may put on the ledger.
     sent: list[tuple[UpdatePayload, str]] = []
     raw_strategies = {} if data.get("strategies") is None else data["strategies"]
@@ -369,36 +364,25 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         if raw_agent != str(agent):
             raise _fail(path, f"agent {agent} must be keyed as {str(agent)!r}")
         name, params = _name_and_params(spec, path)
-        kinds = STRATEGIES[name][1] if name in STRATEGIES else {}
+        _, kinds, sends = STRATEGIES.get(name, (None, {}, None))
         decoded = dict(params)
-        for key in kinds:
+        for key, kind in kinds.items():
             if key in decoded:
-                decoded[key] = _decode(
-                    _PARAM_DECODERS[kinds[key]], decoded[key], f"{path}.params.{key}"
-                )
+                decoded[key] = _decode(_PARAM_DECODERS[kind], decoded[key], f"{path}.params.{key}")
         try:
             strategies[agent] = make_strategy(name, decoded)
         except ParamError as exc:
             field = f"{path}.params.{exc.param}" if exc.param else path
             raise _fail(field, str(exc)) from exc
-        if name == "triangulation" and not (
-            isinstance(algorithm, DlrAlgorithm) and algorithm.d == decoded["d"]
-        ):
-            raise _fail(f"{path}.params.d", f"triangulation needs dlr with d = {decoded['d']}")
-        # The payloads it makes up, then its payload and point parameters:
-        # one the algorithm would refuse mid-run fails here.
-        checked = [(payload, "name") for payload in STRATEGIES[name][2]] + [
-            (
-                decoded[key] if kind == "payload" else PointSet((coerce_point(decoded[key]),)),
-                f"params.{key}",
-            )
-            for key, kind in kinds.items()
-            if kind in ("payload", "point")
-        ]
-        for payload, field in checked:
-            _decode(partial(_taken, algorithm), payload, f"{path}.{field}")
-            if (name, field) not in _WATCHED_PARAMS:
-                sent.append((payload, f"{path}.{field}"))
+        # A payload the algorithm would refuse mid-run fails here: each payload
+        # or point parameter, and each payload the strategy can send.
+        for key, kind in kinds.items():
+            if kind in ("payload", "point"):
+                payload = decoded[key] if kind == "payload" else PointSet((decoded[key],))
+                _decode(taken, payload, f"{path}.params.{key}")
+        for field, payload in sends(decoded):
+            field = f"{path}.{field}"
+            sent.append((_decode(taken, payload, field), field))
         strategy_specs[agent] = {"name": name, "params": dict(params)}
 
     dimensions: set[int] = set()
@@ -414,9 +398,7 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
     def element(entry: object) -> NatureElement:
         if not isinstance(entry, dict):
             raise _Invalid("expected an element object")
-        payload = _field(
-            entry, "payload", lambda raw: one_dimension(_taken(algorithm, _payload(raw)))
-        )
+        payload = _field(entry, "payload", lambda raw: one_dimension(taken(_payload(raw))))
         return NatureElement(entry.get("agent"), payload, entry.get("round"))
 
     elements = _decode(

@@ -2,7 +2,8 @@
 max and average, the triangulation probe ladder for linear regression, and the
 exact inference helpers that decode what the truthful outcome would have been.
 `STRATEGIES` gives each strategy a scenario file can name, with the kinds of
-its parameters and of the payloads it makes up; the builders check the values.
+its parameters and what it can send; the builders check the values, and the
+algorithm's `check` decides which of those payloads a ledger takes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .algorithms import (
     ScalarOutput,
     ScaledMoments,
     UpdatePayload,
+    build_named,
     check_count,
     coerce_point,
     moments,
@@ -671,53 +673,55 @@ def lr_sneak_params() -> SneakParams:
 # =============================================================================
 
 
-# name -> (builder, {parameter: kind}, payloads). A scenario file gives each
+def _makes_up(payload: UpdatePayload) -> Callable:
+    return lambda params: (("name", payload),)
+
+
+def _sends(*keys: str) -> Callable:
+    return lambda params: tuple((f"params.{key}", params[key]) for key in keys)
+
+
+# name -> (builder, {parameter: kind}, sends). A scenario file gives each
 # parameter in the JSON form of its kind: rational, count, point, payload or
-# output. `payloads` holds one payload of each kind the strategy makes up by
-# itself, besides its parameters and its echoes of nature's payloads.
-STRATEGIES: dict[
-    str, tuple[Callable[..., Strategy], dict[str, str], tuple[UpdatePayload, ...]]
-] = {
-    "truthful": (lambda: truthful_strategy, {}, ()),
-    "max_echo": (max_echo_attack, {}, (Scalar(0),)),
-    "max_overbid": (max_overbid, {"value": "rational"}, (Scalar(0),)),
-    "average_probe": (average_double_probe, {}, (_PROBE_ZERO,)),
+# output. `sends` maps the parameters to what the strategy can put on the
+# ledger besides its echoes of nature's payloads, as (field, payload) pairs:
+# a payload of each kind it makes up under "name", each parameter it sends
+# under "params.<key>".
+STRATEGIES: dict[str, tuple[Callable[..., Strategy], dict[str, str], Callable]] = {
+    "truthful": (lambda: truthful_strategy, {}, _sends()),
+    "max_echo": (max_echo_attack, {}, _makes_up(Scalar(0))),
+    "max_overbid": (max_overbid, {"value": "rational"}, _makes_up(Scalar(0))),
+    "average_probe": (average_double_probe, {}, _makes_up(_PROBE_ZERO)),
     "kcenter_sneak": (
         lambda k, eps: sneak_attack(kcenter_sneak_params(k, eps)),
         {"k": "count", "eps": "rational"},
-        (PointSet(((1,),)),),
+        _makes_up(PointSet(((1,),))),
     ),
-    "lr_sneak": (lambda: sneak_attack(lr_sneak_params()), {}, (lr_sneak_params().u_attack,)),
-    # Its rows have width d + 1, which the scenario loader checks against the ledger.
-    "triangulation": (triangulation_attack, {"d": "count"}, ()),
+    "lr_sneak": (
+        lambda: sneak_attack(lr_sneak_params()), {}, _makes_up(lr_sneak_params().u_attack)
+    ),
+    # Its probe rows have width d + 1.
+    "triangulation": (
+        triangulation_attack,
+        {"d": "count"},
+        lambda params: (("params.d", RowMultiset((_probe_row(1, (0,) * (params["d"] + 1)),))),),
+    ),
     "sneak": (
         lambda **params: sneak_attack(SneakParams(**params)),
         {"u_cond": "payload", "rho_cond": "output", "u_attack": "payload", "u_resync": "payload"},
-        (),
+        _sends("u_attack", "u_resync"),
     ),
-    "omit_point": (omit_point, {"point": "point"}, ()),
-    "fabricate_point": (fabricate_point, {"point": "point"}, ()),
-    "fabricate_rows": (fabricate_rows, {"rows": "payload"}, ()),
+    # The point is only compared with the agent's own data.
+    "omit_point": (omit_point, {"point": "point"}, _sends()),
+    "fabricate_point": (
+        fabricate_point,
+        {"point": "point"},
+        lambda params: (("params.point", PointSet((coerce_point(params["point"]),))),),
+    ),
+    "fabricate_rows": (fabricate_rows, {"rows": "payload"}, _sends("rows")),
 }
 
 
 def make_strategy(name: str, params: Optional[Mapping[str, object]] = None) -> Strategy:
-    """Build a named strategy from a parameter mapping, as scenario files do.
-
-    Only `None` means no parameters; any other non-mapping is refused.
-    """
-    if name not in STRATEGIES:
-        raise ParamError(f"unknown strategy '{name}'; expected one of {', '.join(STRATEGIES)}")
-    builder, kinds, _ = STRATEGIES[name]
-    if params is not None and not isinstance(params, Mapping):
-        raise ParamError(
-            f"strategy '{name}' parameters must be a mapping, got {type(params).__name__}"
-        )
-    args = dict(params or {})
-    for key in kinds:
-        if key not in args:
-            raise ParamError(f"strategy '{name}' needs parameter '{key}'", key)
-    unused = set(args) - set(kinds)
-    if unused:
-        raise ParamError(f"unused parameters for strategy '{name}': {sorted(unused)}")
-    return builder(**args)
+    """Build a named strategy from a parameter mapping, as scenario files do."""
+    return build_named("strategy", STRATEGIES, name, params, f"strategy '{name}'")

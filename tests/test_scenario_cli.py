@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -775,8 +776,8 @@ _STRATEGY_PARAMS = {
 }
 
 
-# A ledger that takes each strategy's payload and point parameters and the
-# payloads it makes up, with a nature payload for it; the strategies not
+# A ledger that takes each strategy's payload and point parameters and what
+# it can send, with a nature payload for it; the strategies not
 # listed load on `max`.
 _STRATEGY_LEDGERS = {
     "average_probe": ({"name": "average"}, _POINTS),
@@ -837,12 +838,116 @@ def test_triangulation_must_match_the_dlr_algorithm():
         strategies={"2": spec},
         nature_input=[{"agent": 1, "payload": _ROWS}],
     )
-    for data in (other_d, _minimal_dict(strategies={"2": spec})):
+    # The algorithm's own `check` refuses the strategy's width-3 probe rows.
+    for data, message in (
+        (other_d, "rows of width 3 on a 1-dimensional regression ledger"),
+        (_minimal_dict(strategies={"2": spec}), "expected Scalar payloads, got RowMultiset"),
+    ):
         with pytest.raises(ValidationError) as excinfo:
             scenario_from_dict(data)
-        assert str(excinfo.value) == (
-            "strategies.2.params.d: triangulation needs dlr with d = 2"
-        )
+        assert str(excinfo.value) == f"strategies.2.params.d: {message}"
+
+
+# name -> (algorithm, payload shape): "scalar", 1 for points on the line, or
+# the row width.
+_SWEEP_LEDGERS = {
+    "max": ({"name": "max"}, "scalar"),
+    "average": ({"name": "average"}, 1),
+    "kcenter": ({"name": "kcenter", "params": {"k": 2}}, 1),
+    "kmedian": ({"name": "kmedian", "params": {"k": 2}}, 1),
+    "dlr_1": ({"name": "dlr", "params": {"d": 1}}, 2),
+    "dlr_2": ({"name": "dlr", "params": {"d": 2}}, 3),
+}
+_ON_POINTS = ("average", "kcenter", "kmedian")
+# strategy -> (the ledgers it loads on, the field that refuses it on the others)
+_SWEEP_OUTCOMES = {
+    "truthful": (tuple(_SWEEP_LEDGERS), None),
+    "max_echo": (("max",), "name"),
+    "max_overbid": (("max",), "name"),
+    "average_probe": (_ON_POINTS, "name"),
+    "kcenter_sneak": (_ON_POINTS, "name"),
+    "lr_sneak": (("dlr_1",), "name"),
+    "triangulation": (("dlr_1",), "params.d"),
+    "sneak": (tuple(_SWEEP_LEDGERS), None),
+    "omit_point": (_ON_POINTS, "params.point"),
+    "fabricate_point": (_ON_POINTS, "params.point"),
+    "fabricate_rows": (("dlr_1", "dlr_2"), "params.rows"),
+}
+
+
+def _sweep_payload(rng: random.Random, shape) -> dict:
+    def value() -> str:
+        return f"{rng.randint(-5, 5)}/{rng.choice((1, 2, 3))}"
+
+    if shape == "scalar":
+        return {"kind": "scalar", "value": value()}
+    if shape == 1:
+        points = sorted({rng.randint(-5, 5) for _ in range(rng.randint(1, 3))})
+        return {"kind": "points", "points": [[x] for x in points]}
+    rows = [
+        {"features": [1] + [value() for _ in range(shape - 1)], "target": value()}
+        for _ in range(rng.randint(1, 3))
+    ]
+    return {"kind": "rows", "rows": rows}
+
+
+def _sweep_scenario(name: str, ledger: str, seed: int) -> dict:
+    algorithm, shape = _SWEEP_LEDGERS[ledger]
+    rng = random.Random(f"sweep:{name}:{ledger}:{seed}")
+    first = _sweep_payload(rng, shape)
+    if shape not in ("scalar", 1):
+        # Unit rows first, so the opening fit is unique.
+        first["rows"] = [
+            {"features": [1] + [int(i == j) for j in range(shape - 1)], "target": i}
+            for i in range(shape)
+        ]
+    elements = [{"agent": 1, "payload": first}] + [
+        {"agent": rng.randint(1, 3), "payload": _sweep_payload(rng, shape)}
+        for _ in range(rng.randint(2, 5))
+    ]
+    # A payload of the ledger's own kind, unlike any of nature's.
+    if shape == "scalar":
+        swapped = {"kind": "scalar", "value": 100}
+    elif shape == 1:
+        swapped = {"kind": "points", "points": [[100]]}
+    else:
+        swapped = {"kind": "rows", "rows": [{"features": [1] * shape, "target": 100}]}
+    point = first["points"][0] if shape == 1 else 1
+    rows = _sweep_payload(rng, 2 if shape in ("scalar", 1) else shape)
+    params = {
+        "max_overbid": {"value": "7/2"},
+        "kcenter_sneak": {"k": 3, "eps": "1/1000"},
+        "triangulation": {"d": 1},
+        "sneak": {
+            "u_cond": first, "rho_cond": {"kind": "null"}, "u_attack": swapped,
+            "u_resync": {"kind": "empty"},
+        },
+        "omit_point": {"point": point},
+        "fabricate_point": {"point": 5},
+        "fabricate_rows": {"rows": rows},
+    }.get(name)
+    spec = {"name": name, "params": params} if params else {"name": name}
+    return _minimal_dict(
+        ell=3, agents=3, algorithm=algorithm, strategies={"2": spec}, nature_input=elements
+    )
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_a_loaded_scenario_never_refuses_a_payload_mid_run(name):
+    # Every strategy on every algorithm, over small generated nature inputs:
+    # the loader refuses a payload the algorithm cannot take at the field of
+    # the strategy that can send it, so a run that starts never raises
+    # PayloadError.
+    assert set(_SWEEP_OUTCOMES) == set(STRATEGIES)
+    loads_on, field = _SWEEP_OUTCOMES[name]
+    for ledger in _SWEEP_LEDGERS:
+        for seed in range(30):
+            data = _sweep_scenario(name, ledger, seed)
+            if ledger not in loads_on:
+                with pytest.raises(ValidationError, match=rf"^strategies\.2\.{field}: "):
+                    scenario_from_dict(data)
+                continue
+            run_scenario(scenario_from_dict(data))
 
 
 @pytest.mark.parametrize(
@@ -990,6 +1095,15 @@ def test_cli_demo_kcenter(capsys):
     ]
 
 
+def test_cli_demo_kcenter_sneak_past_the_default_union_cap(capsys):
+    # k = 10 makes a union of 21 points, one past the default cap; the demo
+    # used to exit 1 with InstanceTooLargeError.
+    assert main(["attack-demo", "kcenter_sneak", "--k", "10"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.endswith("differs true")
+    assert second == "classification: omission"
+
+
 def test_cli_demo_lr(capsys):
     assert main(["attack-demo", "lr_sneak"]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -1081,6 +1195,15 @@ def test_cli_verify_inference(tmp_path):
     assert report["attack"] == "max_echo"
     assert report["inference_pass_rate"] == 1
     assert report["expectation_met"] is True
+
+
+def test_cli_triangulation_runs_at_d_of_10(capsys):
+    # The case generator used to draw its hidden row count from an empty
+    # range for d >= 10, and both commands exited 1.
+    assert main(["attack-demo", "triangulation", "--d", "10"]) == 0
+    assert "(exact match: true)" in capsys.readouterr().out
+    assert main(["verify", "inference", "--attack", "triangulation", "--d", "10", "--count", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["inference_pass_rate"] == 1
 
 
 def test_cli_verify_star_expects_echo_failure(capsys):
