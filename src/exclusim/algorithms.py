@@ -16,13 +16,13 @@ scale times the target scale (a `ScaledMoments`), and k-center and k-median
 the point union, which `output` solves. The engines keep one running state
 per run; `compute(ledger)` folds a whole ledger.
 
-Everything is exact rational arithmetic. `moments` scales the features to
-integers by their least common denominator, and the targets by theirs, and
-sums plain ints; a regression fold rescales each block of two such records
-to the lcm of its two scales and adds ints, and `output` hands the integer
-normal equations straight to the fraction-free solve and rescales the
-solution by the ratio of the two scales. Only the coefficients become
-`Fraction`s.
+Everything is exact rational arithmetic. A regression fold is one kernel,
+`ScaledMoments.plus_rows`: it scales each row to ints, its features by
+their least common denominator and its target by its own, raises a block's
+scale only when the row's does not divide it, and adds the row's integer
+outer products; `output` hands the integer normal equations straight to the
+fraction-free solve and rescales the solution by the ratio of the two
+scales. Only the coefficients become `Fraction`s.
 The clustering solvers are exact on one coordinate scale per solve: they
 scale the input union's coordinates by the lcm of all their denominators
 and work in ints. A union on the line is solved by a dynamic program over
@@ -41,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations, product, repeat, starmap
 from operator import add, mul, sub
 from typing import Any, Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -546,11 +546,12 @@ class ScaledMoments(NamedTuple):
     """Moments in integers, each block over its own positive scale.
 
     `gram[i][j]` is `gram_scale` times the entry of X^T X, and `cross[i]` is
-    `cross_scale` times the entry of X^T y. For rows with f the least common
-    denominator of their features and t that of their targets, `gram_scale`
-    is f * f and `cross_scale` is f * t; once records are added, each scale
-    is the lcm of the two. So the Gram block never carries the targets'
-    denominators, which in a probe ladder grow with every fit.
+    `cross_scale` times the entry of X^T y. A row with f the least common
+    denominator of its features and t that of its target has its Gram
+    outer product over f * f and its cross product over f * t, and each
+    scale of a record is a common multiple of those of its rows. So the
+    Gram block never carries the targets' denominators, which in a probe
+    ladder grow with every fit.
     """
 
     gram_scale: int
@@ -574,6 +575,45 @@ class ScaledMoments(NamedTuple):
             tuple(p * x + q * y for x, y in zip(self.cross, other.cross)),
         )
 
+    def plus_rows(self, rows: Sequence[Row], sign: int = 1) -> "ScaledMoments":
+        """`self` plus `sign` times the moments of `rows`, folded one row at a time.
+
+        A row's features become ints over f, the lcm of their denominators,
+        and its target an int over its denominator t. With g the gcd of a
+        block's scale and the row's (f * f for the Gram block, f * t for the
+        cross block), the block's scale rises to their lcm only when the
+        row's does not divide it, the block is multiplied by the ratio, and
+        the row's integer outer product enters times the old scale over g. A
+        row of another width raises `PayloadError`.
+        """
+        if not rows:
+            return self
+        width = len(self.cross)
+        gram_scale, cross_scale, cross = self.gram_scale, self.cross_scale, self.cross
+        gram = list(chain.from_iterable(self.gram))  # flattened row by row
+        for row in rows:
+            if len(row.features) != width:
+                raise PayloadError(f"row width {row.width} does not match {width}")
+            f, x = _scaled(row.features)
+            square, ft = f * f, f * row.target.denominator
+            g = math.gcd(gram_scale, square)
+            a = sign * (gram_scale // g)
+            ratio = square // g
+            if ratio != 1:
+                gram_scale *= ratio
+                gram = [ratio * v for v in gram]
+            g = math.gcd(cross_scale, ft)
+            b = sign * (cross_scale // g) * row.target.numerator
+            ratio = ft // g
+            if ratio != 1:
+                cross_scale *= ratio
+                cross = [ratio * v for v in cross]
+            # a * x x^T in the Gram's order, and b * x, without a Python-level loop.
+            gram = list(map(add, gram, starmap(mul, product(x, map(mul, x, repeat(a))))))
+            cross = list(map(add, cross, map(mul, x, repeat(b))))
+        rows_of_gram = (tuple(gram[i : i + width]) for i in range(0, width * width, width))
+        return ScaledMoments(gram_scale, tuple(rows_of_gram), cross_scale, tuple(cross))
+
     def solve(self) -> Optional[tuple[Fraction, ...]]:
         """The coefficients that solve the normal equations, or None while the
         Gram matrix is singular.
@@ -591,36 +631,10 @@ class ScaledMoments(NamedTuple):
 
 
 def moments(rows: Sequence[Row], width: int) -> ScaledMoments:
-    """The moments X^T X and X^T y of `rows` (all of width `width`).
-
-    The features are scaled by the least common denominator f of all the
-    feature values and the targets by that of the targets, t, so the Gram
-    entries are sums of plain ints over f * f and the cross entries over
-    f * t. Additive under concatenation: the blocks of `moments(a + b)`
-    over their scales are those of `moments(a).add(moments(b))`.
-    """
-    for row in rows:
-        if row.width != width:
-            raise PayloadError(f"row width {row.width} does not match {width}")
-    # Not needed for correctness: a fifth of probe-ladder calls are empty and this is ~10x cheaper.
-    if not rows:
-        zeros = (0,) * width
-        return ScaledMoments(1, (zeros,) * width, 1, zeros)
-    feature_scale, flat = _scaled([v for row in rows for v in row.features])
-    target_scale, targets = _scaled([row.target for row in rows])
-    # columns[i]: the i-th feature of every row, times `feature_scale`.
-    columns = [flat[i::width] for i in range(width)]
-    gram = [[0] * width for _ in range(width)]
-    for i in range(width):
-        for j in range(i, width):
-            gram[i][j] = gram[j][i] = sum(map(mul, columns[i], columns[j]))
-    cross = tuple(sum(map(mul, column, targets)) for column in columns)
-    return ScaledMoments(
-        feature_scale * feature_scale,
-        tuple(map(tuple, gram)),
-        feature_scale * target_scale,
-        cross,
-    )
+    """The moments X^T X and X^T y of `rows`, each of width `width`: the zero
+    record folded with `plus_rows`."""
+    zeros = (0,) * width
+    return ScaledMoments(1, (zeros,) * width, 1, zeros).plus_rows(rows)
 
 
 # =============================================================================
@@ -765,7 +779,7 @@ class DlrAlgorithm(Algorithm):
     """Least-squares fit of all rows, Null while the Gram matrix is singular.
 
     State: the `ScaledMoments` of the rows so far; a fold adds the
-    payload's.
+    payload's rows with `plus_rows`.
     """
 
     name = "dlr"
@@ -787,7 +801,7 @@ class DlrAlgorithm(Algorithm):
     def fold(self, state: ScaledMoments, payload: UpdatePayload) -> ScaledMoments:
         if not self.check(payload):
             return state
-        return state.add(moments(payload.rows, self.d + 1))
+        return state.plus_rows(payload.rows)
 
     def output(self, state: ScaledMoments) -> AlgorithmOutput:
         coefficients = state.solve()

@@ -718,8 +718,9 @@ def make_triangulation_cases(d: int, j: int = 2) -> CaseGenerator:
     """Regression streams over three agents that trigger full probe ladders at
     window d + 2.
 
-    The agents other than j receive max(3, d + 1) to max(10, d + 1) labeled
-    points in total, with every coordinate a rational in [-10, 10]. The first
+    The agents other than j receive max(3, d + 1) to max(10, 2 * (d + 1))
+    labeled points in total, with every coordinate a rational in [-10, 10],
+    so hidden rows spread over several elements at every d. The first
     element warms another agent's ledger into an invertible state; any
     remaining hidden points arrive as later elements whose echoes re-trigger
     fresh probe ladders. Some scenarios also hand j its own factual rows
@@ -730,7 +731,7 @@ def make_triangulation_cases(d: int, j: int = 2) -> CaseGenerator:
     def generate(seed: int) -> GeneratedCase:
         rng = random.Random(f"triangulation:{d}:{seed}")
         hidden_agents = [a for a in (1, 2, 3) if a != j]
-        hidden_total = rng.randint(max(3, d + 1), max(10, d + 1))
+        hidden_total = rng.randint(max(3, d + 1), max(10, 2 * (d + 1)))
         warm_count = rng.randint(d + 1, hidden_total)
         elements = [NatureElement(1, RowMultiset(_warm_rows(rng, d, warm_count)))]
         leftover = hidden_total - warm_count

@@ -32,10 +32,12 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 
 # The string forms `rational` reads: a signed numerator, an optional denominator.
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -75,8 +77,13 @@ def rational(value: RationalLike) -> Fraction:
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm of the denominators of `values`, and `values` times it as ints."""
-    scale = math.lcm(*[v.denominator for v in values])
+    """The lcm of the denominators of `values`, and `values` times it as ints.
+
+    Integer values, the common case of a feature row, take no division.
+    """
+    scale = math.lcm(*map(_DENOMINATOR, values))
+    if scale == 1:
+        return 1, list(map(_NUMERATOR, values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 

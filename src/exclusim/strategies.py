@@ -436,10 +436,11 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     - A_(i-1) @ delta_i, the i-th response. So Sigma solves
     Delta^T @ Sigma^T = R^T, with the deltas and the responses as the columns
     of Delta and R, and sigma = Sigma @ rho_0. The moments, the responses
-    and the own-row correction Sigma - (own ledger) + (own factual) are
-    computed in ints: each Gram block over its own scale, each cross vector
-    and response over its own, so the probe targets' large denominators
-    stay out of the Gram blocks. Each entry returned is one `Fraction`.
+    and the own-row correction, which `plus_rows` folds into Sigma (the own
+    factual rows added, the own ledger rows taken away), are computed in
+    ints: each Gram block over its own scale, each cross vector and response
+    over its own, so the probe targets' large denominators stay out of the
+    Gram blocks. Each entry returned is one `Fraction`.
     """
     width = d + 1
     if state.step < width:
@@ -491,9 +492,7 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
         cross_scale,
         tuple(cross),
     )
-    own_ledger = moments(state.own_ledger_rows, width)
-    correction = moments(state.own_factual_rows, width).add(own_ledger, -1)
-    solution = sigma.add(correction).solve()
+    solution = sigma.plus_rows(state.own_factual_rows).plus_rows(state.own_ledger_rows, -1).solve()
     if solution is None:
         raise InferenceError("the truthful data does not determine a unique fit")
     return InferenceResult(
@@ -550,7 +549,7 @@ def triangulation_attack(d: int) -> Strategy:
             return RowMultiset((_probe_row(state.step + 1, current),))
         if state.step == width:
             own_rows = state.own_ledger_rows + tuple(chain.from_iterable(state.probes))
-            residual = moments(state.own_factual_rows, width).add(moments(own_rows, width), -1)
+            residual = moments(state.own_factual_rows, width).plus_rows(own_rows, -1)
             rho_scale, rho = _scaled(current)
             # (F - L) @ rho over gram_scale * rho_scale against f - l over cross_scale.
             if any(

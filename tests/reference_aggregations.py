@@ -11,8 +11,9 @@ costs every k-subset from scratch with `Fraction` distances, as the solvers
 did before they worked on one integer coordinate scale.
 
 `reference_moments` sums the regression moments as `Fraction` outer
-products, the oracle of the integer `algorithms.moments`; `divided` turns a
-`ScaledMoments` into the same `MomentPair` for comparison. `lr_cost` and
+products, the oracle of the integer kernel `ScaledMoments.plus_rows` and of
+`algorithms.moments`; `divided` turns a `ScaledMoments` into the same
+`MomentPair` for comparison. `lr_cost` and
 `predict` evaluate a fit row by row, the oracle of the harness's cost gaps.
 
 `reference_points`, `reference_union` and `reference_rows` read a ledger's

@@ -29,6 +29,7 @@ from exclusim.algorithms import (
     RowMultiset,
     Scalar,
     ScalarOutput,
+    ScaledMoments,
     UnsupportedNormError,
     kcenter_solution,
     kmedian_solution,
@@ -753,6 +754,80 @@ def test_dlr_output_is_the_same_for_any_split_of_the_rows(case):
     whole = algorithm.fold(algorithm.start(), RowMultiset(rows))
     split = reduce(algorithm.fold, _split(rows, cuts), algorithm.start())
     assert algorithm.output(split) == algorithm.output(whole)
+
+
+def _moments_or_message(function, *args):
+    """`function(*args)` over its scales, or the message of its `PayloadError`."""
+    try:
+        result = function(*args)
+    except PayloadError as exc:
+        return str(exc)
+    return divided(result) if isinstance(result, ScaledMoments) else result
+
+
+def _kernel_case(width: int):
+    # Rows whose non-intercept features are all zero or carry the wide
+    # denominators, so the Gram scale rises partway through a fold.
+    features = st.one_of(
+        st.just((0,) * (width - 1)), st.tuples(*[_wide_fraction] * (width - 1))
+    )
+    row = st.tuples(features, _target).map(lambda pair: Row((1, *pair[0]), pair[1]))
+    return st.tuples(
+        st.just(width),
+        st.lists(row, max_size=4),
+        st.lists(row, max_size=6),
+        st.lists(st.integers(min_value=0, max_value=6), max_size=4),
+    )
+
+
+_RISING = [
+    Row((1, 2), 1),
+    Row((1, Fraction(1, 3)), Fraction(1, 2**521 - 1)),
+    Row((1, Fraction(1, 2)), Fraction(5, 2**607 - 1)),
+]
+
+
+@given(
+    case=st.integers(min_value=1, max_value=4).flatmap(_kernel_case),
+    sign=st.sampled_from((1, -1)),
+    stray=st.none() | st.integers(min_value=0, max_value=6),
+)
+@example(case=(2, [], _RISING, [1, 2]), sign=-1, stray=None)
+@example(case=(2, _RISING[:1], _RISING[1:], []), sign=1, stray=None)
+@example(case=(3, [], [], []), sign=-1, stray=None)
+@example(case=(3, [Row((1, 0, 0), Fraction(1, 3))], [Row((1, 0, 0), 2)], [1]), sign=-1, stray=0)
+@settings(max_examples=200, deadline=None)
+def test_plus_rows_over_its_scales_is_the_outer_product_sum(case, sign, stray):
+    # `moments` and `plus_rows` with either sign equal the Fraction outer
+    # products, and a row of the wrong width gives the reference's message;
+    # folding payload by payload reaches the same moments as all rows at once.
+    width, base, rows, cuts = case
+    if stray is not None:
+        rows = rows[:stray] + [Row((1,) * (width + 1), 0)] + rows[stray:]
+    expected = _moments_or_message(reference_moments, rows, width)
+    assert _moments_or_message(moments, rows, width) == expected
+    if not isinstance(expected, str):
+        before = reference_moments(base, width)
+        expected = type(expected)(
+            *(
+                RMatrix([[a + sign * b for a, b in zip(*pair)] for pair in zip(x.rows, y.rows)])
+                for x, y in zip(before, expected)
+            )
+        )
+    assert _moments_or_message(moments(base, width).plus_rows, rows, sign) == expected
+    if stray is None:
+        folded = reduce(lambda m, p: m.plus_rows(p.rows), _split(rows, cuts), moments((), width))
+        assert divided(folded) == divided(moments(rows, width))
+
+
+def test_plus_rows_raises_a_scale_only_when_the_row_needs_it():
+    # Features over 3 and then 2 raise the Gram scale to 9 and then 36; a
+    # row over 1 leaves it, and the cross scale takes each target's too.
+    rising = moments(_RISING, 2)
+    assert rising.gram_scale == 36
+    assert rising.cross_scale == 6 * (2**521 - 1) * (2**607 - 1)
+    assert moments(_RISING[:2], 2).plus_rows(_RISING[:1]).gram_scale == 9
+    assert moments((), 2).plus_rows(()) == moments((), 2)
 
 
 def test_fold_states_are_reusable_values():

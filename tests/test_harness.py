@@ -657,11 +657,11 @@ def test_average_generator_puts_probe_agent_last():
 
 @pytest.mark.parametrize("d", [9, 10, 16])
 def test_triangulation_generator_hides_enough_rows_for_every_d(d):
-    # The hidden rows number max(3, d + 1) to max(10, d + 1).
+    # The hidden rows number max(3, d + 1) to max(10, 2 * (d + 1)).
     generate = make_triangulation_cases(d)
     for seed in range(5):
         hidden = [e.payload for e in generate(seed).ninput if e.agent != 2]
-        assert max(3, d + 1) <= sum(len(p.rows) for p in hidden) <= max(10, d + 1)
+        assert max(3, d + 1) <= sum(len(p.rows) for p in hidden) <= max(10, 2 * (d + 1))
 
 
 def test_triangulation_generator_warm_start_is_invertible():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -41,6 +43,7 @@ from exclusim.protocol import (
     observed_history,
     run_protocol,
 )
+from exclusim.scenario import trace_lines
 from exclusim.strategies import (
     InferenceError,
     SneakParams,
@@ -65,7 +68,7 @@ from exclusim.strategies import (
     triangulation_infer_from_history,
     triangulation_state,
 )
-from reference_aggregations import broadcasts
+from reference_aggregations import broadcasts, fit_from_moments, reference_moments
 from reference_triangulation import (
     reference_probe_row,
     reference_triangulation_attack,
@@ -717,6 +720,54 @@ def test_triangulation_infer_matches_the_reference_off_any_ledger():
     got = triangulation_infer(skewed, 1)
     assert got.sigma_matrix != got.sigma_matrix.transpose()
     assert got == reference_triangulation_infer(skewed, 1)
+
+
+def _long_triangulation_stream(seed: int, length: int) -> tuple[NatureElement, ...]:
+    """A d = 1 ladder stream of `length` elements over three agents, attacker 2.
+
+    Agent 1 opens with rows of two distinct x; the hidden agents never get
+    more than two elements in a row (the window is 3), and the attacker's
+    four own elements each sit between two hidden ones, so every echo
+    re-triggers a ladder and no truthful echo is dropped. Coordinates are
+    halves in [-10, 10].
+    """
+    rng = random.Random(f"long-triangulation:{seed}")
+
+    def rows(count: int) -> tuple[Row, ...]:
+        return tuple(
+            Row((1, Fraction(rng.randint(-20, 20), 2)), Fraction(rng.randint(-20, 20), 2))
+            for _ in range(count)
+        )
+
+    recipients, streak = [1], 1
+    for _ in range(length - 5):
+        agent = rng.choice([a for a in (1, 3) if a != recipients[-1] or streak <= 1])
+        streak = streak + 1 if agent == recipients[-1] else 1
+        recipients.append(agent)
+    for offset, slot in enumerate(sorted(rng.sample(range(1, len(recipients)), 4))):
+        recipients.insert(slot + offset, 2)
+    warm = rows(3)
+    while len({row.features for row in warm}) < 2:
+        warm = rows(3)
+    payloads = [warm] + [rows(rng.randint(1, 3)) for _ in recipients[1:]]
+    return tuple(NatureElement(a, RowMultiset(p)) for a, p in zip(recipients, payloads))
+
+
+# sha256 of the trace of `_long_triangulation_stream(0, 112)` under the attack.
+LONG_TRIANGULATION_TRACE_SHA256 = "58c8fe9f2ec535915cbeda273e29d5004418f6d384904b5f8a4a424b4f1c9f8f"
+
+
+def test_long_triangulation_stream_keeps_its_trace_and_recovers_the_truth():
+    # Along a long stream the probe targets carry the denominators of dozens
+    # of fits, so the own-row cross scale grows with every ladder.
+    ninput = _long_triangulation_stream(0, 112)
+    run = run_protocol(
+        "continuous", ninput, {2: triangulation_attack(1)}, DlrAlgorithm(1), 3, ell=3
+    )
+    trace = "".join(line + "\n" for line in trace_lines(run)).encode()
+    assert hashlib.sha256(trace).hexdigest() == LONG_TRIANGULATION_TRACE_SHA256
+    truth = fit_from_moments(reference_moments([r for e in ninput for r in e.payload.rows]))
+    assert triangulation_infer_from_history(observed_history(run, 2), 1).truth_output == truth
 
 
 # Fits whose denominators run to hundreds of bits, as they do along a ladder.
