@@ -22,7 +22,8 @@ their least common denominator and its target by its own, raises a block's
 scale only when the row's does not divide it, and adds the row's integer
 outer products; `output` hands the integer normal equations straight to the
 fraction-free solve and rescales the solution by the ratio of the two
-scales. Only the coefficients become `Fraction`s.
+scales. Only the coefficients become `Fraction`s. `ScaledMoments.residual`
+states the residual G @ x - c; other modules never read the integer blocks.
 The clustering solvers are exact on one coordinate scale per solve: they
 scale the input union's coordinates by the lcm of all their denominators
 and work in ints. A union on the line is solved by a dynamic program over
@@ -559,21 +560,14 @@ class ScaledMoments(NamedTuple):
     cross_scale: int
     cross: tuple[int, ...]
 
-    def add(self, other: "ScaledMoments", sign: int = 1) -> "ScaledMoments":
-        """`self` plus `sign` times `other`, each block over the lcm of its two scales."""
-        gram_scale = math.lcm(self.gram_scale, other.gram_scale)
-        a, b = gram_scale // self.gram_scale, sign * (gram_scale // other.gram_scale)
-        cross_scale = math.lcm(self.cross_scale, other.cross_scale)
-        p, q = cross_scale // self.cross_scale, sign * (cross_scale // other.cross_scale)
-        return ScaledMoments(
-            gram_scale,
-            tuple(
-                tuple(a * x + b * y for x, y in zip(row, other_row))
-                for row, other_row in zip(self.gram, other.gram)
-            ),
-            cross_scale,
-            tuple(p * x + q * y for x, y in zip(self.cross, other.cross)),
-        )
+    @classmethod
+    def of(cls, gram: Sequence[Sequence[Fraction]], cross: Sequence[Fraction]) -> "ScaledMoments":
+        """The record of rational blocks, each over the lcm of its denominators."""
+        width = len(cross)
+        gram_scale, entries = _scaled(list(chain.from_iterable(gram)))
+        cross_scale, ints = _scaled(cross)
+        rows = (tuple(entries[i : i + width]) for i in range(0, width * width, width))
+        return cls(gram_scale, tuple(rows), cross_scale, tuple(ints))
 
     def plus_rows(self, rows: Sequence[Row], sign: int = 1) -> "ScaledMoments":
         """`self` plus `sign` times the moments of `rows`, folded one row at a time.
@@ -613,6 +607,17 @@ class ScaledMoments(NamedTuple):
             cross = list(map(add, cross, map(mul, x, repeat(b))))
         rows_of_gram = (tuple(gram[i : i + width]) for i in range(0, width * width, width))
         return ScaledMoments(gram_scale, tuple(rows_of_gram), cross_scale, tuple(cross))
+
+    def residual(self, x: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+        """G @ x - c at the rational point `x`, as ints over one scale: the lcm of
+        gram_scale * s, with s that of x's denominators, and cross_scale."""
+        x_scale, ints = _scaled(x)
+        fitted_scale = self.gram_scale * x_scale
+        scale = math.lcm(fitted_scale, self.cross_scale)
+        a, b = scale // fitted_scale, scale // self.cross_scale
+        return scale, tuple(
+            a * sum(map(mul, row, ints)) - b * c for row, c in zip(self.gram, self.cross)
+        )
 
     def solve(self) -> Optional[tuple[Fraction, ...]]:
         """The coefficients that solve the normal equations, or None while the

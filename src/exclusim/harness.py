@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, islice
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algorithms import (
@@ -46,7 +46,7 @@ from .algorithms import (
     moments,
     payload_union,
 )
-from .numerics import RationalLike, _scaled
+from .numerics import RationalLike
 from .protocol import (
     KIND_FACTUAL,
     KIND_LEDGER,
@@ -502,17 +502,12 @@ def _append_to_last_round(
 
 def _cost_gap(rows: Sequence[Row], fit: Point, other: Point) -> Fraction:
     """How much more the squared residuals of `rows` sum to at `other` than at
-    `fit`, their least-squares fit.
-
-    That is delta^T G delta, with delta = other - fit and G the Gram matrix
-    of `rows`, since the cross term vanishes by the normal equations; so it
-    is never negative. It is computed in ints, with G over its scale and
-    delta over the lcm of its denominators.
+    `fit`, their least-squares fit: delta^T G delta with delta = other - fit,
+    as the cross term vanishes. Since G @ fit = c, that is delta . (G @ other
+    - c), with the residual of the rows' moments, and it is never negative.
     """
-    gram_scale, gram, _, _ = moments(rows, len(fit))
-    scale, delta = _scaled([b - a for a, b in zip(fit, other)])
-    form = sum(x * sum(map(mul, row, delta)) for x, row in zip(delta, gram))
-    return Fraction(form, gram_scale * scale * scale)
+    scale, residual = moments(rows, len(fit)).residual(other)
+    return sum(map(mul, map(sub, other, fit), residual), Fraction(0)) / scale
 
 
 def periodic_lambda_confounder(

@@ -27,6 +27,7 @@ must keep.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -34,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algorithms import Algorithm, AlgorithmOutput, UpdatePayload
 
-SAFETY_CAP = 10_000
+SAFETY_CAP = 500
 
 
 class InputError(ValueError):
@@ -51,7 +52,13 @@ class InputError(ValueError):
 
 
 class SafetyCapExceededError(RuntimeError):
-    """A single nature element kept the activity loop alive beyond `SAFETY_CAP` passes."""
+    """A nature element kept the activity loop alive beyond `SAFETY_CAP` passes.
+
+    The cap counts passes, not time. A lone triangulation prober needs about
+    d + 3 (13 at d = 10, the most seen), while two d = 5 probers answer each
+    other's broadcasts forever and take seconds to reach it. The message names
+    each writer's updates.
+    """
 
 
 # =============================================================================
@@ -296,14 +303,18 @@ def _run_continuous(
     watchers = [agent for agent in agents if agent in strategies]
 
     for element in ninput:
+        start = len(messages)
         messages.append(FactualDelivery(element.agent, element.payload))
         grown = {element.agent}
         passes = 0
         while grown:
             passes += 1
             if passes > SAFETY_CAP:
+                writers = Counter(m.agent for m in messages[start:] if isinstance(m, LedgerUpdate))
+                counts = ", ".join(f"{agent} ({writers[agent]})" for agent in sorted(writers))
                 raise SafetyCapExceededError(
-                    f"activity loop exceeded {SAFETY_CAP} polling passes for one nature element"
+                    f"activity loop exceeded {SAFETY_CAP} polling passes for one nature "
+                    f"element; its ledger updates came from agents {counts}"
                 )
             for agent in agents:
                 if agent not in grown:

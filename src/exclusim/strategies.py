@@ -9,12 +9,11 @@ algorithm's `check` decides which of those payloads a ledger takes.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
-from operator import mul
+from itertools import accumulate, chain, islice
+from operator import sub
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algorithms import (
@@ -41,7 +40,7 @@ from .algorithms import (
     payload_difference,
     payload_union,
 )
-from .numerics import RationalLike, RMatrix, _scaled, rational
+from .numerics import RationalLike, RMatrix, rational
 from .protocol import (
     KIND_FACTUAL,
     KIND_LEDGER,
@@ -430,17 +429,16 @@ class InferenceResult:
 def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     """Solve the probe responses for the hidden moments and the truthful fit.
 
-    With G_i and c_i the moments of the i-th probe, A_i = G_1 + ... + G_i,
-    rho_i the fit after it and delta_i = rho_i - rho_(i-1), the normal
-    equations of two consecutive fits give Sigma @ delta_i = c_i - G_i @ rho_i
-    - A_(i-1) @ delta_i, the i-th response. So Sigma solves
-    Delta^T @ Sigma^T = R^T, with the deltas and the responses as the columns
-    of Delta and R, and sigma = Sigma @ rho_0. The moments, the responses
-    and the own-row correction, which `plus_rows` folds into Sigma (the own
-    factual rows added, the own ledger rows taken away), are computed in
-    ints: each Gram block over its own scale, each cross vector and response
-    over its own, so the probe targets' large denominators stay out of the
-    Gram blocks. Each entry returned is one `Fraction`.
+    With Sigma, sigma the ledger moments when the ladder started, A_i, C_i
+    those of the first i probes and rho_i the fit after them, the normal
+    equations (Sigma + A_i) @ rho_i = sigma + C_i give Sigma @ rho_i - sigma
+    = s_i, where s_i = C_i - A_i @ rho_i is minus the probes' residual at
+    rho_i (s_0 = 0). So Sigma @ delta_i = r_i, the i-th response, with
+    delta_i = rho_i - rho_(i-1) and r_i = s_i - s_(i-1): Sigma solves
+    Delta^T @ Sigma^T = R^T, with the deltas and responses as the columns of
+    Delta and R, and sigma = Sigma @ rho_0. `plus_rows` folds the own-row
+    correction into Sigma (own factual rows in, own ledger rows out). Each
+    entry returned is one `Fraction`.
     """
     width = d + 1
     if state.step < width:
@@ -451,28 +449,14 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     rho = state.rho_seq[: width + 1]
     if any(coeffs is None for coeffs in rho):
         raise InferenceError("a probe response was Null; the ledger fit vanished")
-    scaled_rho = [_scaled(coeffs) for coeffs in rho]
-    delta_columns: list[tuple[Fraction, ...]] = []
-    response_columns: list[tuple[Fraction, ...]] = []
-    accumulated = moments((), width)
-    for i in range(1, width + 1):
-        probe = moments(state.probes[i - 1], width)
-        (t, current), (u, previous) = scaled_rho[i], scaled_rho[i - 1]
-        delta_scale = math.lcm(t, u)
-        delta = [
-            x * (delta_scale // t) - y * (delta_scale // u) for x, y in zip(current, previous)
-        ]
-        # c_i over probe.cross_scale, G_i @ rho_i over probe.gram_scale * t,
-        # A_(i-1) @ delta_i over accumulated.gram_scale * delta_scale.
-        fitted = [sum(map(mul, g, current)) for g in probe.gram]
-        carried = [sum(map(mul, a, delta)) for a in accumulated.gram]
-        scales = (probe.cross_scale, probe.gram_scale * t, accumulated.gram_scale * delta_scale)
-        response_scale = math.lcm(*scales)
-        a, b, c = (response_scale // scale for scale in scales)
-        response = [a * x - b * y - c * z for x, y, z in zip(probe.cross, fitted, carried)]
-        delta_columns.append(tuple(Fraction(v, delta_scale) for v in delta))
-        response_columns.append(tuple(Fraction(v, response_scale) for v in response))
-        accumulated = accumulated.add(probe)
+    # A_i, C_i for i = 0 .. d+1, and s_i from their residual at rho_i; s_0 = 0.
+    probes = accumulate(state.probes[:width], ScaledMoments.plus_rows, initial=moments((), width))
+    s = [(Fraction(0),) * width] + [
+        tuple(Fraction(-v, scale) for v in residual)
+        for scale, residual in map(ScaledMoments.residual, islice(probes, 1, None), rho[1:])
+    ]
+    delta_columns = [tuple(map(sub, b, a)) for a, b in zip(rho, rho[1:])]
+    response_columns = [tuple(map(sub, b, a)) for a, b in zip(s, s[1:])]
     # The columns of Delta and R are the rows of Delta^T and R^T.
     sigma_transposed = RMatrix._exact(tuple(delta_columns)).solve(
         RMatrix._exact(tuple(response_columns))
@@ -483,15 +467,7 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
         )
     sigma_matrix = sigma_transposed.transpose()
     sigma_vector = sigma_matrix @ RMatrix.column(rho[0])
-    # Sigma row by row over its own scale, sigma over its own.
-    gram_scale, gram = _scaled(list(chain.from_iterable(sigma_matrix.rows)))
-    cross_scale, cross = _scaled(sigma_vector.column_values())
-    sigma = ScaledMoments(
-        gram_scale,
-        tuple(tuple(gram[i : i + width]) for i in range(0, width * width, width)),
-        cross_scale,
-        tuple(cross),
-    )
+    sigma = ScaledMoments.of(sigma_matrix.rows, sigma_vector.column_values())
     solution = sigma.plus_rows(state.own_factual_rows).plus_rows(state.own_ledger_rows, -1).solve()
     if solution is None:
         raise InferenceError("the truthful data does not determine a unique fit")
@@ -520,11 +496,10 @@ def triangulation_attack(d: int) -> Strategy:
     broadcast rho; otherwise the ladder ends silently.
 
     That test is one residual. With F, f the moments of the own factual rows
-    and L, l those of the own ledger rows and every probe, the inferred fit
-    (Sigma + F - L_own) x = sigma + f - l_own has x = rho exactly when
-    (F - L) @ rho = f - l, since Sigma @ delta_i is the i-th response and the
-    responses telescope to c_P - G_P @ rho over the probe moments. So a
-    nonzero residual ends the ladder, and only a zero one runs
+    and L, l those of the own ledger rows and every probe, the inferred fit x
+    solves (Sigma + F - L_own) x = sigma + f - l_own, where Sigma @ rho - sigma
+    = s_(d+1) (see `triangulation_infer`); so x = rho exactly when the
+    residual of F - L at rho is zero. Only then does it run
     `triangulation_infer`, which still has to succeed for the attack to
     deflect. A broadcast whose coefficients are not of width d+1 raises
     `PayloadError`.
@@ -549,14 +524,8 @@ def triangulation_attack(d: int) -> Strategy:
             return RowMultiset((_probe_row(state.step + 1, current),))
         if state.step == width:
             own_rows = state.own_ledger_rows + tuple(chain.from_iterable(state.probes))
-            residual = moments(state.own_factual_rows, width).plus_rows(own_rows, -1)
-            rho_scale, rho = _scaled(current)
-            # (F - L) @ rho over gram_scale * rho_scale against f - l over cross_scale.
-            if any(
-                sum(map(mul, row, rho)) * residual.cross_scale
-                != c * residual.gram_scale * rho_scale
-                for row, c in zip(residual.gram, residual.cross)
-            ):
+            own = moments(state.own_factual_rows, width).plus_rows(own_rows, -1)
+            if any(own.residual(current)[1]):
                 return None
             try:
                 triangulation_infer(state, d)

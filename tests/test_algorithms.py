@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from operator import mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -450,7 +451,7 @@ def test_moments_known_grams():
     assert m_cond == reference_moments(cond.rows)
     assert m_cond.gram == RMatrix([[3, 3], [3, 9]])
     assert m_cond.cross.column_values() == (Fraction(3), Fraction(3))
-    assert divided(moments(attack.rows, 2).add(moments(resync.rows, 2))) == m_cond
+    assert divided(moments(attack.rows, 2).plus_rows(resync.rows)) == m_cond
 
 
 def test_moments_additive_over_concatenation():
@@ -458,7 +459,7 @@ def test_moments_additive_over_concatenation():
     b = _rows((2, 2))
     ab = divided(moments(a.rows + b.rows, 2))
     assert ab == reference_moments(a.rows + b.rows)
-    assert ab == divided(moments(a.rows, 2).add(moments(b.rows, 2)))
+    assert ab == divided(moments(a.rows, 2).plus_rows(b.rows))
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -828,6 +829,54 @@ def test_plus_rows_raises_a_scale_only_when_the_row_needs_it():
     assert rising.cross_scale == 6 * (2**521 - 1) * (2**607 - 1)
     assert moments(_RISING[:2], 2).plus_rows(_RISING[:1]).gram_scale == 9
     assert moments((), 2).plus_rows(()) == moments((), 2)
+
+
+def _residual_case(width: int):
+    # Two row lists for the folded record and a point with wide or huge
+    # denominators.
+    return st.tuples(_kernel_case(width), st.tuples(*[_target] * width))
+
+
+_LARGE_POINT = (Fraction(1, 2**607 - 1), Fraction(-5, 2**521 - 1))
+
+
+@given(case=st.integers(min_value=1, max_value=4).flatmap(_residual_case))
+@example(case=((2, _RISING, [], []), _LARGE_POINT))
+@example(case=((2, _RISING[:1], _RISING[1:], []), _LARGE_POINT))
+@example(case=((3, [], [], []), (Fraction(1, 3), 0, Fraction(-2, 7))))
+@settings(max_examples=200, deadline=None)
+def test_residual_over_its_scale_is_the_normal_equations_residual(case):
+    # G @ x - c of a record folded with both signs, over the one scale it
+    # comes with, equals the Fraction residual of the reference moments, and
+    # it is all zeros at the solution of invertible rows.
+    (width, rows, more, _), x = case
+    scale, residual = moments(rows, width).plus_rows(more, -1).residual(x)
+    plus, minus = reference_moments(rows, width), reference_moments(more, width)
+    gram = [[a - b for a, b in zip(*pair)] for pair in zip(plus.gram.rows, minus.gram.rows)]
+    cross = map(sub, plus.cross.column_values(), minus.cross.column_values())
+    expected = tuple(sum(map(mul, row, x)) - c for row, c in zip(gram, cross))
+    assert tuple(Fraction(v, scale) for v in residual) == expected
+    fit = moments(rows, width).solve()
+    if fit is not None:
+        assert moments(rows, width).residual(fit)[1] == (0,) * width
+
+
+@given(case=st.integers(min_value=1, max_value=4).flatmap(_kernel_case))
+@example(case=(2, _RISING, [], []))
+@settings(max_examples=100, deadline=None)
+def test_of_divided_blocks_gives_back_the_blocks_and_the_solution(case):
+    width, rows, _, _ = case
+    folded = moments(rows, width)
+    blocks = divided(folded)
+    rebuilt = ScaledMoments.of(blocks.gram.rows, blocks.cross.column_values())
+    assert divided(rebuilt) == blocks
+    assert rebuilt.solve() == folded.solve()
+
+
+def test_of_takes_each_block_over_its_own_lcm():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    record = ScaledMoments.of(((half, 1), (1, third)), (Fraction(1, 5), 2))
+    assert record == ScaledMoments(6, ((3, 6), (6, 2)), 5, (1, 10))
 
 
 def test_fold_states_are_reusable_values():

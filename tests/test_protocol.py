@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,22 @@ def test_safety_cap_stops_runaway_loop(monkeypatch):
             2,
             ell=1,
         )
+
+
+def test_two_triangulation_probers_end_at_the_cap_naming_both():
+    # Each prober takes the other's probe broadcasts for fresh data and
+    # restarts its ladder, so neither goes quiet. The cap counts passes; at
+    # d = 1 it ends the element within a second and names who kept writing.
+    rows = RowMultiset((Row((1, 0), 1), Row((1, 1), 2), Row((1, 3), 2)))
+    probers = {2: triangulation_attack(1), 3: triangulation_attack(1)}
+    start = time.monotonic()
+    with pytest.raises(SafetyCapExceededError) as raised:
+        run_protocol("continuous", (NatureElement(1, rows),), probers, DlrAlgorithm(1), 3, ell=3)
+    assert time.monotonic() - start < 1
+    assert str(raised.value) == (
+        f"activity loop exceeded {SAFETY_CAP} polling passes for one nature element; "
+        f"its ledger updates came from agents 1 (1), 2 ({SAFETY_CAP}), 3 ({SAFETY_CAP})"
+    )
 
 
 def test_continuous_rejects_rounds_and_bad_agents():

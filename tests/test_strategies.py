@@ -646,10 +646,17 @@ def _inference_fields(function, state, d):
     return tuple(getattr(result, f.name) for f in dataclasses.fields(result))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+# The seeds of each width, and a floor on the distinct ladder states they show.
+_REFERENCE_LADDERS = {
+    1: (range(150), 300), 2: (range(150), 300), 3: (range(150), 300), 5: (range(60), 100)
+}
+
+
+@pytest.mark.parametrize("d", sorted(_REFERENCE_LADDERS))
 def test_triangulation_infer_matches_the_fraction_reference(d):
-    states = _ladder_states(d, range(150))
-    assert len(states) > 300
+    seeds, floor = _REFERENCE_LADDERS[d]
+    states = _ladder_states(d, seeds)
+    assert len(states) > floor
     for state in states:
         got = _inference_fields(triangulation_infer, state, d)
         assert got == _inference_fields(reference_triangulation_infer, state, d)
