@@ -46,7 +46,7 @@ from itertools import accumulate, chain, combinations, product, repeat, starmap
 from operator import add, mul, sub
 from typing import Any, Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .numerics import RationalLike, _scaled, rational, solve_integer_rows
+from .numerics import RationalLike, _scaled, is_int, rational, solve_integer_rows
 
 DEFAULT_MAX_UNION = 20
 NORM_INF = "inf"
@@ -274,7 +274,7 @@ def check_norm_order(p: NormOrder) -> NormOrder:
 
 def check_count(name: str, value: object) -> int:
     """`value` itself when it is a positive int (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise ParamError(f"{name} must be an integer, got {value!r}", name)
     if value < 1:
         raise ParamError(f"{name} must be positive, got {value}", name)

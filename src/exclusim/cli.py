@@ -36,6 +36,7 @@ from .algorithms import (
     format_point,
 )
 from .harness import (
+    GENERATOR_BOUND_NOTE,
     CaseGenerator,
     ConfoundingWitness,
     PairedVerdict,
@@ -378,28 +379,28 @@ def _suite_condition_i(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def _suite_condition_i_star(args: argparse.Namespace) -> tuple[dict, bool]:
     attack, report = _attack_under_test(args)
-    star = check_condition_i_star(
+    seeds = check_condition_i_star(
         attack.algorithm, attack.strategy, attack.j, attack.cases, args.count, seed=args.seed
     )
-    report["seeds"] = star["seeds"]
+    report["seeds"] = {"start": args.seed, "count": args.count}
     report["condition_i_star"] = {
-        "pass": star["pass"],
-        "non_differing_seeds": star["non_differing_seeds"],
-        "generator_bound": star["generator_bound"],
+        "pass": not seeds,
+        "non_differing_seeds": seeds,
+        "generator_bound": GENERATOR_BOUND_NOTE,
     }
-    return report, star["pass"] == attack.star_passes
+    return report, (not seeds) == attack.star_passes
 
 
 def _suite_inference(args: argparse.Namespace) -> tuple[dict, bool]:
     attack, report = _attack_under_test(args)
-    rep = verify_inference(
+    failed = verify_inference(
         attack.algorithm, attack.strategy, attack.decode, attack.cases, args.count,
         j=attack.j, seed=args.seed,
     )
-    report["seeds"] = rep["seeds"]
-    report["inference_pass_rate"] = format_rational(rep["pass_rate"])
-    report["inference_failed_seeds"] = rep["failed_seeds"]
-    return report, rep["pass_rate"] == 1
+    report["seeds"] = {"start": args.seed, "count": args.count}
+    report["inference_pass_rate"] = format_rational(Fraction(args.count - len(failed), args.count))
+    report["inference_failed_seeds"] = failed
+    return report, not failed
 
 
 # --algorithm -> (the attack played, seeded swap scenario, round-based confounder)

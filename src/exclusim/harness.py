@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, islice
 from operator import mul, sub
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algorithms import (
     Algorithm,
@@ -46,7 +46,7 @@ from .algorithms import (
     moments,
     payload_union,
 )
-from .numerics import RationalLike
+from .numerics import RationalLike, is_int
 from .protocol import (
     KIND_FACTUAL,
     KIND_LEDGER,
@@ -170,18 +170,11 @@ def check_condition_i_star(
     scenario_generator: CaseGenerator,
     count: int,
     seed: int = 0,
-) -> dict:
-    """Check that every generated scenario ends on a moved final output."""
+) -> list[int]:
+    """The seeds, in order, of the generated scenarios whose final output did not move."""
     check_count("count", count)
     verdicts = _case_verdicts(algorithm, strategy, j, scenario_generator, count, seed)
-    non_differing = [case_seed for case_seed, verdict in verdicts if not verdict.differs]
-    return {
-        "count": count,
-        "seeds": {"start": seed, "count": count},
-        "pass": not non_differing,
-        "non_differing_seeds": non_differing,
-        "generator_bound": GENERATOR_BOUND_NOTE,
-    }
+    return [case_seed for case_seed, verdict in verdicts if not verdict.differs]
 
 
 def verify_inference(
@@ -192,11 +185,11 @@ def verify_inference(
     count: int,
     j: int,
     seed: int = 0,
-) -> dict:
-    """Check the inference decodes the truthful final output on every scenario.
+) -> list[int]:
+    """The seeds, in order, of the generated scenarios where the inference missed.
 
-    The inference callable receives the attacker's observed history from the
-    attack run; it must return exactly the truthful run's final broadcast.
+    The inference receives the attacker's observed history from the attack run
+    and must return exactly the truthful run's final broadcast; `InferenceError` is a miss.
     """
     check_count("count", count)
     failed: list[int] = []
@@ -209,29 +202,22 @@ def verify_inference(
             estimate = None
         if estimate != verdict.truth_final:
             failed.append(case_seed)
-    rate = Fraction(count - len(failed), count)
-    return {
-        "count": count,
-        "seeds": {"start": seed, "count": count},
-        "pass_rate": rate,
-        "failed_seeds": failed,
-        "generator_bound": GENERATOR_BOUND_NOTE,
-    }
+    return failed
 
 
 def certify_attack(
     condition_i: PairedVerdict,
-    inference_report: Mapping,
-    star_report: Optional[Mapping] = None,
+    failed_seeds: Sequence[int],
+    non_differing_seeds: Optional[Sequence[int]] = None,
 ) -> dict:
     """Roll the individual checks into the two demonstration labels.
 
-    A moved final plus a fully exact inference demonstrates vulnerability on
-    the tested suite; the starred label additionally needs every generated
-    scenario to move the final output.
+    A moved final plus no `failed_seeds` from `verify_inference` demonstrates
+    vulnerability on the tested suite; the starred label also needs the
+    `non_differing_seeds` of `check_condition_i_star` (None: not checked) empty.
     """
-    vulnerable = condition_i.differs and inference_report["pass_rate"] == 1
-    star = bool(vulnerable and star_report is not None and star_report["pass"])
+    vulnerable = condition_i.differs and not failed_seeds
+    star = vulnerable and non_differing_seeds is not None and not non_differing_seeds
     return {
         "vulnerable_demonstrated": vulnerable,
         "vulnerable_star_demonstrated": star,
@@ -404,7 +390,7 @@ def find_confounding_pair(
     bounds the number of candidate pairs compared. The candidates append
     elements without a round, so the search runs on continuous inputs only.
     """
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+    if not is_int(budget) or budget < 0:
         raise ParamError(f"budget must be a non-negative integer, got {budget!r}", "budget")
     base = tuple(base_inputs)
     count = max(_agent_count(base, j), 2)

@@ -47,6 +47,11 @@ class DimensionError(ValueError):
     """Matrix shapes do not admit the requested operation."""
 
 
+def is_int(value: object) -> bool:
+    """Whether `value` is an int and not a bool, though `bool` subclasses `int`."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational.
 
@@ -69,7 +74,7 @@ def rational(value: RationalLike) -> Fraction:
             return Fraction(int(numerator))
         return Fraction(int(numerator), int(denominator))
     # `int` before `Fraction`: a failing check against an abstract base class is slow.
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_int(value):
         return Fraction(value)
     if isinstance(value, Fraction):
         return value

@@ -34,6 +34,7 @@ from itertools import islice
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algorithms import Algorithm, AlgorithmOutput, UpdatePayload
+from .numerics import is_int
 
 SAFETY_CAP = 500
 
@@ -106,7 +107,6 @@ class Run:
     """A full protocol transcript."""
 
     protocol: str  # "continuous" | "periodic"
-    agent_count: int
     messages: tuple[Message, ...]
     ell: Optional[int] = None
 
@@ -196,10 +196,6 @@ def truthful_strategy(obs: ObservedHistory) -> Optional[UpdatePayload]:
 # =============================================================================
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _not_int(value: object, path: str) -> InputError:
     return InputError(f"expected an integer, got {value!r}", path)
 
@@ -221,7 +217,7 @@ def validate_run(
     """
     if protocol not in ("continuous", "periodic"):
         raise InputError(f"expected 'continuous' or 'periodic', got {protocol!r}", "protocol")
-    if ell is not None and not _is_int(ell):
+    if ell is not None and not is_int(ell):
         raise _not_int(ell, "ell")
     if protocol == "periodic":
         if ell is not None:
@@ -230,12 +226,12 @@ def validate_run(
         raise InputError("continuous runs need an update window", "ell")
     elif ell < 1:
         raise InputError(f"must be at least 1, got {ell}", "ell")
-    if not _is_int(agent_count):
+    if not is_int(agent_count):
         raise _not_int(agent_count, "agents")
     if agent_count < 1:
         raise InputError(f"must be at least 1, got {agent_count}", "agents")
     for agent in strategies:
-        if not _is_int(agent):
+        if not is_int(agent):
             raise _not_int(agent, f"strategies.{agent}")
         if not 1 <= agent <= agent_count:
             raise InputError(f"agent {agent} outside 1..{agent_count}", f"strategies.{agent}")
@@ -243,9 +239,9 @@ def validate_run(
     previous = 1
     for index, el in enumerate(elements):
         # The path is built only for the element at fault.
-        if not _is_int(el.agent):
+        if not is_int(el.agent):
             raise _not_int(el.agent, f"nature_input[{index}].agent")
-        if el.round is not None and not _is_int(el.round):
+        if el.round is not None and not is_int(el.round):
             raise _not_int(el.round, f"nature_input[{index}].round")
         message, suffix = None, ".round"
         if not 1 <= el.agent <= agent_count:
@@ -335,7 +331,7 @@ def _run_continuous(
                 messages.append(broadcast)
                 grown.update(watchers)
 
-    return Run("continuous", agent_count, tuple(messages), ell=ell)
+    return Run("continuous", tuple(messages), ell=ell)
 
 
 def _run_periodic(
@@ -369,7 +365,7 @@ def _run_periodic(
             state, broadcast = folded, OutputBroadcast(algorithm.output(folded))
         messages.append(broadcast)
 
-    return Run("periodic", agent_count, tuple(messages), ell=None)
+    return Run("periodic", tuple(messages), ell=None)
 
 
 def run_protocol(

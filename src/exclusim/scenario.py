@@ -44,7 +44,7 @@ from .algorithms import (
     make_algorithm,
     moments,
 )
-from .numerics import rational
+from .numerics import is_int, rational
 from .protocol import (
     FactualDelivery,
     InputError,
@@ -160,7 +160,7 @@ def _list(raw: object, decoder: Callable[[object], T], noun: str, empty: bool = 
 
 
 def _int(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise _Invalid(f"expected an integer, got {value!r}")
     return value
 

@@ -161,10 +161,10 @@ def test_criterion_2_max_echo_and_confounding_search():
     assert verdict.attack_final == ScalarOutput(Fraction(100))
     assert verdict.truth_final == ScalarOutput(Fraction(110))
 
-    report = verify_inference(
+    failed = verify_inference(
         algorithm, max_echo_attack(), max_infer, make_max_cases(), count=500, j=1
     )
-    assert report["pass_rate"] == 1, f"failed seeds: {report['failed_seeds']}"
+    assert failed == [], f"failed seeds: {failed}"
 
     # The overbid is the minimal strategy whose every run moves the final;
     # on the base stream it admits the constructed indistinguishable pair.

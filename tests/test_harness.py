@@ -29,6 +29,7 @@ from exclusim.algorithms import (
     moments,
 )
 from exclusim.harness import (
+    GENERATOR_BOUND_NOTE,
     ConfoundingWitness,
     NotApplicableError,
     _agent_count,
@@ -120,21 +121,26 @@ def test_truth_lossless_flags_a_guard_dropped_truthful_echo():
 
 
 def test_condition_i_star_average_all_move():
-    report = check_condition_i_star(
+    non_differing = check_condition_i_star(
         AverageAlgorithm(), average_double_probe(), 2, make_average_cases(), count=10
     )
-    assert report["pass"]
-    assert report["non_differing_seeds"] == []
+    assert non_differing == []
 
 
 def test_condition_i_star_echo_fails_on_quiet_seeds():
     # The scalar generator sometimes hands the echoing agent nothing, so the
     # every-scenario version of the check must come back failed.
-    report = check_condition_i_star(
-        MaxAlgorithm(), max_echo_attack(), 1, make_max_cases(), count=30
-    )
-    assert not report["pass"]
-    assert report["non_differing_seeds"]
+    cases = make_max_cases()
+    non_differing = check_condition_i_star(MaxAlgorithm(), max_echo_attack(), 1, cases, count=30)
+    assert non_differing
+    assert non_differing == sorted(set(non_differing))
+    for seed in range(30):
+        case = cases(seed)
+        verdict = check_condition_i(
+            MaxAlgorithm(), max_echo_attack(), 1, case.ninput,
+            ell=case.ell, protocol=case.protocol, agent_count=case.agent_count,
+        )
+        assert (seed in non_differing) is not verdict.differs
 
 
 @pytest.mark.parametrize("count", [0, -1, True, 2.5])
@@ -160,36 +166,58 @@ def test_confounding_search_refuses_a_budget_that_is_not_a_count(budget):
 
 
 def test_verify_inference_max_perfect():
-    report = verify_inference(
+    failed = verify_inference(
         MaxAlgorithm(), max_echo_attack(), max_infer, make_max_cases(), count=25, j=1
     )
-    assert report["pass_rate"] == 1
-    assert report["failed_seeds"] == []
+    assert failed == []
 
 
 def test_verify_inference_average_perfect():
     def infer(observed):
         return ScalarOutput(average_infer_from_history(observed).true_average)
 
-    report = verify_inference(
+    failed = verify_inference(
         AverageAlgorithm(), average_double_probe(), infer, make_average_cases(),
         count=25, j=2,
     )
-    assert report["pass_rate"] == 1
+    assert failed == []
 
 
 def test_certify_attack_labels():
     ninput = _scalar_input((2, 100), (1, 110))
     verdict = check_condition_i(MaxAlgorithm(), max_echo_attack(), 1, ninput, ell=1)
-    inference = verify_inference(
+    failed = verify_inference(
         MaxAlgorithm(), max_echo_attack(), max_infer, make_max_cases(), count=10, j=1
     )
-    star = check_condition_i_star(
+    non_differing = check_condition_i_star(
         MaxAlgorithm(), max_echo_attack(), 1, make_max_cases(), count=10
     )
-    certificate = certify_attack(verdict, inference, star)
+    assert failed == [] and non_differing != []
+    certificate = certify_attack(verdict, failed, non_differing)
     assert certificate["vulnerable_demonstrated"]
     assert not certificate["vulnerable_star_demonstrated"]
+    # Every label combination: no failed seed or some, and condition (i*)
+    # unchecked, passed or failed. A final that never moved demonstrates nothing.
+    still = check_condition_i(
+        MaxAlgorithm(), max_echo_attack(), 1, _scalar_input((1, 110)), ell=1
+    )
+    assert not still.differs
+    for failed_seeds, non_differing_seeds, labels in [
+        ([], None, (True, False)),
+        ([], [], (True, True)),
+        ([], [3], (True, False)),
+        ([4], None, (False, False)),
+        ([4], [], (False, False)),
+        ([4], [3], (False, False)),
+    ]:
+        certificate = certify_attack(verdict, failed_seeds, non_differing_seeds)
+        assert (
+            certificate["vulnerable_demonstrated"], certificate["vulnerable_star_demonstrated"]
+        ) == labels
+        assert certificate["epistemic_note"] == GENERATOR_BOUND_NOTE
+        unmoved = certify_attack(still, failed_seeds, non_differing_seeds)
+        assert not unmoved["vulnerable_demonstrated"]
+        assert not unmoved["vulnerable_star_demonstrated"]
 
 
 def test_monotonicity_smoke_check():

@@ -29,7 +29,12 @@ from exclusim.algorithms import (
     make_algorithm,
 )
 from exclusim.cli import ATTACKS, PERIODIC_SCENARIOS, build_parser, main
-from exclusim.harness import check_condition_i, check_condition_i_star, verify_inference
+from exclusim.harness import (
+    GENERATOR_BOUND_NOTE,
+    check_condition_i,
+    check_condition_i_star,
+    verify_inference,
+)
 from exclusim.scenario import (
     PreconditionError,
     ValidationError,
@@ -1222,6 +1227,47 @@ def test_cli_verify_condition_i(capsys):
     assert report["protocol"] == "continuous"
 
 
+# Every `exclusim verify` command of the CI console-script step, in its order.
+VERIFY_COMMANDS = [
+    "inference --attack max_echo --count 5",
+    "condition_i_star --attack max_echo --count 5",
+    "inference --attack average --count 5",
+    "condition_i_star --attack average --count 5",
+    "inference --attack triangulation --count 5",
+    "condition_i_star --attack triangulation --count 5",
+    "condition_i_star --attack triangulation --d 3 --count 5",
+    "inference --attack triangulation --d 3 --count 5",
+    "condition_i_star --attack triangulation --d 9 --count 5",
+    "inference --attack triangulation --d 9 --count 5",
+    "periodic_safety --algorithm dlr --count 3",
+    "periodic_safety --algorithm kcenter --count 3",
+    "condition_i --attack kcenter_sneak --count 4",
+]
+VERIFY_REPORTS = Path(__file__).resolve().parent / "verify_reports"
+
+
+def _report_name(command: str) -> str:
+    return command.replace(" --", "-").replace(" ", "-") + ".json"
+
+
+def test_golden_verify_reports_are_the_ci_commands():
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    lines = [line.strip() for line in workflow.read_text(encoding="utf-8").splitlines()]
+    prefix = "exclusim verify "
+    ci = [line.removeprefix(prefix) for line in lines if line.startswith(prefix)]
+    assert ci == VERIFY_COMMANDS
+    names = sorted(path.name for path in VERIFY_REPORTS.iterdir())
+    assert names == sorted(map(_report_name, VERIFY_COMMANDS))
+
+
+@pytest.mark.parametrize("command", VERIFY_COMMANDS)
+def test_cli_verify_report_is_golden(capsys, command):
+    # The committed reports are the stdout of each command, byte for byte.
+    assert main(["verify", *command.split()]) == 0
+    golden = (VERIFY_REPORTS / _report_name(command)).read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def _record(argv: list[str]):
     """The CLI's attack record, built from the arguments `verify` parses."""
     args = build_parser().parse_args(argv)
@@ -1268,15 +1314,19 @@ def _api_verdict(suite: str, attack: str, argv: list[str]) -> tuple[str, object,
         }
         return "condition_i", fields, verdict.differs
     if suite == "condition_i_star":
-        star = check_condition_i_star(
+        non_differing = check_condition_i_star(
             record.algorithm, record.strategy, record.j, record.cases, 4, seed=0
         )
-        fields = {key: star[key] for key in ("pass", "non_differing_seeds", "generator_bound")}
-        return "condition_i_star", fields, star["pass"] == _STAR_PASSES[attack]
-    rep = verify_inference(
+        fields = {
+            "pass": not non_differing,
+            "non_differing_seeds": non_differing,
+            "generator_bound": GENERATOR_BOUND_NOTE,
+        }
+        return "condition_i_star", fields, (not non_differing) == _STAR_PASSES[attack]
+    failed = verify_inference(
         record.algorithm, record.strategy, record.decode, record.cases, 4, j=record.j, seed=0
     )
-    return "inference_pass_rate", format_rational(rep["pass_rate"]), rep["pass_rate"] == 1
+    return "inference_pass_rate", format_rational(Fraction(4 - len(failed), 4)), not failed
 
 
 @pytest.mark.parametrize(
@@ -1429,7 +1479,7 @@ def test_format_rational_writes_a_long_integer_as_a_digit_string():
 
 def test_trace_of_a_long_rational():
     payload = Scalar(Fraction(_LONG, 3))
-    run = Run("continuous", 1, (FactualDelivery(1, payload), LedgerUpdate(1, payload)))
+    run = Run("continuous", (FactualDelivery(1, payload), LedgerUpdate(1, payload)))
     value = f'{{"kind":"scalar","value":"{_LONG_TEXT}/3"}}'
     assert trace_lines(run)[1] == f'{{"seq":1,"kind":"ledger","agent":1,"payload":{value}}}'
 
@@ -1596,7 +1646,7 @@ def _transcripts(draw):
         else:
             messages.append(kind(draw(st.integers(min_value=1, max_value=3)), value))
     protocol = draw(st.sampled_from(["continuous", "periodic"]))
-    return Run(protocol, 3, tuple(messages), 1 if protocol == "continuous" else None)
+    return Run(protocol, tuple(messages), 1 if protocol == "continuous" else None)
 
 
 @given(run=_transcripts())
