@@ -10,7 +10,8 @@ fold that returns the state itself rebroadcasts the last output. An
 agent's strategy is a pure function of its observed history: its own factual
 deliveries, its own ledger updates, and every broadcast, in run order. The
 run's message log is the engines' only record; each poll hands the strategy an
-`ObservedHistory` view of the log as it stands, not a copy.
+`ObservedHistory` view of the log as it stands, not a copy, and a strategy
+that folds its whole view resumes from its fold at the agent's last poll.
 
 Simultaneity is resolved by polling agents in fixed ascending order. In the
 continuous protocol a single nature element opens an activity loop: agents are
@@ -139,11 +140,15 @@ class ObservedHistory:
 
     An agent sees every broadcast and its own deliveries and updates. The log
     is read in place, not copied; it only grows, so the prefix stays fixed.
+    `memo` belongs to the engine that built the view: the agent's dict of
+    `(length, state)` per strategy fold, for one run (see `fold`). Views
+    built anywhere else have none.
     """
 
     agent: int
     log: Sequence[Message] = field(repr=False)
     length: int
+    memo: Optional[dict] = field(default=None, repr=False)
 
     def sees(self, message: Message) -> bool:
         return isinstance(message, OutputBroadcast) or message.agent == self.agent
@@ -171,8 +176,24 @@ class ObservedHistory:
                 return self.log[index].output
         return None
 
-    def own_factuals(self) -> tuple[UpdatePayload, ...]:
-        return tuple([m.payload for m in self.items if isinstance(m, FactualDelivery)])
+    def fold(self, strategy) -> object:
+        """`reduce(strategy.observe, self.items, strategy.start())`.
+
+        With a memo, the fold resumes from the state it stored for `strategy`
+        at the agent's last poll, provided that poll saw no more of the log
+        than this view, and reads only the messages after it; then it stores
+        the new state. The log only grows, so the resumed fold is exact.
+        """
+        entry = None if self.memo is None else self.memo.get(strategy)
+        if entry is None or entry[0] > self.length:
+            entry = (0, strategy.start())
+        start, state = entry
+        for message in islice(self.log, start, self.length):
+            if self.sees(message):
+                state = strategy.observe(state, message)
+        if self.memo is not None:
+            self.memo[strategy] = (self.length, state)
+        return state
 
 
 Strategy = Callable[[ObservedHistory], Optional[UpdatePayload]]
@@ -287,7 +308,10 @@ def _run_continuous(
     `grown` is not empty. The guard drops a wish from `author`, who wrote the
     last `streak` updates in a row, once `streak` reaches `ell`. Strategies
     are pure functions of their views (the property `replay_matches` checks),
-    so an unchanged view would repeat a dropped wish; a stateful callable is
+    so an unchanged view would repeat a dropped wish. A strategy that needs
+    its whole view is a fold read through `ObservedHistory.fold`, and each
+    view handed to a watcher carries the watcher's memo from `memos`, so the
+    fold resumes from its last poll; a callable that keeps its own state is
     not supported. Between elements `grown` is empty, so the state there is
     the fold state, the last broadcast, the streak and the log length.
     """
@@ -297,6 +321,7 @@ def _run_continuous(
     author, streak = None, 0
     agents = range(1, agent_count + 1)
     watchers = [agent for agent in agents if agent in strategies]
+    memos = {agent: {} for agent in watchers}
 
     for element in ninput:
         start = len(messages)
@@ -317,7 +342,7 @@ def _run_continuous(
                     continue
                 grown.remove(agent)
                 strategy = strategies.get(agent, truthful_strategy)
-                wish = strategy(ObservedHistory(agent, messages, len(messages)))
+                wish = strategy(ObservedHistory(agent, messages, len(messages), memos.get(agent)))
                 if wish is None:
                     continue
                 if agent == author and streak >= ell:
@@ -340,10 +365,15 @@ def _run_periodic(
     algorithm: Algorithm,
     agent_count: int,
 ) -> Run:
-    """Execute the periodic protocol: per round, deliver, poll once each, broadcast once."""
+    """Execute the periodic protocol: per round, deliver, poll once each, broadcast once.
+
+    Each view handed to an agent with a strategy carries that agent's memo
+    from `memos`, as in `_run_continuous`.
+    """
     messages: list[Message] = []
     state = algorithm.start()
     broadcast: Optional[OutputBroadcast] = None
+    memos = {agent: {} for agent in strategies}
 
     # by_round[r - 1]: the deliveries of round r, in input order; a round
     # without elements is still played.
@@ -357,7 +387,7 @@ def _run_periodic(
         folded = state
         for agent in range(1, agent_count + 1):
             strategy = strategies.get(agent, truthful_strategy)
-            wish = strategy(ObservedHistory(agent, messages, len(messages)))
+            wish = strategy(ObservedHistory(agent, messages, len(messages), memos.get(agent)))
             if wish is not None:
                 folded = algorithm.fold(folded, wish)
                 messages.append(LedgerUpdate(agent, wish))

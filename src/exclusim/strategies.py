@@ -1,6 +1,8 @@
 """Attack strategies: the sneak swap-and-repair template, probing attacks for
 max and average, the triangulation probe ladder for linear regression, and the
 exact inference helpers that decode what the truthful outcome would have been.
+The attacks that read their whole view (sneak, probe, triangulation) are
+`StrategyFold`s; the rest read only the view's last message and broadcast.
 `STRATEGIES` gives each strategy a scenario file can name, with the kinds of
 its parameters and what it can send; the builders check the values, and the
 algorithm's `check` decides which of those payloads a ledger takes.
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, islice
 from operator import sub
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algorithms import (
     AlgorithmOutput,
@@ -60,6 +62,28 @@ class InferenceError(Exception):
     """An observed history cannot be decoded into a truthful-outcome estimate."""
 
 
+class StrategyFold:
+    """A strategy that decides from a fold of its whole view.
+
+    `start()` is the state of an empty view, `observe(state, message)` the
+    state once the agent has seen `message` too, and `decide(state)` the
+    wish. States are immutable, as `Algorithm`'s are, so a view built by an
+    engine resumes the fold from the agent's last poll (`ObservedHistory.fold`).
+    """
+
+    def start(self) -> object:
+        raise NotImplementedError
+
+    def observe(self, state: object, message: Message) -> object:
+        raise NotImplementedError
+
+    def decide(self, state: object) -> Optional[UpdatePayload]:
+        raise NotImplementedError
+
+    def __call__(self, view: ObservedHistory) -> Optional[UpdatePayload]:
+        return self.decide(view.fold(self))
+
+
 # =============================================================================
 # Sneak attack: swap one payload, repair the ledger later
 # =============================================================================
@@ -88,19 +112,53 @@ class SneakParams:
             )
 
 
-def _sneak_start(items: Sequence[Message], params: SneakParams) -> Optional[int]:
-    """Index of the broadcast that completes the first swap signature, if any."""
-    for t in range(len(items) - 2):
-        first, second, third = items[t : t + 3]
-        if (
-            isinstance(first, FactualDelivery)
-            and first.payload == params.u_cond
-            and isinstance(second, LedgerUpdate)
-            and second.payload == params.u_attack
-            and isinstance(third, OutputBroadcast)
+class _SneakState(NamedTuple):
+    previous: Optional[Message]  # the message seen before `last`
+    last: Optional[Message]
+    broadcast: Optional[AlgorithmOutput]  # the last broadcast's output
+    since: Optional[int]  # messages seen after the first swap signature, if any
+
+
+class _SneakFold(StrategyFold):
+    def __init__(self, params: SneakParams):
+        self.params = params
+
+    def start(self) -> _SneakState:
+        return _SneakState(None, None, None, None)
+
+    def observe(self, state: _SneakState, message: Message) -> _SneakState:
+        previous, last, broadcast, since = state
+        if since is not None:
+            since += 1
+        elif (
+            # The signature: the watched delivery, the swap, and its broadcast.
+            isinstance(message, OutputBroadcast)
+            and isinstance(last, LedgerUpdate)
+            and last.payload == self.params.u_attack
+            and isinstance(previous, FactualDelivery)
+            and previous.payload == self.params.u_cond
         ):
-            return t + 2
-    return None
+            since = 0
+        if isinstance(message, OutputBroadcast):
+            broadcast = message.output
+        return _SneakState(last, message, broadcast, since)
+
+    def decide(self, state: _SneakState) -> Optional[UpdatePayload]:
+        params, last = self.params, state.last
+        if state.since is None:
+            if (
+                isinstance(last, FactualDelivery)
+                and last.payload == params.u_cond
+                and state.broadcast == params.rho_cond
+            ):
+                return params.u_attack
+        elif state.since == 1:
+            if isinstance(last, FactualDelivery):
+                return payload_union(last.payload, params.u_resync)
+            if isinstance(last, OutputBroadcast):
+                return params.u_resync
+        # Played truthfully: echo an own delivery the moment it arrives.
+        return last.payload if isinstance(last, FactualDelivery) else None
 
 
 def sneak_attack(params: SneakParams) -> Strategy:
@@ -112,27 +170,7 @@ def sneak_attack(params: SneakParams) -> Strategy:
     delivery right behind the signature, and sends `u_resync` joined with the
     new own payload when there is one. Every other history is played truthfully.
     """
-
-    def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
-        start = _sneak_start(o.items, params)
-        if start is None:
-            last = o.last()
-            if (
-                isinstance(last, FactualDelivery)
-                and last.payload == params.u_cond
-                and o.last_broadcast() == params.rho_cond
-            ):
-                return params.u_attack
-            return truthful_strategy(o)
-        if len(o.items) == start + 2:
-            last = o.last()
-            if isinstance(last, FactualDelivery):
-                return payload_union(last.payload, params.u_resync)
-            if isinstance(last, OutputBroadcast):
-                return params.u_resync
-        return truthful_strategy(o)
-
-    return strategy
+    return _SneakFold(params)
 
 
 # =============================================================================
@@ -195,31 +233,32 @@ class AverageInference:
     true_average: Fraction
 
 
-def _probe_responses(o: ObservedHistory) -> list[Optional[Fraction]]:
-    """The scalar broadcast value right behind each of the agent's ledger
-    updates, or None where anything else, or nothing yet, follows one."""
-    items = o.items
-    return [
-        follower.output.value
-        if isinstance(follower, OutputBroadcast) and isinstance(follower.output, ScalarOutput)
-        else None
-        for item, follower in zip(items, (*items[1:], None))
-        if isinstance(item, LedgerUpdate)
-    ]
+class _ProbeState(NamedTuple):
+    delivered: int  # own factual deliveries
+    # The scalar broadcast value right behind each own ledger update, or None
+    # where anything else, or nothing yet, follows one.
+    responses: tuple[Optional[Fraction], ...]
+    pending: bool  # the last message is an own ledger update
 
 
-def average_double_probe() -> Strategy:
-    """Withhold own data and send two counting probes instead.
+class _ProbeFold(StrategyFold):
+    def start(self) -> _ProbeState:
+        return _ProbeState(0, (), False)
 
-    The first probe adds the value 0. When the following broadcast is nonzero
-    a second 0 pins the hidden count; a zero broadcast already reveals the
-    hidden sum is 0, so the second probe adds a 1 to keep the count readable.
-    """
+    def observe(self, state: _ProbeState, message: Message) -> _ProbeState:
+        delivered, responses, pending = state
+        if isinstance(message, FactualDelivery):
+            delivered += 1
+        elif isinstance(message, LedgerUpdate):
+            return _ProbeState(delivered, responses + (None,), True)
+        elif pending and isinstance(message.output, ScalarOutput):
+            responses = responses[:-1] + (message.output.value,)
+        return _ProbeState(delivered, responses, False)
 
-    def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
-        if not o.own_factuals():
-            return truthful_strategy(o)
-        responses = _probe_responses(o)
+    def decide(self, state: _ProbeState) -> Optional[UpdatePayload]:
+        if not state.delivered:
+            return None  # no own data to withhold yet
+        responses = state.responses
         if not responses:
             return _PROBE_ZERO
         if len(responses) == 1:
@@ -229,7 +268,15 @@ def average_double_probe() -> Strategy:
             return _PROBE_ZERO if first != 0 else _PROBE_ONE
         return None
 
-    return strategy
+
+def average_double_probe() -> Strategy:
+    """Withhold own data and send two counting probes instead.
+
+    The first probe adds the value 0. When the following broadcast is nonzero
+    a second 0 pins the hidden count; a zero broadcast already reveals the
+    hidden sum is 0, so the second probe adds a 1 to keep the count readable.
+    """
+    return _ProbeFold()
 
 
 def average_infer(
@@ -274,11 +321,12 @@ def average_infer(
 
 def average_infer_from_history(o: ObservedHistory) -> AverageInference:
     """Decode a completed probing exchange straight from the observed history."""
-    first, second, *_ = _probe_responses(o) + [None, None]
+    first, second, *_ = o.fold(_ProbeFold()).responses + (None, None)
     if first is None or second is None:
         raise InferenceError("the probe exchange has not completed")
     average = AverageAlgorithm()
-    own_sum, own_count = reduce(average.fold, o.own_factuals(), average.start())
+    own = [m.payload for m in o.items if isinstance(m, FactualDelivery)]
+    own_sum, own_count = reduce(average.fold, own, average.start())
     if not own_count:
         raise InferenceError("no factual data to fold into the average")
     return average_infer(first, second, own_sum, own_count)
@@ -336,7 +384,7 @@ def fabricate_rows(rows: RowMultiset) -> Strategy:
 
 @dataclass(frozen=True)
 class TriangulationState:
-    """The in-flight probe ladder, rebuilt from an observed history.
+    """The in-flight probe ladder of an observed history.
 
     `rho_seq` holds the broadcast coefficient vectors from the trigger output
     onward (step i means i probe responses have arrived, so `rho_seq` has
@@ -352,50 +400,128 @@ class TriangulationState:
     own_factual_rows: tuple[Row, ...]
 
 
-def triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
-    """Rebuild the current probe ladder from an observed history.
+def _rows(payload: UpdatePayload) -> tuple[Row, ...]:
+    return payload.rows if isinstance(payload, RowMultiset) else ()
+
+
+class _LadderWalk(NamedTuple):
+    ladder: Optional[TriangulationState]
+    # F - L: the moments of the own factual rows less those of the own ledger
+    # rows, an update's rows once the next message arrives; None when the
+    # fold keeps no moments (see `_TriangulationFold`).
+    own: Optional[ScaledMoments]
+    factual_rows: tuple[Row, ...]
+    ledger_rows: tuple[Row, ...]
+    last_coeffs: Optional[Point]
+    sent: Optional[tuple[Row, ...]]  # the rows of the own update right before the next message
+
+
+class _TriangulationFold(StrategyFold):
+    """The probe ladder and its own-row moments, folded message by message.
 
     A ladder starts at every fresh data event: an own factual delivery, or a
     broadcast that is not the immediate consequence of an own ledger update.
     A fresh event while a ladder is running abandons it and starts over, and
     no ladder can start before the first usable broadcast.
-    """
-    own_factual_rows: list[Row] = []
-    own_ledger_rows: list[Row] = []
-    last_coeffs: Optional[Point] = None
-    # The running ladder: its broadcasts, its probes and how many own ledger
-    # rows came before it.
-    ladder: Optional[tuple[list[Optional[Point]], list[tuple[Row, ...]], int]] = None
-    sent: Optional[UpdatePayload] = None  # the own update right before `item`
-    for item in o.items:
-        if isinstance(item, OutputBroadcast):
-            output = item.output
-            last_coeffs = output.coefficients if isinstance(output, CoefficientsOutput) else None
-        if isinstance(item, LedgerUpdate):
-            if isinstance(item.payload, RowMultiset):
-                own_ledger_rows.extend(item.payload.rows)
-        elif isinstance(item, OutputBroadcast) and sent is not None:
-            # The running ladder's response to the probe `sent`.
-            if ladder is not None:
-                ladder[0].append(last_coeffs)
-                ladder[1].append(sent.rows if isinstance(sent, RowMultiset) else ())
-        else:
-            # A fresh event: start over at the last usable broadcast, if any.
-            if isinstance(item, FactualDelivery) and isinstance(item.payload, RowMultiset):
-                own_factual_rows.extend(item.payload.rows)
-            ladder = None if last_coeffs is None else ([last_coeffs], [], len(own_ledger_rows))
-        sent = item.payload if isinstance(item, LedgerUpdate) else None
 
-    if ladder is None:
+    An own update's rows enter `own` with the message after it, its
+    response while a ladder runs, so `own` is F - L for the ladder's own rows:
+    those from before it started and the probes answered since, each folded
+    once. The moments have width d + 1. `own` turns None, and `decide`
+    refolds the ladder's rows, once an own row has another width or an own
+    update follows another (no engine's run has either); it is always None
+    when d is None, which keeps the walk alone.
+    """
+
+    def __init__(self, d: Optional[int]):
+        self.d = d
+
+    def start(self) -> _LadderWalk:
+        own = None if self.d is None else moments((), self.d + 1)
+        return _LadderWalk(None, own, (), (), None, None)
+
+    def observe(self, state: _LadderWalk, message: Message) -> _LadderWalk:
+        ladder, own, factual_rows, ledger_rows, last_coeffs, sent = state
+        if sent is not None:
+            own = None if isinstance(message, LedgerUpdate) else self._plus(own, sent, -1)
+        if isinstance(message, LedgerUpdate):
+            rows = _rows(message.payload)
+            return _LadderWalk(ladder, own, factual_rows, ledger_rows + rows, last_coeffs, rows)
+        if isinstance(message, OutputBroadcast):
+            output = message.output
+            last_coeffs = output.coefficients if isinstance(output, CoefficientsOutput) else None
+            if sent is not None:
+                # The running ladder's response to the probe `sent`.
+                if ladder is not None:
+                    ladder = TriangulationState(
+                        ladder.step + 1,
+                        ladder.rho_seq + (last_coeffs,),
+                        ladder.probes + (sent,),
+                        ladder.own_ledger_rows,
+                        ladder.own_factual_rows,
+                    )
+                return _LadderWalk(ladder, own, factual_rows, ledger_rows, last_coeffs, None)
+        else:
+            rows = _rows(message.payload)
+            factual_rows += rows
+            own = self._plus(own, rows, 1)
+        # A fresh event: start over at the last usable broadcast, if any.
+        if last_coeffs is None:
+            ladder = None
+        else:
+            ladder = TriangulationState(0, (last_coeffs,), (), ledger_rows, factual_rows)
+        return _LadderWalk(ladder, own, factual_rows, ledger_rows, last_coeffs, None)
+
+    @staticmethod
+    def _plus(
+        total: Optional[ScaledMoments], rows: tuple[Row, ...], sign: int
+    ) -> Optional[ScaledMoments]:
+        if total is None or any(len(row.features) != len(total.cross) for row in rows):
+            return None
+        return total.plus_rows(rows, sign)
+
+    def decide(self, state: _LadderWalk) -> Optional[UpdatePayload]:
+        ladder, d = state.ladder, self.d
+        if ladder is None or None in ladder.rho_seq:
+            return None
+        current = ladder.rho_seq[-1]
+        assert current is not None
+        width = d + 1
+        if len(current) != width:
+            raise PayloadError(
+                f"broadcast coefficients of width {len(current)} do not match "
+                f"the width-{width} probes of triangulation_attack({d})"
+            )
+        if ladder.step <= d:
+            return RowMultiset((_probe_row(ladder.step + 1, current),))
+        if ladder.step == width:
+            own = state.own
+            if own is None:
+                probes = tuple(chain.from_iterable(ladder.probes))
+                own = moments(ladder.own_factual_rows, width).plus_rows(
+                    ladder.own_ledger_rows + probes, -1
+                )
+            if any(own.residual(current)[1]):
+                return None
+            try:
+                triangulation_infer(ladder, d)
+            except InferenceError:
+                return None
+            deflection = Row((Fraction(1),) + (Fraction(0),) * d, current[0] + 1)
+            return RowMultiset((deflection,))
         return None
-    rho_seq, probes, prior = ladder
-    return TriangulationState(
-        step=len(probes),
-        rho_seq=tuple(rho_seq),
-        probes=tuple(probes),
-        own_ledger_rows=tuple(own_ledger_rows[:prior]),
-        own_factual_rows=tuple(own_factual_rows),
-    )
+
+
+_LADDER = _TriangulationFold(None)
+
+
+def triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
+    """The current probe ladder of an observed history, as the triangulation
+    fold keeps it (see `_TriangulationFold`)."""
+    return o.fold(_LADDER).ladder
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _probe_row(step: int, previous: Point) -> Row:
@@ -405,8 +531,8 @@ def _probe_row(step: int, previous: Point) -> Row:
     intercept alone at step 1) and 0 elsewhere, so the fit there is the sum
     of those one or two coefficients.
     """
-    features = [0] * len(previous)
-    features[0] = features[step - 1] = 1
+    features = [_ZERO] * len(previous)
+    features[0] = features[step - 1] = _ONE
     fit = previous[0] if step == 1 else previous[0] + previous[step - 1]
     return Row(features, fit + 1)
 
@@ -501,41 +627,11 @@ def triangulation_attack(d: int) -> Strategy:
     = s_(d+1) (see `triangulation_infer`); so x = rho exactly when the
     residual of F - L at rho is zero. Only then does it run
     `triangulation_infer`, which still has to succeed for the attack to
-    deflect. A broadcast whose coefficients are not of width d+1 raises
-    `PayloadError`.
+    deflect. The fold keeps F - L as the rows arrive, each row added once,
+    so the test refolds none. A broadcast whose coefficients are not of
+    width d+1 raises `PayloadError`.
     """
-    check_count("d", d)
-    width = d + 1
-
-    def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
-        state = triangulation_state(o)
-        if state is None:
-            return None
-        if any(coeffs is None for coeffs in state.rho_seq):
-            return None
-        current = state.rho_seq[-1]
-        assert current is not None
-        if len(current) != width:
-            raise PayloadError(
-                f"broadcast coefficients of width {len(current)} do not match "
-                f"the width-{width} probes of triangulation_attack({d})"
-            )
-        if state.step <= d:
-            return RowMultiset((_probe_row(state.step + 1, current),))
-        if state.step == width:
-            own_rows = state.own_ledger_rows + tuple(chain.from_iterable(state.probes))
-            own = moments(state.own_factual_rows, width).plus_rows(own_rows, -1)
-            if any(own.residual(current)[1]):
-                return None
-            try:
-                triangulation_infer(state, d)
-            except InferenceError:
-                return None
-            deflection = Row((Fraction(1),) + (Fraction(0),) * d, current[0] + 1)
-            return RowMultiset((deflection,))
-        return None
-
-    return strategy
+    return _TriangulationFold(check_count("d", d))
 
 
 # =============================================================================

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exclusim.algorithms import (
@@ -58,9 +58,11 @@ from exclusim.strategies import (
     average_double_probe,
     fabricate_point,
     fabricate_rows,
+    lr_sneak_params,
     max_echo_attack,
     max_overbid,
     omit_point,
+    sneak_attack,
     triangulation_attack,
 )
 from reference_aggregations import broadcasts, outcome, reference_run
@@ -185,6 +187,30 @@ def test_two_triangulation_probers_end_at_the_cap_naming_both():
         f"activity loop exceeded {SAFETY_CAP} polling passes for one nature element; "
         f"its ledger updates came from agents 1 (1), 2 ({SAFETY_CAP}), 3 ({SAFETY_CAP})"
     )
+
+
+def test_two_agents_with_one_fold_object_keep_separate_states(monkeypatch):
+    # The probers of the test above, sharing one strategy object: each
+    # agent's memo holds its own fold, which equals its view folded afresh.
+    monkeypatch.setattr("exclusim.protocol.SAFETY_CAP", 20)
+    rows = RowMultiset((Row((1, 0), 1), Row((1, 1), 2), Row((1, 3), 2)))
+    prober = triangulation_attack(1)
+    memos = {}
+
+    def checked(o):
+        wish = prober(o)
+        memos.setdefault(o.agent, set()).add(id(o.memo))
+        assert o.memo[prober] == (o.length, ObservedHistory(o.agent, o.log, o.length).fold(prober))
+        return wish
+
+    def cap_message(probers):
+        with pytest.raises(SafetyCapExceededError) as raised:
+            run_protocol("continuous", (NatureElement(1, rows),), probers, DlrAlgorithm(1), 3, ell=3)
+        return str(raised.value)
+
+    shared = cap_message({2: checked, 3: checked})
+    assert shared == cap_message({2: triangulation_attack(1), 3: triangulation_attack(1)})
+    assert len(memos[2]) == len(memos[3]) == 1 and memos[2] != memos[3]
 
 
 def test_continuous_rejects_rounds_and_bad_agents():
@@ -612,6 +638,48 @@ def test_engines_match_from_scratch_reference(case):
         assert (got if isinstance(got, type) else got.messages) == want
     # A view that has not grown is never asked again.
     assert len(set(polls)) == len(polls)
+
+
+class _Recorder:
+    """A fold whose state is every message it has seen, counting its observe calls."""
+
+    calls = 0
+
+    def start(self):
+        return ()
+
+    def observe(self, state, message):
+        self.calls += 1
+        return state + (message,)
+
+
+@given(case=_generated_runs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_fold_resumed_from_the_memo_equals_a_fold_from_the_start(case, data):
+    protocol, ninput, strategies, algorithm, agent_count, ell = case
+    run = outcome(run_protocol, protocol, ninput, strategies, algorithm, agent_count, ell=ell)
+    assume(not isinstance(run, type))
+    log = run.messages
+    recorder = _Recorder()
+    folds = (recorder, triangulation_attack(1), average_double_probe(), sneak_attack(lr_sneak_params()))
+    # Views grow and shrink in any order; one shorter than its memo entry restarts.
+    lengths = data.draw(st.lists(st.integers(min_value=0, max_value=len(log)), max_size=10))
+    for agent in range(1, agent_count + 1):
+        memo: dict = {}
+        for length in lengths + [len(log), 0]:
+            resumed_from = memo.get(recorder, (0, ()))[0]
+            calls = recorder.calls
+            for fold in folds:
+                view = ObservedHistory(agent, log, length, memo)
+                state = view.fold(fold)
+                assert state == ObservedHistory(agent, log, length).fold(fold)
+                assert memo[fold] == (length, state)
+            assert memo[recorder][1] == view.items
+            start = resumed_from if resumed_from <= length else 0
+            fresh = ObservedHistory(agent, log, length).items[len(ObservedHistory(agent, log, start)):]
+            # The memo-less fold above reads the whole view; the resumed one
+            # only what arrived since its memo entry.
+            assert recorder.calls - calls == len(fresh) + len(view)
 
 
 def test_truthful_agents_are_polled_only_on_their_own_deliveries(monkeypatch):

@@ -1242,6 +1242,7 @@ VERIFY_COMMANDS = [
     "periodic_safety --algorithm dlr --count 3",
     "periodic_safety --algorithm kcenter --count 3",
     "condition_i --attack kcenter_sneak --count 4",
+    "condition_i --attack lr_sneak",
 ]
 VERIFY_REPORTS = Path(__file__).resolve().parent / "verify_reports"
 

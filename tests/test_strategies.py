@@ -29,9 +29,10 @@ from exclusim.algorithms import (
     RowMultiset,
     Scalar,
     ScalarOutput,
+    moments,
 )
 from exclusim.cli import triangulation_csv_rows
-from exclusim.harness import make_triangulation_cases
+from exclusim.harness import make_average_cases, make_triangulation_cases
 from exclusim.protocol import (
     KIND_LEDGER,
     FactualDelivery,
@@ -42,6 +43,7 @@ from exclusim.protocol import (
     extract,
     observed_history,
     run_protocol,
+    truthful_strategy,
 )
 from exclusim.scenario import trace_lines
 from exclusim.strategies import (
@@ -68,7 +70,12 @@ from exclusim.strategies import (
     triangulation_infer_from_history,
     triangulation_state,
 )
-from reference_aggregations import broadcasts, fit_from_moments, reference_moments
+from reference_aggregations import broadcasts, fit_from_moments, outcome, reference_moments
+from reference_strategies import (
+    reference_average_double_probe,
+    reference_average_infer_from_history,
+    reference_sneak_attack,
+)
 from reference_triangulation import (
     reference_probe_row,
     reference_triangulation_attack,
@@ -278,6 +285,119 @@ def test_sneak_does_not_fire_without_conditioning_broadcast():
     )
     truth = run_protocol("continuous", ninput, {}, DlrAlgorithm(1), 2, ell=1)
     assert attack.messages == truth.messages
+
+
+# --- the folds against the whole-view oracles ------------------------------
+
+
+def _with_rounds(rng, payloads, protocol):
+    """The (agent, payload) pairs as a nature input: in order for the
+    continuous protocol, and over random rounds, one element per agent in
+    each, for the periodic one."""
+    if protocol == "continuous":
+        return tuple(NatureElement(agent, payload) for agent, payload in payloads)
+    elements, seen, round_no = [], set(), 1
+    for agent, payload in payloads:
+        if (agent, round_no) in seen or (elements and rng.random() < 0.5):
+            round_no += 1
+        seen.add((agent, round_no))
+        elements.append(NatureElement(agent, payload, round_no))
+    return tuple(elements)
+
+
+def _sneak_case(kind, protocol, seed):
+    """A run around a sneak's trigger: agent 1 opens with data whose output
+    is the conditioning one, agent 2 then gets the watched payload, and more
+    elements follow, the watched payload among them."""
+    rng = random.Random(f"sneak-fold:{kind}:{protocol}:{seed}")
+    if kind == "kcenter_sneak":
+        k = rng.choice((3, 4))
+        params = kcenter_sneak_params(k, Fraction(1, rng.choice((1000, 2000))))
+        algorithm = KCenterAlgorithm(k, max_union=64)
+        opening = PointSet(params.rho_cond.centers)
+
+        def other():
+            values = rng.sample(range(-20, 120), rng.randint(1, 3))
+            return PointSet(tuple((Fraction(v),) for v in values))
+
+    else:
+        params = lr_sneak_params()
+        algorithm = DlrAlgorithm(1)
+        opening = RowMultiset(tuple(Row((1, x), 1) for x in rng.sample(range(-9, 10), 2)))
+
+        def other():
+            return _rows(*((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))))
+
+    agent_count = rng.randint(2, 3)
+    payloads = [(1, opening), (2, params.u_cond)] + [
+        (rng.randint(1, agent_count), params.u_cond if rng.random() < 0.3 else other())
+        for _ in range(rng.randint(0, 5))
+    ]
+    ell = rng.randint(1, 2) if protocol == "continuous" else None
+    return algorithm, params, _with_rounds(rng, payloads, protocol), agent_count, ell
+
+
+def _assert_fold_matches_oracle(fold, reference, protocol, ninput, algorithm, agent_count, ell):
+    """The fold and the oracle run alike, and decide alike on every prefix of
+    agent 2's view; returns the views and the decisions that are not the
+    truthful echo."""
+    run = run_protocol(protocol, ninput, {2: fold}, algorithm, agent_count, ell=ell)
+    assert run == run_protocol(protocol, ninput, {2: reference}, algorithm, agent_count, ell=ell)
+    views, deviations = [], []
+    for upto in range(len(run.messages) + 1):
+        views.append(observed_history(run, 2, upto))
+        decision = fold(views[-1])
+        assert decision == reference(views[-1])
+        if decision != truthful_strategy(views[-1]):
+            deviations.append(decision)
+    return views, deviations
+
+
+@pytest.mark.parametrize("protocol", ["continuous", "periodic"])
+@pytest.mark.parametrize("kind", ["kcenter_sneak", "lr_sneak"])
+def test_sneak_fold_matches_the_whole_view_oracle(kind, protocol):
+    swaps = repairs = 0
+    for seed in range(60):
+        algorithm, params, ninput, agent_count, ell = _sneak_case(kind, protocol, seed)
+        _, deviations = _assert_fold_matches_oracle(
+            sneak_attack(params), reference_sneak_attack(params),
+            protocol, ninput, algorithm, agent_count, ell,
+        )
+        swaps += deviations.count(params.u_attack)
+        repairs += len(deviations) - deviations.count(params.u_attack)
+    # The cases reach the swap and the repair branches.
+    assert swaps and repairs
+
+
+@pytest.mark.parametrize("protocol", ["continuous", "periodic"])
+def test_average_probe_fold_matches_the_whole_view_oracle(protocol):
+    fold, reference = average_double_probe(), reference_average_double_probe()
+    generate = make_average_cases()
+    sent, decodes = [], 0
+    for seed in range(60):
+        rng = random.Random(f"probe-fold:{protocol}:{seed}")
+        if protocol == "continuous" and seed % 2:
+            case = generate(seed)
+            ninput, agent_count = case.ninput, case.agent_count
+        else:
+            agent_count = rng.randint(2, 3)
+            payloads = [
+                (rng.randint(1, agent_count), _point_set(*rng.sample(range(-9, 10), rng.randint(0, 3))))
+                for _ in range(rng.randint(1, 6))
+            ]
+            ninput = _with_rounds(rng, payloads, protocol)
+        ell = 2 if protocol == "continuous" else None
+        views, deviations = _assert_fold_matches_oracle(
+            fold, reference, protocol, ninput, AverageAlgorithm(), agent_count, ell
+        )
+        sent += deviations
+        for view in views:
+            decoded = outcome(average_infer_from_history, view)
+            assert decoded == outcome(reference_average_infer_from_history, view)
+            decodes += not isinstance(decoded, type)
+    # Both probe values are sent; a 1 only follows a zero response.
+    assert _point_set(0) in sent and _point_set(1) in sent
+    assert decodes
 
 
 # =============================================================================
@@ -614,6 +734,43 @@ def test_triangulation_state_starts_no_ladder_before_a_usable_broadcast():
         own_ledger_rows=_PROBES[:1],
         own_factual_rows=_OWN_ROWS.rows,
     )
+
+
+def _ladder_moments(d, ladder):
+    """F - L for a ladder, refolded from its rows."""
+    probes = tuple(row for rows in ladder.probes for row in rows)
+    return moments(ladder.own_factual_rows, d + 1).plus_rows(ladder.own_ledger_rows + probes, -1)
+
+
+def test_triangulation_fold_keeps_the_moments_of_the_ladders_own_rows():
+    # Its running moments equal the refold of the ladder's rows on every
+    # prefix. An own update that another one follows gets no response, so
+    # its rows are none of the ladder's and the fold drops its moments.
+    logs = [
+        (
+            FactualDelivery(2, _OWN_ROWS),
+            OutputBroadcast(_FIT[0]),
+            LedgerUpdate(2, RowMultiset(_PROBES[:1])),
+            LedgerUpdate(2, RowMultiset(_PROBES[1:])),
+            OutputBroadcast(_FIT[1]),
+        )
+    ]
+    generate = make_triangulation_cases(1)
+    for seed in range(25):
+        case = generate(seed)
+        logs.append(run_protocol(
+            "continuous", case.ninput, {2: triangulation_attack(1)}, DlrAlgorithm(1),
+            case.agent_count, ell=case.ell,
+        ).messages)
+    kept = 0
+    for log in logs:
+        for length in range(len(log) + 1):
+            walk = ObservedHistory(2, log, length).fold(triangulation_attack(1))
+            if walk.ladder is not None and walk.own is not None:
+                assert walk.own == _ladder_moments(1, walk.ladder)
+                kept += 1
+    assert kept
+    assert ObservedHistory(2, logs[0], len(logs[0])).fold(triangulation_attack(1)).own is None
 
 
 # --- the integer inference against the Fraction-matrix oracle ---------------
