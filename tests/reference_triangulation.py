@@ -16,8 +16,10 @@ delivery and once for a fresh broadcast.
 
 `reference_triangulation_attack` is the attack as it decided before
 `strategies.triangulation_attack` tested one residual: it runs the full
-`triangulation_infer` on every completed ladder and deflects when the
-inferred truthful fit equals the current broadcast.
+inference on every completed ladder and deflects when the inferred truthful
+fit equals the current broadcast. It reads the ladder, the probe rows and the
+inference through the oracles above, so it shares no code with the attack it
+checks.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ from typing import Optional
 from exclusim.algorithms import CoefficientsOutput, Point, Row, RowMultiset, UpdatePayload
 from exclusim.numerics import RMatrix
 from exclusim.protocol import FactualDelivery, LedgerUpdate, ObservedHistory, Strategy
-from exclusim.strategies import (
-    InferenceError,
-    InferenceResult,
-    TriangulationState,
-    _probe_row,
-    triangulation_infer,
-    triangulation_state,
-)
+from exclusim.strategies import InferenceError, InferenceResult, TriangulationState
 from reference_aggregations import reference_moments
 from reference_linalg import add, sub, zeros
 
@@ -167,7 +162,7 @@ def reference_triangulation_attack(d: int) -> Strategy:
     when it equals the current broadcast."""
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
-        state = triangulation_state(o)
+        state = reference_triangulation_state(o)
         if state is None:
             return None
         if any(coeffs is None for coeffs in state.rho_seq):
@@ -175,10 +170,10 @@ def reference_triangulation_attack(d: int) -> Strategy:
         if state.step <= d:
             previous = state.rho_seq[-1]
             assert previous is not None
-            return RowMultiset((_probe_row(state.step + 1, previous),))
+            return RowMultiset((reference_probe_row(state.step + 1, previous),))
         if state.step == d + 1:
             try:
-                result = triangulation_infer(state, d)
+                result = reference_triangulation_infer(state, d)
             except InferenceError:
                 return None
             current = state.rho_seq[-1]
