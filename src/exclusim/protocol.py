@@ -177,7 +177,8 @@ class ObservedHistory:
         return None
 
     def fold(self, strategy) -> object:
-        """`reduce(strategy.observe, self.items, strategy.start())`.
+        """`reduce(strategy.observe, self.items, strategy.start())`, for any
+        object with `start()` and `observe(state, message)`.
 
         With a memo, the fold resumes from the state it stored for `strategy`
         at the agent's last poll, provided that poll saw no more of the log

@@ -201,11 +201,6 @@ def _payload(obj: object) -> UpdatePayload:
     raise _Invalid(f"unknown payload kind {kind!r}").below(".kind")
 
 
-def payload_from_json(obj: object, path: str) -> UpdatePayload:
-    """Decode one update payload: scalar, points, rows, or empty."""
-    return _decode(_payload, obj, path)
-
-
 def payload_to_json(payload: UpdatePayload) -> dict:
     if isinstance(payload, Scalar):
         return {"kind": "scalar", "value": format_rational(payload.value)}

@@ -3,6 +3,8 @@ max and average, the triangulation probe ladder for linear regression, and the
 exact inference helpers that decode what the truthful outcome would have been.
 The attacks that read their whole view (sneak, probe, triangulation) are
 `StrategyFold`s; the rest read only the view's last message and broadcast.
+The probe ladder is one walk, `_LadderFold`: `triangulation_state` and the
+inference read it alone, and the triangulation attack folds F - L beside it.
 `STRATEGIES` gives each strategy a scenario file can name, with the kinds of
 its parameters and what it can send; the builders check the values, and the
 algorithm's `check` decides which of those payloads a ledger takes.
@@ -14,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from operator import sub
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -406,47 +408,29 @@ def _rows(payload: UpdatePayload) -> tuple[Row, ...]:
 
 class _LadderWalk(NamedTuple):
     ladder: Optional[TriangulationState]
-    # F - L: the moments of the own factual rows less those of the own ledger
-    # rows, an update's rows once the next message arrives; None when the
-    # fold keeps no moments (see `_TriangulationFold`).
-    own: Optional[ScaledMoments]
     factual_rows: tuple[Row, ...]
     ledger_rows: tuple[Row, ...]
     last_coeffs: Optional[Point]
     sent: Optional[tuple[Row, ...]]  # the rows of the own update right before the next message
 
 
-class _TriangulationFold(StrategyFold):
-    """The probe ladder and its own-row moments, folded message by message.
+class _LadderFold:
+    """The probe ladder of a view, folded message by message.
 
     A ladder starts at every fresh data event: an own factual delivery, or a
     broadcast that is not the immediate consequence of an own ledger update.
     A fresh event while a ladder is running abandons it and starts over, and
     no ladder can start before the first usable broadcast.
-
-    An own update's rows enter `own` with the message after it, its
-    response while a ladder runs, so `own` is F - L for the ladder's own rows:
-    those from before it started and the probes answered since, each folded
-    once. The moments have width d + 1. `own` turns None, and `decide`
-    refolds the ladder's rows, once an own row has another width or an own
-    update follows another (no engine's run has either); it is always None
-    when d is None, which keeps the walk alone.
     """
 
-    def __init__(self, d: Optional[int]):
-        self.d = d
-
     def start(self) -> _LadderWalk:
-        own = None if self.d is None else moments((), self.d + 1)
-        return _LadderWalk(None, own, (), (), None, None)
+        return _LadderWalk(None, (), (), None, None)
 
-    def observe(self, state: _LadderWalk, message: Message) -> _LadderWalk:
-        ladder, own, factual_rows, ledger_rows, last_coeffs, sent = state
-        if sent is not None:
-            own = None if isinstance(message, LedgerUpdate) else self._plus(own, sent, -1)
+    def observe(self, walk: _LadderWalk, message: Message) -> _LadderWalk:
+        ladder, factual_rows, ledger_rows, last_coeffs, sent = walk
         if isinstance(message, LedgerUpdate):
             rows = _rows(message.payload)
-            return _LadderWalk(ladder, own, factual_rows, ledger_rows + rows, last_coeffs, rows)
+            return _LadderWalk(ladder, factual_rows, ledger_rows + rows, last_coeffs, rows)
         if isinstance(message, OutputBroadcast):
             output = message.output
             last_coeffs = output.coefficients if isinstance(output, CoefficientsOutput) else None
@@ -460,28 +444,55 @@ class _TriangulationFold(StrategyFold):
                         ladder.own_ledger_rows,
                         ladder.own_factual_rows,
                     )
-                return _LadderWalk(ladder, own, factual_rows, ledger_rows, last_coeffs, None)
+                return _LadderWalk(ladder, factual_rows, ledger_rows, last_coeffs, None)
         else:
-            rows = _rows(message.payload)
-            factual_rows += rows
-            own = self._plus(own, rows, 1)
+            factual_rows += _rows(message.payload)
         # A fresh event: start over at the last usable broadcast, if any.
         if last_coeffs is None:
             ladder = None
         else:
             ladder = TriangulationState(0, (last_coeffs,), (), ledger_rows, factual_rows)
-        return _LadderWalk(ladder, own, factual_rows, ledger_rows, last_coeffs, None)
+        return _LadderWalk(ladder, factual_rows, ledger_rows, last_coeffs, None)
 
-    @staticmethod
-    def _plus(
-        total: Optional[ScaledMoments], rows: tuple[Row, ...], sign: int
-    ) -> Optional[ScaledMoments]:
-        if total is None or any(len(row.features) != len(total.cross) for row in rows):
-            return None
-        return total.plus_rows(rows, sign)
 
-    def decide(self, state: _LadderWalk) -> Optional[UpdatePayload]:
-        ladder, d = state.ladder, self.d
+_LADDER = _LadderFold()
+
+
+def triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
+    """The current probe ladder of an observed history (see `_LadderFold`)."""
+    return o.fold(_LADDER).ladder
+
+
+_AttackState = tuple[_LadderWalk, ScaledMoments]
+
+
+class _TriangulationFold(StrategyFold):
+    """The ladder walk and F - L: the width-(d + 1) moments of the own factual
+    rows less those of the own ledger rows.
+
+    An own update's rows leave F - L with the message after it, its response
+    while a ladder runs, so at a completed ladder F - L holds the ladder's own
+    rows: those from before it started and the probes answered since, each
+    folded once. An own row of another width raises `PayloadError`.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def start(self) -> _AttackState:
+        return _LADDER.start(), moments((), self.d + 1)
+
+    def observe(self, state: _AttackState, message: Message) -> _AttackState:
+        walk, own = state
+        if walk.sent is not None:
+            own = own.plus_rows(walk.sent, -1)
+        if isinstance(message, FactualDelivery):
+            own = own.plus_rows(_rows(message.payload))
+        return _LADDER.observe(walk, message), own
+
+    def decide(self, state: _AttackState) -> Optional[UpdatePayload]:
+        walk, own = state
+        ladder, d = walk.ladder, self.d
         if ladder is None or None in ladder.rho_seq:
             return None
         current = ladder.rho_seq[-1]
@@ -495,12 +506,6 @@ class _TriangulationFold(StrategyFold):
         if ladder.step <= d:
             return RowMultiset((_probe_row(ladder.step + 1, current),))
         if ladder.step == width:
-            own = state.own
-            if own is None:
-                probes = tuple(chain.from_iterable(ladder.probes))
-                own = moments(ladder.own_factual_rows, width).plus_rows(
-                    ladder.own_ledger_rows + probes, -1
-                )
             if any(own.residual(current)[1]):
                 return None
             try:
@@ -510,15 +515,6 @@ class _TriangulationFold(StrategyFold):
             deflection = Row((Fraction(1),) + (Fraction(0),) * d, current[0] + 1)
             return RowMultiset((deflection,))
         return None
-
-
-_LADDER = _TriangulationFold(None)
-
-
-def triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
-    """The current probe ladder of an observed history, as the triangulation
-    fold keeps it (see `_TriangulationFold`)."""
-    return o.fold(_LADDER).ladder
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)

@@ -1,6 +1,6 @@
 """The scenario layer's payload decoder and trace encoder as they were before
-they stopped repeating work: the oracle for `scenario.payload_from_json` and
-`scenario.trace_lines`.
+they stopped repeating work: the oracle for the loader's payload decoder
+(`scenario._decode(scenario._payload, obj, path)`) and `scenario.trace_lines`.
 
 `payload_from_json` here formats the field path of every point, row and
 coordinate before decoding it, and `trace_lines` turns every message into a

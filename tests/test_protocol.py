@@ -661,7 +661,9 @@ def test_a_fold_resumed_from_the_memo_equals_a_fold_from_the_start(case, data):
     assume(not isinstance(run, type))
     log = run.messages
     recorder = _Recorder()
-    folds = (recorder, triangulation_attack(1), average_double_probe(), sneak_attack(lr_sneak_params()))
+    # The ladder's moments take rows of the run's own width.
+    d = algorithm.d if isinstance(algorithm, DlrAlgorithm) else 1
+    folds = (recorder, triangulation_attack(d), average_double_probe(), sneak_attack(lr_sneak_params()))
     # Views grow and shrink in any order; one shorter than its memo entry restarts.
     lengths = data.draw(st.lists(st.integers(min_value=0, max_value=len(log)), max_size=10))
     for agent in range(1, agent_count + 1):

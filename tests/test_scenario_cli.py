@@ -38,11 +38,12 @@ from exclusim.harness import (
 from exclusim.scenario import (
     PreconditionError,
     ValidationError,
+    _decode,
+    _payload,
     format_rational,
     load_scenario,
     ninput_to_json,
     output_to_json,
-    payload_from_json,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -1237,6 +1238,8 @@ VERIFY_COMMANDS = [
     "condition_i_star --attack triangulation --count 5",
     "condition_i_star --attack triangulation --d 3 --count 5",
     "inference --attack triangulation --d 3 --count 5",
+    "condition_i_star --attack triangulation --d 5 --count 5",
+    "inference --attack triangulation --d 5 --count 5",
     "condition_i_star --attack triangulation --d 9 --count 5",
     "inference --attack triangulation --d 9 --count 5",
     "periodic_safety --algorithm dlr --count 3",
@@ -1586,7 +1589,8 @@ _payload_json = st.one_of(
 )
 @settings(max_examples=400, deadline=None)
 def test_payload_decoder_matches_the_oracle(obj):
-    assert _outcome(payload_from_json, obj, "nature_input[3].payload") == _outcome(
+    # The loader decodes every payload through `_decode(_payload, ...)`.
+    assert _outcome(_decode, _payload, obj, "nature_input[3].payload") == _outcome(
         reference_scenario.payload_from_json, obj, "nature_input[3].payload"
     )
 

@@ -743,18 +743,17 @@ def _ladder_moments(d, ladder):
 
 
 def test_triangulation_fold_keeps_the_moments_of_the_ladders_own_rows():
-    # Its running moments equal the refold of the ladder's rows on every
-    # prefix. An own update that another one follows gets no response, so
-    # its rows are none of the ladder's and the fold drops its moments.
-    logs = [
-        (
-            FactualDelivery(2, _OWN_ROWS),
-            OutputBroadcast(_FIT[0]),
-            LedgerUpdate(2, RowMultiset(_PROBES[:1])),
-            LedgerUpdate(2, RowMultiset(_PROBES[1:])),
-            OutputBroadcast(_FIT[1]),
-        )
-    ]
+    # On every prefix its running moments are those of the own factual rows
+    # less those of every own update that a message has followed. On an
+    # engine's run that is the refold of the ladder's rows.
+    double_update = (
+        FactualDelivery(2, _OWN_ROWS),
+        OutputBroadcast(_FIT[0]),
+        LedgerUpdate(2, RowMultiset(_PROBES[:1])),
+        LedgerUpdate(2, RowMultiset(_PROBES[1:])),
+        OutputBroadcast(_FIT[1]),
+    )
+    logs = [double_update]
     generate = make_triangulation_cases(1)
     for seed in range(25):
         case = generate(seed)
@@ -765,12 +764,35 @@ def test_triangulation_fold_keeps_the_moments_of_the_ladders_own_rows():
     kept = 0
     for log in logs:
         for length in range(len(log) + 1):
-            walk = ObservedHistory(2, log, length).fold(triangulation_attack(1))
-            if walk.ladder is not None and walk.own is not None:
-                assert walk.own == _ladder_moments(1, walk.ladder)
+            walk, own = ObservedHistory(2, log, length).fold(triangulation_attack(1))
+            answered = walk.ledger_rows[: len(walk.ledger_rows) - len(walk.sent or ())]
+            assert own == moments(walk.factual_rows, 2).plus_rows(answered, -1)
+            if walk.ladder is not None and log is not double_update:
+                assert own == _ladder_moments(1, walk.ladder)
                 kept += 1
     assert kept
-    assert ObservedHistory(2, logs[0], len(logs[0])).fold(triangulation_attack(1)).own is None
+    # An own update that another one follows gets no response, so its rows
+    # are none of the ladder's, yet they leave the moments all the same.
+    walk, own = ObservedHistory(2, double_update, len(double_update)).fold(triangulation_attack(1))
+    assert walk.ladder.probes == (_PROBES[1:],)
+    assert own == moments(_OWN_ROWS.rows, 2).plus_rows(_PROBES, -1)
+    assert own != _ladder_moments(1, walk.ladder)
+
+
+@pytest.mark.parametrize("d, rows_d", [(1, 2), (2, 1)])
+def test_triangulation_attack_refuses_own_rows_of_another_width(d, rows_d):
+    # The poll right after the delivery raises, before any broadcast.
+    attack, polled = triangulation_attack(d), []
+
+    def spied(o):
+        polled.append(o.last())
+        return attack(o)
+
+    own = NatureElement(2, _unit_rows(rows_d))
+    with pytest.raises(PayloadError) as excinfo:
+        run_protocol("continuous", (own,), {2: spied}, DlrAlgorithm(rows_d), 2, ell=1)
+    assert str(excinfo.value) == f"row width {rows_d + 1} does not match {d + 1}"
+    assert polled == [FactualDelivery(2, own.payload)]
 
 
 # --- the integer inference against the Fraction-matrix oracle ---------------
