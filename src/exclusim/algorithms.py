@@ -41,7 +41,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, product, repeat, starmap
 from operator import add, mul, sub
 from typing import Any, Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
@@ -143,6 +143,19 @@ class Row:
             raise PayloadError(f"feature vector must lead with 1, got {format_point(feats)}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "target", rational(target))
+
+    @classmethod
+    def _exact(cls, features: Point, target: Fraction) -> "Row":
+        """Wrap features led by 1 and a target computed here, unchecked (see `RMatrix._exact`)."""
+        row = object.__new__(cls)
+        row.__dict__.update(features=features, target=target)
+        return row
+
+    @cached_property
+    def scaled_features(self) -> tuple[int, tuple[int, ...]]:
+        """`_scaled(features)` with the ints as a tuple, computed once per row."""
+        scale, ints = _scaled(self.features)
+        return scale, tuple(ints)
 
     def sort_key(self) -> tuple:
         return (self.features, self.target)
@@ -246,6 +259,13 @@ class CoefficientsOutput:
 
     def __init__(self, coefficients: Sequence[RationalLike]):
         object.__setattr__(self, "coefficients", as_point(coefficients))
+
+    @classmethod
+    def _exact(cls, coefficients: Point) -> "CoefficientsOutput":
+        """Wrap coefficients computed here, unchecked (see `RMatrix._exact`)."""
+        output = object.__new__(cls)
+        output.__dict__["coefficients"] = coefficients
+        return output
 
 
 @dataclass(frozen=True)
@@ -588,7 +608,7 @@ class ScaledMoments(NamedTuple):
         for row in rows:
             if len(row.features) != width:
                 raise PayloadError(f"row width {row.width} does not match {width}")
-            f, x = _scaled(row.features)
+            f, x = row.scaled_features
             square, ft = f * f, f * row.target.denominator
             g = math.gcd(gram_scale, square)
             a = sign * (gram_scale // g)
@@ -810,7 +830,7 @@ class DlrAlgorithm(Algorithm):
 
     def output(self, state: ScaledMoments) -> AlgorithmOutput:
         coefficients = state.solve()
-        return NullOutput() if coefficients is None else CoefficientsOutput(coefficients)
+        return NullOutput() if coefficients is None else CoefficientsOutput._exact(coefficients)
 
 
 def build_named(

@@ -8,6 +8,9 @@ there is no separate rational wrapper here, only a parse helper for the "p/q"
 wire format and a matrix type sized for normal-equation work. `RMatrix`
 offers products, transposes and elimination; it has no elementwise sums,
 since the moments are added as integer `algorithms.ScaledMoments` records.
+Public constructors coerce and check their input; `_exact` wraps values that
+exclusim computed, canonical by construction, and `rational` returns a
+`Fraction` unchanged.
 
 The matrix kernel computes on plain ints. Each row (or column) is scaled by
 the least common multiple of its own denominators; elimination is
@@ -53,7 +56,7 @@ def is_int(value: object) -> bool:
 
 
 def rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational.
+    """Coerce an int or "p/q" string to an exact rational; return a Fraction unchanged.
 
     Floats are rejected on purpose: silently rationalizing a float would
     smuggle rounding error into exact-equality comparisons; so are booleans,
@@ -62,6 +65,8 @@ def rational(value: RationalLike) -> Fraction:
     and exponent forms `Fraction` also reads are refused with its message,
     since "1e10000000" would build an integer of ten million digits.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, str):
         text = value.strip()
         match = _RATIONAL_TEXT.fullmatch(text)
@@ -110,15 +115,17 @@ def solve_integer_rows(work: list[list[int]]) -> Optional[tuple[int, list[list[i
     # After step k, work[r] holds only the columns of row r right of k.
     previous = 1
     for k in range(n):
-        pivot_row = next((r for r in range(k, n) if work[r][0]), None)
-        if pivot_row is None:
+        for pivot_row in range(k, n):
+            if work[pivot_row][0]:
+                break
+        else:
             return None
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], [-v for v in work[k]]
-        pivot, *tail = work[k]
+        pivot, tail = work[k][0], work[k][1:]
         for r in range(n):
             if r != k:
-                f, *rest = work[r]
+                f, rest = work[r][0], work[r][1:]
                 work[r] = [(pivot * a - f * b) // previous for a, b in zip(rest, tail)]
         work[k] = tail
         previous = pivot

@@ -150,6 +150,10 @@ class ObservedHistory:
     length: int
     memo: Optional[dict] = field(default=None, repr=False)
 
+    def __init__(self, agent: int, log: Sequence[Message], length: int, memo: Optional[dict] = None):
+        # One dict update, not a frozen `__setattr__` per field: a view is built on every poll.
+        self.__dict__.update(agent=agent, log=log, length=length, memo=memo)
+
     def sees(self, message: Message) -> bool:
         return isinstance(message, OutputBroadcast) or message.agent == self.agent
 

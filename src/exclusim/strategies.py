@@ -464,6 +464,7 @@ def triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
 
 
 _AttackState = tuple[_LadderWalk, ScaledMoments]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class _TriangulationFold(StrategyFold):
@@ -512,12 +513,9 @@ class _TriangulationFold(StrategyFold):
                 triangulation_infer(ladder, d)
             except InferenceError:
                 return None
-            deflection = Row((Fraction(1),) + (Fraction(0),) * d, current[0] + 1)
+            deflection = Row._exact((_ONE,) + (_ZERO,) * d, current[0] + 1)
             return RowMultiset((deflection,))
         return None
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _probe_row(step: int, previous: Point) -> Row:
@@ -525,12 +523,13 @@ def _probe_row(step: int, previous: Point) -> Row:
 
     The features are 1 at the intercept and at coordinate step - 1 (the
     intercept alone at step 1) and 0 elsewhere, so the fit there is the sum
-    of those one or two coefficients.
+    of those one or two coefficients. The row is computed here from the
+    broadcast's `Fraction`s, so `Row._exact` wraps it unchecked.
     """
     features = [_ZERO] * len(previous)
     features[0] = features[step - 1] = _ONE
     fit = previous[0] if step == 1 else previous[0] + previous[step - 1]
-    return Row(features, fit + 1)
+    return Row._exact(tuple(features), fit + 1)
 
 
 @dataclass(frozen=True)
@@ -588,14 +587,14 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
             "the fit never moved along some direction; probe responses are dependent"
         )
     sigma_matrix = sigma_transposed.transpose()
-    sigma_vector = sigma_matrix @ RMatrix.column(rho[0])
+    sigma_vector = sigma_matrix @ RMatrix._exact(tuple(zip(rho[0])))
     sigma = ScaledMoments.of(sigma_matrix.rows, sigma_vector.column_values())
     solution = sigma.plus_rows(state.own_factual_rows).plus_rows(state.own_ledger_rows, -1).solve()
     if solution is None:
         raise InferenceError("the truthful data does not determine a unique fit")
     return InferenceResult(
         sigma_matrix=sigma_matrix,
-        truth_output=CoefficientsOutput(solution),
+        truth_output=CoefficientsOutput._exact(solution),
         delta_matrix=RMatrix._exact(tuple(zip(*delta_columns))),
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from functools import reduce
 from operator import mul, sub
@@ -39,7 +40,7 @@ from exclusim.algorithms import (
     payload_difference,
     payload_union,
 )
-from exclusim.numerics import RMatrix
+from exclusim.numerics import RMatrix, _scaled
 from reference_aggregations import (
     dist_key,
     divided,
@@ -89,6 +90,35 @@ def test_row_requires_leading_one():
     row = Row((1, 5), 7)
     assert row.width == 2
     assert row.target == Fraction(7)
+
+
+def test_row_fields_equality_hash_and_repr_ignore_its_integer_form():
+    assert [f.name for f in dataclasses.fields(Row)] == ["features", "target"]
+    row, fresh = Row((1, 2), Fraction(1, 2)), Row((1, 2), Fraction(1, 2))
+    assert row.scaled_features == (1, (1, 2))
+    assert row == fresh and hash(row) == hash(fresh) == hash((row.features, row.target))
+    assert repr(row) == repr(fresh) == (
+        "Row(features=(Fraction(1, 1), Fraction(2, 1)), target=Fraction(1, 2))"
+    )
+    assert row != Row((1, 3), Fraction(1, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.features = (Fraction(1),)
+
+
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**40)),
+        max_size=4,
+    ),
+    st.integers(-50, 50),
+)
+@settings(max_examples=100, deadline=None)
+def test_row_integer_form_is_the_scaled_features_as_a_tuple(rest, target):
+    row = Row((1, *rest), target)
+    scale, ints = _scaled(row.features)
+    assert row.scaled_features == (scale, tuple(ints))
+    assert type(row.scaled_features[1]) is tuple
+    assert row.scaled_features is row.scaled_features
 
 
 def test_rowmultiset_sorts_canonically():

@@ -40,6 +40,11 @@ def test_rational_accepts_int_str_fraction():
     assert rational(Fraction(1, 3)) == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(-7, 2), Fraction(2**200, 3**90)])
+def test_rational_returns_a_fraction_unchanged(value):
+    assert rational(value) is value
+
+
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         rational(0.5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -372,6 +373,20 @@ def test_observed_history_projects_own_messages_and_broadcasts():
     assert all(
         m.agent == 2 for m in view.items if isinstance(m, (FactualDelivery, LedgerUpdate))
     )
+
+
+def test_observed_history_stays_frozen_with_its_fields_and_repr():
+    log = run_protocol("continuous", _scalar_input((1, 5), (2, 7)), {}, MaxAlgorithm(), 2, ell=1).messages
+    view, memo = ObservedHistory(2, log, 2), {}
+    assert (view.agent, view.log, view.length, view.memo) == (2, log, 2, None)
+    assert ObservedHistory(2, log, 2, memo).memo is memo
+    assert repr(view) == "ObservedHistory(agent=2, length=2)"
+    assert [f.name for f in dataclasses.fields(ObservedHistory)] == ["agent", "log", "length", "memo"]
+    for name, value in (("agent", 1), ("log", ()), ("length", 0), ("memo", memo), ("items", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(view, name, value)
+    assert view.items is view.items
+    assert (view.agent, view.length, view.memo) == (2, 2, None)
 
 
 def _visible(messages, agent):

@@ -595,6 +595,40 @@ def test_triangulation_attack_matches_the_full_inference_reference(d):
     assert deflected  # only the constructed input deflects
 
 
+def _same_record(made, public):
+    assert made == public and hash(made) == hash(public) and repr(made) == repr(public)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_records_wrapped_without_coercion_equal_the_public_constructors(d):
+    # Probe and deflection rows, regression outputs and the inferred fit skip
+    # the public constructors' coercion; on every prefix of generated runs
+    # each is the record those constructors build from the same values.
+    attack, generate = triangulation_attack(d), make_triangulation_cases(d)
+    inputs = [(_deflecting_input(d), 3, d + 2)]
+    inputs += [(case.ninput, case.agent_count, case.ell) for case in map(generate, range(30))]
+    seen = {"probe": 0, "deflection": 0, "output": 0, "truth": 0}
+    for ninput, agent_count, ell in inputs:
+        run = run_protocol("continuous", ninput, {2: attack}, DlrAlgorithm(d), agent_count, ell=ell)
+        for upto in range(len(run.messages) + 1):
+            view = observed_history(run, 2, upto)
+            output = view.last_broadcast()
+            if isinstance(output, CoefficientsOutput):
+                _same_record(output, CoefficientsOutput(output.coefficients))
+                seen["output"] += 1
+            decision = attack(view)
+            state = triangulation_state(view)
+            if decision is not None:
+                (row,) = decision.rows
+                _same_record(row, Row(row.features, row.target))
+                seen["probe" if state.step <= d else "deflection"] += 1
+            if state is not None and state.step == d + 1 and None not in state.rho_seq:
+                truth = triangulation_infer(state, d).truth_output
+                _same_record(truth, CoefficientsOutput(truth.coefficients))
+                seen["truth"] += 1
+    assert all(seen.values()), seen
+
+
 def test_triangulation_attack_stays_silent_when_a_zero_residual_cannot_be_solved(monkeypatch):
     # The own rows P fit rho_2 exactly, so (F - L) @ rho_2 = f - l holds; the
     # first probe left the fit where it was, so Delta is singular and the
