@@ -499,8 +499,42 @@ def run_scenario(scenario: Scenario) -> Run:
 # =============================================================================
 
 
-# One encoder for every payload: `json.dumps` with arguments builds a new one per call.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+def _number(value: Fraction) -> str:
+    """The JSON text of `format_rational(value)`: a string quoted, an int as a number."""
+    text = format_rational(value)
+    return f'"{text}"' if isinstance(text, str) else str(text)
+
+
+def _numbers(values: tuple[Fraction, ...]) -> str:
+    return ",".join(map(_number, values))
+
+
+def _payload_text(payload: UpdatePayload) -> str:
+    """The compact JSON text of `payload_to_json(payload)`, built without the dict."""
+    if isinstance(payload, Scalar):
+        return f'{{"kind":"scalar","value":{_number(payload.value)}}}'
+    if isinstance(payload, PointSet):
+        points = ",".join(f"[{_numbers(point)}]" for point in payload.points)
+        return f'{{"kind":"points","points":[{points}]}}'
+    if isinstance(payload, RowMultiset):
+        rows = ",".join(
+            f'{{"features":[{_numbers(row.features)}],"target":{_number(row.target)}}}'
+            for row in payload.rows
+        )
+        return f'{{"kind":"rows","rows":[{rows}]}}'
+    return '{"kind":"empty"}'
+
+
+def _output_text(output: Optional[AlgorithmOutput]) -> str:
+    """The compact JSON text of `output_to_json(output)`, built without the dict."""
+    if isinstance(output, ScalarOutput):
+        return f'{{"kind":"scalar","value":{_number(output.value)}}}'
+    if isinstance(output, CentersOutput):
+        centers = ",".join(f"[{_numbers(center)}]" for center in output.centers)
+        return f'{{"kind":"centers","centers":[{centers}]}}'
+    if isinstance(output, CoefficientsOutput):
+        return f'{{"kind":"coefficients","coefficients":[{_numbers(output.coefficients)}]}}'
+    return '{"kind":"null"}'
 
 
 def trace_lines(run: Run) -> list[str]:
@@ -508,23 +542,26 @@ def trace_lines(run: Run) -> list[str]:
 
     One line per transcript message, in run order:
     `{"seq":N,"kind":"factual"|"ledger"|"broadcast","agent":A|null,"payload":P}`.
-    P is encoded once per distinct payload or output object: a truthful
-    agent's ledger update carries its delivery's payload, and a rebroadcast
-    output is the same object.
+    Each line is compact JSON written directly, with no dict and no encoder
+    between: P holds the fields of `payload_to_json` or `output_to_json`, and
+    its numbers follow `format_rational` (an int is a JSON number, a string is
+    quoted). P is written once per distinct payload or output object: a
+    truthful agent's ledger update carries its delivery's payload, and a
+    rebroadcast output is the same object.
     """
-    # P by the id of the object it encodes; the run's log keeps each one alive.
+    # P by the id of the object it writes; the run's log keeps each one alive.
     texts: dict[int, str] = {}
     lines = []
     for seq, message in enumerate(run.messages):
         if isinstance(message, OutputBroadcast):
-            value, to_json = message.output, output_to_json
+            value, to_text = message.output, _output_text
             head = '"kind":"broadcast","agent":null'
         else:
-            value, to_json = message.payload, payload_to_json
+            value, to_text = message.payload, _payload_text
             kind = "factual" if isinstance(message, FactualDelivery) else "ledger"
             head = f'"kind":"{kind}","agent":{message.agent}'
         text = texts.get(id(value))
         if text is None:
-            text = texts[id(value)] = _encode(to_json(value))
+            text = texts[id(value)] = to_text(value)
         lines.append(f'{{"seq":{seq},{head},"payload":{text}}}')
     return lines

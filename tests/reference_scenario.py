@@ -3,11 +3,13 @@ they stopped repeating work: the oracle for the loader's payload decoder
 (`scenario._decode(scenario._payload, obj, path)`) and `scenario.trace_lines`.
 
 `payload_from_json` here formats the field path of every point, row and
-coordinate before decoding it, and `trace_lines` turns every message into a
-dict and encodes the whole dict, even where two messages carry the same
-payload object. The differential tests in `test_scenario_cli.py` compare the
-library against both: the same decoded value or the same error message, and
-the same trace lines.
+coordinate before decoding it. `trace_lines` here turns every message into a
+dict through `payload_to_json` and `output_to_json` and encodes the whole dict
+with the `json` module, even where two messages carry the same payload object;
+it is the oracle of a trace writer that builds no dicts and calls no encoder,
+but joins the JSON text itself. The differential tests in
+`test_scenario_cli.py` compare the library against both: the same decoded
+value or the same error message, and the same trace lines.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from exclusim.harness import (
 from exclusim.scenario import (
     PreconditionError,
     ValidationError,
+    _STR_SAFE_BITS,
     _decode,
     _payload,
     format_rational,
@@ -1595,10 +1596,39 @@ def test_payload_decoder_matches_the_oracle(obj):
     )
 
 
+# Past `_STR_SAFE_BITS`, yet well under the int-to-str cap: `str` converts it.
+_WIDE = 10**1000 + 3
+# Long values of each kind and sign, so every payload and output kind goes
+# through both branches of the trace writer's number rule: an int `str`
+# converts, an int past the cap written as a digit string, and a fraction
+# whose numerator or denominator `_decimal` splits.
+_LONG_RATIONALS = [
+    sign * value
+    for value in (Fraction(_WIDE), Fraction(_LONG), Fraction(_WIDE, 2), Fraction(5, _WIDE))
+    for sign in (1, -1)
+]
+
+
+def _long_rational(index: int) -> Fraction:
+    # Drawn by index: hypothesis writes the values of `sampled_from` into the
+    # strategy's repr, and `repr(Fraction(_LONG))` is past the int-to-str cap.
+    return _LONG_RATIONALS[index]
+
+
 _rationals = st.one_of(
     st.integers(min_value=-6, max_value=6).map(Fraction),
     st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    st.integers(min_value=0, max_value=len(_LONG_RATIONALS) - 1).map(_long_rational),
 )
+
+
+def test_long_rationals_take_both_branches_of_the_number_rule():
+    assert all(
+        max(value.numerator.bit_length(), value.denominator.bit_length()) > _STR_SAFE_BITS
+        for value in _LONG_RATIONALS
+    )
+    kinds = [type(format_rational(value)) for value in _LONG_RATIONALS]
+    assert kinds.count(int) == 2 and kinds.count(str) == 6
 
 
 @st.composite
