@@ -204,10 +204,6 @@ class RMatrix:
             tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         )
 
-    @staticmethod
-    def column(values: Sequence[RationalLike]) -> "RMatrix":
-        return RMatrix([[v] for v in values])
-
     def column_values(self, c: int = 0) -> tuple[Fraction, ...]:
         return tuple(row[c] for row in self.rows)
 

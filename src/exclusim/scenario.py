@@ -13,6 +13,9 @@ which payloads a file may hold: nature's, each strategy's payload and point
 parameters, and what the table lists that each strategy can send. Nature's
 and the listed payloads reach the ledger, so their point sets must also
 share one dimension. Either fault refuses the file before the run.
+
+`_payload_text` and `_output_text` are the one writer of payloads and outputs:
+trace lines carry their text, and scenario files and verify reports its parse.
 """
 
 from __future__ import annotations
@@ -113,6 +116,45 @@ def format_rational(value: Fraction) -> Union[int, str]:
     return numerator
 
 
+def _number(value: Fraction) -> str:
+    """The JSON text of `format_rational(value)`: a string quoted, an int as a number."""
+    text = format_rational(value)
+    return f'"{text}"' if isinstance(text, str) else str(text)
+
+
+def _numbers(values: tuple[Fraction, ...]) -> str:
+    return ",".join(map(_number, values))
+
+
+def _payload_text(payload: UpdatePayload) -> str:
+    """The compact JSON text of a payload, the one statement of its format:
+    trace lines carry it and `payload_to_json` parses it."""
+    if isinstance(payload, Scalar):
+        return f'{{"kind":"scalar","value":{_number(payload.value)}}}'
+    if isinstance(payload, PointSet):
+        points = ",".join(f"[{_numbers(point)}]" for point in payload.points)
+        return f'{{"kind":"points","points":[{points}]}}'
+    if isinstance(payload, RowMultiset):
+        rows = ",".join(
+            f'{{"features":[{_numbers(row.features)}],"target":{_number(row.target)}}}'
+            for row in payload.rows
+        )
+        return f'{{"kind":"rows","rows":[{rows}]}}'
+    return '{"kind":"empty"}'
+
+
+def _output_text(output: Optional[AlgorithmOutput]) -> str:
+    """The compact JSON text of an output, the one statement of its format."""
+    if isinstance(output, ScalarOutput):
+        return f'{{"kind":"scalar","value":{_number(output.value)}}}'
+    if isinstance(output, CentersOutput):
+        centers = ",".join(f"[{_numbers(center)}]" for center in output.centers)
+        return f'{{"kind":"centers","centers":[{centers}]}}'
+    if isinstance(output, CoefficientsOutput):
+        return f'{{"kind":"coefficients","coefficients":[{_numbers(output.coefficients)}]}}'
+    return '{"kind":"null"}'
+
+
 class _Invalid(Exception):
     """A decoding failure below the field path of the value being decoded.
 
@@ -202,25 +244,8 @@ def _payload(obj: object) -> UpdatePayload:
 
 
 def payload_to_json(payload: UpdatePayload) -> dict:
-    if isinstance(payload, Scalar):
-        return {"kind": "scalar", "value": format_rational(payload.value)}
-    if isinstance(payload, PointSet):
-        return {
-            "kind": "points",
-            "points": [[format_rational(c) for c in p] for p in payload.points],
-        }
-    if isinstance(payload, RowMultiset):
-        return {
-            "kind": "rows",
-            "rows": [
-                {
-                    "features": [format_rational(c) for c in row.features],
-                    "target": format_rational(row.target),
-                }
-                for row in payload.rows
-            ],
-        }
-    return {"kind": "empty"}
+    """`payload` in the file schema: the parse of its trace text."""
+    return json.loads(_payload_text(payload))
 
 
 def ninput_to_json(ninput: NatureInput) -> list[dict]:
@@ -253,19 +278,8 @@ def _output(obj: object) -> AlgorithmOutput:
 
 
 def output_to_json(output: Optional[AlgorithmOutput]) -> dict:
-    if isinstance(output, ScalarOutput):
-        return {"kind": "scalar", "value": format_rational(output.value)}
-    if isinstance(output, CentersOutput):
-        return {
-            "kind": "centers",
-            "centers": [[format_rational(c) for c in p] for p in output.centers],
-        }
-    if isinstance(output, CoefficientsOutput):
-        return {
-            "kind": "coefficients",
-            "coefficients": [format_rational(c) for c in output.coefficients],
-        }
-    return {"kind": "null"}
+    """`output` in the file schema: the parse of its trace text."""
+    return json.loads(_output_text(output))
 
 
 # =============================================================================
@@ -499,53 +513,15 @@ def run_scenario(scenario: Scenario) -> Run:
 # =============================================================================
 
 
-def _number(value: Fraction) -> str:
-    """The JSON text of `format_rational(value)`: a string quoted, an int as a number."""
-    text = format_rational(value)
-    return f'"{text}"' if isinstance(text, str) else str(text)
-
-
-def _numbers(values: tuple[Fraction, ...]) -> str:
-    return ",".join(map(_number, values))
-
-
-def _payload_text(payload: UpdatePayload) -> str:
-    """The compact JSON text of `payload_to_json(payload)`, built without the dict."""
-    if isinstance(payload, Scalar):
-        return f'{{"kind":"scalar","value":{_number(payload.value)}}}'
-    if isinstance(payload, PointSet):
-        points = ",".join(f"[{_numbers(point)}]" for point in payload.points)
-        return f'{{"kind":"points","points":[{points}]}}'
-    if isinstance(payload, RowMultiset):
-        rows = ",".join(
-            f'{{"features":[{_numbers(row.features)}],"target":{_number(row.target)}}}'
-            for row in payload.rows
-        )
-        return f'{{"kind":"rows","rows":[{rows}]}}'
-    return '{"kind":"empty"}'
-
-
-def _output_text(output: Optional[AlgorithmOutput]) -> str:
-    """The compact JSON text of `output_to_json(output)`, built without the dict."""
-    if isinstance(output, ScalarOutput):
-        return f'{{"kind":"scalar","value":{_number(output.value)}}}'
-    if isinstance(output, CentersOutput):
-        centers = ",".join(f"[{_numbers(center)}]" for center in output.centers)
-        return f'{{"kind":"centers","centers":[{centers}]}}'
-    if isinstance(output, CoefficientsOutput):
-        return f'{{"kind":"coefficients","coefficients":[{_numbers(output.coefficients)}]}}'
-    return '{"kind":"null"}'
-
-
 def trace_lines(run: Run) -> list[str]:
     """Line-delimited JSON trace, stable byte-for-byte across runs.
 
     One line per transcript message, in run order:
     `{"seq":N,"kind":"factual"|"ledger"|"broadcast","agent":A|null,"payload":P}`.
     Each line is compact JSON written directly, with no dict and no encoder
-    between: P holds the fields of `payload_to_json` or `output_to_json`, and
-    its numbers follow `format_rational` (an int is a JSON number, a string is
-    quoted). P is written once per distinct payload or output object: a
+    between: P is the text of `_payload_text` or `_output_text`, whose numbers
+    follow `format_rational` (an int is a JSON number, a string is quoted).
+    P is written once per distinct payload or output object: a
     truthful agent's ledger update carries its delivery's payload, and a
     rebroadcast output is the same object.
     """

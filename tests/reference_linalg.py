@@ -6,21 +6,26 @@ This is how `RMatrix` computed before its kernel became fraction-free
 `test_numerics.py` compare the two exactly, including which systems are
 singular.
 
-`zeros`, `add`, `sub` and `scale` are the elementwise matrix operations that
-only the `Fraction` oracles (`reference_moments`, the probe-ladder oracle)
-use, so they live here rather than on `RMatrix`.
+`zeros`, `column`, `add`, `sub` and `scale` are the matrix builders and
+elementwise operations that only the `Fraction` oracles (`reference_moments`,
+the probe-ladder oracle) and the tests use, so they live here rather than on
+`RMatrix`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from exclusim.numerics import DimensionError, RationalLike, RMatrix, rational
 
 
 def zeros(nrows: int, ncols: int) -> RMatrix:
     return RMatrix([[0] * ncols] * nrows)
+
+
+def column(values: Sequence[RationalLike]) -> RMatrix:
+    return RMatrix([[v] for v in values])
 
 
 def _same_shape(a: RMatrix, b: RMatrix) -> None:

@@ -1,34 +1,43 @@
-"""The scenario layer's payload decoder and trace encoder as they were before
+"""The scenario layer's payload decoder and JSON writers as they were before
 they stopped repeating work: the oracle for the loader's payload decoder
-(`scenario._decode(scenario._payload, obj, path)`) and `scenario.trace_lines`.
+(`scenario._decode(scenario._payload, obj, path)`), for `scenario.trace_lines`,
+and for the document writers `scenario.payload_to_json` and
+`scenario.output_to_json`.
 
 `payload_from_json` here formats the field path of every point, row and
-coordinate before decoding it. `trace_lines` here turns every message into a
-dict through `payload_to_json` and `output_to_json` and encodes the whole dict
-with the `json` module, even where two messages carry the same payload object;
-it is the oracle of a trace writer that builds no dicts and calls no encoder,
-but joins the JSON text itself. The differential tests in
-`test_scenario_cli.py` compare the library against both: the same decoded
-value or the same error message, and the same trace lines.
+coordinate before decoding it. `payload_to_json` and `output_to_json` here
+build each payload and output as a dict, field by field; the library writes
+their JSON text once, in `_payload_text` and `_output_text`, and parses that
+text where it needs a dict. `trace_lines` here turns every message into a dict
+through these two writers and encodes the whole dict with the `json` module,
+even where two messages carry the same payload object. The differential tests
+in `test_scenario_cli.py` compare the library against all of them: the same
+decoded value or the same error message, the same dicts, and the same trace
+lines.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Optional
 
 from exclusim.algorithms import (
+    AlgorithmOutput,
+    CentersOutput,
+    CoefficientsOutput,
     Empty,
     PayloadError,
     PointSet,
     Row,
     RowMultiset,
     Scalar,
+    ScalarOutput,
     UpdatePayload,
 )
 from exclusim.numerics import rational
 from exclusim.protocol import FactualDelivery, OutputBroadcast, Run
-from exclusim.scenario import ValidationError, output_to_json, payload_to_json
+from exclusim.scenario import ValidationError, format_rational
 
 
 def _fail(path: str, message: str) -> ValidationError:
@@ -82,6 +91,44 @@ def payload_from_json(obj: object, path: str) -> UpdatePayload:
     except PayloadError as exc:
         raise _fail(path, str(exc)) from exc
     raise _fail(f"{path}.kind", f"unknown payload kind {kind!r}")
+
+
+def payload_to_json(payload: UpdatePayload) -> dict:
+    if isinstance(payload, Scalar):
+        return {"kind": "scalar", "value": format_rational(payload.value)}
+    if isinstance(payload, PointSet):
+        return {
+            "kind": "points",
+            "points": [[format_rational(c) for c in p] for p in payload.points],
+        }
+    if isinstance(payload, RowMultiset):
+        return {
+            "kind": "rows",
+            "rows": [
+                {
+                    "features": [format_rational(c) for c in row.features],
+                    "target": format_rational(row.target),
+                }
+                for row in payload.rows
+            ],
+        }
+    return {"kind": "empty"}
+
+
+def output_to_json(output: Optional[AlgorithmOutput]) -> dict:
+    if isinstance(output, ScalarOutput):
+        return {"kind": "scalar", "value": format_rational(output.value)}
+    if isinstance(output, CentersOutput):
+        return {
+            "kind": "centers",
+            "centers": [[format_rational(c) for c in p] for p in output.centers],
+        }
+    if isinstance(output, CoefficientsOutput):
+        return {
+            "kind": "coefficients",
+            "coefficients": [format_rational(c) for c in output.coefficients],
+        }
+    return {"kind": "null"}
 
 
 # One encoder for every line: `json.dumps` with arguments builds a new one per call.

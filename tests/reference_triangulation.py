@@ -32,7 +32,7 @@ from exclusim.numerics import RMatrix
 from exclusim.protocol import FactualDelivery, LedgerUpdate, ObservedHistory, Strategy
 from exclusim.strategies import InferenceError, InferenceResult, TriangulationState
 from reference_aggregations import reference_moments
-from reference_linalg import add, sub, zeros
+from reference_linalg import add, column, sub, zeros
 
 
 def reference_probe_row(step: int, previous: Point) -> Row:
@@ -61,8 +61,8 @@ def reference_triangulation_infer(state: TriangulationState, d: int) -> Inferenc
     accumulated = zeros(width, width)
     for i in range(1, width + 1):
         step_moments = reference_moments(state.probes[i - 1], width)
-        rho_i = RMatrix.column(rho[i])
-        delta = sub(rho_i, RMatrix.column(rho[i - 1]))
+        rho_i = column(rho[i])
+        delta = sub(rho_i, column(rho[i - 1]))
         response = sub(sub(step_moments.cross, step_moments.gram @ rho_i), accumulated @ delta)
         delta_columns.append(delta.column_values())
         response_columns.append(response.column_values())
@@ -75,7 +75,7 @@ def reference_triangulation_infer(state: TriangulationState, d: int) -> Inferenc
             "the fit never moved along some direction; probe responses are dependent"
         )
     sigma_matrix = response_matrix @ delta_inverse
-    sigma_vector = sigma_matrix @ RMatrix.column(rho[0])
+    sigma_vector = sigma_matrix @ column(rho[0])
     own_ledger = reference_moments(state.own_ledger_rows, width)
     own_factual = reference_moments(state.own_factual_rows, width)
     truth_gram = add(sub(sigma_matrix, own_ledger.gram), own_factual.gram)

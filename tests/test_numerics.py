@@ -19,6 +19,7 @@ from exclusim.numerics import (
 )
 from reference_linalg import (
     add,
+    column,
     reference_det,
     reference_inverse,
     reference_matmul,
@@ -155,20 +156,20 @@ def test_det_known_values():
 def test_solve_known_system():
     # The moment system behind a two-coefficient fit over three rows.
     a = RMatrix([[3, 3], [3, 5]])
-    rhs = RMatrix.column([4, 5])
+    rhs = column([4, 5])
     x = a.solve(rhs)
     assert x is not None
     assert x.column_values() == (Fraction(5, 6), Fraction(1, 2))
 
 
 def test_solve_singular_returns_none():
-    assert RMatrix([[1, 2], [2, 4]]).solve(RMatrix.column([1, 1])) is None
+    assert RMatrix([[1, 2], [2, 4]]).solve(column([1, 1])) is None
     assert RMatrix([[1, 2], [2, 4]]).inverse() is None
 
 
 def test_solve_requires_square():
     with pytest.raises(DimensionError):
-        RMatrix([[1, 2]]).solve(RMatrix.column([1]))
+        RMatrix([[1, 2]]).solve(column([1]))
 
 
 def test_inverse_known():
@@ -188,7 +189,7 @@ _small_fraction = st.fractions(
 @settings(max_examples=60, deadline=None)
 def test_solve_then_multiply_recovers_rhs(entries, rhs):
     a = RMatrix([entries[0:3], entries[3:6], entries[6:9]])
-    b = RMatrix.column(rhs)
+    b = column(rhs)
     x = a.solve(b)
     if x is None:
         assert a.det() == 0

@@ -233,11 +233,31 @@ def test_sneak_fixture_golden_traces():
     assert trace_lines(run_scenario(lr)) == LR_SNEAK_TRACE
 
 
+# The long-number scenario of the CI's console-script step: a negative
+# 1000-digit integer string, and a "p/q" with 1000-digit parts.
+LONG_MAX = {
+    "protocol": "continuous",
+    "ell": 1,
+    "agents": 2,
+    "algorithm": {"name": "max"},
+    "nature_input": [
+        {"agent": 1, "payload": {"kind": "scalar", "value": "-" + "7" * 1000}},
+        {"agent": 2, "payload": {"kind": "scalar", "value": "2" + "0" * 998 + "3/" + "9" * 1000}},
+    ],
+}
+
+
 def test_fixture_round_trips():
     # The canonical dict is a fixed point of serialize-then-load, and the
-    # reloaded scenario replays to the identical trace.
-    for path in FIXTURES.glob("*.json"):
-        scenario = load_scenario(path)
+    # reloaded scenario replays to the identical trace; the long-number
+    # scenario takes it past `_STR_SAFE_BITS`.
+    long_max = scenario_from_dict(LONG_MAX)
+    values = [element.payload.value for element in long_max.ninput]
+    assert all(
+        max(value.numerator.bit_length(), value.denominator.bit_length()) > _STR_SAFE_BITS
+        for value in values
+    )
+    for scenario in [*map(load_scenario, FIXTURES.glob("*.json")), long_max]:
         data = scenario_to_dict(scenario)
         reloaded = scenario_from_dict(data)
         assert scenario_to_dict(reloaded) == data
@@ -1247,6 +1267,8 @@ VERIFY_COMMANDS = [
     "periodic_safety --algorithm kcenter --count 3",
     "condition_i --attack kcenter_sneak --count 4",
     "condition_i --attack lr_sneak",
+    "condition_i --attack average",
+    "condition_i --attack triangulation --d 3",
 ]
 VERIFY_REPORTS = Path(__file__).resolve().parent / "verify_reports"
 
@@ -1661,6 +1683,31 @@ _outputs = st.one_of(
     st.lists(_rationals, min_size=1, max_size=3).map(CoefficientsOutput),
     st.just(NullOutput()),
 )
+
+
+def _assert_same_document(ours: object, oracle: object) -> None:
+    # Equal, and with the same key order, which the pretty-printed reports show.
+    assert ours == oracle
+    assert json.dumps(ours) == json.dumps(oracle)
+
+
+@given(
+    payloads=st.lists(_payloads(), max_size=3),
+    rounds=st.lists(st.none() | st.integers(min_value=1, max_value=5), min_size=3, max_size=3),
+    output=_outputs,
+)
+@settings(max_examples=200, deadline=None)
+def test_document_writers_match_the_oracle(payloads, rounds, output):
+    # `ninput_to_json` writes each payload through `payload_to_json`, and
+    # `round` only on the elements that have one.
+    ninput = [NatureElement(1, payload, r) for payload, r in zip(payloads, rounds)]
+    oracle = [
+        {"agent": 1, "payload": reference_scenario.payload_to_json(payload)}
+        | ({} if r is None else {"round": r})
+        for payload, r in zip(payloads, rounds)
+    ]
+    _assert_same_document(ninput_to_json(ninput), oracle)
+    _assert_same_document(output_to_json(output), reference_scenario.output_to_json(output))
 
 
 @st.composite
