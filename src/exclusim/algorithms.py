@@ -20,10 +20,11 @@ Everything is exact rational arithmetic. A regression fold is one kernel,
 `ScaledMoments.plus_rows`: it scales each row to ints, its features by
 their least common denominator and its target by its own, raises a block's
 scale only when the row's does not divide it, and adds the row's integer
-outer products; `output` hands the integer normal equations straight to the
-fraction-free solve and rescales the solution by the ratio of the two
-scales. Only the coefficients become `Fraction`s. `ScaledMoments.residual`
-states the residual G @ x - c; other modules never read the integer blocks.
+outer products in place, over its nonzero features only; `output` hands
+the integer normal equations straight to the fraction-free solve and
+rescales the solution by the ratio of the two scales. Only the
+coefficients become `Fraction`s. `ScaledMoments.residual` states the
+residual G @ x - c; other modules never read the integer blocks.
 The clustering solvers are exact on one coordinate scale per solve: they
 scale the input union's coordinates by the lcm of all their denominators
 and work in ints. A union on the line is solved by a dynamic program over
@@ -42,7 +43,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations, product, repeat, starmap
+from itertools import accumulate, chain, combinations
 from operator import add, mul, sub
 from typing import Any, Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -592,41 +593,45 @@ class ScaledMoments(NamedTuple):
     def plus_rows(self, rows: Sequence[Row], sign: int = 1) -> "ScaledMoments":
         """`self` plus `sign` times the moments of `rows`, folded one row at a time.
 
-        A row's features become ints over f, the lcm of their denominators,
-        and its target an int over its denominator t. With g the gcd of a
-        block's scale and the row's (f * f for the Gram block, f * t for the
-        cross block), the block's scale rises to their lcm only when the
-        row's does not divide it, the block is multiplied by the ratio, and
-        the row's integer outer product enters times the old scale over g. A
-        row of another width raises `PayloadError`.
+        The blocks are copied once into lists and updated in place. A row's
+        features become ints over f, the lcm of their denominators, and its
+        target an int over its denominator t. A block's scale rises to the
+        lcm of itself and the row's (f * f for the Gram block, f * t for the
+        cross block) only when the row's does not divide it, and the block is
+        multiplied by the ratio; the row's integer outer product then enters
+        times the block's scale over the row's, added over the row's nonzero
+        features only, so a ladder probe (1 at the intercept and at one
+        coordinate) touches four Gram entries. A row of another width raises
+        `PayloadError`.
         """
         if not rows:
             return self
         width = len(self.cross)
-        gram_scale, cross_scale, cross = self.gram_scale, self.cross_scale, self.cross
-        gram = list(chain.from_iterable(self.gram))  # flattened row by row
+        gram_scale, cross_scale = self.gram_scale, self.cross_scale
+        gram, cross = [list(line) for line in self.gram], list(self.cross)
         for row in rows:
             if len(row.features) != width:
                 raise PayloadError(f"row width {row.width} does not match {width}")
             f, x = row.scaled_features
             square, ft = f * f, f * row.target.denominator
-            g = math.gcd(gram_scale, square)
-            a = sign * (gram_scale // g)
-            ratio = square // g
-            if ratio != 1:
+            if gram_scale % square:
+                ratio = square // math.gcd(gram_scale, square)
                 gram_scale *= ratio
-                gram = [ratio * v for v in gram]
-            g = math.gcd(cross_scale, ft)
-            b = sign * (cross_scale // g) * row.target.numerator
-            ratio = ft // g
-            if ratio != 1:
+                gram = [[ratio * v for v in line] for line in gram]
+            if cross_scale % ft:
+                ratio = ft // math.gcd(cross_scale, ft)
                 cross_scale *= ratio
                 cross = [ratio * v for v in cross]
-            # a * x x^T in the Gram's order, and b * x, without a Python-level loop.
-            gram = list(map(add, gram, starmap(mul, product(x, map(mul, x, repeat(a))))))
-            cross = list(map(add, cross, map(mul, x, repeat(b))))
-        rows_of_gram = (tuple(gram[i : i + width]) for i in range(0, width * width, width))
-        return ScaledMoments(gram_scale, tuple(rows_of_gram), cross_scale, tuple(cross))
+            a = sign * (gram_scale // square)
+            b = sign * (cross_scale // ft) * row.target.numerator
+            # a * x x^T and b * x, over the row's nonzero features only.
+            nonzero = [(i, v) for i, v in enumerate(x) if v]
+            for i, v in nonzero:
+                line, av = gram[i], a * v
+                for j, w in nonzero:
+                    line[j] += av * w
+                cross[i] += b * v
+        return ScaledMoments(gram_scale, tuple(map(tuple, gram)), cross_scale, tuple(cross))
 
     def residual(self, x: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
         """G @ x - c at the rational point `x`, as ints over one scale: the lcm of
@@ -652,7 +657,8 @@ class ScaledMoments(NamedTuple):
         if solved is None:
             return None
         pivot, rows = solved
-        return tuple(Fraction(v * self.gram_scale, pivot * self.cross_scale) for v, in rows)
+        scale = pivot * self.cross_scale
+        return tuple(Fraction(v * self.gram_scale, scale) for v, in rows)
 
 
 def moments(rows: Sequence[Row], width: int) -> ScaledMoments:

@@ -19,9 +19,10 @@ integer-preserving Gaussian elimination"), so every intermediate division is
 exact; and each result entry becomes one ``Fraction`` at the end. The results
 are the same reduced rationals that ``Fraction`` arithmetic would give. The
 Gauss-Jordan loop is one function over integer rows, `solve_integer_rows`,
-which returns the determinant d of the left block and the rows of d times
-the solution. `RMatrix.solve` and `RMatrix.det` call it on their scaled
-rows, and `ScaledMoments.solve`, the one solve of the regression fold state
+which updates the rows in place, each at its full width, and returns the
+determinant d of the left block and the rows of d times the solution.
+`RMatrix.solve` and `RMatrix.det` call it on their scaled rows, and
+`ScaledMoments.solve`, the one solve of the regression fold state
 (`algorithms.DlrAlgorithm`) and of the probe-ladder inference
 (`strategies.triangulation_infer`), hands it the integer system directly:
 the Gram block over the squared feature scale on the left and the cross
@@ -100,36 +101,41 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 def solve_integer_rows(work: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
     """Solve the integer system [A | B] given by its n rows; None if A is singular.
 
-    Fraction-free Gauss-Jordan (Bareiss): with `pivot` the current pivot,
-    `previous` the one before it and `f` a row's entry in the pivot column,
-    each entry `a` of every other row, above the pivot as well as below,
-    becomes `(pivot * a - f * b) // previous`, where `b` is the pivot row's
-    entry; the division is always exact. The pivot is the first nonzero
-    entry of the column, so row scaling does not change which systems are
-    singular; a swap also negates the row it moves down, which keeps both
-    the determinant and the solution. The left block ends as the last pivot
-    d, the determinant of A, times the identity, so the returned rows (the
-    right block) are d times the solution X of A @ X = B. `work` is consumed.
+    Fraction-free Gauss-Jordan (Bareiss), in place on rows that keep their
+    full width: at step k, with `pivot` the entry of row k in column k,
+    `previous` the pivot before it and `f` another row's entry in column k,
+    each entry `a` of that row right of column k, above the pivot row as
+    well as below, becomes `(pivot * a - f * b) // previous`, where `b` is
+    the pivot row's entry; the division is always exact. Columns up to k
+    are never read again, so they are left as they are. The pivot is the
+    first nonzero entry of column k from row k down, so row scaling does
+    not change which systems are singular; a swap also negates the row it
+    moves down, which keeps both the determinant and the solution. The
+    elimination turns the left block into the last pivot d, the
+    determinant of A, times the identity, so the returned rows (the right
+    block) are d times the solution X of A @ X = B. `work` is overwritten.
     """
     n = len(work)
-    # After step k, work[r] holds only the columns of row r right of k.
     previous = 1
     for k in range(n):
         for pivot_row in range(k, n):
-            if work[pivot_row][0]:
+            if work[pivot_row][k]:
                 break
         else:
             return None
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], [-v for v in work[k]]
-        pivot, tail = work[k][0], work[k][1:]
+        pivot_line = work[k]
+        pivot = pivot_line[k]
+        columns = range(k + 1, len(pivot_line))
         for r in range(n):
             if r != k:
-                f, rest = work[r][0], work[r][1:]
-                work[r] = [(pivot * a - f * b) // previous for a, b in zip(rest, tail)]
-        work[k] = tail
+                line = work[r]
+                f = line[k]
+                for j in columns:
+                    line[j] = (pivot * line[j] - f * pivot_line[j]) // previous
         previous = pivot
-    return previous, work
+    return previous, [row[n:] for row in work]
 
 
 class RMatrix:

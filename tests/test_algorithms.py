@@ -797,11 +797,10 @@ def _moments_or_message(function, *args):
 
 
 def _kernel_case(width: int):
-    # Rows whose non-intercept features are all zero or carry the wide
-    # denominators, so the Gram scale rises partway through a fold.
-    features = st.one_of(
-        st.just((0,) * (width - 1)), st.tuples(*[_wide_fraction] * (width - 1))
-    )
+    # Rows whose non-intercept features are each zero or carry the wide
+    # denominators, so a row mixes zero and nonzero features and the Gram
+    # scale rises partway through a fold.
+    features = st.tuples(*[st.one_of(st.just(0), _wide_fraction)] * (width - 1))
     row = st.tuples(features, _target).map(lambda pair: Row((1, *pair[0]), pair[1]))
     return st.tuples(
         st.just(width),
@@ -816,6 +815,9 @@ _RISING = [
     Row((1, Fraction(1, 3)), Fraction(1, 2**521 - 1)),
     Row((1, Fraction(1, 2)), Fraction(5, 2**607 - 1)),
 ]
+# A ladder probe: 1 at the intercept and at one coordinate, a huge target.
+_PROBE = Row((1, 0, 1, 0), Fraction(-(2**1300) + 7, 2**1279 - 1))
+_PROBE_BASE = [Row((1, Fraction(1, 2), 3, 0), 1), Row((1, 0, 0, Fraction(-5, 3)), Fraction(1, 7))]
 
 
 @given(
@@ -827,6 +829,8 @@ _RISING = [
 @example(case=(2, _RISING[:1], _RISING[1:], []), sign=1, stray=None)
 @example(case=(3, [], [], []), sign=-1, stray=None)
 @example(case=(3, [Row((1, 0, 0), Fraction(1, 3))], [Row((1, 0, 0), 2)], [1]), sign=-1, stray=0)
+@example(case=(4, _PROBE_BASE, [_PROBE, _PROBE], [1]), sign=-1, stray=None)
+@example(case=(4, _PROBE_BASE, [_PROBE], []), sign=1, stray=None)
 @settings(max_examples=200, deadline=None)
 def test_plus_rows_over_its_scales_is_the_outer_product_sum(case, sign, stray):
     # `moments` and `plus_rows` with either sign equal the Fraction outer

@@ -224,12 +224,16 @@ def _square_systems(draw):
 
     Besides generic matrices, the shapes force what elimination must get
     right: zero leading entries (row swaps, or a singular first column), a
-    row dependent on two others, and a zero column.
+    row dependent on two others, a zero column, and sparse matrices whose
+    entries are each zero with probability 1/2 (a zero in the pivot column
+    at a later step, and pivots that come after a swap).
     """
     n = draw(st.integers(1, 5))
     rows = [[draw(_entry) for _ in range(n)] for _ in range(n)]
-    shape = draw(st.sampled_from(["generic", "zero_lead", "dependent", "zero_column"]))
-    if shape == "zero_lead":
+    shape = draw(st.sampled_from(["generic", "zero_lead", "dependent", "zero_column", "sparse"]))
+    if shape == "sparse":
+        rows = [[Fraction(0) if draw(st.booleans()) else v for v in row] for row in rows]
+    elif shape == "zero_lead":
         for i in range(draw(st.integers(1, n))):
             rows[i][0] = Fraction(0)
     elif shape == "dependent":
@@ -252,6 +256,8 @@ def _all_fractions(m):
 def test_kernel_returns_the_signed_determinant():
     # One row swap: d is det A = -1, and the rows are d times X = (7, 5).
     assert solve_integer_rows([[0, 1, 5], [1, 0, 7]]) == (-1, [[-7], [-5]])
+    # The empty system: its determinant is 1, and it has no rows.
+    assert solve_integer_rows([]) == (1, [])
 
 
 @given(system=_square_systems())

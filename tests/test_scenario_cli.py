@@ -1160,6 +1160,8 @@ TRIANGULATION_CSV_SHA256 = {
     1: "a5b4b1ac7da0b18f0cf7e1c8fa3e96f49ea17c42c223eca80c862547dc484c5c",
     2: "c1c87fa6710297dcbaae01ec01141b0f36cfa92cc18dc4a7fa1fcb68d203610e",
     3: "4882a36a6c384f07a6a62a041ef768782d336302fc06cbe205dabf25fedacd7f",
+    5: "746df3eeab421d3b34518431fbbdda3e94cb992bcfc90754a8ff47d99d0da94b",
+    10: "08e056a926a92589b7222e80b1ae9abeda3e53a5a5af93310f99dead21d80794",
 }
 
 
@@ -1269,6 +1271,7 @@ VERIFY_COMMANDS = [
     "condition_i --attack lr_sneak",
     "condition_i --attack average",
     "condition_i --attack triangulation --d 3",
+    "condition_i --attack triangulation --d 9",
 ]
 VERIFY_REPORTS = Path(__file__).resolve().parent / "verify_reports"
 
