@@ -633,6 +633,20 @@ class ScaledMoments(NamedTuple):
                 cross[i] += b * v
         return ScaledMoments(gram_scale, tuple(map(tuple, gram)), cross_scale, tuple(cross))
 
+    def plus(self, other: "ScaledMoments") -> "ScaledMoments":
+        """The record sum, each block over the lcm of its two scales. A record
+        of another width raises `PayloadError`."""
+        width = len(self.cross)
+        if len(other.cross) != width:
+            raise PayloadError(f"moments of width {len(other.cross)} do not match {width}")
+        gram_scale = math.lcm(self.gram_scale, other.gram_scale)
+        a, b = gram_scale // self.gram_scale, gram_scale // other.gram_scale
+        gram = [[a * v + b * w for v, w in zip(x, y)] for x, y in zip(self.gram, other.gram)]
+        cross_scale = math.lcm(self.cross_scale, other.cross_scale)
+        a, b = cross_scale // self.cross_scale, cross_scale // other.cross_scale
+        cross = tuple(a * v + b * w for v, w in zip(self.cross, other.cross))
+        return ScaledMoments(gram_scale, tuple(map(tuple, gram)), cross_scale, cross)
+
     def residual(self, x: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
         """G @ x - c at the rational point `x`, as ints over one scale: the lcm of
         gram_scale * s, with s that of x's denominators, and cross_scale."""

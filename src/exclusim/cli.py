@@ -244,6 +244,7 @@ def triangulation_csv_rows(run: Run, j: int, d: int) -> list[list[str]]:
     )
     table = [header]
     current: list[str] = [""] * (d + 1)
+    memo: dict = {}
 
     def estimator_after(index: int) -> list[str]:
         message = run.messages[index + 1] if index + 1 < len(run.messages) else None
@@ -276,8 +277,8 @@ def triangulation_csv_rows(run: Run, j: int, d: int) -> list[list[str]]:
         if message.agent != j:
             emit(index, message.payload.rows, "ledger", estimator_after(index))
             continue
-        # The ladder as j saw it when it sent this update: steps 0..d are probes.
-        ladder = triangulation_state(observed_history(run, j, upto=index))
+        # The ladder j saw at this update, resumed through one memo: steps 0..d are probes.
+        ladder = triangulation_state(ObservedHistory(j, run.messages, index, memo))
         role = "probe" if ladder is not None and ladder.step <= d else "deflection"
         emit(index, message.payload.rows, role, estimator_after(index))
     return table

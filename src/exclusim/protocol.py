@@ -186,14 +186,15 @@ class ObservedHistory:
 
         With a memo, the fold resumes from the state it stored for `strategy`
         at the agent's last poll, provided that poll saw no more of the log
-        than this view, and reads only the messages after it; then it stores
-        the new state. The log only grows, so the resumed fold is exact.
+        than this view, and reads only the messages after it, by index; then
+        it stores the new state. The log only grows, so the resumed fold is exact.
         """
         entry = None if self.memo is None else self.memo.get(strategy)
         if entry is None or entry[0] > self.length:
             entry = (0, strategy.start())
         start, state = entry
-        for message in islice(self.log, start, self.length):
+        for index in range(start, self.length):
+            message = self.log[index]
             if self.sees(message):
                 state = strategy.observe(state, message)
         if self.memo is not None:

@@ -3,8 +3,8 @@ max and average, the triangulation probe ladder for linear regression, and the
 exact inference helpers that decode what the truthful outcome would have been.
 The attacks that read their whole view (sneak, probe, triangulation) are
 `StrategyFold`s; the rest read only the view's last message and broadcast.
-The probe ladder is one walk, `_LadderFold`: `triangulation_state` and the
-inference read it alone, and the triangulation attack folds F - L beside it.
+The probe ladder is one walk, `_LadderFold`, which folds F - L too: the
+attack, `triangulation_state` and the inference read it alone.
 `STRATEGIES` gives each strategy a scenario file can name, with the kinds of
 its parameters and what it can send; the builders check the values, and the
 algorithm's `check` decides which of those payloads a ledger takes.
@@ -390,26 +390,20 @@ class TriangulationState:
 
     `rho_seq` holds the broadcast coefficient vectors from the trigger output
     onward (step i means i probe responses have arrived, so `rho_seq` has
-    i + 1 entries), `probes` the row payloads sent so far, and the two row
-    tuples what the agent had put on the ledger before the ladder started and
-    what it has received as factual data.
+    i + 1 entries), `probes` the row payloads sent so far, and `own` the
+    walk's F - L as the ladder started (see `_LadderFold`), None while the
+    agent had no own row.
     """
 
     step: int
     rho_seq: tuple[Optional[Point], ...]
     probes: tuple[tuple[Row, ...], ...]
-    own_ledger_rows: tuple[Row, ...]
-    own_factual_rows: tuple[Row, ...]
-
-
-def _rows(payload: UpdatePayload) -> tuple[Row, ...]:
-    return payload.rows if isinstance(payload, RowMultiset) else ()
+    own: Optional[ScaledMoments]
 
 
 class _LadderWalk(NamedTuple):
     ladder: Optional[TriangulationState]
-    factual_rows: tuple[Row, ...]
-    ledger_rows: tuple[Row, ...]
+    own: Optional[ScaledMoments]  # F - L over every own message seen
     last_coeffs: Optional[Point]
     sent: Optional[tuple[Row, ...]]  # the rows of the own update right before the next message
 
@@ -421,16 +415,18 @@ class _LadderFold:
     broadcast that is not the immediate consequence of an own ledger update.
     A fresh event while a ladder is running abandons it and starts over, and
     no ladder can start before the first usable broadcast.
+
+    It also keeps F - L, the moments of the own factual rows less those of the
+    own ledger rows: each own message's rows go in or out as it is observed.
+    F - L is None until the first own row, whose width it takes, and an own
+    row of another width raises `PayloadError`.
     """
 
     def start(self) -> _LadderWalk:
-        return _LadderWalk(None, (), (), None, None)
+        return _LadderWalk(None, None, None, None)
 
     def observe(self, walk: _LadderWalk, message: Message) -> _LadderWalk:
-        ladder, factual_rows, ledger_rows, last_coeffs, sent = walk
-        if isinstance(message, LedgerUpdate):
-            rows = _rows(message.payload)
-            return _LadderWalk(ladder, factual_rows, ledger_rows + rows, last_coeffs, rows)
+        ladder, own, last_coeffs, sent = walk
         if isinstance(message, OutputBroadcast):
             output = message.output
             last_coeffs = output.coefficients if isinstance(output, CoefficientsOutput) else None
@@ -441,18 +437,19 @@ class _LadderFold:
                         ladder.step + 1,
                         ladder.rho_seq + (last_coeffs,),
                         ladder.probes + (sent,),
-                        ladder.own_ledger_rows,
-                        ladder.own_factual_rows,
+                        ladder.own,
                     )
-                return _LadderWalk(ladder, factual_rows, ledger_rows, last_coeffs, None)
+                return _LadderWalk(ladder, own, last_coeffs, None)
         else:
-            factual_rows += _rows(message.payload)
+            rows = message.payload.rows if isinstance(message.payload, RowMultiset) else ()
+            if rows:
+                own = moments((), rows[0].width) if own is None else own
+                own = own.plus_rows(rows, 1 if isinstance(message, FactualDelivery) else -1)
+            if isinstance(message, LedgerUpdate):
+                return _LadderWalk(ladder, own, last_coeffs, rows)
         # A fresh event: start over at the last usable broadcast, if any.
-        if last_coeffs is None:
-            ladder = None
-        else:
-            ladder = TriangulationState(0, (last_coeffs,), (), ledger_rows, factual_rows)
-        return _LadderWalk(ladder, factual_rows, ledger_rows, last_coeffs, None)
+        ladder = None if last_coeffs is None else TriangulationState(0, (last_coeffs,), (), own)
+        return _LadderWalk(ladder, own, last_coeffs, None)
 
 
 _LADDER = _LadderFold()
@@ -463,36 +460,21 @@ def triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
     return o.fold(_LADDER).ladder
 
 
-_AttackState = tuple[_LadderWalk, ScaledMoments]
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-class _TriangulationFold(StrategyFold):
-    """The ladder walk and F - L: the width-(d + 1) moments of the own factual
-    rows less those of the own ledger rows.
-
-    An own update's rows leave F - L with the message after it, its response
-    while a ladder runs, so at a completed ladder F - L holds the ladder's own
-    rows: those from before it started and the probes answered since, each
-    folded once. An own row of another width raises `PayloadError`.
-    """
+class _TriangulationFold(_LadderFold, StrategyFold):
+    """The ladder walk, its F - L started at the width-(d + 1) zero record,
+    so an own row of another width raises `PayloadError` at the poll that
+    sees it."""
 
     def __init__(self, d: int):
         self.d = d
 
-    def start(self) -> _AttackState:
-        return _LADDER.start(), moments((), self.d + 1)
+    def start(self) -> _LadderWalk:
+        return _LadderWalk(None, moments((), self.d + 1), None, None)
 
-    def observe(self, state: _AttackState, message: Message) -> _AttackState:
-        walk, own = state
-        if walk.sent is not None:
-            own = own.plus_rows(walk.sent, -1)
-        if isinstance(message, FactualDelivery):
-            own = own.plus_rows(_rows(message.payload))
-        return _LADDER.observe(walk, message), own
-
-    def decide(self, state: _AttackState) -> Optional[UpdatePayload]:
-        walk, own = state
+    def decide(self, walk: _LadderWalk) -> Optional[UpdatePayload]:
         ladder, d = walk.ladder, self.d
         if ladder is None or None in ladder.rho_seq:
             return None
@@ -507,6 +489,8 @@ class _TriangulationFold(StrategyFold):
         if ladder.step <= d:
             return RowMultiset((_probe_row(ladder.step + 1, current),))
         if ladder.step == width:
+            # An update the view ends on has no response yet: its rows are none of the ladder's.
+            own = walk.own if walk.sent is None else walk.own.plus_rows(walk.sent)
             if any(own.residual(current)[1]):
                 return None
             try:
@@ -557,9 +541,9 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     rho_i (s_0 = 0). So Sigma @ delta_i = r_i, the i-th response, with
     delta_i = rho_i - rho_(i-1) and r_i = s_i - s_(i-1): Sigma solves
     Delta^T @ Sigma^T = R^T, with the deltas and responses as the columns of
-    Delta and R, and sigma = Sigma @ rho_0. `plus_rows` folds the own-row
-    correction into Sigma (own factual rows in, own ledger rows out). Each
-    entry returned is one `Fraction`.
+    Delta and R, and sigma = Sigma @ rho_0. The truthful moments are Sigma's
+    record plus `state.own`, F - L as the ladder started, in one record sum.
+    Each entry returned is one `Fraction`.
     """
     width = d + 1
     if state.step < width:
@@ -589,7 +573,7 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     sigma_matrix = sigma_transposed.transpose()
     sigma_vector = sigma_matrix @ RMatrix._exact(tuple(zip(rho[0])))
     sigma = ScaledMoments.of(sigma_matrix.rows, sigma_vector.column_values())
-    solution = sigma.plus_rows(state.own_factual_rows).plus_rows(state.own_ledger_rows, -1).solve()
+    solution = (sigma if state.own is None else sigma.plus(state.own)).solve()
     if solution is None:
         raise InferenceError("the truthful data does not determine a unique fit")
     return InferenceResult(
@@ -622,9 +606,9 @@ def triangulation_attack(d: int) -> Strategy:
     = s_(d+1) (see `triangulation_infer`); so x = rho exactly when the
     residual of F - L at rho is zero. Only then does it run
     `triangulation_infer`, which still has to succeed for the attack to
-    deflect. The fold keeps F - L as the rows arrive, each row added once,
-    so the test refolds none. A broadcast whose coefficients are not of
-    width d+1 raises `PayloadError`.
+    deflect. Its fold is the ladder walk, which keeps F - L, each row folded
+    once, so the test refolds none. A broadcast whose coefficients, or an own
+    row whose features, are not of width d+1 raises `PayloadError`.
     """
     return _TriangulationFold(check_count("d", d))
 

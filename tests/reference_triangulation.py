@@ -12,7 +12,10 @@ oracle for `strategies._probe_row`.
 `strategies.triangulation_state` became one forward walk with a single
 ladder-start rule: it looks back one item by index to tell a probe response
 from a fresh broadcast, and spells out the start rule once for an own factual
-delivery and once for a fresh broadcast.
+delivery and once for a fresh broadcast. It returns a `ReferenceLadder`,
+which keeps the attacker's own rows as the two tuples `TriangulationState`
+held before the walk folded them into F - L, and `reference_triangulation_infer`
+takes that record.
 
 `reference_triangulation_attack` is the attack as it decided before
 `strategies.triangulation_attack` tested one residual: it runs the full
@@ -24,13 +27,14 @@ checks.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from exclusim.algorithms import CoefficientsOutput, Point, Row, RowMultiset, UpdatePayload
 from exclusim.numerics import RMatrix
 from exclusim.protocol import FactualDelivery, LedgerUpdate, ObservedHistory, Strategy
-from exclusim.strategies import InferenceError, InferenceResult, TriangulationState
+from exclusim.strategies import InferenceError, InferenceResult
 from reference_aggregations import reference_moments
 from reference_linalg import add, column, sub, zeros
 
@@ -45,7 +49,23 @@ def reference_probe_row(step: int, previous: Point) -> Row:
     return Row(features, target)
 
 
-def reference_triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
+@dataclass(frozen=True)
+class ReferenceLadder:
+    """The in-flight probe ladder with its own rows spelled out.
+
+    `step`, `rho_seq` and `probes` are `TriangulationState`'s; the two row
+    tuples are what the agent had put on the ledger before the ladder
+    started and what it has received as factual data.
+    """
+
+    step: int
+    rho_seq: tuple[Optional[Point], ...]
+    probes: tuple[tuple[Row, ...], ...]
+    own_ledger_rows: tuple[Row, ...]
+    own_factual_rows: tuple[Row, ...]
+
+
+def reference_triangulation_infer(state: ReferenceLadder, d: int) -> InferenceResult:
     """Solve the probe responses for the hidden moments and the truthful fit."""
     width = d + 1
     if state.step < width:
@@ -90,7 +110,7 @@ def reference_triangulation_infer(state: TriangulationState, d: int) -> Inferenc
     )
 
 
-def reference_triangulation_state(o: ObservedHistory) -> Optional[TriangulationState]:
+def reference_triangulation_state(o: ObservedHistory) -> Optional[ReferenceLadder]:
     """Rebuild the current probe ladder by index, copying the prior own rows at each start.
 
     A ladder starts at every fresh data event: an own factual delivery, or a
@@ -148,7 +168,7 @@ def reference_triangulation_state(o: ObservedHistory) -> Optional[TriangulationS
 
     if not active:
         return None
-    return TriangulationState(
+    return ReferenceLadder(
         step=len(ladder_probes),
         rho_seq=tuple(ladder_rho),
         probes=tuple(ladder_probes),

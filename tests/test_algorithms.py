@@ -913,6 +913,31 @@ def test_of_takes_each_block_over_its_own_lcm():
     assert record == ScaledMoments(6, ((3, 6), (6, 2)), 5, (1, 10))
 
 
+@given(
+    case=st.integers(min_value=1, max_value=4).flatmap(_kernel_case),
+    sign=st.sampled_from((1, -1)),
+)
+@example(case=(2, _RISING[:1], _RISING[1:], []), sign=-1)
+@example(case=(4, _PROBE_BASE, [_PROBE], []), sign=1)
+@settings(max_examples=100, deadline=None)
+def test_plus_is_the_fraction_sum_of_the_records(case, sign):
+    # The record sum, each block over the lcm of its two scales, equals the
+    # Fraction sum of the two records' moments in either order, and a record
+    # of another width raises instead of being cut to the shorter one.
+    width, rows, more, _ = case
+    left, right = moments(rows, width), moments((), width).plus_rows(more, sign)
+    expected = [
+        RMatrix([[a + sign * b for a, b in zip(*pair)] for pair in zip(x.rows, y.rows)])
+        for x, y in zip(reference_moments(rows, width), reference_moments(more, width))
+    ]
+    assert list(divided(left.plus(right))) == expected
+    assert divided(right.plus(left)) == divided(left.plus(right))
+    for other in (width - 1, width + 1):
+        with pytest.raises(PayloadError) as excinfo:
+            left.plus(moments((), other))
+        assert str(excinfo.value) == f"moments of width {other} do not match {width}"
+
+
 def test_fold_states_are_reusable_values():
     # Folding one state along two continuations leaves it intact.
     algorithm = DlrAlgorithm(1)

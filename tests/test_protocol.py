@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -697,6 +698,38 @@ def test_a_fold_resumed_from_the_memo_equals_a_fold_from_the_start(case, data):
             # The memo-less fold above reads the whole view; the resumed one
             # only what arrived since its memo entry.
             assert recorder.calls - calls == len(fresh) + len(view)
+
+
+class _CountingLog(Sequence):
+    """A log that counts the entries read from it."""
+
+    def __init__(self, messages):
+        self.messages, self.reads = messages, 0
+
+    def __len__(self):
+        return len(self.messages)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.messages[index]
+
+
+def test_a_resumed_fold_reads_only_the_log_entries_after_its_last_poll():
+    # A fold resumed at p over n messages reads the n - p entries after p,
+    # none of the prefix, and ends where a fold from the start does.
+    case = make_triangulation_cases(1)(1)  # 31 messages
+    fold = triangulation_attack(1)
+    log = _CountingLog(run_protocol(
+        "continuous", case.ninput, {2: fold}, DlrAlgorithm(1), case.agent_count, ell=case.ell
+    ).messages)
+    n = len(log)
+    for p in (0, 1, n // 2, n - 1, n):
+        memo: dict = {}
+        ObservedHistory(2, log, p, memo).fold(fold)
+        log.reads = 0
+        state = ObservedHistory(2, log, n, memo).fold(fold)
+        assert log.reads == n - p
+        assert state == ObservedHistory(2, log.messages, n).fold(fold)
 
 
 def test_truthful_agents_are_polled_only_on_their_own_deliveries(monkeypatch):

@@ -70,13 +70,22 @@ from exclusim.strategies import (
     triangulation_infer_from_history,
     triangulation_state,
 )
-from reference_aggregations import broadcasts, fit_from_moments, outcome, reference_moments
+from reference_aggregations import (
+    MomentPair,
+    broadcasts,
+    divided,
+    fit_from_moments,
+    outcome,
+    reference_moments,
+)
+from reference_linalg import sub
 from reference_strategies import (
     reference_average_double_probe,
     reference_average_infer_from_history,
     reference_sneak_attack,
 )
 from reference_triangulation import (
+    ReferenceLadder,
     reference_probe_row,
     reference_triangulation_attack,
     reference_triangulation_infer,
@@ -543,6 +552,28 @@ def test_triangulation_deflects_when_the_truth_equals_the_broadcast():
     assert roles == ["factual", "factual", "ledger", "ledger", "probe", "probe", "deflection"]
 
 
+def test_triangulation_csv_walks_the_run_once(monkeypatch):
+    # The CSV's views share one memo: the walk observes each message the
+    # attacker sees before its last update once, in order.
+    case = make_triangulation_cases(3)(2)
+    run = run_protocol(
+        "continuous", case.ninput, {2: triangulation_attack(3)}, DlrAlgorithm(3),
+        case.agent_count, ell=case.ell,
+    )
+    table = triangulation_csv_rows(run, 2, 3)
+    observed, observe = [], strategies._LadderFold.observe
+
+    def counting(self, walk, message):
+        observed.append(message)
+        return observe(self, walk, message)
+
+    monkeypatch.setattr(strategies._LadderFold, "observe", counting)
+    assert triangulation_csv_rows(run, 2, 3) == table
+    last = max(i for i, m in enumerate(run.messages) if isinstance(m, LedgerUpdate) and m.agent == 2)
+    assert len(extract(run, KIND_LEDGER, 2)) > 2
+    assert observed == list(observed_history(run, 2, last).items)
+
+
 # --- the residual decision against the full inference ----------------------
 
 
@@ -675,6 +706,26 @@ def test_triangulation_attack_refuses_broadcasts_of_another_width(d, ledger_d):
 # --- the ladder walk against the indexed rebuild ---------------------------
 
 
+def _own_difference(factual, ledger, width) -> MomentPair:
+    """F - L in `Fraction`s: the moments of `factual` less those of `ledger`."""
+    f, l = reference_moments(factual, width), reference_moments(ledger, width)
+    return MomentPair(sub(f.gram, l.gram), sub(f.cross, l.cross))
+
+
+def _assert_matches_reference(state, ladder, width):
+    """The walk's ladder is the reference's: the same step, fits and probes,
+    and its F - L, as rationals, that of the reference's two row tuples; the
+    record is None exactly where the reference has no own row."""
+    if ladder is None:
+        assert state is None
+        return
+    assert (state.step, state.rho_seq, state.probes) == (ladder.step, ladder.rho_seq, ladder.probes)
+    own_rows = ladder.own_factual_rows + ladder.own_ledger_rows
+    assert (state.own is None) == (not own_rows)
+    own = moments((), width) if state.own is None else state.own
+    assert divided(own) == _own_difference(ladder.own_factual_rows, ladder.own_ledger_rows, width)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_triangulation_state_matches_the_indexed_reference(d):
     generate = make_triangulation_cases(d)
@@ -687,13 +738,13 @@ def test_triangulation_state_matches_the_indexed_reference(d):
         )
         for upto in range(len(run.messages) + 1):
             view = observed_history(run, 2, upto)
-            state = triangulation_state(view)
-            assert state == reference_triangulation_state(view)
+            state, ladder = triangulation_state(view), reference_triangulation_state(view)
+            _assert_matches_reference(state, ladder, d + 1)
             if state is not None:
                 seen["ladder"] += 1
                 seen["response"] += state.step > 0
-                seen["own_ledger"] += bool(state.own_ledger_rows)
-                seen["own_factual"] += bool(state.own_factual_rows)
+                seen["own_ledger"] += bool(ladder.own_ledger_rows)
+                seen["own_factual"] += bool(ladder.own_factual_rows)
     # The runs reach every field the walk fills.
     assert all(seen.values()), seen
 
@@ -709,7 +760,7 @@ def _view_states(log):
     for length in range(len(log) + 1):
         view = ObservedHistory(2, log, length)
         states.append(triangulation_state(view))
-        assert states[-1] == reference_triangulation_state(view)
+        _assert_matches_reference(states[-1], reference_triangulation_state(view), 2)
     return states
 
 
@@ -726,8 +777,7 @@ def test_triangulation_state_keeps_a_null_response_in_the_ladder():
         step=2,
         rho_seq=(_FIT[0].coefficients, None, _FIT[2].coefficients),
         probes=(_PROBES[:1], _PROBES[1:]),
-        own_ledger_rows=(),
-        own_factual_rows=(),
+        own=None,
     )
     # Without a usable broadcast since, a fresh event clears the ladder.
     assert _view_states(log[:4] + (FactualDelivery(2, _OWN_ROWS),))[-1] is None
@@ -746,8 +796,7 @@ def test_triangulation_state_restarts_at_an_own_factual_delivery():
         step=1,
         rho_seq=(_FIT[1].coefficients, _FIT[2].coefficients),
         probes=(_PROBES[1:],),
-        own_ledger_rows=_PROBES[:1],
-        own_factual_rows=_OWN_ROWS.rows,
+        own=moments((), 2).plus_rows(_PROBES[:1], -1).plus_rows(_OWN_ROWS.rows),
     )
 
 
@@ -765,21 +814,15 @@ def test_triangulation_state_starts_no_ladder_before_a_usable_broadcast():
         step=0,
         rho_seq=(_FIT[1].coefficients,),
         probes=(),
-        own_ledger_rows=_PROBES[:1],
-        own_factual_rows=_OWN_ROWS.rows,
+        own=moments(_OWN_ROWS.rows, 2).plus_rows(_PROBES[:1], -1),
     )
 
 
-def _ladder_moments(d, ladder):
-    """F - L for a ladder, refolded from its rows."""
-    probes = tuple(row for rows in ladder.probes for row in rows)
-    return moments(ladder.own_factual_rows, d + 1).plus_rows(ladder.own_ledger_rows + probes, -1)
-
-
 def test_triangulation_fold_keeps_the_moments_of_the_ladders_own_rows():
-    # On every prefix its running moments are those of the own factual rows
-    # less those of every own update that a message has followed. On an
-    # engine's run that is the refold of the ladder's rows.
+    # On every prefix the walk's F - L is the moments of the own factual rows
+    # less those of every own update, as rationals. On an engine's run, while
+    # a ladder runs, that is the ladder's F - L less its probes and any
+    # update still awaiting its response.
     double_update = (
         FactualDelivery(2, _OWN_ROWS),
         OutputBroadcast(_FIT[0]),
@@ -798,19 +841,24 @@ def test_triangulation_fold_keeps_the_moments_of_the_ladders_own_rows():
     kept = 0
     for log in logs:
         for length in range(len(log) + 1):
-            walk, own = ObservedHistory(2, log, length).fold(triangulation_attack(1))
-            answered = walk.ledger_rows[: len(walk.ledger_rows) - len(walk.sent or ())]
-            assert own == moments(walk.factual_rows, 2).plus_rows(answered, -1)
+            view = ObservedHistory(2, log, length)
+            walk = view.fold(triangulation_attack(1))
+            factual, ledger = (
+                [row for m in view.items if isinstance(m, kind) for row in m.payload.rows]
+                for kind in (FactualDelivery, LedgerUpdate)
+            )
+            assert divided(walk.own) == _own_difference(factual, ledger, 2)
             if walk.ladder is not None and log is not double_update:
-                assert own == _ladder_moments(1, walk.ladder)
+                probes = [row for rows in walk.ladder.probes + (walk.sent or (),) for row in rows]
+                assert walk.own == walk.ladder.own.plus_rows(probes, -1)
                 kept += 1
     assert kept
     # An own update that another one follows gets no response, so its rows
-    # are none of the ladder's, yet they leave the moments all the same.
-    walk, own = ObservedHistory(2, double_update, len(double_update)).fold(triangulation_attack(1))
+    # are none of the ladder's, yet they leave F - L all the same.
+    walk = ObservedHistory(2, double_update, len(double_update)).fold(triangulation_attack(1))
     assert walk.ladder.probes == (_PROBES[1:],)
-    assert own == moments(_OWN_ROWS.rows, 2).plus_rows(_PROBES, -1)
-    assert own != _ladder_moments(1, walk.ladder)
+    assert walk.own == moments(_OWN_ROWS.rows, 2).plus_rows(_PROBES[:1], -1).plus_rows(_PROBES[1:], -1)
+    assert divided(walk.own) != divided(walk.ladder.own.plus_rows(_PROBES[1:], -1))
 
 
 @pytest.mark.parametrize("d, rows_d", [(1, 2), (2, 1)])
@@ -832,11 +880,13 @@ def test_triangulation_attack_refuses_own_rows_of_another_width(d, rows_d):
 # --- the integer inference against the Fraction-matrix oracle ---------------
 
 
-def _ladder_states(d: int, seeds: range) -> list[TriangulationState]:
-    """Every distinct state with at least d + 1 responses that a prefix of a
-    generated criterion-6 attack run shows the attacker."""
+def _ladder_states(d: int, seeds: range) -> list[tuple[TriangulationState, ReferenceLadder]]:
+    """Every distinct ladder with at least d + 1 responses that a prefix of a
+    generated criterion-6 attack run shows the attacker, as the walk's state
+    and the reference's record of the same view; distinct as the reference
+    tells them apart."""
     generate = make_triangulation_cases(d)
-    states: dict[TriangulationState, None] = {}
+    states: dict[ReferenceLadder, TriangulationState] = {}
     for seed in seeds:
         case = generate(seed)
         run = run_protocol(
@@ -844,10 +894,11 @@ def _ladder_states(d: int, seeds: range) -> list[TriangulationState]:
             case.agent_count, ell=case.ell,
         )
         for upto in range(len(run.messages) + 1):
-            state = triangulation_state(observed_history(run, 2, upto))
+            view = observed_history(run, 2, upto)
+            state = triangulation_state(view)
             if state is not None and state.step >= d + 1:
-                states[state] = None
-    return list(states)
+                states.setdefault(reference_triangulation_state(view), state)
+    return [(state, ladder) for ladder, state in states.items()]
 
 
 def _inference_fields(function, state, d):
@@ -870,9 +921,10 @@ def test_triangulation_infer_matches_the_fraction_reference(d):
     seeds, floor = _REFERENCE_LADDERS[d]
     states = _ladder_states(d, seeds)
     assert len(states) > floor
-    for state in states:
+    for state, ladder in states:
+        _assert_matches_reference(state, ladder, d + 1)
         got = _inference_fields(triangulation_infer, state, d)
-        assert got == _inference_fields(reference_triangulation_infer, state, d)
+        assert got == _inference_fields(reference_triangulation_infer, ladder, d)
         if not isinstance(got, str):
             sigma, truth, delta = got
             entries = [*truth.coefficients]
@@ -881,7 +933,7 @@ def test_triangulation_infer_matches_the_fraction_reference(d):
             assert all(type(v) is Fraction for v in entries)
 
 
-def _ladder_by_hand(hidden: tuple[Row, ...], d: int) -> TriangulationState:
+def _ladder_by_hand(hidden: tuple[Row, ...], d: int) -> ReferenceLadder:
     """The ladder an attacker sees over a ledger of `hidden` rows, with no rows of its own."""
     algorithm = DlrAlgorithm(d)
     ledger = [RowMultiset(hidden)]
@@ -891,7 +943,15 @@ def _ladder_by_hand(hidden: tuple[Row, ...], d: int) -> TriangulationState:
         probes.append((_probe_row(step, rho[-1]),))
         ledger.append(RowMultiset(probes[-1]))
         rho.append(algorithm.compute(ledger).coefficients)
-    return TriangulationState(d + 1, tuple(rho), tuple(probes), (), ())
+    return ReferenceLadder(d + 1, tuple(rho), tuple(probes), (), ())
+
+
+def _as_state(ladder: ReferenceLadder, d: int) -> TriangulationState:
+    """The walk's state of a reference ladder: its own rows as F - L, None without any."""
+    own = None
+    if ladder.own_factual_rows or ladder.own_ledger_rows:
+        own = moments(ladder.own_factual_rows, d + 1).plus_rows(ladder.own_ledger_rows, -1)
+    return TriangulationState(ladder.step, ladder.rho_seq, ladder.probes, own)
 
 
 def test_triangulation_infer_errors_match_the_fraction_reference():
@@ -908,11 +968,12 @@ def test_triangulation_infer_errors_match_the_fraction_reference():
         "no unique truthful fit": dataclasses.replace(ladder, own_ledger_rows=hidden),
     }
     messages = {
-        name: _inference_fields(triangulation_infer, state, 1) for name, state in cases.items()
+        name: _inference_fields(triangulation_infer, _as_state(case, 1), 1)
+        for name, case in cases.items()
     }
     assert messages == {
-        name: _inference_fields(reference_triangulation_infer, state, 1)
-        for name, state in cases.items()
+        name: _inference_fields(reference_triangulation_infer, case, 1)
+        for name, case in cases.items()
     }
     assert messages == {
         "too few steps": "need 2 probe responses to solve a width-2 system, got 1",
@@ -922,7 +983,7 @@ def test_triangulation_infer_errors_match_the_fraction_reference():
         ),
         "no unique truthful fit": "the truthful data does not determine a unique fit",
     }
-    result = triangulation_infer(ladder, 1)
+    result = triangulation_infer(_as_state(ladder, 1), 1)
     assert result.truth_output == DlrAlgorithm(1).compute([RowMultiset(hidden)])
     assert result == reference_triangulation_infer(ladder, 1)
 
@@ -937,9 +998,20 @@ def test_triangulation_infer_matches_the_reference_off_any_ledger():
         rho_seq=(rho0, rho1, (rho2[0], rho2[1] + Fraction(1, 3))),
         own_factual_rows=(Row((1, 5), Fraction(1, 2)),),
     )
-    got = triangulation_infer(skewed, 1)
+    got = triangulation_infer(_as_state(skewed, 1), 1)
     assert got.sigma_matrix != got.sigma_matrix.transpose()
     assert got == reference_triangulation_infer(skewed, 1)
+
+
+@pytest.mark.parametrize("own_width", [1, 3])
+def test_triangulation_infer_refuses_own_moments_of_another_width(own_width):
+    # F - L of another width than the d + 1 of Sigma raises, never truncated.
+    ladder = _ladder_by_hand((Row((1, 0), 1), Row((1, 1), 2), Row((1, 3), 2)), 1)
+    own = moments((Row((1,) * own_width, 1),), own_width)
+    state = dataclasses.replace(_as_state(ladder, 1), own=own)
+    with pytest.raises(PayloadError) as excinfo:
+        triangulation_infer(state, 1)
+    assert str(excinfo.value) == f"moments of width {own_width} do not match 2"
 
 
 def _long_triangulation_stream(seed: int, length: int) -> tuple[NatureElement, ...]:
@@ -988,6 +1060,29 @@ def test_long_triangulation_stream_keeps_its_trace_and_recovers_the_truth():
     assert hashlib.sha256(trace).hexdigest() == LONG_TRIANGULATION_TRACE_SHA256
     truth = fit_from_moments(reference_moments([r for e in ninput for r in e.payload.rows]))
     assert triangulation_infer_from_history(observed_history(run, 2), 1).truth_output == truth
+
+
+# sha256 over the traces of 1,800 triangulation runs: for d in (1, 2, 3, 5),
+# seat in 1..3 and seed in 0..149, in that loop order, the attack in `seat`
+# plays `make_triangulation_cases(d, seat)(seed)`, and each `trace_lines`
+# line enters as its UTF-8 bytes plus "\n".
+TRIANGULATION_CORPUS_SHA256 = "648a31f6c7e2cb7bf5e916a0de4c9e7dc4cc1628ed061bb87f31494bb31b562a"
+
+
+def test_triangulation_runs_keep_their_traces():
+    digest = hashlib.sha256()
+    for d in (1, 2, 3, 5):
+        for seat in (1, 2, 3):
+            generate = make_triangulation_cases(d, seat)
+            for seed in range(150):
+                case = generate(seed)
+                run = run_protocol(
+                    "continuous", case.ninput, {seat: triangulation_attack(d)}, DlrAlgorithm(d),
+                    case.agent_count, ell=case.ell,
+                )
+                for line in trace_lines(run):
+                    digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == TRIANGULATION_CORPUS_SHA256
 
 
 # Fits whose denominators run to hundreds of bits, as they do along a ladder.
