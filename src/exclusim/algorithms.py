@@ -158,6 +158,13 @@ class Row:
         scale, ints = _scaled(self.features)
         return scale, tuple(ints)
 
+    def with_target(self, target: Fraction) -> "Row":
+        """These features with `target`, computed here and unchecked, sharing
+        the feature tuple and its integer form (see `_exact`)."""
+        row = Row._exact(self.features, target)
+        row.__dict__["scaled_features"] = self.scaled_features
+        return row
+
     def sort_key(self) -> tuple:
         return (self.features, self.target)
 

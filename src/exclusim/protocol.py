@@ -11,7 +11,9 @@ agent's strategy is a pure function of its observed history: its own factual
 deliveries, its own ledger updates, and every broadcast, in run order. The
 run's message log is the engines' only record; each poll hands the strategy an
 `ObservedHistory` view of the log as it stands, not a copy, and a strategy
-that folds its whole view resumes from its fold at the agent's last poll.
+that folds its whole view resumes from its fold at the agent's last poll. A
+finished run keeps each strategy agent's fold record, and `observed_history`
+resumes from a copy of it.
 
 Simultaneity is resolved by polling agents in fixed ascending order. In the
 continuous protocol a single nature element opens an activity loop: agents are
@@ -105,11 +107,18 @@ NatureInput = tuple[NatureElement, ...]
 
 @dataclass(frozen=True)
 class Run:
-    """A full protocol transcript."""
+    """A full protocol transcript.
+
+    `memos` is the engine's fold record: for each agent that played a
+    strategy, its memo as the agent's last poll left it (see
+    `ObservedHistory.fold`), or None for a run no engine produced. It is
+    no part of the transcript, so equality, repr and traces leave it out.
+    """
 
     protocol: str  # "continuous" | "periodic"
     messages: tuple[Message, ...]
     ell: Optional[int] = None
+    memos: Optional[Mapping[int, dict]] = field(default=None, compare=False, repr=False)
 
     def final_output(self) -> Optional[AlgorithmOutput]:
         for message in reversed(self.messages):
@@ -140,9 +149,10 @@ class ObservedHistory:
 
     An agent sees every broadcast and its own deliveries and updates. The log
     is read in place, not copied; it only grows, so the prefix stays fixed.
-    `memo` belongs to the engine that built the view: the agent's dict of
-    `(length, state)` per strategy fold, for one run (see `fold`). Views
-    built anywhere else have none.
+    `memo` is the agent's dict of `(length, state)` per strategy fold, for
+    one run (see `fold`): the engine's own during a run, or a copy of the
+    finished run's record in a view from `observed_history`. Views built
+    anywhere else have none.
     """
 
     agent: int
@@ -206,8 +216,16 @@ Strategy = Callable[[ObservedHistory], Optional[UpdatePayload]]
 
 
 def observed_history(run: Run, agent: int, upto: Optional[int] = None) -> ObservedHistory:
-    """One agent's view of a run, or of `run.messages[:upto]` when `upto` is given."""
-    return ObservedHistory(agent, run.messages, slice(upto).indices(len(run.messages))[1])
+    """One agent's view of a run, or of `run.messages[:upto]` when `upto` is given.
+
+    The view's memo is a copy of the agent's entry in `run.memos`, if any, so
+    a fold resumes from the agent's last poll of the run, and no view writes
+    into the run's record. `fold` restarts an entry that saw more of the log
+    than the view holds, so a shorter view stays exact.
+    """
+    memo = run.memos.get(agent) if run.memos else None
+    length = slice(upto).indices(len(run.messages))[1]
+    return ObservedHistory(agent, run.messages, length, None if memo is None else dict(memo))
 
 
 def truthful_strategy(obs: ObservedHistory) -> Optional[UpdatePayload]:
@@ -319,7 +337,8 @@ def _run_continuous(
     view handed to a watcher carries the watcher's memo from `memos`, so the
     fold resumes from its last poll; a callable that keeps its own state is
     not supported. Between elements `grown` is empty, so the state there is
-    the fold state, the last broadcast, the streak and the log length.
+    the fold state, the last broadcast, the streak and the log length. The
+    run keeps `memos`, so a view of it resumes each watcher's fold.
     """
     messages: list[Message] = []
     state = algorithm.start()
@@ -362,7 +381,7 @@ def _run_continuous(
                 messages.append(broadcast)
                 grown.update(watchers)
 
-    return Run("continuous", tuple(messages), ell=ell)
+    return Run("continuous", tuple(messages), ell=ell, memos=memos)
 
 
 def _run_periodic(
@@ -374,7 +393,7 @@ def _run_periodic(
     """Execute the periodic protocol: per round, deliver, poll once each, broadcast once.
 
     Each view handed to an agent with a strategy carries that agent's memo
-    from `memos`, as in `_run_continuous`.
+    from `memos`, and the run keeps them, as in `_run_continuous`.
     """
     messages: list[Message] = []
     state = algorithm.start()
@@ -401,7 +420,7 @@ def _run_periodic(
             state, broadcast = folded, OutputBroadcast(algorithm.output(folded))
         messages.append(broadcast)
 
-    return Run("periodic", tuple(messages), ell=None)
+    return Run("periodic", tuple(messages), ell=None, memos=memos)
 
 
 def run_protocol(

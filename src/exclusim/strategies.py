@@ -4,7 +4,8 @@ exact inference helpers that decode what the truthful outcome would have been.
 The attacks that read their whole view (sneak, probe, triangulation) are
 `StrategyFold`s; the rest read only the view's last message and broadcast.
 The probe ladder is one walk, `_LadderFold`, which folds F - L too: the
-attack, `triangulation_state` and the inference read it alone.
+attack, `triangulation_state` and the inference read it alone, under one memo
+key, so the inference of a finished run resumes the attack's walk.
 `STRATEGIES` gives each strategy a scenario file can name, with the kinds of
 its parameters and what it can send; the builders check the values, and the
 algorithm's `check` decides which of those payloads a ledger takes.
@@ -16,7 +17,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise
+from math import lcm
 from operator import sub
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -464,30 +466,39 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class _TriangulationFold(_LadderFold, StrategyFold):
-    """The ladder walk, its F - L started at the width-(d + 1) zero record,
-    so an own row of another width raises `PayloadError` at the poll that
-    sees it."""
+    """The ladder walk and the attack's decision on it.
+
+    The view is folded under `_LADDER`, the walk that `triangulation_state`
+    reads, so the inference on a view of the finished run resumes the
+    attack's walk from the memo the run keeps. `units` holds the d + 1
+    probes at the zero fit (see `_probe_row`), built once per attack. An own
+    row whose width is not d + 1 raises `PayloadError` at the poll that sees
+    it, as F - L takes the width of the first own row.
+    """
 
     def __init__(self, d: int):
         self.d = d
+        self.units = _probe_units(d + 1)
 
-    def start(self) -> _LadderWalk:
-        return _LadderWalk(None, moments((), self.d + 1), None, None)
+    def __call__(self, view: ObservedHistory) -> Optional[UpdatePayload]:
+        return self.decide(view.fold(_LADDER))
 
     def decide(self, walk: _LadderWalk) -> Optional[UpdatePayload]:
         ladder, d = walk.ladder, self.d
+        width = d + 1
+        if walk.own is not None and len(walk.own.cross) != width:
+            raise PayloadError(f"row width {len(walk.own.cross)} does not match {width}")
         if ladder is None or None in ladder.rho_seq:
             return None
         current = ladder.rho_seq[-1]
         assert current is not None
-        width = d + 1
         if len(current) != width:
             raise PayloadError(
                 f"broadcast coefficients of width {len(current)} do not match "
                 f"the width-{width} probes of triangulation_attack({d})"
             )
         if ladder.step <= d:
-            return RowMultiset((_probe_row(ladder.step + 1, current),))
+            return RowMultiset((_probe_row(self.units, ladder.step + 1, current),))
         if ladder.step == width:
             # An update the view ends on has no response yet: its rows are none of the ladder's.
             own = walk.own if walk.sent is None else walk.own.plus_rows(walk.sent)
@@ -497,23 +508,34 @@ class _TriangulationFold(_LadderFold, StrategyFold):
                 triangulation_infer(ladder, d)
             except InferenceError:
                 return None
-            deflection = Row._exact((_ONE,) + (_ZERO,) * d, current[0] + 1)
-            return RowMultiset((deflection,))
+            # The intercept-only point, one above the fit there.
+            return RowMultiset((_probe_row(self.units, 1, current),))
         return None
 
 
-def _probe_row(step: int, previous: Point) -> Row:
-    """The step-th ladder point: unit features, target one above the current fit.
+def _probe_units(width: int) -> tuple[Row, ...]:
+    """The width ladder probes at the zero fit: step i's features are 1 at
+    the intercept and at coordinate i - 1 (the intercept alone at step 1) and
+    0 elsewhere, and its target is 1."""
+    units = []
+    for step in range(1, width + 1):
+        features = [_ZERO] * width
+        features[0] = features[step - 1] = _ONE
+        units.append(Row._exact(tuple(features), _ONE))
+    return tuple(units)
 
-    The features are 1 at the intercept and at coordinate step - 1 (the
-    intercept alone at step 1) and 0 elsewhere, so the fit there is the sum
-    of those one or two coefficients. The row is computed here from the
-    broadcast's `Fraction`s, so `Row._exact` wraps it unchecked.
+
+def _probe_row(units: tuple[Row, ...], step: int, previous: Point) -> Row:
+    """The step-th ladder point: the features of `units[step - 1]` (see
+    `_probe_units`), target one above the current fit `previous` there.
+
+    The fit there is the sum of the one or two coefficients the features
+    pick out. The row shares the unit's feature tuple and its integer form,
+    so a probe builds neither; its target is computed here from the
+    broadcast's `Fraction`s, so it is not checked again.
     """
-    features = [_ZERO] * len(previous)
-    features[0] = features[step - 1] = _ONE
     fit = previous[0] if step == 1 else previous[0] + previous[step - 1]
-    return Row._exact(tuple(features), fit + 1)
+    return units[step - 1].with_target(fit + 1)
 
 
 @dataclass(frozen=True)
@@ -543,7 +565,10 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     Delta^T @ Sigma^T = R^T, with the deltas and responses as the columns of
     Delta and R, and sigma = Sigma @ rho_0. The truthful moments are Sigma's
     record plus `state.own`, F - L as the ladder started, in one record sum.
-    Each entry returned is one `Fraction`.
+    Each s_i is the probes' integer residual v_i over its scale, so each
+    entry of r_i is one `Fraction`, v_(i-1) and v_i brought to the lcm of
+    their scales and subtracted, over that lcm. Each entry returned is one
+    `Fraction`.
     """
     width = d + 1
     if state.step < width:
@@ -554,14 +579,19 @@ def triangulation_infer(state: TriangulationState, d: int) -> InferenceResult:
     rho = state.rho_seq[: width + 1]
     if any(coeffs is None for coeffs in rho):
         raise InferenceError("a probe response was Null; the ledger fit vanished")
-    # A_i, C_i for i = 0 .. d+1, and s_i from their residual at rho_i; s_0 = 0.
+    # A_i, C_i for i = 0 .. d+1, and their residual at rho_i, -s_i as ints
+    # over a scale; s_0 = 0.
     probes = accumulate(state.probes[:width], ScaledMoments.plus_rows, initial=moments((), width))
-    s = [(Fraction(0),) * width] + [
-        tuple(Fraction(-v, scale) for v in residual)
-        for scale, residual in map(ScaledMoments.residual, islice(probes, 1, None), rho[1:])
-    ]
+    residuals = [(1, (0,) * width)]
+    residuals += map(ScaledMoments.residual, islice(probes, 1, None), rho[1:])
+    response_columns = []
+    for (previous_scale, previous), (scale, residual) in pairwise(residuals):
+        common = lcm(previous_scale, scale)
+        a, b = common // previous_scale, common // scale
+        response_columns.append(
+            tuple(Fraction(a * u - b * v, common) for u, v in zip(previous, residual))
+        )
     delta_columns = [tuple(map(sub, b, a)) for a, b in zip(rho, rho[1:])]
-    response_columns = [tuple(map(sub, b, a)) for a, b in zip(s, s[1:])]
     # The columns of Delta and R are the rows of Delta^T and R^T.
     sigma_transposed = RMatrix._exact(tuple(delta_columns)).solve(
         RMatrix._exact(tuple(response_columns))
@@ -743,11 +773,11 @@ STRATEGIES: dict[str, tuple[Callable[..., Strategy], dict[str, str], Callable]] 
     "lr_sneak": (
         lambda: sneak_attack(lr_sneak_params()), {}, _makes_up(lr_sneak_params().u_attack)
     ),
-    # Its probe rows have width d + 1.
+    # Its probe rows have width d + 1; the first probe at the zero fit stands for them.
     "triangulation": (
         triangulation_attack,
         {"d": "count"},
-        lambda params: (("params.d", RowMultiset((_probe_row(1, (0,) * (params["d"] + 1)),))),),
+        lambda params: (("params.d", RowMultiset(_probe_units(params["d"] + 1)[:1])),),
     ),
     "sneak": (
         lambda **params: sneak_attack(SneakParams(**params)),

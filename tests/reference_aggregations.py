@@ -22,7 +22,8 @@ raising the messages the folds raise, so the oracle shares no acceptance
 code with the `Algorithm.check` methods it is compared against.
 
 `broadcasts` lists a run's broadcast outputs in order, for tests that read
-more of a transcript than `Run.final_output`.
+more of a transcript than `Run.final_output`. `CountingLog` is a message log
+that counts the entries a view reads from it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from collections.abc import Sequence as SequenceABC
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from exclusim.algorithms import (
@@ -81,6 +83,20 @@ from exclusim.protocol import (
     truthful_strategy,
 )
 from reference_linalg import add, scale, zeros
+
+
+class CountingLog(SequenceABC):
+    """A log that counts the entries read from it."""
+
+    def __init__(self, messages):
+        self.messages, self.reads = messages, 0
+
+    def __len__(self):
+        return len(self.messages)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.messages[index]
 
 
 def outcome(function, *args, **kwargs):

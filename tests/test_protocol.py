@@ -5,8 +5,8 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from collections.abc import Sequence
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -57,6 +57,7 @@ from exclusim.protocol import (
     validate_run,
 )
 from exclusim.strategies import (
+    _LADDER,
     average_double_probe,
     fabricate_point,
     fabricate_rows,
@@ -67,7 +68,7 @@ from exclusim.strategies import (
     sneak_attack,
     triangulation_attack,
 )
-from reference_aggregations import broadcasts, outcome, reference_run
+from reference_aggregations import CountingLog, broadcasts, outcome, reference_run
 
 
 def _scalar_input(*pairs) -> tuple[NatureElement, ...]:
@@ -193,7 +194,8 @@ def test_two_triangulation_probers_end_at_the_cap_naming_both():
 
 def test_two_agents_with_one_fold_object_keep_separate_states(monkeypatch):
     # The probers of the test above, sharing one strategy object: each
-    # agent's memo holds its own fold, which equals its view folded afresh.
+    # agent's memo holds its own walk under the shared `_LADDER` key, which
+    # equals its view folded afresh.
     monkeypatch.setattr("exclusim.protocol.SAFETY_CAP", 20)
     rows = RowMultiset((Row((1, 0), 1), Row((1, 1), 2), Row((1, 3), 2)))
     prober = triangulation_attack(1)
@@ -202,7 +204,7 @@ def test_two_agents_with_one_fold_object_keep_separate_states(monkeypatch):
     def checked(o):
         wish = prober(o)
         memos.setdefault(o.agent, set()).add(id(o.memo))
-        assert o.memo[prober] == (o.length, ObservedHistory(o.agent, o.log, o.length).fold(prober))
+        assert o.memo[_LADDER] == (o.length, ObservedHistory(o.agent, o.log, o.length).fold(_LADDER))
         return wish
 
     def cap_message(probers):
@@ -575,15 +577,19 @@ def _generated_runs(draw):
         }
     strategies = {} if attack is None else {attacker: attacks[attack]()}
     agent_count = draw(st.integers(min_value=2, max_value=3))
+    protocol, ninput, ell = _draw_input(draw, payload, agent_count)
+    return protocol, ninput, strategies, algorithm, agent_count, ell
+
+
+def _draw_input(draw, payload, agent_count):
+    """A protocol, a nature input of `payload`s for its agents, and its `ell`."""
     agents = draw(
         st.lists(st.integers(min_value=1, max_value=agent_count), min_size=1, max_size=6)
     )
     protocol = draw(st.sampled_from(("continuous", "periodic")))
     if protocol == "continuous":
         ninput = tuple(NatureElement(agent, draw(payload)) for agent in agents)
-        return protocol, ninput, strategies, algorithm, agent_count, draw(
-            st.integers(min_value=1, max_value=3)
-        )
+        return protocol, ninput, draw(st.integers(min_value=1, max_value=3))
     rounds, seen = [], set()
     for agent in agents:
         round_no = rounds[-1] + draw(st.integers(min_value=0, max_value=1)) if rounds else 1
@@ -594,7 +600,7 @@ def _generated_runs(draw):
     ninput = tuple(
         NatureElement(agent, draw(payload), round_no) for agent, round_no in zip(agents, rounds)
     )
-    return protocol, ninput, strategies, algorithm, agent_count, None
+    return protocol, ninput, None
 
 
 def _spied(strategies, agent_count, polls):
@@ -700,26 +706,12 @@ def test_a_fold_resumed_from_the_memo_equals_a_fold_from_the_start(case, data):
             assert recorder.calls - calls == len(fresh) + len(view)
 
 
-class _CountingLog(Sequence):
-    """A log that counts the entries read from it."""
-
-    def __init__(self, messages):
-        self.messages, self.reads = messages, 0
-
-    def __len__(self):
-        return len(self.messages)
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return self.messages[index]
-
-
 def test_a_resumed_fold_reads_only_the_log_entries_after_its_last_poll():
     # A fold resumed at p over n messages reads the n - p entries after p,
     # none of the prefix, and ends where a fold from the start does.
     case = make_triangulation_cases(1)(1)  # 31 messages
     fold = triangulation_attack(1)
-    log = _CountingLog(run_protocol(
+    log = CountingLog(run_protocol(
         "continuous", case.ninput, {2: fold}, DlrAlgorithm(1), case.agent_count, ell=case.ell
     ).messages)
     n = len(log)
@@ -730,6 +722,57 @@ def test_a_resumed_fold_reads_only_the_log_entries_after_its_last_poll():
         state = ObservedHistory(2, log, n, memo).fold(fold)
         assert log.reads == n - p
         assert state == ObservedHistory(2, log.messages, n).fold(fold)
+
+
+@st.composite
+def _fold_runs(draw):
+    """A run of the strategies that fold their views: the lr sneak on
+    one-feature regression, the average probe or the triangulation ladder,
+    played by one or two agents under either protocol."""
+    kind = draw(st.sampled_from(("sneak", "probe", "triangulation")))
+    if kind == "sneak":
+        params = lr_sneak_params()
+        # The watched payload too, so that some swaps fire.
+        algorithm, payload = DlrAlgorithm(1), st.one_of(st.just(params.u_cond), _row_payloads(2))
+        attack = partial(sneak_attack, params)
+    elif kind == "probe":
+        algorithm, payload, attack = AverageAlgorithm(), _point_payloads, average_double_probe
+    else:
+        d = draw(st.integers(min_value=1, max_value=2))
+        algorithm, payload = DlrAlgorithm(d), _row_payloads(d + 1)
+        attack = partial(triangulation_attack, d)
+    agent_count = draw(st.integers(min_value=2, max_value=3))
+    # Two ladders answer each other's broadcasts up to the cap, so one agent plays it.
+    attackers = draw(st.lists(
+        st.integers(min_value=1, max_value=agent_count),
+        min_size=1, max_size=1 if kind == "triangulation" else 2, unique=True,
+    ))
+    protocol, ninput, ell = _draw_input(draw, payload, agent_count)
+    return protocol, ninput, {agent: attack() for agent in attackers}, algorithm, agent_count, ell
+
+
+@given(case=_fold_runs())
+@settings(max_examples=100, deadline=None)
+def test_views_of_a_finished_run_are_exact_and_leave_its_folds_alone(case):
+    # A view of a finished run resumes from a copy of the agent's memo; one
+    # shorter than the memo's entry restarts. Every view folds to what a
+    # memo-less view gives, and none writes into the run's record.
+    protocol, ninput, strategies, algorithm, agent_count, ell = case
+    run = outcome(run_protocol, protocol, ninput, strategies, algorithm, agent_count, ell=ell)
+    assume(not isinstance(run, type))
+    assert set(run.memos) == set(strategies)
+    stored = {agent: dict(memo) for agent, memo in run.memos.items()}
+    # The triangulation attack folds under the ladder walk's key.
+    folds = (_LADDER, *strategies.values())
+    for agent in range(1, agent_count + 1):
+        for upto in range(len(run.messages) + 1):
+            for fold in folds:
+                view = observed_history(run, agent, upto)
+                assert view.fold(fold) == ObservedHistory(agent, run.messages, upto).fold(fold)
+    for agent, memo in stored.items():
+        assert run.memos[agent].keys() == memo.keys()
+        assert all(run.memos[agent][fold] is entry for fold, entry in memo.items())
+    assert replay_matches(run, strategies)
 
 
 def test_truthful_agents_are_polled_only_on_their_own_deliveries(monkeypatch):

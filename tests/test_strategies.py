@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -29,6 +30,7 @@ from exclusim.algorithms import (
     RowMultiset,
     Scalar,
     ScalarOutput,
+    ScaledMoments,
     moments,
 )
 from exclusim.cli import triangulation_csv_rows
@@ -51,7 +53,9 @@ from exclusim.strategies import (
     SneakParams,
     StrategyClass,
     TriangulationState,
+    _LADDER,
     _probe_row,
+    _probe_units,
     average_double_probe,
     average_infer,
     average_infer_from_history,
@@ -71,6 +75,7 @@ from exclusim.strategies import (
     triangulation_state,
 )
 from reference_aggregations import (
+    CountingLog,
     MomentPair,
     broadcasts,
     divided,
@@ -820,9 +825,10 @@ def test_triangulation_state_starts_no_ladder_before_a_usable_broadcast():
 
 def test_triangulation_fold_keeps_the_moments_of_the_ladders_own_rows():
     # On every prefix the walk's F - L is the moments of the own factual rows
-    # less those of every own update, as rationals. On an engine's run, while
-    # a ladder runs, that is the ladder's F - L less its probes and any
-    # update still awaiting its response.
+    # less those of every own update, as rationals; None stands for the zero
+    # record, and only before the first own row. On an engine's run, while a
+    # ladder runs, that is the ladder's F - L less its probes and any update
+    # still awaiting its response.
     double_update = (
         FactualDelivery(2, _OWN_ROWS),
         OutputBroadcast(_FIT[0]),
@@ -842,20 +848,23 @@ def test_triangulation_fold_keeps_the_moments_of_the_ladders_own_rows():
     for log in logs:
         for length in range(len(log) + 1):
             view = ObservedHistory(2, log, length)
-            walk = view.fold(triangulation_attack(1))
+            walk = view.fold(_LADDER)
             factual, ledger = (
                 [row for m in view.items if isinstance(m, kind) for row in m.payload.rows]
                 for kind in (FactualDelivery, LedgerUpdate)
             )
-            assert divided(walk.own) == _own_difference(factual, ledger, 2)
+            assert (walk.own is None) == (not factual and not ledger)
+            own = moments((), 2) if walk.own is None else walk.own
+            assert divided(own) == _own_difference(factual, ledger, 2)
             if walk.ladder is not None and log is not double_update:
                 probes = [row for rows in walk.ladder.probes + (walk.sent or (),) for row in rows]
-                assert walk.own == walk.ladder.own.plus_rows(probes, -1)
+                started = moments((), 2) if walk.ladder.own is None else walk.ladder.own
+                assert own == started.plus_rows(probes, -1)
                 kept += 1
     assert kept
     # An own update that another one follows gets no response, so its rows
     # are none of the ladder's, yet they leave F - L all the same.
-    walk = ObservedHistory(2, double_update, len(double_update)).fold(triangulation_attack(1))
+    walk = ObservedHistory(2, double_update, len(double_update)).fold(_LADDER)
     assert walk.ladder.probes == (_PROBES[1:],)
     assert walk.own == moments(_OWN_ROWS.rows, 2).plus_rows(_PROBES[:1], -1).plus_rows(_PROBES[1:], -1)
     assert divided(walk.own) != divided(walk.ladder.own.plus_rows(_PROBES[1:], -1))
@@ -938,9 +947,9 @@ def _ladder_by_hand(hidden: tuple[Row, ...], d: int) -> ReferenceLadder:
     algorithm = DlrAlgorithm(d)
     ledger = [RowMultiset(hidden)]
     rho = [algorithm.compute(ledger).coefficients]
-    probes = []
+    probes, units = [], _probe_units(d + 1)
     for step in range(1, d + 2):
-        probes.append((_probe_row(step, rho[-1]),))
+        probes.append((_probe_row(units, step, rho[-1]),))
         ledger.append(RowMultiset(probes[-1]))
         rho.append(algorithm.compute(ledger).coefficients)
     return ReferenceLadder(d + 1, tuple(rho), tuple(probes), (), ())
@@ -1062,6 +1071,107 @@ def test_long_triangulation_stream_keeps_its_trace_and_recovers_the_truth():
     assert triangulation_infer_from_history(observed_history(run, 2), 1).truth_output == truth
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_inference_of_a_finished_run_resumes_the_attacks_walk(d, monkeypatch):
+    # A view of the attack run starts from the walk of the attacker's last
+    # poll, so the inference observes only the messages after that poll, and
+    # decodes what a memo-less view of the whole run decodes.
+    observed = []
+    observe = strategies._LadderFold.observe
+
+    def counted(self, walk, message):
+        observed.append(message)
+        return observe(self, walk, message)
+
+    monkeypatch.setattr(strategies._LadderFold, "observe", counted)
+    generate, decoded = make_triangulation_cases(d, 2), 0
+    for seed in range(20):
+        case, attack, polls = generate(seed), triangulation_attack(d), []
+
+        def spied(o):
+            polls.append(o.length)
+            return attack(o)
+
+        run = run_protocol(
+            "continuous", case.ninput, {2: spied}, DlrAlgorithm(d), case.agent_count, ell=case.ell
+        )
+        view = observed_history(run, 2)
+        observed.clear()
+        got = outcome(triangulation_infer_from_history, view, d)
+        assert observed == [m for m in run.messages[polls[-1]:] if view.sees(m)]
+        fresh = ObservedHistory(2, run.messages, len(run.messages))
+        assert got == outcome(triangulation_infer_from_history, fresh, d)
+        decoded += not isinstance(got, type)
+    assert decoded
+
+
+def _scaling_stream(kind: str, length: int):
+    """A continuous stream of `length` elements for `kind`'s attack on agent
+    2 of three, with its algorithm: the d = 1 ladder stream, or elements
+    dealt at random."""
+    if kind == "triangulation":
+        return _long_triangulation_stream(0, length), DlrAlgorithm(1)
+    rng = random.Random(f"scaling:{kind}:{length}")
+
+    def value() -> Fraction:
+        return Fraction(rng.randint(-20, 20), 2)
+
+    if kind == "average_probe":
+        algorithm, payload = AverageAlgorithm(), lambda: PointSet(((value(),),))
+    else:
+        algorithm, payload = DlrAlgorithm(1), lambda: RowMultiset((Row((1, value()), value()),))
+    return tuple(NatureElement(rng.randint(1, 3), payload()) for _ in range(length)), algorithm
+
+
+_SCALING_ATTACKS = {
+    "average_probe": average_double_probe,
+    "lr_sneak": lambda: sneak_attack(lr_sneak_params()),
+    "triangulation": lambda: triangulation_attack(1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALING_ATTACKS))
+def test_attack_streams_cost_in_proportion_to_their_length(kind, monkeypatch):
+    # Each poll reads only the log entries after the attacker's last poll,
+    # observes only those, and feeds each row to the moment kernel a fixed
+    # number of times, so doubling a stream at most doubles each count, up
+    # to SLACK for the streams' differences in content.
+    SLACK = 100
+    counts = Counter()
+
+    def counting(name, method, size):
+        def counted(self, *args):
+            counts[name] += size(*args)
+            return method(self, *args)
+
+        return counted
+
+    for fold in (strategies._LadderFold, strategies._SneakFold, strategies._ProbeFold):
+        monkeypatch.setattr(fold, "observe", counting("observe", fold.observe, lambda *args: 1))
+    rows = counting("rows", ScaledMoments.plus_rows, lambda rows, sign=1: len(rows))
+    monkeypatch.setattr(ScaledMoments, "plus_rows", rows)
+    log = CountingLog(())
+
+    def measured(length):
+        counts.clear()
+        log.reads = 0
+        ninput, algorithm = _scaling_stream(kind, length)
+        attack = _SCALING_ATTACKS[kind]()
+
+        def read_through(o):
+            log.messages = o.log
+            return attack(ObservedHistory(o.agent, log, o.length, o.memo))
+
+        run_protocol("continuous", ninput, {2: read_through}, algorithm, 3, ell=3)
+        return log.reads, counts["observe"], counts["rows"]
+
+    short, long = measured(250), measured(500)
+    # The average stream feeds no rows.
+    assert all(short[:2]), short
+    for name, n, two_n in zip(("log reads", "observe calls", "rows"), short, long):
+        assert two_n <= 2 * n + SLACK, (name, n, two_n)
+
+
 # sha256 over the traces of 1,800 triangulation runs: for d in (1, 2, 3, 5),
 # seat in 1..3 and seed in 0..149, in that loop order, the attack in `seat`
 # plays `make_triangulation_cases(d, seat)(seed)`, and each `trace_lines`
@@ -1102,9 +1212,14 @@ _fit_value = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_probe_row_matches_the_dot_product_reference(case):
     step, previous = case
-    row = _probe_row(step, previous)
+    units = _probe_units(len(previous))
+    row = _probe_row(units, step, previous)
     assert row == reference_probe_row(step, previous)
     assert all(type(v) is Fraction for v in (*row.features, row.target))
+    # The probe shares its unit's features and their integer form.
+    assert row.features is units[step - 1].features
+    assert row.scaled_features is units[step - 1].scaled_features
+    assert row.scaled_features == (1, tuple(int(v) for v in row.features))
 
 
 def test_triangulation_rejects_bad_dimension():
