@@ -10,11 +10,12 @@ an empty ledger, `fold(state, payload)` the state after one more update, and
 `output(state)` the public output, or `NullOutput` while the aggregation is
 not defined. States are immutable values and a fold costs time in the size of
 its payload, not of the ledger: max keeps a running maximum, average a sum
-and a count, regression the moments X^T X and X^T y in integers, the Gram
-block over the squared feature scale and the cross block over the feature
-scale times the target scale (a `ScaledMoments`), and k-center and k-median
-the point union, which `output` solves. The engines keep one running state
-per run; `compute(ledger)` folds a whole ledger.
+in ints over one scale and a count, regression the moments X^T X and X^T y
+in integers, the Gram block over the squared feature scale and the cross
+block over the feature scale times the target scale (a `ScaledMoments`),
+and k-center and k-median the point union, which `output` solves. The
+engines keep one running state per run; `compute(ledger)` folds a whole
+ledger.
 
 Everything is exact rational arithmetic. A regression fold is one kernel,
 `ScaledMoments.plus_rows`: it scales each row to ints, its features by
@@ -755,13 +756,18 @@ class MaxAlgorithm(Algorithm):
 class AverageAlgorithm(Algorithm):
     """The mean over all points of all updates; the count stays hidden.
 
-    State: the sum and the number of the 1-dimensional points so far.
+    State: `(scale, total, count)` in ints, the sum of the 1-dimensional
+    points so far times `scale`, and their number. A point enters as its
+    numerator times `scale` over its denominator, and the scale rises to the
+    lcm of itself and the denominator, with the sum multiplied by the ratio,
+    only when the denominator does not divide it, as `ScaledMoments.plus_rows`
+    raises its scales. `output` builds the one `Fraction` of the mean.
     """
 
     name = "average"
 
-    def start(self) -> tuple[Fraction, int]:
-        return Fraction(0), 0
+    def start(self) -> tuple[int, int, int]:
+        return 1, 0, 0
 
     def check(self, payload: UpdatePayload) -> bool:
         if not _contributes(payload, PointSet) or not payload.points:
@@ -770,15 +776,26 @@ class AverageAlgorithm(Algorithm):
             raise PayloadError("the average aggregation expects 1-dimensional points")
         return True
 
-    def fold(self, state: tuple[Fraction, int], payload: UpdatePayload) -> tuple[Fraction, int]:
+    def fold(self, state: tuple[int, int, int], payload: UpdatePayload) -> tuple[int, int, int]:
         if not self.check(payload):
             return state
-        total, count = state
-        return total + sum(p[0] for p in payload.points), count + len(payload.points)
+        scale, total, count = state
+        for (value,) in payload.points:
+            denominator = value.denominator
+            if scale % denominator:
+                ratio = denominator // math.gcd(scale, denominator)
+                scale, total = scale * ratio, total * ratio
+            total += value.numerator * (scale // denominator)
+        return scale, total, count + len(payload.points)
 
-    def output(self, state: tuple[Fraction, int]) -> AlgorithmOutput:
-        total, count = state
-        return ScalarOutput(total / count) if count else NullOutput()
+    def output(self, state: tuple[int, int, int]) -> AlgorithmOutput:
+        scale, total, count = state
+        return ScalarOutput(Fraction(total, scale * count)) if count else NullOutput()
+
+    def totals(self, state: tuple[int, int, int]) -> tuple[Fraction, int]:
+        """The sum and the number of the points of `state`."""
+        scale, total, count = state
+        return Fraction(total, scale), count
 
 
 class ClusteringAlgorithm(Algorithm):

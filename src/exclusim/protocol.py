@@ -20,12 +20,16 @@ continuous protocol a single nature element opens an activity loop: agents are
 polled repeatedly, each only when its view has grown since its last poll.
 Each accepted update is broadcast immediately, and a broadcast wakes only the
 agents that play a strategy of their own: `truthful_strategy` never answers
-one. An anti-flooding guard suppresses an agent once it authored the last
-`ell` consecutive ledger updates (the guard models how many consecutive
-identities one party controls). The periodic protocol delivers a round's
-factual updates, polls every agent exactly once, then broadcasts exactly once
-per round, and takes no `ell`. `validate_run` states the rules a run's inputs
-must keep.
+one. The engines answer for `truthful_strategy`, which every agent without a
+strategy of its own plays, and build it no view: the last message such an
+agent has seen is known to the engine, so a strategy-less agent echoes the
+delivery that woke it without a view. An anti-flooding guard suppresses an
+agent once it authored the last `ell` consecutive ledger updates (the guard
+models how many consecutive identities one party controls). The periodic
+protocol delivers a round's factual updates, polls every agent exactly once,
+then broadcasts exactly once per round, and takes no `ell`; there a
+strategy-less agent echoes its delivery of the round, if it has one.
+`validate_run` states the rules a run's inputs must keep.
 """
 
 from __future__ import annotations
@@ -327,12 +331,15 @@ def _run_continuous(
     delivery adds its recipient, an accepted update adds the `watchers` (the
     agents named in `strategies`), and a poll removes the polled agent. An
     agent with no entry plays `truthful_strategy`, which answers a view that
-    ends in a broadcast with None, so it is polled only on its own
-    deliveries. An element's activity loop runs while
-    `grown` is not empty. The guard drops a wish from `author`, who wrote the
-    last `streak` updates in a row, once `streak` reaches `ell`. Strategies
-    are pure functions of their views (the property `replay_matches` checks),
-    so an unchanged view would repeat a dropped wish. A strategy that needs
+    ends in a broadcast with None, so it is polled only on its own delivery.
+    The engine answers for `truthful_strategy` without building a view: a
+    polled agent has always seen the log's last message, its own delivery
+    or a broadcast, so it echoes the delivery that woke it. An element's
+    activity loop runs while `grown` is not empty. The guard drops a wish
+    from `author`, who wrote the last `streak` updates in a row, once
+    `streak` reaches `ell`. Strategies are pure functions of their views
+    (the property `replay_matches` checks), so an unchanged view would
+    repeat a dropped wish. A strategy that needs
     its whole view is a fold read through `ObservedHistory.fold`, and each
     view handed to a watcher carries the watcher's memo from `memos`, so the
     fold resumes from its last poll; a callable that keeps its own state is
@@ -367,7 +374,14 @@ def _run_continuous(
                     continue
                 grown.remove(agent)
                 strategy = strategies.get(agent, truthful_strategy)
-                wish = strategy(ObservedHistory(agent, messages, len(messages), memos.get(agent)))
+                if strategy is truthful_strategy:
+                    # The last message of the log is the last this agent has
+                    # seen: its own delivery, or a broadcast.
+                    last = messages[-1]
+                    wish = last.payload if isinstance(last, FactualDelivery) else None
+                else:
+                    view = ObservedHistory(agent, messages, len(messages), memos.get(agent))
+                    wish = strategy(view)
                 if wish is None:
                     continue
                 if agent == author and streak >= ell:
@@ -393,26 +407,34 @@ def _run_periodic(
     """Execute the periodic protocol: per round, deliver, poll once each, broadcast once.
 
     Each view handed to an agent with a strategy carries that agent's memo
-    from `memos`, and the run keeps them, as in `_run_continuous`.
+    from `memos`, and the run keeps them, as in `_run_continuous`. An agent
+    that plays `truthful_strategy` gets no view: before its poll it has seen
+    at most the last round's broadcast and its delivery of this round, so it
+    echoes that delivery, if there is one.
     """
     messages: list[Message] = []
     state = algorithm.start()
     broadcast: Optional[OutputBroadcast] = None
     memos = {agent: {} for agent in strategies}
 
-    # by_round[r - 1]: the deliveries of round r, in input order; a round
-    # without elements is still played.
-    by_round: list[list[FactualDelivery]] = [
-        [] for _ in range(max((el.round for el in ninput), default=0))
+    # by_round[r - 1]: the deliveries of round r by agent, in input order; a
+    # round without elements is still played.
+    by_round: list[dict[int, FactualDelivery]] = [
+        {} for _ in range(max((el.round for el in ninput), default=0))
     ]
     for element in ninput:
-        by_round[element.round - 1].append(FactualDelivery(element.agent, element.payload))
+        by_round[element.round - 1][element.agent] = FactualDelivery(element.agent, element.payload)
     for deliveries in by_round:
-        messages.extend(deliveries)
+        messages.extend(deliveries.values())
         folded = state
         for agent in range(1, agent_count + 1):
             strategy = strategies.get(agent, truthful_strategy)
-            wish = strategy(ObservedHistory(agent, messages, len(messages), memos.get(agent)))
+            if strategy is truthful_strategy:
+                # The agent's view ends in its delivery of this round, if any.
+                delivery = deliveries.get(agent)
+                wish = None if delivery is None else delivery.payload
+            else:
+                wish = strategy(ObservedHistory(agent, messages, len(messages), memos.get(agent)))
             if wish is not None:
                 folded = algorithm.fold(folded, wish)
                 messages.append(LedgerUpdate(agent, wish))

@@ -207,10 +207,14 @@ def _int(value: object) -> int:
     return value
 
 
+# What `rational` raises on a value that is no rational.
+_NOT_RATIONAL = (TypeError, ValueError, ZeroDivisionError)
+
+
 def _rational(value: object) -> Fraction:
     try:
         return rational(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except _NOT_RATIONAL as exc:
         raise _Invalid(str(exc)) from exc
 
 
@@ -218,29 +222,99 @@ def _point(value: object) -> tuple[Fraction, ...]:
     return tuple(_list(value, _rational, "coordinates"))
 
 
-def _row(entry: object) -> Row:
-    if not isinstance(entry, dict):
-        raise _Invalid("expected a row object")
-    return Row(_field(entry, "features", _point), _field(entry, "target", _rational))
-
-
 def _payload(obj: object) -> UpdatePayload:
+    """Decode one payload in this one frame, dispatching on its kind.
+
+    No frame is spent per schema level, as `_field` and `_list` spend one:
+    a failure below the payload collects its segments from the try blocks it
+    passes, only when it fails, and names the field `_field` and `_list`
+    would name. The payload's own checks (duplicates, widths, the leading 1)
+    cite the payload.
+    """
     if not isinstance(obj, dict):
         raise _Invalid(f"expected a payload object, got {obj!r}")
     kind = obj.get("kind")
+    if kind == "scalar":
+        try:
+            value = rational(obj.get("value"))
+        except _NOT_RATIONAL as exc:
+            raise _Invalid(str(exc)).below(".value") from exc
+        return Scalar(value)
+    if kind == "empty":
+        return Empty()
+    if kind != "points" and kind != "rows":
+        raise _Invalid(f"unknown payload kind {kind!r}").below(".kind")
+    # The list field is named after the kind: "points" or "rows".
+    raw = obj.get(kind)
+    if not isinstance(raw, list) or not raw:
+        raise _Invalid(f"expected a non-empty list of {kind}").below(f".{kind}")
+    entries: list = []  # the points or rows decoded so far
     try:
-        if kind == "scalar":
-            return Scalar(_field(obj, "value", _rational))
-        if kind == "points":
-            return PointSet(_field(obj, "points", lambda raw: _list(raw, _point, "points")))
-        if kind == "rows":
-            return RowMultiset(_field(obj, "rows", lambda raw: _list(raw, _row, "rows")))
-        if kind == "empty":
-            return Empty()
+        for entry in raw:
+            # A point is its own coordinate list; a row's is its "features".
+            if kind == "points":
+                features, field = entry, ""
+            elif isinstance(entry, dict):
+                features, field = entry.get("features"), ".features"
+            else:
+                raise _Invalid("expected a row object")
+            if not isinstance(features, list) or not features:
+                raise _Invalid("expected a non-empty list of coordinates").below(field)
+            coordinates: list[Fraction] = []
+            try:
+                for value in features:
+                    coordinates.append(rational(value))
+            except _NOT_RATIONAL as exc:
+                raise _Invalid(str(exc)).below(f"[{len(coordinates)}]").below(field) from exc
+            if kind == "points":
+                entries.append(tuple(coordinates))
+                continue
+            try:
+                target = rational(entry.get("target"))
+            except _NOT_RATIONAL as exc:
+                raise _Invalid(str(exc)).below(".target") from exc
+            entries.append(Row(coordinates, target))
+        return PointSet(entries) if kind == "points" else RowMultiset(entries)
+    except _Invalid as exc:
+        raise exc.below(f"[{len(entries)}]").below(f".{kind}")
     except PayloadError as exc:
-        # The payload's own checks (duplicates, widths, the leading 1) cite the payload.
         raise _Invalid(str(exc)) from exc
-    raise _Invalid(f"unknown payload kind {kind!r}").below(".kind")
+
+
+def _one_dimension(dimensions: set[int], payload: UpdatePayload) -> None:
+    """Add a point set's dimension to `dimensions`, which must keep one."""
+    if isinstance(payload, PointSet) and payload.points:
+        dimensions.add(len(payload.points[0]))
+        if len(dimensions) > 1:
+            raise _Invalid(MIXED_DIMENSIONS)
+
+
+def _elements(
+    check: Callable[[UpdatePayload], bool], dimensions: set[int], raw: object
+) -> list[NatureElement]:
+    """The nature elements of the JSON list `raw`, each decoded in this frame
+    and `_payload`'s: `check` (the algorithm's) must pass each payload, and
+    its points must keep one dimension (`_one_dimension`)."""
+    if not isinstance(raw, list):
+        raise _Invalid("expected a list of elements")
+    elements: list[NatureElement] = []
+    try:
+        for entry in raw:
+            if not isinstance(entry, dict):
+                raise _Invalid("expected an element object")
+            try:
+                payload = _payload(entry.get("payload"))
+                try:
+                    check(payload)
+                except PayloadError as exc:
+                    raise _Invalid(str(exc)) from exc
+                _one_dimension(dimensions, payload)
+            except _Invalid as exc:
+                raise exc.below(".payload")
+            elements.append(NatureElement(entry.get("agent"), payload, entry.get("round")))
+    except _Invalid as exc:
+        raise exc.below(f"[{len(elements)}]")
+    return elements
 
 
 def payload_to_json(payload: UpdatePayload) -> dict:
@@ -394,30 +468,13 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
             sent.append((_decode(taken, payload, field), field))
         strategy_specs[agent] = {"name": name, "params": dict(params)}
 
-    dimensions: set[int] = set()
-
-    def one_dimension(payload: UpdatePayload) -> UpdatePayload:
-        """`payload`, if its points have the dimension of the first point set met."""
-        if isinstance(payload, PointSet) and payload.points:
-            dimensions.add(len(payload.points[0]))
-            if len(dimensions) > 1:
-                raise _Invalid(MIXED_DIMENSIONS)
-        return payload
-
-    def element(entry: object) -> NatureElement:
-        if not isinstance(entry, dict):
-            raise _Invalid("expected an element object")
-        payload = _field(entry, "payload", lambda raw: one_dimension(taken(_payload(raw))))
-        return NatureElement(entry.get("agent"), payload, entry.get("round"))
-
-    elements = _decode(
-        lambda raw: _list(raw, element, "elements", empty=True),
-        data.get("nature_input"),
-        "nature_input",
-    )
     # Nature's first point set fixes the dimension that strategies must send.
+    dimensions: set[int] = set()
+    elements = _decode(
+        partial(_elements, algorithm.check, dimensions), data.get("nature_input"), "nature_input"
+    )
     for payload, field in sent:
-        _decode(one_dimension, payload, field)
+        _decode(partial(_one_dimension, dimensions), payload, field)
     try:
         validate_run(protocol, ell, agent_count, strategies, elements)
     except InputError as exc:

@@ -5,7 +5,9 @@ The attacks that read their whole view (sneak, probe, triangulation) are
 `StrategyFold`s; the rest read only the view's last message and broadcast.
 The probe ladder is one walk, `_LadderFold`, which folds F - L too: the
 attack, `triangulation_state` and the inference read it alone, under one memo
-key, so the inference of a finished run resumes the attack's walk.
+key, so the inference of a finished run resumes the attack's walk. The average
+probe is one fold object too, `_PROBE`, which also keeps the average of the
+own deliveries, so its inference resumes the attack's walk as well.
 `STRATEGIES` gives each strategy a scenario file can name, with the kinds of
 its parameters and what it can send; the builders check the values, and the
 algorithm's `check` decides which of those payloads a ledger takes.
@@ -16,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, islice, pairwise
 from math import lcm
 from operator import sub
@@ -187,11 +188,12 @@ def max_echo_attack() -> Strategy:
 
     def strategy(o: ObservedHistory) -> Optional[UpdatePayload]:
         last = o.last()
-        if isinstance(last, FactualDelivery):
-            previous = o.last_broadcast()
-            if isinstance(previous, ScalarOutput):
-                return Scalar(previous.value)
-        return truthful_strategy(o)
+        if not isinstance(last, FactualDelivery):
+            return None
+        previous = o.last_broadcast()
+        if isinstance(previous, ScalarOutput):
+            return Scalar(previous.value)
+        return last.payload  # nothing to echo yet: play truthfully
 
     return strategy
 
@@ -237,27 +239,42 @@ class AverageInference:
     true_average: Fraction
 
 
+_AVERAGE = AverageAlgorithm()
+
+
 class _ProbeState(NamedTuple):
     delivered: int  # own factual deliveries
     # The scalar broadcast value right behind each own ledger update, or None
     # where anything else, or nothing yet, follows one.
     responses: tuple[Optional[Fraction], ...]
     pending: bool  # the last message is an own ledger update
+    own: object  # the average's fold of the own deliveries before `refused`
+    refused: Optional[UpdatePayload]  # the first own delivery the average refuses
 
 
 class _ProbeFold(StrategyFold):
+    """The probe attack's walk, which also folds the own deliveries into the
+    average's state, so the inference needs no second walk. A delivery the
+    average refuses is kept, not raised: the attack never sends it, and the
+    inference raises the average's `PayloadError` on it."""
+
     def start(self) -> _ProbeState:
-        return _ProbeState(0, (), False)
+        return _ProbeState(0, (), False, _AVERAGE.start(), None)
 
     def observe(self, state: _ProbeState, message: Message) -> _ProbeState:
-        delivered, responses, pending = state
+        delivered, responses, pending, own, refused = state
         if isinstance(message, FactualDelivery):
             delivered += 1
+            if refused is None:
+                try:
+                    own = _AVERAGE.fold(own, message.payload)
+                except PayloadError:
+                    refused = message.payload
         elif isinstance(message, LedgerUpdate):
-            return _ProbeState(delivered, responses + (None,), True)
+            return _ProbeState(delivered, responses + (None,), True, own, refused)
         elif pending and isinstance(message.output, ScalarOutput):
             responses = responses[:-1] + (message.output.value,)
-        return _ProbeState(delivered, responses, False)
+        return _ProbeState(delivered, responses, False, own, refused)
 
     def decide(self, state: _ProbeState) -> Optional[UpdatePayload]:
         if not state.delivered:
@@ -273,6 +290,10 @@ class _ProbeFold(StrategyFold):
         return None
 
 
+# The probe attack's one fold object, and so its memo key.
+_PROBE = _ProbeFold()
+
+
 def average_double_probe() -> Strategy:
     """Withhold own data and send two counting probes instead.
 
@@ -280,7 +301,7 @@ def average_double_probe() -> Strategy:
     a second 0 pins the hidden count; a zero broadcast already reveals the
     hidden sum is 0, so the second probe adds a 1 to keep the count readable.
     """
-    return _ProbeFold()
+    return _PROBE
 
 
 def average_infer(
@@ -324,13 +345,19 @@ def average_infer(
 
 
 def average_infer_from_history(o: ObservedHistory) -> AverageInference:
-    """Decode a completed probing exchange straight from the observed history."""
-    first, second, *_ = o.fold(_ProbeFold()).responses + (None, None)
+    """Decode a completed probing exchange straight from the observed history.
+
+    The view is folded under `_PROBE`, the attack's own key, so the inference
+    on a view of the finished run resumes the attack's walk, and the own sum
+    and count are the average's fold of the own deliveries that walk keeps.
+    """
+    state = o.fold(_PROBE)
+    first, second, *_ = state.responses + (None, None)
     if first is None or second is None:
         raise InferenceError("the probe exchange has not completed")
-    average = AverageAlgorithm()
-    own = [m.payload for m in o.items if isinstance(m, FactualDelivery)]
-    own_sum, own_count = reduce(average.fold, own, average.start())
+    if state.refused is not None:
+        _AVERAGE.check(state.refused)  # raises the average's PayloadError
+    own_sum, own_count = _AVERAGE.totals(state.own)
     if not own_count:
         raise InferenceError("no factual data to fold into the average")
     return average_infer(first, second, own_sum, own_count)

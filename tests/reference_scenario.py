@@ -1,11 +1,13 @@
 """The scenario layer's payload decoder and JSON writers as they were before
 they stopped repeating work: the oracle for the loader's payload decoder
-(`scenario._decode(scenario._payload, obj, path)`), for `scenario.trace_lines`,
+(`scenario._decode(scenario._payload, obj, path)`) and its nature-input
+decoder (`scenario._elements`), for `scenario.trace_lines`,
 and for the document writers `scenario.payload_to_json` and
 `scenario.output_to_json`.
 
 `payload_from_json` here formats the field path of every point, row and
-coordinate before decoding it. `payload_to_json` and `output_to_json` here
+coordinate before decoding it, and `nature_input_from_json` that of every
+element. `payload_to_json` and `output_to_json` here
 build each payload and output as a dict, field by field; the library writes
 their JSON text once, in `_payload_text` and `_output_text`, and parses that
 text where it needs a dict. `trace_lines` here turns every message into a dict
@@ -23,6 +25,8 @@ from fractions import Fraction
 from typing import Optional
 
 from exclusim.algorithms import (
+    MIXED_DIMENSIONS,
+    Algorithm,
     AlgorithmOutput,
     CentersOutput,
     CoefficientsOutput,
@@ -36,7 +40,7 @@ from exclusim.algorithms import (
     UpdatePayload,
 )
 from exclusim.numerics import rational
-from exclusim.protocol import FactualDelivery, OutputBroadcast, Run
+from exclusim.protocol import FactualDelivery, NatureElement, OutputBroadcast, Run
 from exclusim.scenario import ValidationError, format_rational
 
 
@@ -91,6 +95,30 @@ def payload_from_json(obj: object, path: str) -> UpdatePayload:
     except PayloadError as exc:
         raise _fail(path, str(exc)) from exc
     raise _fail(f"{path}.kind", f"unknown payload kind {kind!r}")
+
+
+
+def nature_input_from_json(raw: object, algorithm: Algorithm) -> list[NatureElement]:
+    """Decode the nature elements of a scenario: each payload must pass the
+    algorithm's `check`, and the point sets must share one dimension."""
+    if not isinstance(raw, list):
+        raise _fail("nature_input", "expected a list of elements")
+    elements, dimensions = [], set()
+    for i, entry in enumerate(raw):
+        path = f"nature_input[{i}]"
+        if not isinstance(entry, dict):
+            raise _fail(path, "expected an element object")
+        payload = payload_from_json(entry.get("payload"), f"{path}.payload")
+        try:
+            algorithm.check(payload)
+        except PayloadError as exc:
+            raise _fail(f"{path}.payload", str(exc)) from exc
+        if isinstance(payload, PointSet) and payload.points:
+            dimensions.add(len(payload.points[0]))
+            if len(dimensions) > 1:
+                raise _fail(f"{path}.payload", MIXED_DIMENSIONS)
+        elements.append(NatureElement(entry.get("agent"), payload, entry.get("round")))
+    return elements
 
 
 def payload_to_json(payload: UpdatePayload) -> dict:

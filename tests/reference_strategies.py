@@ -13,7 +13,6 @@ tests in `test_strategies.py` compare them with the folds, and with
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from typing import Optional, Sequence
 
 from exclusim.algorithms import (
@@ -119,8 +118,9 @@ def reference_average_infer_from_history(o: ObservedHistory) -> AverageInference
     first, second, *_ = _probe_responses(o) + [None, None]
     if first is None or second is None:
         raise InferenceError("the probe exchange has not completed")
-    average = AverageAlgorithm()
-    own_sum, own_count = reduce(average.fold, _own_factuals(o), average.start())
-    if not own_count:
+    # `check` refuses what the average's fold refuses, with its message.
+    check = AverageAlgorithm().check
+    own = [p[0] for payload in _own_factuals(o) if check(payload) for p in payload.points]
+    if not own:
         raise InferenceError("no factual data to fold into the average")
-    return average_infer(first, second, own_sum, own_count)
+    return average_infer(first, second, sum(own, Fraction(0)), len(own))

@@ -601,6 +601,19 @@ def _point_sets(dim: int):
     return st.lists(points, max_size=4, unique=True).map(PointSet)
 
 
+# Rationals with mixed small and large denominators, so the average's
+# integer scale rises, often more than once in a ledger.
+_mixed_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.sampled_from((1, 2, 3, 4, 6, 7, 10, 12, 1_000_003, 2**61 - 1, 10**18)),
+)
+
+
+def _rational_point_sets():
+    return st.lists(st.tuples(_mixed_rationals), max_size=4, unique=True).map(PointSet)
+
+
 def _row_sets(width: int):
     # Few distinct small values, so singular Gram matrices are common.
     value = st.integers(min_value=-1, max_value=1).map(Fraction)
@@ -626,7 +639,7 @@ def _algorithm_and_ledger(draw):
     if kind == "max":
         algorithm, native = MaxAlgorithm(), _small.map(Scalar)
     elif kind == "average":
-        algorithm, native = AverageAlgorithm(), _point_sets(1)
+        algorithm, native = AverageAlgorithm(), _rational_point_sets()
     elif kind == "dlr":
         algorithm = DlrAlgorithm(draw(st.integers(min_value=1, max_value=2)))
         native = _row_sets(algorithm.d + 1)
@@ -646,6 +659,10 @@ def _algorithm_and_ledger(draw):
 @example(case=(MaxAlgorithm(), [Empty(), Empty()]))
 @example(case=(MaxAlgorithm(), [Scalar(1), _points(2)]))
 @example(case=(AverageAlgorithm(), [_points(1), PointSet(((1, 2),))]))
+@example(case=(AverageAlgorithm(), [
+    PointSet(((Fraction(1, 2),), (Fraction(-1, 3),))), Empty(), PointSet(((Fraction(5, 6),),)),
+    PointSet(((Fraction(7, 10**18),),)),
+]))
 @example(case=(KCenterAlgorithm(3), [_points(1), PointSet(((1, 2),))]))
 @example(case=(KCenterAlgorithm(3), [_points(1, 2), _points(2)]))
 @example(case=(KMedianAlgorithm(2, 2, 3), [_points(1, 2), _points(3, 4)]))

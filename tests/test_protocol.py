@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -775,18 +776,20 @@ def test_views_of_a_finished_run_are_exact_and_leave_its_folds_alone(case):
     assert replay_matches(run, strategies)
 
 
-def test_truthful_agents_are_polled_only_on_their_own_deliveries(monkeypatch):
-    calls = []
+def _echo_points(run, strategies):
+    """(agent, log length) of each ledger update a strategy-less agent wrote:
+    the view length of the poll that wished it."""
+    return [
+        (m.agent, index)
+        for index, m in enumerate(run.messages)
+        if isinstance(m, LedgerUpdate) and m.agent not in strategies
+    ]
 
-    def counting(o):
-        calls.append((o.agent, o.length))
-        return truthful_strategy(o)
 
-    # The engine looks the default strategy up when it polls.
-    monkeypatch.setattr("exclusim.protocol.truthful_strategy", counting)
+def test_truthful_agents_are_polled_only_on_their_own_deliveries():
     ninput = _scalar_input((1, 5), (2, 3), (3, 7), (1, 9), (2, 2), (1, 1))
-    run_protocol("continuous", ninput, {}, MaxAlgorithm(), 3, ell=1)
-    assert calls == [(1, 1), (2, 4), (3, 7), (1, 10), (2, 13), (1, 16)]
+    run = run_protocol("continuous", ninput, {}, MaxAlgorithm(), 3, ell=1)
+    assert _echo_points(run, {}) == [(1, 1), (2, 4), (3, 7), (1, 10), (2, 13), (1, 16)]
     # An attacker is still asked about every broadcast, with the same views
     # as when every agent was woken by it.
     attacker_polls = []
@@ -796,12 +799,56 @@ def test_truthful_agents_are_polled_only_on_their_own_deliveries(monkeypatch):
         attacker_polls.append((o.agent, o.length))
         return attack(o)
 
-    calls.clear()
-    run_protocol("continuous", ninput, {1: attacker}, MaxAlgorithm(), 3, ell=1)
+    strategies = {1: attacker}
+    run = run_protocol("continuous", ninput, strategies, MaxAlgorithm(), 3, ell=1)
     assert attacker_polls == [
         (1, 1), (1, 3), (1, 6), (1, 9), (1, 10), (1, 12), (1, 15), (1, 16), (1, 18),
     ]
-    assert calls == [(2, 4), (3, 7), (2, 13)]
+    assert _echo_points(run, strategies) == [(2, 4), (3, 7), (2, 13)]
+
+
+@pytest.mark.parametrize("protocol", ["continuous", "periodic"])
+def test_strategy_less_agents_get_no_view(protocol, monkeypatch):
+    # The engines answer for `truthful_strategy`, the default or named, without
+    # building an ObservedHistory; only the agents with another strategy get views.
+    built = Counter()
+
+    class Counting(ObservedHistory):
+        def __init__(self, agent, log, length, memo=None):
+            built[agent] += 1
+            super().__init__(agent, log, length, memo)
+
+    monkeypatch.setattr("exclusim.protocol.ObservedHistory", Counting)
+    for seed in range(6):
+        case = make_max_cases()(seed)
+        ninput = case.ninput
+        if protocol == "periodic":
+            ninput = tuple(NatureElement(el.agent, el.payload, 1 + i) for i, el in enumerate(ninput))
+        ell = case.ell if protocol == "continuous" else None
+        for strategies in ({}, {1: max_echo_attack()}, {1: max_echo_attack(), 2: truthful_strategy}):
+            built.clear()
+            run = run_protocol(protocol, ninput, strategies, MaxAlgorithm(), case.agent_count, ell=ell)
+            # Only the echo attacker reads a view; the others' echoes reach the ledger.
+            assert set(built) == {1} & set(strategies)
+            assert any(isinstance(m, LedgerUpdate) and m.agent != 1 for m in run.messages)
+
+
+@given(case=_fold_runs() | _generated_runs(), named=st.sets(st.integers(min_value=1, max_value=3)))
+@settings(max_examples=200, deadline=None)
+def test_engines_match_runs_that_poll_every_agent(case, named):
+    # The engines answer for `truthful_strategy` without a view, for the
+    # strategy-less agents and for those in `named`, who play it by name; the
+    # run is the one in which every agent's strategy reads its view and every
+    # broadcast wakes every agent.
+    protocol, ninput, strategies, algorithm, agent_count, ell = case
+    table = {agent: truthful_strategy for agent in named if agent <= agent_count}
+    table.update(strategies)
+    spied = _spied(table, agent_count, [])
+    want = outcome(run_protocol, protocol, ninput, spied, algorithm, agent_count, ell=ell)
+    got = outcome(run_protocol, protocol, ninput, table, algorithm, agent_count, ell=ell)
+    assert (got if isinstance(got, type) else got.messages) == (
+        want if isinstance(want, type) else want.messages
+    )
 
 
 class _CountingOutputs:

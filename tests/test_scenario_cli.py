@@ -8,6 +8,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ from exclusim.scenario import (
     ValidationError,
     _STR_SAFE_BITS,
     _decode,
+    _elements,
     _payload,
     format_rational,
     load_scenario,
@@ -1173,6 +1175,90 @@ def test_cli_demo_triangulation_csv_golden_digest(tmp_path, capsys, d):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == TRIANGULATION_CSV_SHA256[d]
 
 
+def _wire(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _long_stream(kind: str, length: int) -> dict:
+    """A continuous scenario of `length` elements of `kind`, dealt to three
+    agents at ell 1 so that no agent gets two elements in a row and no
+    truthful echo is dropped. `max_echo` is the max stream with the echo
+    attacker on agent 1, which never gets the first element. Average points
+    carry mixed denominators, one of them a large prime."""
+    rng = random.Random(f"long-stream:{kind}")
+
+    def value(lo: int, hi: int, denominators: tuple[int, ...]) -> Fraction:
+        return Fraction(rng.randint(lo, hi), rng.choice(denominators))
+
+    def distinct(count: int, draw) -> list[Fraction]:
+        values: set[Fraction] = set()
+        while len(values) < count:
+            values.add(draw())
+        return sorted(values)
+
+    def rows(count: int) -> list[dict]:
+        return [
+            {"features": [1, _wire(value(-10, 10, (1, 2)))], "target": _wire(value(-10, 10, (1, 2)))}
+            for _ in range(count)
+        ]
+
+    agents: list[int] = []
+    for position in range(length):
+        choices = [a for a in (1, 2, 3) if not agents or a != agents[-1]]
+        if position == 0 and kind == "max_echo":
+            choices.remove(1)
+        agents.append(rng.choice(choices))
+    algorithm, strategies = {"name": kind}, {}
+    payloads = []
+    for position in range(length):
+        if kind in ("max", "max_echo"):
+            payloads.append({"kind": "scalar", "value": _wire(value(-999, 999, (1, 2, 3, 4)))})
+        elif kind == "average":
+            points = distinct(rng.randint(1, 3), lambda: value(-99, 99, (1, 2, 3, 5, 7, 1_000_003)))
+            payloads.append({"kind": "points", "points": [[_wire(v)] for v in points]})
+        elif kind == "dlr":
+            batch = rows(rng.randint(1, 2))
+            while position == 0 and len({r["features"][1] for r in batch}) < 2:
+                batch = rows(3)
+            payloads.append({"kind": "rows", "rows": batch})
+        else:
+            points = distinct(rng.randint(1, 2), lambda: Fraction(rng.choice((-7, -3, 0, 1, 2, 5, 8, 13))))
+            payloads.append({"kind": "points", "points": [[_wire(v)] for v in points]})
+    if kind == "max_echo":
+        algorithm, strategies = {"name": "max"}, {"1": {"name": "max_echo"}}
+    elif kind == "dlr":
+        algorithm = {"name": "dlr", "params": {"d": 1}}
+    elif kind == "kcenter":
+        algorithm = {"name": "kcenter", "params": {"k": 2}}
+    return {
+        "protocol": "continuous",
+        "ell": 1,
+        "agents": 3,
+        "algorithm": algorithm,
+        "strategies": strategies,
+        "nature_input": [{"agent": a, "payload": p} for a, p in zip(agents, payloads)],
+    }
+
+
+LONG_STREAM_KINDS = ("max", "average", "dlr", "kcenter", "max_echo")
+
+# sha256 over the trace lines of `_long_stream(kind, 500)` for each kind in
+# `LONG_STREAM_KINDS`, in order: each line's UTF-8 bytes and then "\n".
+LONG_STREAMS_TRACE_SHA256 = "4ea357970657e4af867dff06a4ebacf16f970e792b80ccfa7c96f0678c989530"
+
+
+def test_long_streams_keep_their_traces():
+    digest = hashlib.sha256()
+    for kind in LONG_STREAM_KINDS:
+        run = run_scenario(scenario_from_dict(_long_stream(kind, 500)))
+        lines = trace_lines(run)
+        # Every truthful echo reaches the ledger; the attacker's only replace its own.
+        assert len(lines) == 3 * 500
+        for line in lines:
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == LONG_STREAMS_TRACE_SHA256
+
+
 def test_cli_demo_unknown_name(capsys):
     assert main(["attack-demo", "nope"]) == 2
     assert "unknown demo" in capsys.readouterr().err
@@ -1618,6 +1704,44 @@ def test_payload_decoder_matches_the_oracle(obj):
     # The loader decodes every payload through `_decode(_payload, ...)`.
     assert _outcome(_decode, _payload, obj, "nature_input[3].payload") == _outcome(
         reference_scenario.payload_from_json, obj, "nature_input[3].payload"
+    )
+
+
+# Payloads that decode, of every kind, dimension and width.
+_valid_payload_json = st.sampled_from([
+    {"kind": "scalar", "value": "3/2"},
+    {"kind": "points", "points": [[1], ["-1/3"]]},
+    {"kind": "points", "points": [[0, 1]]},
+    {"kind": "points", "points": []},
+    {"kind": "rows", "rows": [{"features": [1, 2], "target": 1}]},
+    {"kind": "rows", "rows": [{"features": [1, 2, 3], "target": 0}]},
+    {"kind": "empty"},
+])
+_element_json = st.one_of(
+    st.fixed_dictionaries(
+        {"agent": st.just(1)}, optional={"payload": st.one_of(_valid_payload_json, _payload_json)}
+    ),
+    _atoms,
+)
+
+
+@given(
+    algorithm=st.sampled_from([
+        make_algorithm("max"),
+        make_algorithm("average"),
+        make_algorithm("kcenter", {"k": 1}),
+        make_algorithm("dlr", {"d": 1}),
+    ]),
+    raw=st.one_of(st.lists(_element_json, max_size=5), _atoms),
+)
+@settings(max_examples=300, deadline=None)
+def test_nature_input_decoder_matches_the_oracle(algorithm, raw):
+    # The loader decodes nature's elements in one frame each, with `check`
+    # and the one-dimension rule inline: the same elements, or the same
+    # message at the same field path.
+    decode = partial(_elements, algorithm.check, set())
+    assert _outcome(_decode, decode, raw, "nature_input") == _outcome(
+        reference_scenario.nature_input_from_json, raw, algorithm
     )
 
 

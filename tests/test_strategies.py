@@ -1105,6 +1105,41 @@ def test_the_inference_of_a_finished_run_resumes_the_attacks_walk(d, monkeypatch
     assert decoded
 
 
+def test_the_average_inference_of_a_finished_run_resumes_the_probes_walk(monkeypatch):
+    # The probe attack folds under one key, `_PROBE`, whose state keeps the
+    # own sum and count, so the inference on a view of the attack run observes
+    # only the messages after the attacker's last poll, and decodes what a
+    # memo-less view of the whole run decodes.
+    observed = []
+    observe = strategies._ProbeFold.observe
+
+    def counted(self, state, message):
+        observed.append(message)
+        return observe(self, state, message)
+
+    monkeypatch.setattr(strategies._ProbeFold, "observe", counted)
+    generate, decoded = make_average_cases(), 0
+    for seed in range(50):
+        case, attack, polls = generate(seed), average_double_probe(), []
+
+        def spied(o):
+            polls.append(o.length)
+            return attack(o)
+
+        run = run_protocol(
+            "continuous", case.ninput, {2: spied}, AverageAlgorithm(), case.agent_count,
+            ell=case.ell,
+        )
+        view = observed_history(run, 2)
+        observed.clear()
+        got = outcome(average_infer_from_history, view)
+        assert observed == [m for m in run.messages[polls[-1]:] if view.sees(m)]
+        fresh = ObservedHistory(2, run.messages, len(run.messages))
+        assert got == outcome(average_infer_from_history, fresh)
+        decoded += not isinstance(got, type)
+    assert decoded == 50
+
+
 def _scaling_stream(kind: str, length: int):
     """A continuous stream of `length` elements for `kind`'s attack on agent
     2 of three, with its algorithm: the d = 1 ladder stream, or elements
