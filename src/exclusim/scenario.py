@@ -5,7 +5,10 @@ A scenario file pins the protocol mode, the update-window size, the
 algorithm, the per-agent strategies, and the nature input, so a run is fully
 reproducible from the file alone. All rationals travel as "p/q" strings or
 integers; floats, and decimal or exponent strings, are rejected everywhere.
-The decoder builds a value's field path only when the value fails. Algorithm and strategy parameters
+Every value is decoded one way: `_payload`, `_output` and `_elements` check
+their object's fields themselves, each rational goes through `_rational` and
+each coordinate list through `_coordinates`, and a value's field path is
+built only when the value fails. Algorithm and strategy parameters
 are checked by the constructors that use them; the loader decodes each
 strategy parameter by its kind in `strategies.STRATEGIES` and maps a
 `ParamError` to the parameter's field path. The algorithm's `check` decides
@@ -180,66 +183,47 @@ def _decode(decoder: Callable[[object], T], value: object, path: str) -> T:
         raise _fail(path + "".join(reversed(exc.segments)), str(exc)) from exc.__cause__
 
 
-def _field(obj: dict, key: str, decoder: Callable[[object], T]) -> T:
-    try:
-        return decoder(obj.get(key))
-    except _Invalid as exc:
-        raise exc.below(f".{key}")
-
-
-def _list(raw: object, decoder: Callable[[object], T], noun: str, empty: bool = False) -> list[T]:
-    """`decoder` on each entry of a JSON list, non-empty unless `empty`; a
-    failure names the entry's index."""
-    if not isinstance(raw, list) or not (raw or empty):
-        raise _Invalid(f"expected a {'list' if empty else 'non-empty list'} of {noun}")
-    items: list[T] = []
-    try:
-        for entry in raw:
-            items.append(decoder(entry))
-    except _Invalid as exc:
-        raise exc.below(f"[{len(items)}]")
-    return items
-
-
-def _int(value: object) -> int:
-    if not is_int(value):
-        raise _Invalid(f"expected an integer, got {value!r}")
-    return value
-
-
 # What `rational` raises on a value that is no rational.
 _NOT_RATIONAL = (TypeError, ValueError, ZeroDivisionError)
 
 
-def _rational(value: object) -> Fraction:
+def _rational(value: object, field: str = "") -> Fraction:
+    """`value` as a rational; a failure names `field` (".value", say), the key
+    `value` was read from, or the value itself when `field` is empty."""
     try:
         return rational(value)
     except _NOT_RATIONAL as exc:
-        raise _Invalid(str(exc)) from exc
+        raise _Invalid(str(exc)).below(field) from exc
 
 
-def _point(value: object) -> tuple[Fraction, ...]:
-    return tuple(_list(value, _rational, "coordinates"))
+def _coordinates(raw: object, field: str = "") -> tuple[Fraction, ...]:
+    """The rationals of the non-empty JSON list `raw`, read from `field` as
+    in `_rational`: a point, a row's features, a center or coefficients.
+    A failing entry names its index below `field`."""
+    if not isinstance(raw, list) or not raw:
+        raise _Invalid("expected a non-empty list of coordinates").below(field)
+    coordinates: list[Fraction] = []
+    try:
+        for value in raw:
+            coordinates.append(rational(value))
+    except _NOT_RATIONAL as exc:
+        raise _Invalid(str(exc)).below(f"[{len(coordinates)}]").below(field) from exc
+    return tuple(coordinates)
 
 
 def _payload(obj: object) -> UpdatePayload:
-    """Decode one payload in this one frame, dispatching on its kind.
+    """Decode one payload, dispatching on its kind.
 
-    No frame is spent per schema level, as `_field` and `_list` spend one:
-    a failure below the payload collects its segments from the try blocks it
-    passes, only when it fails, and names the field `_field` and `_list`
-    would name. The payload's own checks (duplicates, widths, the leading 1)
-    cite the payload.
+    A failure below the payload collects its path segments from the try
+    blocks it passes, only when it fails; each point, and each row's
+    features, go through `_coordinates`. The payload's own checks
+    (duplicates, widths, the leading 1) cite the payload.
     """
     if not isinstance(obj, dict):
         raise _Invalid(f"expected a payload object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "scalar":
-        try:
-            value = rational(obj.get("value"))
-        except _NOT_RATIONAL as exc:
-            raise _Invalid(str(exc)).below(".value") from exc
-        return Scalar(value)
+        return Scalar(_rational(obj.get("value"), ".value"))
     if kind == "empty":
         return Empty()
     if kind != "points" and kind != "rows":
@@ -253,27 +237,12 @@ def _payload(obj: object) -> UpdatePayload:
         for entry in raw:
             # A point is its own coordinate list; a row's is its "features".
             if kind == "points":
-                features, field = entry, ""
+                entries.append(_coordinates(entry))
             elif isinstance(entry, dict):
-                features, field = entry.get("features"), ".features"
+                features = _coordinates(entry.get("features"), ".features")
+                entries.append(Row(features, _rational(entry.get("target"), ".target")))
             else:
                 raise _Invalid("expected a row object")
-            if not isinstance(features, list) or not features:
-                raise _Invalid("expected a non-empty list of coordinates").below(field)
-            coordinates: list[Fraction] = []
-            try:
-                for value in features:
-                    coordinates.append(rational(value))
-            except _NOT_RATIONAL as exc:
-                raise _Invalid(str(exc)).below(f"[{len(coordinates)}]").below(field) from exc
-            if kind == "points":
-                entries.append(tuple(coordinates))
-                continue
-            try:
-                target = rational(entry.get("target"))
-            except _NOT_RATIONAL as exc:
-                raise _Invalid(str(exc)).below(".target") from exc
-            entries.append(Row(coordinates, target))
         return PointSet(entries) if kind == "points" else RowMultiset(entries)
     except _Invalid as exc:
         raise exc.below(f"[{len(entries)}]").below(f".{kind}")
@@ -292,9 +261,9 @@ def _one_dimension(dimensions: set[int], payload: UpdatePayload) -> None:
 def _elements(
     check: Callable[[UpdatePayload], bool], dimensions: set[int], raw: object
 ) -> list[NatureElement]:
-    """The nature elements of the JSON list `raw`, each decoded in this frame
-    and `_payload`'s: `check` (the algorithm's) must pass each payload, and
-    its points must keep one dimension (`_one_dimension`)."""
+    """The nature elements of the JSON list `raw`, each payload decoded by
+    `_payload`: `check` (the algorithm's) must pass each payload (`_taken`),
+    and its points must keep one dimension (`_one_dimension`)."""
     if not isinstance(raw, list):
         raise _Invalid("expected a list of elements")
     elements: list[NatureElement] = []
@@ -303,11 +272,7 @@ def _elements(
             if not isinstance(entry, dict):
                 raise _Invalid("expected an element object")
             try:
-                payload = _payload(entry.get("payload"))
-                try:
-                    check(payload)
-                except PayloadError as exc:
-                    raise _Invalid(str(exc)) from exc
+                payload = _taken(check, _payload(entry.get("payload")))
                 _one_dimension(dimensions, payload)
             except _Invalid as exc:
                 raise exc.below(".payload")
@@ -334,18 +299,26 @@ def ninput_to_json(ninput: NatureInput) -> list[dict]:
 
 
 def _output(obj: object) -> AlgorithmOutput:
-    """Decode one algorithm output: scalar, centers, coefficients, or null."""
+    """Decode one algorithm output: scalar, centers, coefficients, or null,
+    as `_payload` decodes a payload."""
     if not isinstance(obj, dict):
         raise _Invalid(f"expected an output object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "scalar":
-        return ScalarOutput(_field(obj, "value", _rational))
+        return ScalarOutput(_rational(obj.get("value"), ".value"))
     if kind == "centers":
-        return CentersOutput(
-            _field(obj, "centers", lambda raw: _list(raw, _point, "points", empty=True))
-        )
+        raw = obj.get("centers")
+        if not isinstance(raw, list):
+            raise _Invalid("expected a list of points").below(".centers")
+        centers: list[tuple[Fraction, ...]] = []
+        try:
+            for center in raw:
+                centers.append(_coordinates(center))
+        except _Invalid as exc:
+            raise exc.below(f"[{len(centers)}]").below(".centers")
+        return CentersOutput(centers)
     if kind == "coefficients":
-        return CoefficientsOutput(_field(obj, "coefficients", _point))
+        return CoefficientsOutput(_coordinates(obj.get("coefficients"), ".coefficients"))
     if kind == "null":
         return NullOutput()
     raise _Invalid(f"unknown output kind {kind!r}").below(".kind")
@@ -366,7 +339,7 @@ def output_to_json(output: Optional[AlgorithmOutput]) -> dict:
 _PARAM_DECODERS: dict[str, Callable[[object], object]] = {
     "rational": _rational,
     "count": lambda value: value,
-    "point": lambda value: _point(value) if isinstance(value, list) else (_rational(value),),
+    "point": lambda value: _coordinates(value) if isinstance(value, list) else (_rational(value),),
     "payload": _payload,
     "output": _output,
 }
@@ -397,11 +370,11 @@ def _name_and_params(spec: object, path: str) -> tuple[str, dict]:
     return spec["name"], params
 
 
-def _taken(algorithm: Algorithm, payload: UpdatePayload) -> UpdatePayload:
-    """`payload`, if `algorithm.check` passes it: a payload the algorithm
-    cannot take fails here, not mid-run."""
+def _taken(check: Callable[[UpdatePayload], bool], payload: UpdatePayload) -> UpdatePayload:
+    """`payload`, if `check` (an algorithm's) passes it: a payload the
+    algorithm cannot take fails here, not mid-run."""
     try:
-        algorithm.check(payload)
+        check(payload)
     except PayloadError as exc:
         raise _Invalid(str(exc)) from exc
     return payload
@@ -432,7 +405,7 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
 
     strategies: dict[int, Strategy] = {}
     strategy_specs: dict[int, dict] = {}
-    taken = partial(_taken, algorithm)
+    taken = partial(_taken, algorithm.check)
     # (payload, field path) of each payload a strategy may put on the ledger.
     sent: list[tuple[UpdatePayload, str]] = []
     raw_strategies = {} if data.get("strategies") is None else data["strategies"]
@@ -481,8 +454,8 @@ def scenario_from_dict(data: object, source: str = "scenario") -> Scenario:
         raise _fail(exc.path, str(exc)) from exc
 
     seed = data.get("seed")
-    if seed is not None:
-        seed = _decode(_int, seed, "seed")
+    if seed is not None and not is_int(seed):
+        raise _fail("seed", f"expected an integer, got {seed!r}")
 
     scenario = Scenario(
         protocol=protocol,

@@ -1,13 +1,15 @@
-"""The scenario layer's payload decoder and JSON writers as they were before
-they stopped repeating work: the oracle for the loader's payload decoder
-(`scenario._decode(scenario._payload, obj, path)`) and its nature-input
-decoder (`scenario._elements`), for `scenario.trace_lines`,
+"""The scenario layer's decoders and JSON writers as they were before they
+stopped repeating work: the oracle for the loader's payload, output and
+point-parameter decoders (`scenario._decode` of `scenario._payload`,
+`scenario._output` and `scenario._PARAM_DECODERS["point"]`) and its
+nature-input decoder (`scenario._elements`), for `scenario.trace_lines`,
 and for the document writers `scenario.payload_to_json` and
 `scenario.output_to_json`.
 
-`payload_from_json` here formats the field path of every point, row and
-coordinate before decoding it, and `nature_input_from_json` that of every
-element. `payload_to_json` and `output_to_json` here
+`payload_from_json`, `output_from_json` and `point_param_from_json` here
+format the field path of every point, row, center and coordinate before
+decoding it, and `nature_input_from_json` that of every element.
+`payload_to_json` and `output_to_json` here
 build each payload and output as a dict, field by field; the library writes
 their JSON text once, in `_payload_text` and `_output_text`, and parses that
 text where it needs a dict. `trace_lines` here turns every message into a dict
@@ -31,6 +33,7 @@ from exclusim.algorithms import (
     CentersOutput,
     CoefficientsOutput,
     Empty,
+    NullOutput,
     PayloadError,
     PointSet,
     Row,
@@ -96,6 +99,33 @@ def payload_from_json(obj: object, path: str) -> UpdatePayload:
         raise _fail(path, str(exc)) from exc
     raise _fail(f"{path}.kind", f"unknown payload kind {kind!r}")
 
+
+def output_from_json(obj: object, path: str) -> AlgorithmOutput:
+    """Decode one algorithm output: scalar, centers, coefficients, or null."""
+    if not isinstance(obj, dict):
+        raise _fail(path, f"expected an output object, got {obj!r}")
+    kind = obj.get("kind")
+    if kind == "scalar":
+        return ScalarOutput(parse_rational(obj.get("value"), f"{path}.value"))
+    if kind == "centers":
+        raw = obj.get("centers")
+        if not isinstance(raw, list):
+            raise _fail(f"{path}.centers", "expected a list of points")
+        return CentersOutput(
+            tuple(_parse_point(c, f"{path}.centers[{i}]") for i, c in enumerate(raw))
+        )
+    if kind == "coefficients":
+        return CoefficientsOutput(_parse_point(obj.get("coefficients"), f"{path}.coefficients"))
+    if kind == "null":
+        return NullOutput()
+    raise _fail(f"{path}.kind", f"unknown output kind {kind!r}")
+
+
+def point_param_from_json(value: object, path: str) -> tuple[Fraction, ...]:
+    """Decode a strategy's point parameter: a coordinate list or one rational."""
+    if isinstance(value, list):
+        return _parse_point(value, path)
+    return (parse_rational(value, path),)
 
 
 def nature_input_from_json(raw: object, algorithm: Algorithm) -> list[NatureElement]:

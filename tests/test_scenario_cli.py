@@ -39,9 +39,11 @@ from exclusim.harness import (
 from exclusim.scenario import (
     PreconditionError,
     ValidationError,
+    _PARAM_DECODERS,
     _STR_SAFE_BITS,
     _decode,
     _elements,
+    _output,
     _payload,
     format_rational,
     load_scenario,
@@ -586,12 +588,34 @@ def test_cli_run_rejects_wrong_width_rows_on_a_dlr_ledger(tmp_path, capsys):
         ({"name": "max_overbid", "params": {"value": 1.5}}, "strategies.2.params.value"),
         ({"name": "max_overbid", "params": {"value": True}}, "strategies.2.params.value"),
         ({"name": "fabricate_point", "params": {"point": [1.5]}}, "strategies.2.params.point[0]"),
+        (
+            {"name": "fabricate_point", "params": {"point": [1, 1.5]}},
+            "strategies.2.params.point[1]",
+        ),
+        (
+            {"name": "sneak", "params": {"rho_cond": {"kind": "centers", "centers": [[0], [1, 1.5]]}}},
+            "strategies.2.params.rho_cond.centers[1][1]",
+        ),
+        (
+            {
+                "name": "sneak",
+                "params": {"rho_cond": {"kind": "coefficients", "coefficients": [1, 1.5]}},
+            },
+            "strategies.2.params.rho_cond.coefficients[1]",
+        ),
     ],
-    ids=["float_value", "bool_value", "float_point"],
+    ids=["float_value", "bool_value", "float_point", "float_second_coordinate",
+         "float_in_a_center", "float_coefficient"],
 )
 def test_cli_run_rejects_inexact_strategy_params(tmp_path, capsys, strategy, field):
     assert _run_file(tmp_path, _minimal_dict(strategies={"2": strategy})) == 2
     assert f"error: {field}: expected an integer or 'p/q' string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3"], ids=["float", "bool", "string"])
+def test_cli_run_rejects_a_non_integer_seed(tmp_path, capsys, seed):
+    assert _run_file(tmp_path, _minimal_dict(seed=seed)) == 2
+    assert f"error: seed: expected an integer, got {seed!r}" in capsys.readouterr().err
 
 
 _ROWS = {
@@ -1337,28 +1361,11 @@ def test_cli_verify_condition_i(capsys):
     assert report["protocol"] == "continuous"
 
 
-# Every `exclusim verify` command of the CI console-script step, in its order.
-VERIFY_COMMANDS = [
-    "inference --attack max_echo --count 5",
-    "condition_i_star --attack max_echo --count 5",
-    "inference --attack average --count 5",
-    "condition_i_star --attack average --count 5",
-    "inference --attack triangulation --count 5",
-    "condition_i_star --attack triangulation --count 5",
-    "condition_i_star --attack triangulation --d 3 --count 5",
-    "inference --attack triangulation --d 3 --count 5",
-    "condition_i_star --attack triangulation --d 5 --count 5",
-    "inference --attack triangulation --d 5 --count 5",
-    "condition_i_star --attack triangulation --d 9 --count 5",
-    "inference --attack triangulation --d 9 --count 5",
-    "periodic_safety --algorithm dlr --count 3",
-    "periodic_safety --algorithm kcenter --count 3",
-    "condition_i --attack kcenter_sneak --count 4",
-    "condition_i --attack lr_sneak",
-    "condition_i --attack average",
-    "condition_i --attack triangulation --d 3",
-    "condition_i --attack triangulation --d 9",
-]
+# Every `exclusim verify` command of the CI console-script step, in its order:
+# the step runs each line of this file, and the golden reports are their stdout.
+VERIFY_COMMANDS = (
+    (Path(__file__).resolve().parent / "verify_commands.txt").read_text(encoding="utf-8").splitlines()
+)
 VERIFY_REPORTS = Path(__file__).resolve().parent / "verify_reports"
 
 
@@ -1369,9 +1376,9 @@ def _report_name(command: str) -> str:
 def test_golden_verify_reports_are_the_ci_commands():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     lines = [line.strip() for line in workflow.read_text(encoding="utf-8").splitlines()]
-    prefix = "exclusim verify "
-    ci = [line.removeprefix(prefix) for line in lines if line.startswith(prefix)]
-    assert ci == VERIFY_COMMANDS
+    # CI runs the file's commands and lists none of its own.
+    assert "xargs -L 1 exclusim verify < tests/verify_commands.txt" in lines
+    assert [line for line in lines if line.startswith("exclusim verify ")] == []
     names = sorted(path.name for path in VERIFY_REPORTS.iterdir())
     assert names == sorted(map(_report_name, VERIFY_COMMANDS))
 
@@ -1742,6 +1749,59 @@ def test_nature_input_decoder_matches_the_oracle(algorithm, raw):
     decode = partial(_elements, algorithm.check, set())
     assert _outcome(_decode, decode, raw, "nature_input") == _outcome(
         reference_scenario.nature_input_from_json, raw, algorithm
+    )
+
+
+# JSON values a coordinate might hold, well-formed or not: the exponent
+# string "1e5" besides `_atoms`' floats, booleans and decimal strings.
+_coordinate_lists = st.one_of(
+    st.lists(st.one_of(_atoms, st.just("1e5")), max_size=3),
+    st.sampled_from([[1], ["-1/3", 2], [0, "1/2", "7"]]),
+    _atoms,
+)
+_output_json = st.one_of(
+    st.sampled_from([
+        {"kind": "scalar", "value": "3/2"},
+        {"kind": "centers", "centers": [[1, "1/2"], [0, 0]]},
+        {"kind": "centers", "centers": []},
+        {"kind": "coefficients", "coefficients": [1, "-2/3"]},
+        {"kind": "null"},
+    ]),
+    st.fixed_dictionaries({"kind": st.just("scalar")}, optional={"value": _atoms}),
+    st.fixed_dictionaries(
+        {"kind": st.just("centers")},
+        optional={"centers": st.one_of(st.lists(_coordinate_lists, max_size=3), _atoms)},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("coefficients")}, optional={"coefficients": _coordinate_lists}
+    ),
+    st.fixed_dictionaries({}, optional={"kind": st.sampled_from(["null", "points", 3])}),
+    _atoms,
+)
+
+
+@given(obj=_output_json)
+@example(obj={"kind": "centers", "centers": [[0], [1, 1.5]]})
+@example(obj={"kind": "coefficients", "coefficients": [1, "1e5"]})
+@example(obj={"kind": "coefficients", "coefficients": [1, True]})
+@settings(max_examples=300, deadline=None)
+def test_output_decoder_matches_the_oracle(obj):
+    # A sneak's `rho_cond` goes through `_decode(_output, ...)`: the same
+    # output, or the same message at the same field path.
+    assert _outcome(_decode, _output, obj, "strategies.2.params.rho_cond") == _outcome(
+        reference_scenario.output_from_json, obj, "strategies.2.params.rho_cond"
+    )
+
+
+@given(value=_coordinate_lists)
+@example(value=[1, 1.5])
+@example(value=[])
+@example(value="1e5")
+@settings(max_examples=200, deadline=None)
+def test_point_param_decoder_matches_the_oracle(value):
+    decode = _PARAM_DECODERS["point"]
+    assert _outcome(_decode, decode, value, "strategies.2.params.point") == _outcome(
+        reference_scenario.point_param_from_json, value, "strategies.2.params.point"
     )
 
 
