@@ -27,9 +27,10 @@ rescales the solution by the ratio of the two scales. Only the
 coefficients become `Fraction`s. `ScaledMoments.residual` states the
 residual G @ x - c; other modules never read the integer blocks.
 The clustering solvers are exact on one coordinate scale per solve: they
-scale the input union's coordinates by the lcm of all their denominators
-and work in ints. A union on the line is solved by a dynamic program over
-the sorted points in polynomial time. A union of two or more dimensions has
+scale the input union's coordinates by the lcm of all their denominators,
+work in ints, build no `Fraction`, and return the `CentersOutput` they
+choose. A union on the line is solved by a dynamic program over the sorted
+points in polynomial time. A union of two or more dimensions has
 the distance table of its integer points built once, and every k-subset is
 costed from it, skipping a subset as soon as its cost exceeds the best one
 found. That enumeration is exhaustive, so instances are capped at a small
@@ -329,38 +330,27 @@ def _magnitude(vector: Sequence[int], p: NormOrder) -> int:
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class KCenterSolution:
-    """The chosen centers and their cost.
-
-    `cost` is expressed in the norm's comparison scale: the true distance
-    value for p=1/p=inf and for the k-median objective, the squared distance
-    for the k-center objective under p=2.
-
-    The solver scales every coordinate of the input by one integer L, the
-    lcm of all their denominators, and works on those ints. A union whose
-    points are all one-dimensional is solved on the line by dynamic
-    programming, in O(k n^2) steps for k-median and O(k n^2 log n) for
-    k-center (`_solve_line`); a union of two or more dimensions by costing
-    every k-subset from an n x n distance table (`_solve_table`). Either
-    way the result, the tie-break (cost, then the sum of center norms, then
-    lexicographic order) and the union cap are those of costing every
-    k-subset from scratch in `Fraction`s, and so are the errors of the
-    table route and the pair they name; on a line no such error can arise.
-    """
-
-    centers: tuple[Point, ...]
-    cost: Fraction
-
-
 def _solve_clustering(
     points: Collection[Point], k: int, p: NormOrder, median: bool, max_union: int
-) -> KCenterSolution:
-    """The exact k-center (or k-median, when `median`) solution of `points`.
+) -> CentersOutput:
+    """The centers of the exact k-center (or k-median, when `median`)
+    solution of `points`.
 
     The checks run in this order: norm, `k`, `max_union`, the empty union,
     fewer than k distinct points, and the union cap. A frozenset of points
     is taken as it stands, without hashing its points again.
+
+    The solve scales every coordinate of the input by one integer L, the
+    lcm of all their denominators, and works on those ints; no `Fraction`
+    is built. A union whose points are all one-dimensional is solved on the
+    line by dynamic programming, in O(k n^2) steps for k-median and
+    O(k n^2 log n) for k-center (`_solve_line`); a union of two or more
+    dimensions by costing every k-subset from an n x n distance table
+    (`_solve_table`). Either way the result, the tie-break (cost, then the
+    sum of center norms, then lexicographic order) and the union cap are
+    those of costing every k-subset from scratch in `Fraction`s, and so are
+    the errors of the table route and the pair they name; on a line no
+    such error can arise.
     """
     check_norm_order(p)
     check_count("k", k)
@@ -384,22 +374,18 @@ def _solve_clustering(
     # coords[i]: the coordinates of universe[i] times `scale`.
     coords = [ints for ints, _ in scaled]
     norms = [_magnitude(c, p) for c in coords]
-    squared = p == 2 and not median
     if all(len(c) == 1 for c in coords):
-        cost, best = _solve_line([x for x, in coords], k, median, norms)
-        if squared:
-            cost *= cost
+        best = _solve_line([x for x, in coords], k, median, norms)
     else:
-        cost, best = _solve_table(coords, universe, k, p, median, norms)
-    unit = scale * scale if squared else scale
-    return KCenterSolution(tuple(universe[j] for j in best), Fraction(cost, unit))
+        best = _solve_table(coords, universe, k, p, median, norms)
+    return CentersOutput([universe[j] for j in best])
 
 
 def _solve_line(
     xs: Sequence[int], k: int, median: bool, norms: Sequence[int]
-) -> tuple[int, tuple[int, ...]]:
-    """The least (cost, sum of center norms, index tuple) over the k-subsets
-    of the sorted distinct ints `xs`, as (cost, index tuple).
+) -> tuple[int, ...]:
+    """The index tuple of the least (cost, sum of center norms, index tuple)
+    over the k-subsets of the sorted distinct ints `xs`.
 
     The points nearest to each center of a subset form a run of `xs` that
     holds the center, so the least subset is found by a dynamic program
@@ -408,7 +394,7 @@ def _solve_line(
     adds up over the runs, and a run's best center is one of its one or
     two middle points, costed from prefix sums. A max does not add up, so
     k-center first finds the least radius, then the least (norm sum, index
-    tuple) over the splits whose runs all fit inside it. The cost is a
+    tuple) over the splits whose runs all fit inside it. A cost is a
     distance over the scale of `xs`.
     """
     if median:
@@ -425,8 +411,7 @@ def _solve_line(
                 for j in {(a + m - 1) // 2, (a + m) // 2}
             )
 
-        cost, _, best = _least_split(len(xs), k, middle, add)
-        return cost, best
+        return _least_split(len(xs), k, middle, add)[2]
     doubled = [2 * x for x in xs]
 
     def reach(a: int, m: int) -> tuple[int, int, int]:
@@ -450,7 +435,7 @@ def _solve_line(
         zero = bisect_left(xs, 0, lo, hi)
         return min(((0, norms[j], j) for j in (zero - 1, zero) if lo <= j < hi), default=None)
 
-    return radius, _least_split(len(xs), k, fitting, add)[2]
+    return _least_split(len(xs), k, fitting, add)[2]
 
 
 def _least_split(
@@ -494,9 +479,9 @@ def _solve_table(
     p: NormOrder,
     median: bool,
     norms: Sequence[int],
-) -> tuple[int, tuple[int, ...]]:
-    """The least (cost, sum of center norms, index tuple) over every k-subset
-    of the sorted `universe`, as (cost, index tuple), costed from its n x n
+) -> tuple[int, ...]:
+    """The index tuple of the least (cost, sum of center norms, index tuple)
+    over every k-subset of the sorted `universe`, costed from its n x n
     distance table.
 
     The table holds L times each pair's L1 or L-inf distance, L^2 times the
@@ -552,18 +537,18 @@ def _solve_table(
         tie = (sum(norms[j] for j in candidate), candidate)
         if cost < best_cost or tie < best_tie:
             best_cost, best_tie, best = cost, tie, candidate
-    return best_cost, best
+    return best
 
 
 def kcenter_solution(
     points: Collection[Point], k: int, p: NormOrder = 2, max_union: int = DEFAULT_MAX_UNION
-) -> KCenterSolution:
+) -> CentersOutput:
     return _solve_clustering(points, k, p, median=False, max_union=max_union)
 
 
 def kmedian_solution(
     points: Collection[Point], k: int, p: NormOrder = 2, max_union: int = DEFAULT_MAX_UNION
-) -> KCenterSolution:
+) -> CentersOutput:
     return _solve_clustering(points, k, p, median=True, max_union=max_union)
 
 
@@ -802,8 +787,8 @@ class ClusteringAlgorithm(Algorithm):
     """Exact k-center or k-median over the point union of the ledger.
 
     State: the frozenset of distinct points so far. `output` is Null while
-    there are fewer than k of them, and otherwise the centers that
-    `kcenter_solution` (or `kmedian_solution`, when `median`) chooses.
+    there are fewer than k of them, and otherwise the `CentersOutput` that
+    `kcenter_solution` (or `kmedian_solution`, when `median`) returns.
     """
 
     median: bool = False
@@ -832,7 +817,7 @@ class ClusteringAlgorithm(Algorithm):
         if len(state) < self.k:
             return NullOutput()
         solve = kmedian_solution if self.median else kcenter_solution
-        return CentersOutput(solve(state, self.k, self.p, self.max_union).centers)
+        return solve(state, self.k, self.p, self.max_union)
 
 
 class KCenterAlgorithm(ClusteringAlgorithm):

@@ -39,6 +39,7 @@ from .harness import (
     GENERATOR_BOUND_NOTE,
     CaseGenerator,
     ConfoundingWitness,
+    GeneratedCase,
     PairedVerdict,
     check_condition_i,
     check_condition_i_star,
@@ -55,7 +56,6 @@ from .numerics import rational
 from .protocol import (
     FactualDelivery,
     NatureElement,
-    NatureInput,
     ObservedHistory,
     OutputBroadcast,
     Run,
@@ -123,9 +123,10 @@ def verdict_line(verdict: PairedVerdict) -> str:
 class Attack:
     """One attack as `attack-demo` and `verify` run it.
 
-    `ninput` is the canonical input that the demo and `verify condition_i`
-    play. `cases` generates the seeded inputs of `verify condition_i_star`
-    and `verify inference`; an attack without it is covered by neither.
+    `case` is the canonical input, with its agent count and `ell`, that the
+    demo and `verify condition_i` play. `cases` generates the seeded inputs
+    of `verify condition_i_star` and `verify inference`; an attack without
+    it is covered by neither, and `SEEDED_ATTACKS` names those with it.
     `decode` recovers the truthful final from the attacker's view (a demo
     without it prints the run classification instead), `star_passes` is the
     expected condition (i*) outcome, and `csv_rows` builds the point table the
@@ -135,9 +136,7 @@ class Attack:
     algorithm: Algorithm
     strategy: Strategy
     j: int
-    ell: int
-    agent_count: int
-    ninput: NatureInput
+    case: GeneratedCase
     cases: Optional[CaseGenerator] = None
     decode: Optional[Callable[[ObservedHistory], AlgorithmOutput]] = None
     star_passes: Optional[bool] = None
@@ -145,8 +144,8 @@ class Attack:
 
     def check_condition_i(self) -> PairedVerdict:
         return check_condition_i(
-            self.algorithm, self.strategy, self.j, self.ninput,
-            ell=self.ell, agent_count=self.agent_count,
+            self.algorithm, self.strategy, self.j, self.case.ninput,
+            ell=self.case.ell, agent_count=self.case.agent_count,
         )
 
 
@@ -156,7 +155,7 @@ def _average(args: argparse.Namespace) -> Attack:
         NatureElement(2, PointSet(((Fraction(1),), (Fraction(3),)))),
     )
     return Attack(
-        AverageAlgorithm(), average_double_probe(), j=2, ell=2, agent_count=2, ninput=ninput,
+        AverageAlgorithm(), average_double_probe(), j=2, case=GeneratedCase(ninput, 2, ell=2),
         cases=make_average_cases(j=2),
         decode=lambda o: ScalarOutput(average_infer_from_history(o).true_average),
         star_passes=True,
@@ -169,7 +168,7 @@ def _max_echo(args: argparse.Namespace) -> Attack:
         NatureElement(1, Scalar(Fraction(110))),
     )
     return Attack(
-        MaxAlgorithm(), max_echo_attack(), j=1, ell=1, agent_count=2, ninput=ninput,
+        MaxAlgorithm(), max_echo_attack(), j=1, case=GeneratedCase(ninput, 2, ell=1),
         cases=make_max_cases(j=1), decode=max_infer, star_passes=False,
     )
 
@@ -181,7 +180,7 @@ def _kcenter_sneak(args: argparse.Namespace) -> Attack:
     # Every payload of the run comes from these two sets, 2k + 1 points in all.
     union = len(set(cluster.points) | set(params.u_cond.points))
     algorithm = KCenterAlgorithm(args.k, max_union=union)
-    return Attack(algorithm, sneak_attack(params), j=2, ell=1, agent_count=2, ninput=ninput)
+    return Attack(algorithm, sneak_attack(params), j=2, case=GeneratedCase(ninput, 2, ell=1))
 
 
 def _lr_sneak(args: argparse.Namespace) -> Attack:
@@ -193,16 +192,14 @@ def _lr_sneak(args: argparse.Namespace) -> Attack:
         )
     )
     ninput = (NatureElement(1, warm), NatureElement(2, params.u_cond))
-    return Attack(DlrAlgorithm(1), sneak_attack(params), j=2, ell=1, agent_count=2, ninput=ninput)
+    return Attack(DlrAlgorithm(1), sneak_attack(params), j=2, case=GeneratedCase(ninput, 2, ell=1))
 
 
 def _triangulation(args: argparse.Namespace) -> Attack:
     d = args.d
     cases = make_triangulation_cases(d, j=2)
-    case = cases(args.seed)
     return Attack(
-        DlrAlgorithm(d), triangulation_attack(d), j=2, ell=d + 2,
-        agent_count=case.agent_count, ninput=case.ninput, cases=cases,
+        DlrAlgorithm(d), triangulation_attack(d), j=2, case=cases(args.seed), cases=cases,
         decode=lambda o: triangulation_infer_from_history(o, d).truth_output,
         star_passes=True,
         csv_rows=lambda run: triangulation_csv_rows(run, 2, d),
@@ -216,6 +213,10 @@ ATTACKS: dict[str, Callable[[argparse.Namespace], Attack]] = {
     "lr_sneak": _lr_sneak,
     "triangulation": _triangulation,
 }
+
+# The attacks built with `cases`, which `verify condition_i_star` and
+# `verify inference` cover.
+SEEDED_ATTACKS = ("average", "max_echo", "triangulation")
 
 # attack-demo name -> attack; the demo keeps the short name "max" for max_echo.
 DEMO_NAMES = {"max" if name == "max_echo" else name: name for name in ATTACKS}
@@ -354,21 +355,15 @@ def _base_report(attack: str, algorithm: str, protocol: str, ell: Optional[int])
 
 def _attack_under_test(args: argparse.Namespace) -> tuple[Attack, dict]:
     """The record of `--attack` and its report skeleton; refuse an attack
-    the suite does not cover."""
-
-    def covered(attack: Attack) -> bool:
-        # Condition (i) plays the canonical input; the other suites need cases.
-        return args.suite == "condition_i" or attack.cases is not None
-
+    the suite does not cover before building any."""
+    # Condition (i) plays the canonical input; the other suites need cases.
+    covered = [name for name in ATTACKS if args.suite == "condition_i" or name in SEEDED_ATTACKS]
     if args.attack is None:
-        names = [name for name in ATTACKS if covered(_build_attack(name, args))]
-        raise UsageError(
-            f"suite {args.suite} requires --attack, one of {', '.join(names)}"
-        )
-    attack = _build_attack(args.attack, args) if args.attack in ATTACKS else None
-    if attack is None or not covered(attack):
+        raise UsageError(f"suite {args.suite} requires --attack, one of {', '.join(covered)}")
+    if args.attack not in covered:
         raise UsageError(f"suite {args.suite} does not cover attack '{args.attack}'")
-    return attack, _base_report(args.attack, attack.algorithm.name, "continuous", attack.ell)
+    attack = _build_attack(args.attack, args)
+    return attack, _base_report(args.attack, attack.algorithm.name, "continuous", attack.case.ell)
 
 
 def _suite_condition_i(args: argparse.Namespace) -> tuple[dict, bool]:

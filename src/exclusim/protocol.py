@@ -1,12 +1,14 @@
 """Message types and the two ledger protocols (continuous and periodic).
 
-Agents are numbered 1..n. Nature hands each agent private factual updates;
-agents may push ledger updates; after pushes the ledger broadcasts the
-aggregation algorithm's output over everything pushed so far. The engines do
-not keep the ledger itself: they keep the algorithm's running state
-(`Algorithm.start`), fold each accepted update into it (`fold`) and broadcast
-its `output`, so the cost of one broadcast does not grow with the ledger; a
-fold that returns the state itself rebroadcasts the last output. An
+Agents are numbered 1..n. Nature hands each agent private factual updates,
+each one `FactualDelivery` (`NatureElement` names the same class): the
+continuous engine logs an element as it is, and the periodic engine a delivery
+without its round. Agents may push ledger updates; after pushes the ledger
+broadcasts the aggregation algorithm's output over everything pushed so far.
+The engines do not keep the ledger itself: they keep the algorithm's running
+state (`Algorithm.start`), fold each accepted update into it (`fold`) and
+broadcast its `output`, so the cost of one broadcast does not grow with the
+ledger; a fold that returns the state itself rebroadcasts the last output. An
 agent's strategy is a pure function of its observed history: its own factual
 deliveries, its own ledger updates, and every broadcast, in run order. The
 run's message log is the engines' only record; each poll hands the strategy an
@@ -76,8 +78,15 @@ class SafetyCapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class FactualDelivery:
+    """One nature element, and the message that delivers it to `agent`.
+
+    `round` is the element's round in a periodic input and None otherwise;
+    no message in a run's log carries one.
+    """
+
     agent: int
     payload: UpdatePayload
+    round: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -95,16 +104,7 @@ Message = Union[FactualDelivery, LedgerUpdate, OutputBroadcast]
 
 KIND_FACTUAL = FactualDelivery
 KIND_LEDGER = LedgerUpdate
-
-
-@dataclass(frozen=True)
-class NatureElement:
-    """One element of the nature input: agent, payload, and (periodic) round."""
-
-    agent: int
-    payload: UpdatePayload
-    round: Optional[int] = None
-
+NatureElement = FactualDelivery  # a nature element is the delivery it makes
 
 NatureInput = tuple[NatureElement, ...]
 
@@ -357,7 +357,7 @@ def _run_continuous(
 
     for element in ninput:
         start = len(messages)
-        messages.append(FactualDelivery(element.agent, element.payload))
+        messages.append(element)
         grown = {element.agent}
         passes = 0
         while grown:

@@ -46,7 +46,6 @@ from exclusim.algorithms import (
     Empty,
     InstanceTooLargeError,
     KCenterAlgorithm,
-    KCenterSolution,
     KMedianAlgorithm,
     MaxAlgorithm,
     NoOutputError,
@@ -222,7 +221,7 @@ def _reference_cost(points, centers, p, median):
     return total if median else worst
 
 
-def reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION) -> KCenterSolution:
+def reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION) -> CentersOutput:
     """The exhaustive solve the table-based solver replaced, kept as its oracle.
 
     Every k-subset is costed from scratch in `Fraction` arithmetic; ties go
@@ -246,8 +245,7 @@ def reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION) -> K
         key = (cost, sum(norm_key(c, p) for c in candidate), candidate)
         if best_key is None or key < best_key:
             best_key = key
-    cost, _, best = best_key
-    return KCenterSolution(best, cost)
+    return CentersOutput(best_key[2])
 
 
 def _payloads_of(ledger: Sequence[UpdatePayload], kind: type) -> list[UpdatePayload]:
@@ -318,7 +316,7 @@ def reference_compute(algorithm, ledger: Sequence[UpdatePayload]) -> AlgorithmOu
     if isinstance(algorithm, (KCenterAlgorithm, KMedianAlgorithm)):
         solve = kmedian_solution if isinstance(algorithm, KMedianAlgorithm) else kcenter_solution
         points = reference_union(ledger)
-        return CentersOutput(solve(points, algorithm.k, algorithm.p, algorithm.max_union).centers)
+        return solve(points, algorithm.k, algorithm.p, algorithm.max_union)
     if isinstance(algorithm, DlrAlgorithm):
         return reference_dlr(ledger, algorithm.d)
     raise TypeError(f"no reference for {type(algorithm).__name__}")

@@ -42,6 +42,7 @@ from exclusim.algorithms import (
 )
 from exclusim.numerics import RMatrix, _scaled
 from reference_aggregations import (
+    _reference_cost,
     dist_key,
     divided,
     lr_cost,
@@ -202,7 +203,8 @@ def test_kcenter_matches_brute_force_cost():
     points = _points(-7, -2, 0, 3, 4, 9)
     out = _kcenter(points, 2)
     assert isinstance(out, CentersOutput)
-    best_cost = reference_clustering(points.points, 2, 2, median=False).cost
+    best = reference_clustering(points.points, 2, 2, median=False)
+    best_cost = _reference_cost(points.points, best.centers, 2, median=False)
     got_cost = max(
         min(dist_key(p, c, 2) for c in out.centers) for p in points.points
     )
@@ -248,7 +250,8 @@ def test_kcenter_cost_optimal_against_enumeration(values, k):
     points = _points(*values)
     out = _kcenter(points, k)
     assert isinstance(out, CentersOutput)
-    best_cost = reference_clustering(points.points, k, 2, median=False).cost
+    best = reference_clustering(points.points, k, 2, median=False)
+    best_cost = _reference_cost(points.points, best.centers, 2, median=False)
     got_cost = max(min(dist_key(p, c, 2) for c in out.centers) for p in points.points)
     assert got_cost == best_cost
 
@@ -452,7 +455,30 @@ def test_kmedian_irrational_euclidean_distance_is_refused():
     assert solution == reference_clustering(points, 1, 1, median=True)
     # Every center costs 4 under L1, so the smallest-norm point wins the tie.
     assert solution.centers == ((Fraction(0), Fraction(0)),)
-    assert solution.cost == 4
+    assert _reference_cost(points, solution.centers, 1, median=True) == 4
+
+
+# Points on the line y = 4x/3, where every Euclidean distance is rational,
+# and points off it, for the norms whose distances always are.
+_ON_A_LINE_IN_2D = _fractions((0, 0), (3, 4), (6, 8), (-3, -4), ("3/2", 2))
+_SCATTERED_2D = _fractions((0, 0), (1, 2), ("-1/2", 3), (2, -1), (4, 4), ("1/3", "1/3"))
+
+
+@pytest.mark.parametrize(
+    "points, norms",
+    [
+        (_fractions((-7,), (-2,), (0,), ("1/2",), (3,), (9,)), (1, 2, NORM_INF)),
+        (_ON_A_LINE_IN_2D, (1, 2, NORM_INF)),
+        (_SCATTERED_2D, (1, NORM_INF)),
+    ],
+    ids=["line", "2d_collinear", "2d_scattered"],
+)
+@pytest.mark.parametrize("algorithm", [KCenterAlgorithm, KMedianAlgorithm])
+def test_clustering_solvers_return_what_the_algorithms_output(algorithm, points, norms):
+    solve = _SOLVERS[algorithm.median]
+    for p in norms:
+        for k in (1, 2, 3):
+            assert solve(points, k, p) == algorithm(k, p).compute([PointSet(points)])
 
 
 def test_kcenter_deterministic_tie_break():

@@ -112,6 +112,18 @@ def test_truthful_continuous_run_shape():
     assert run.final_output() == ScalarOutput(Fraction(7))
 
 
+def test_continuous_run_logs_each_nature_element_itself():
+    # A nature element is its own delivery: the engine makes no copy of it.
+    case = make_triangulation_cases(2, j=2)(1)
+    run = run_protocol(
+        "continuous", case.ninput, {2: triangulation_attack(2)}, DlrAlgorithm(2),
+        case.agent_count, ell=case.ell,
+    )
+    factual = [m for m in run.messages if isinstance(m, FactualDelivery)]
+    assert len(factual) == len(case.ninput)
+    assert all(message is element for message, element in zip(factual, case.ninput))
+
+
 def test_every_ledger_update_is_followed_by_a_broadcast():
     run = run_protocol(
         "continuous",
@@ -308,6 +320,15 @@ def test_periodic_round_shape():
         "LedgerUpdate",
         "OutputBroadcast",
     ]
+
+
+@pytest.mark.parametrize("make_scenario", [lr_periodic_scenario, kcenter_periodic_scenario])
+def test_periodic_run_logs_its_deliveries_without_rounds(make_scenario):
+    algorithm, strategy, case = make_scenario(1)
+    run = run_protocol("periodic", case.ninput, {2: strategy}, algorithm, case.agent_count)
+    factual = [m for m in run.messages if isinstance(m, FactualDelivery)]
+    assert [(m.agent, m.payload) for m in factual] == [(e.agent, e.payload) for e in case.ninput]
+    assert all(message.round is None for message in factual)
 
 
 def test_periodic_empty_round_still_broadcasts():

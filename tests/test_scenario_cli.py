@@ -29,7 +29,7 @@ from exclusim.algorithms import (
     ScalarOutput,
     make_algorithm,
 )
-from exclusim.cli import ATTACKS, PERIODIC_SCENARIOS, build_parser, main
+from exclusim.cli import ATTACKS, PERIODIC_SCENARIOS, SEEDED_ATTACKS, build_parser, main
 from exclusim.harness import (
     GENERATOR_BOUND_NOTE,
     check_condition_i,
@@ -1399,8 +1399,8 @@ def _record(argv: list[str]):
 
 def _canonical_verdict(record):
     return check_condition_i(
-        record.algorithm, record.strategy, record.j, record.ninput,
-        ell=record.ell, agent_count=record.agent_count,
+        record.algorithm, record.strategy, record.j, record.case.ninput,
+        ell=record.case.ell, agent_count=record.case.agent_count,
     )
 
 
@@ -1482,9 +1482,18 @@ def test_cli_verify_refuses_uncovered_attacks(capsys, suite, attack):
 
 @pytest.mark.parametrize("suite", sorted(_COVERED))
 def test_cli_verify_requires_an_attack(capsys, suite):
-    assert main(["verify", suite]) == 2
     covered = ", ".join(sorted(_COVERED[suite], key=list(ATTACKS).index))
-    assert capsys.readouterr().err == f"error: suite {suite} requires --attack, one of {covered}\n"
+    # A value some attack refuses does not hide the missing flag: the list
+    # of covered attacks is built without building any of them.
+    for extra in ([], ["--d", "0"]):
+        assert main(["verify", suite, *extra]) == 2
+        assert capsys.readouterr().err == f"error: suite {suite} requires --attack, one of {covered}\n"
+
+
+def test_cli_seeded_attacks_are_those_built_with_cases():
+    args = build_parser().parse_args(["verify", "inference"])
+    seeded = [name for name, build in ATTACKS.items() if build(args).cases is not None]
+    assert seeded == list(SEEDED_ATTACKS)
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])
