@@ -29,8 +29,9 @@ residual G @ x - c; other modules never read the integer blocks.
 The clustering solvers are exact on one coordinate scale per solve: they
 scale the input union's coordinates by the lcm of all their denominators,
 work in ints, build no `Fraction`, and return the `CentersOutput` they
-choose. A union on the line is solved by a dynamic program over the sorted
-points in polynomial time. A union of two or more dimensions has
+choose. A union on the line is solved in polynomial time by a dynamic
+program over the sorted points, with k-center's radius found first by a
+greedy cover test. A union of two or more dimensions has
 the distance table of its integer points built once, and every k-subset is
 costed from it, skipping a subset as soon as its cost exceeds the best one
 found. That enumeration is exhaustive, so instances are capped at a small
@@ -343,14 +344,16 @@ def _solve_clustering(
     The solve scales every coordinate of the input by one integer L, the
     lcm of all their denominators, and works on those ints; no `Fraction`
     is built. A union whose points are all one-dimensional is solved on the
-    line by dynamic programming, in O(k n^2) steps for k-median and
-    O(k n^2 log n) for k-center (`_solve_line`); a union of two or more
-    dimensions by costing every k-subset from an n x n distance table
-    (`_solve_table`). Either way the result, the tie-break (cost, then the
-    sum of center norms, then lexicographic order) and the union cap are
-    those of costing every k-subset from scratch in `Fraction`s, and so are
-    the errors of the table route and the pair they name; on a line no
-    such error can arise.
+    line (`_solve_line`): k-median by one dynamic program over the splits
+    of the sorted union, in O(k n^2) steps; k-center by a greedy cover test
+    bisected over the pairwise gaps for its radius, then by one dynamic
+    program within that radius for the tie-break, in O(k n^2 log n). A
+    union of two or more dimensions is solved by costing every k-subset
+    from an n x n distance table (`_solve_table`). Either way the result,
+    the tie-break (cost, then the sum of center norms, then lexicographic
+    order) and the union cap are those of costing every k-subset from
+    scratch in `Fraction`s, and so are the errors of the table route and
+    the pair they name; on a line no such error can arise.
     """
     check_norm_order(p)
     check_count("k", k)
@@ -393,9 +396,9 @@ def _solve_line(
     (Hassin & Tamir 1991; Megiddo & Tamir 1983). For k-median the whole key
     adds up over the runs, and a run's best center is one of its one or
     two middle points, costed from prefix sums. A max does not add up, so
-    k-center first finds the least radius, then the least (norm sum, index
-    tuple) over the splits whose runs all fit inside it. A cost is a
-    distance over the scale of `xs`.
+    k-center first finds the least radius (`_least_radius`), then the least
+    (norm sum, index tuple) over the splits whose runs all fit inside it.
+    A cost is a distance over the scale of `xs`.
     """
     if median:
         sums = list(accumulate(xs, initial=0))  # sums[i]: xs[0] + ... + xs[i - 1]
@@ -412,16 +415,7 @@ def _solve_line(
             )
 
         return _least_split(len(xs), k, middle, add)[2]
-    doubled = [2 * x for x in xs]
-
-    def reach(a: int, m: int) -> tuple[int, int, int]:
-        """The least radius of the run xs[a:m], from a center next to its midpoint."""
-        mid = bisect_left(doubled, xs[a] + xs[m - 1], a, m)
-        return min(
-            (max(xs[j] - xs[a], xs[m - 1] - xs[j]), 0, j) for j in (mid - 1, mid) if a <= j < m
-        )
-
-    radius = _least_split(len(xs), k, reach, max)[0]
+    radius = _least_radius(xs, k)
 
     def fitting(a: int, m: int) -> Optional[tuple[int, int, int]]:
         """The least (0, norm, center) of the run xs[a:m] within `radius`.
@@ -436,6 +430,44 @@ def _solve_line(
         return min(((0, norms[j], j) for j in (zero - 1, zero) if lo <= j < hi), default=None)
 
     return _least_split(len(xs), k, fitting, add)[2]
+
+
+def _least_radius(xs: Sequence[int], k: int) -> int:
+    """The least r within which k of the sorted distinct ints `xs`, as
+    centers, cover every one of them.
+
+    Each point's distance to its nearest center is a gap between two points
+    of `xs`, so r is one of the sorted distinct gaps (0 included), and the
+    least one that `_covers` accepts is found by bisection over them: the
+    test accepts every gap from r up (Megiddo & Tamir 1983; Frederickson &
+    Johnson 1983). The largest gap covers `xs` with one center.
+    """
+    gaps = sorted({b - a for i, a in enumerate(xs) for b in xs[i:]})
+    lo, hi = 0, len(gaps) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _covers(xs, k, gaps[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return gaps[lo]
+
+
+def _covers(xs: Sequence[int], k: int, radius: int) -> bool:
+    """Whether k of the sorted ints `xs`, as centers, cover every one of
+    them within `radius`.
+
+    Greedy from the left: the leftmost uncovered point x must be covered,
+    and the rightmost point within `radius` of x covers it and, of all the
+    centers that do, reaches furthest right, so it is the one to take.
+    """
+    start = 0
+    for _ in range(k):
+        center = bisect_right(xs, xs[start] + radius, start) - 1
+        start = bisect_right(xs, xs[center] + radius, center)
+        if start == len(xs):
+            return True
+    return False
 
 
 def _least_split(

@@ -211,12 +211,16 @@ def max_overbid(value: RationalLike) -> Strategy:
 
 
 def max_infer(o: ObservedHistory) -> AlgorithmOutput:
-    """The truthful maximum: largest value among broadcasts and own factual scalars."""
+    """The truthful maximum: largest value among broadcasts and own factual scalars.
+
+    The view's prefix of the log is read in place; every agent sees every
+    broadcast, so only a factual delivery is tested with `o.sees`.
+    """
     values: list[Fraction] = []
-    for item in o.items:
+    for item in islice(o.log, o.length):
         if isinstance(item, OutputBroadcast) and isinstance(item.output, ScalarOutput):
             values.append(item.output.value)
-        elif isinstance(item, FactualDelivery) and isinstance(item.payload, Scalar):
+        elif isinstance(item, FactualDelivery) and isinstance(item.payload, Scalar) and o.sees(item):
             values.append(item.payload.value)
     return ScalarOutput(max(values)) if values else NullOutput()
 

@@ -9,6 +9,9 @@ compare the two.
 `reference_clustering` is the oracle of the exact clustering solvers: it
 costs every k-subset from scratch with `Fraction` distances, as the solvers
 did before they worked on one integer coordinate scale.
+`reference_line_kcenter` is the k-center body of `algorithms._solve_line`
+as it was before a greedy cover test found its radius: both the radius and
+the tie-break come from a dynamic program over every run of the line.
 
 `reference_moments` sums the regression moments as `Fraction` outer
 products, the oracle of the integer kernel `ScaledMoments.plus_rows` and of
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from collections.abc import Sequence as SequenceABC
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
@@ -246,6 +251,50 @@ def reference_clustering(points, k, p, median, max_union=DEFAULT_MAX_UNION) -> C
         if best_key is None or key < best_key:
             best_key = key
     return CentersOutput(best_key[2])
+
+
+def _reference_least_split(n, k, run, combine):
+    """The least (cost, norm sum, center tuple) over the splits of range(n)
+    into k runs, with `run(a, m)` the least (cost, norm, center) of the run
+    a, ..., m - 1 or None, combined over the runs by `combine`."""
+    best: list = [(0, 0, ())] + [None] * n
+    for used in range(1, k + 1):
+        longer: list = [None] * (n + 1)
+        for m in range(used, n + 1):
+            options = []
+            for a in range(used - 1, m):
+                head, last = best[a], run(a, m)
+                if head is not None and last is not None:
+                    options.append((combine(head[0], last[0]), head[1] + last[1], head[2], last[2]))
+            if options:
+                cost, norm, centers, j = min(options)
+                longer[m] = (cost, norm, centers + (j,))
+        best = longer
+    return best[n]
+
+
+def reference_line_kcenter(xs: Sequence[int], k: int, norms: Sequence[int]) -> tuple[int, ...]:
+    """The index tuple of the least (radius, norm sum, index tuple) over the
+    k-subsets of the sorted distinct ints `xs`, from two dynamic programs
+    over the splits of `xs` into runs: the least radius under `max`, then
+    the least (norm sum, index tuple) of the splits that fit inside it."""
+    doubled = [2 * x for x in xs]
+
+    def reach(a, m):
+        mid = bisect_left(doubled, xs[a] + xs[m - 1], a, m)
+        return min(
+            (max(xs[j] - xs[a], xs[m - 1] - xs[j]), 0, j) for j in (mid - 1, mid) if a <= j < m
+        )
+
+    radius = _reference_least_split(len(xs), k, reach, max)[0]
+
+    def fitting(a, m):
+        lo = bisect_left(xs, xs[m - 1] - radius, a, m)
+        hi = bisect_right(xs, xs[a] + radius, a, m)
+        zero = bisect_left(xs, 0, lo, hi)
+        return min(((0, norms[j], j) for j in (zero - 1, zero) if lo <= j < hi), default=None)
+
+    return _reference_least_split(len(xs), k, fitting, operator.add)[2]
 
 
 def _payloads_of(ledger: Sequence[UpdatePayload], kind: type) -> list[UpdatePayload]:

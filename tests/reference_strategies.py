@@ -1,5 +1,7 @@
 """The sneak and probe attacks as they decided before they became folds: the
 oracles for `strategies.sneak_attack` and `strategies.average_double_probe`.
+`reference_max_infer` is the max inference as it read the view's `items`
+before it read the log in place.
 
 Each strategy here rebuilds what it needs from the whole view at every poll.
 `reference_sneak_attack` scans every triple of the view's items for the first
@@ -16,8 +18,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from exclusim.algorithms import (
+    AlgorithmOutput,
     AverageAlgorithm,
+    NullOutput,
     PointSet,
+    Scalar,
     ScalarOutput,
     UpdatePayload,
     payload_union,
@@ -124,3 +129,14 @@ def reference_average_infer_from_history(o: ObservedHistory) -> AverageInference
     if not own:
         raise InferenceError("no factual data to fold into the average")
     return average_infer(first, second, sum(own, Fraction(0)), len(own))
+
+
+def reference_max_infer(o: ObservedHistory) -> AlgorithmOutput:
+    """The largest value among the view's broadcasts and own factual scalars."""
+    values: list[Fraction] = []
+    for item in o.items:
+        if isinstance(item, OutputBroadcast) and isinstance(item.output, ScalarOutput):
+            values.append(item.output.value)
+        elif isinstance(item, FactualDelivery) and isinstance(item.payload, Scalar):
+            values.append(item.payload.value)
+    return ScalarOutput(max(values)) if values else NullOutput()

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import mul, sub
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exclusim import algorithms
 from exclusim.algorithms import (
     NORM_INF,
     AverageAlgorithm,
@@ -51,6 +54,7 @@ from reference_aggregations import (
     rational_sqrt,
     reference_clustering,
     reference_compute,
+    reference_line_kcenter,
     reference_moments,
     reference_output,
     reference_union,
@@ -445,6 +449,70 @@ def test_line_solver_serves_a_union_past_the_default_cap(k, median):
     assert _SOLVERS[median](points, k, max_union=30) == reference_clustering(
         points, k, 2, median, max_union=30
     )
+
+
+@st.composite
+def _tie_heavy_lines(draw):
+    """The sorted union of up to 60 distinct ints from pools rich in ties,
+    and a k from 1 to its size.
+
+    A mirrored pool ties x with -x on every norm, an evenly spaced one ties
+    gaps and so radii, and a small range ties both; a free pool mixes them
+    with points that tie nothing.
+    """
+    values: set[int] = set()
+    shapes = st.sampled_from(("mirrored", "evenly_spaced", "small_range", "free"))
+    for shape in draw(st.lists(shapes, min_size=1, max_size=4)):
+        if shape == "mirrored":
+            values.update(v for x in draw(st.lists(st.integers(0, 60), max_size=15)) for v in (x, -x))
+        elif shape == "evenly_spaced":
+            start, step = draw(st.integers(-60, 60)), draw(st.integers(1, 9))
+            values.update(start + i * step for i in range(draw(st.integers(1, 20))))
+        elif shape == "small_range":
+            values.update(draw(st.lists(st.integers(-6, 6), max_size=13)))
+        else:
+            values.update(draw(st.lists(st.integers(-500, 500), max_size=20)))
+    xs = sorted(values)[:60] or [draw(st.integers(-9, 9))]
+    # The oracle's dynamic programs cost O(k n^2) runs, so most draws keep k
+    # small; k near n reaches radius 0 and the least gaps.
+    n = len(xs)
+    k = draw(st.one_of(st.integers(1, min(n, 6)), st.integers(max(1, n - 2), n)))
+    return xs, k
+
+
+def _line_norms(xs, p):
+    return [x * x if p == 2 else abs(x) for x in xs]
+
+
+@given(instance=_tie_heavy_lines(), p=st.sampled_from((1, 2, NORM_INF)))
+# n == k: every point is its own center, at radius 0.
+@example(instance=([-4, -1, 0, 3, 8], 5), p=2)
+# k == 1: the one center is the point nearest the middle, and -2 and 2 tie.
+@example(instance=([-6, -2, 2, 6], 1), p=1)
+# All gaps equal: every radius from 1 up ties some split, and the norms pick.
+@example(instance=(list(range(-9, 10, 3)), 3), p=NORM_INF)
+@example(instance=(list(range(0, 40, 2)), 4), p=2)
+@settings(max_examples=150, deadline=None)
+def test_line_kcenter_matches_the_run_dp(instance, p):
+    xs, k = instance
+    norms = _line_norms(xs, p)
+    assert algorithms._solve_line(xs, k, False, norms) == reference_line_kcenter(xs, k, norms)
+
+
+@pytest.mark.parametrize("n", (50, 200))
+def test_line_kcenter_bisects_the_gaps_with_few_cover_tests(monkeypatch, n):
+    xs = sorted(Random(f"cover:{n}").sample(range(-5000, 5000), n))
+    gaps = len({b - a for a in xs for b in xs if a <= b})
+    calls = []
+    covers = algorithms._covers
+
+    def spy(*args):
+        calls.append(args)
+        return covers(*args)
+
+    monkeypatch.setattr(algorithms, "_covers", spy)
+    algorithms._solve_line(xs, 4, False, _line_norms(xs, 2))
+    assert 0 < len(calls) <= math.ceil(math.log2(gaps)) + 1
 
 
 def test_kmedian_irrational_euclidean_distance_is_refused():

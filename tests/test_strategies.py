@@ -34,7 +34,7 @@ from exclusim.algorithms import (
     moments,
 )
 from exclusim.cli import triangulation_csv_rows
-from exclusim.harness import make_average_cases, make_triangulation_cases
+from exclusim.harness import make_average_cases, make_max_cases, make_triangulation_cases
 from exclusim.protocol import (
     KIND_LEDGER,
     FactualDelivery,
@@ -87,6 +87,7 @@ from reference_linalg import sub
 from reference_strategies import (
     reference_average_double_probe,
     reference_average_infer_from_history,
+    reference_max_infer,
     reference_sneak_attack,
 )
 from reference_triangulation import (
@@ -134,6 +135,24 @@ def test_max_echo_inference_recovers_truth():
     )
     inferred = max_infer(observed_history(attack, 1))
     assert inferred == ScalarOutput(Fraction(110))
+
+
+def test_max_infer_matches_the_items_reference_on_every_view():
+    for seed in range(40):
+        case = make_max_cases()(seed)
+        run = run_protocol(
+            "continuous", case.ninput, {1: max_echo_attack()}, MaxAlgorithm(), case.agent_count,
+            ell=case.ell,
+        )
+        for agent in range(1, case.agent_count + 1):
+            for upto in range(len(run.messages) + 1):
+                view = observed_history(run, agent, upto)
+                assert max_infer(view) == reference_max_infer(view), (seed, agent, upto)
+
+
+def test_max_infer_of_an_empty_view_is_null():
+    view = ObservedHistory(1, [], 0)
+    assert max_infer(view) == reference_max_infer(view) == NullOutput()
 
 
 def test_max_overbid_lifts_output():
